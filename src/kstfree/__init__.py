@@ -7,7 +7,7 @@ building (variety), graph pipelines and verdicts (graphs), and the CLI
 plus built-in check suite (cli, acceptance).
 """
 
-from .gf import FieldElem, FieldSpec, field_for_order, make_field
+from .gf import FieldSpec, field_for_order, make_field
 from .graphs import (
     CertificationError,
     ConstructionPlan,
@@ -59,7 +59,6 @@ __all__ = [
     "BuildConfig",
     "CertificationError",
     "ConstructionPlan",
-    "FieldElem",
     "FieldSpec",
     "HomPoly",
     "ProjPoint",

@@ -437,28 +437,28 @@ def check_reproducibility(seed: int):
     emitted file reproduces every stored verdict."""
     from .cli import main as cli_main
 
-    tmp = tempfile.mkdtemp(prefix="kstfree-check-")
-    p1 = os.path.join(tmp, "run1.json")
-    p2 = os.path.join(tmp, "run2.json")
-    argv = ["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
-            "--Z", "1", "--q", "7", "--c", "1/4",
-            "--seed", str(seed), "--trials", "5"]
-    sink = io.StringIO()
-    with redirect_stdout(sink):
-        rc1 = cli_main(argv + ["--out", p1])
-        rc2 = cli_main(argv + ["--out", p2])
-    with open(p1, "rb") as fh:
-        graph_bytes = fh.read()
-    with open(p2, "rb") as fh:
-        identical = graph_bytes == fh.read()
-    with open(report_path_for(p1), "rb") as fh:
-        rep_bytes = fh.read()
-    with open(report_path_for(p2), "rb") as fh:
-        identical = identical and rep_bytes == fh.read()
-    vout = os.path.join(tmp, "verify.json")
-    with redirect_stdout(sink):
-        rcv = cli_main(["verify", "--graph", p1, "--out", vout])
-    vdoc = read_doc(vout)
+    with tempfile.TemporaryDirectory(prefix="kstfree-check-") as tmp:
+        p1 = os.path.join(tmp, "run1.json")
+        p2 = os.path.join(tmp, "run2.json")
+        argv = ["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
+                "--Z", "1", "--q", "7", "--c", "1/4",
+                "--seed", str(seed), "--trials", "5"]
+        sink = io.StringIO()
+        with redirect_stdout(sink):
+            rc1 = cli_main(argv + ["--out", p1])
+            rc2 = cli_main(argv + ["--out", p2])
+        with open(p1, "rb") as fh:
+            graph_bytes = fh.read()
+        with open(p2, "rb") as fh:
+            identical = graph_bytes == fh.read()
+        with open(report_path_for(p1), "rb") as fh:
+            rep_bytes = fh.read()
+        with open(report_path_for(p2), "rb") as fh:
+            identical = identical and rep_bytes == fh.read()
+        vout = os.path.join(tmp, "verify.json")
+        with redirect_stdout(sink):
+            rcv = cli_main(["verify", "--graph", p1, "--out", vout])
+        vdoc = read_doc(vout)
     ok = (identical and rc1 == rc2 and rcv == rc1
           and vdoc.get("matches_report") is True
           and not vdoc.get("mismatched_fields"))

@@ -31,9 +31,7 @@ from .graphs import (
     SidedGraph,
     construct_turan,
     construct_zar,
-    density_report,
-    kst_verdict,
-    max_common_neighborhood,
+    judge_graph,
     plan_construction,
 )
 from .independence import dependence_classify, s_wise_independent
@@ -104,12 +102,11 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _construct_once(plan: ConstructionPlan, seed: int, args):
-    common = dict(point_cap=args.budget_points,
-                  subset_budget=args.budget_subsets)
-    if plan.kind == "turan":
-        return construct_turan(plan, seed, **common)
-    return construct_zar(plan, seed, **common)
+def _construct_once(plan: ConstructionPlan, seed: int, subset_budget: int,
+                    point_cap: int):
+    construct = construct_turan if plan.kind == "turan" else construct_zar
+    return construct(plan, seed, point_cap=point_cap,
+                     subset_budget=subset_budget)
 
 
 def cmd_construct(args) -> int:
@@ -120,7 +117,8 @@ def cmd_construct(args) -> int:
     for i in range(args.trials):
         seed = args.seed + i
         try:
-            graph, report = _construct_once(plan, seed, args)
+            graph, report = _construct_once(plan, seed, args.budget_subsets,
+                                            args.budget_points)
         except CertificationError as e:
             errors.append({"seed": seed, "error": str(e)})
             continue
@@ -149,59 +147,36 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = read_doc(args.graph)
-    graph = SidedGraph.from_json(doc)
+    graph = SidedGraph.from_json(read_doc(args.graph))
     if graph.plan is None:
         raise ValueError("graph document carries no plan")
     if graph.seed is None:
         raise ValueError("graph document carries no seed")
     plan = graph.plan
-    default_orient = "both" if plan.kind == "turan" else "left_only"
     s = args.s if args.s is not None else plan.s
     t = args.t if args.t is not None else plan.t_threshold
-    orientation = args.orientation or default_orient
+    orientation = args.orientation or plan.orientation
     overridden = (s, t, orientation) != (plan.s, plan.t_threshold,
-                                         default_orient)
-    base = SeededRng(graph.seed)
-    mc = {
-        side: max_common_neighborhood(graph, s, side,
-                                      budget=args.budget_subsets,
-                                      rng=base.derive(4),
-                                      samples=DEFAULT_SAMPLE_SUBSETS)
-        for side in ("left", "right")
-    }
-    kst = kst_verdict(graph, s, t, orientation, budget=args.budget_subsets,
-                      rng=base.derive(5), samples=DEFAULT_SAMPLE_SUBSETS)
-    dens = density_report(graph, plan)
-    density_ok = dens.turan_ok if plan.kind == "turan" else dens.zar_ok
-    result = {
-        "graph": os.path.basename(args.graph),
-        "s": s,
-        "t": t,
-        "orientation": orientation,
-        "kst": kst.to_json(),
-        "density": dens.to_json(),
-        "max_common": {k: v.to_json() for k, v in mc.items()},
-    }
+                                         plan.orientation)
+    verdicts = judge_graph(graph, s, t, orientation,
+                           budget=args.budget_subsets)
+    fresh = verdicts.to_json()
+    result = dict(fresh, graph=os.path.basename(args.graph), s=s, t=t,
+                  orientation=orientation)
     stored_path = report_path_for(args.graph)
     if os.path.exists(stored_path):
         stored = read_doc(stored_path)
-        mismatches = []
-        for key, fresh in (("density", dens.to_json()),
-                           ("max_common", {k: v.to_json()
-                                           for k, v in mc.items()}),
-                           ("n_edges", graph.num_edges),
-                           ("n_left", len(graph.left)),
-                           ("n_right", len(graph.right))):
-            if key in stored and stored[key] != fresh:
-                mismatches.append(key)
-        if not overridden and stored.get("kst") != kst.to_json():
+        fresh.update(n_edges=graph.num_edges, n_left=len(graph.left),
+                     n_right=len(graph.right))
+        kst = fresh.pop("kst")
+        mismatches = [key for key, value in fresh.items()
+                      if key in stored and stored[key] != value]
+        if not overridden and stored.get("kst") != kst:
             mismatches.append("kst")
         result["matches_report"] = not mismatches
         result["mismatched_fields"] = mismatches
     _emit(result, args.out)
-    if kst.free is True and kst.certified and density_ok \
-            and result.get("matches_report", True):
+    if verdicts.free_and_dense(plan.kind) and result.get("matches_report", True):
         return 0
     return 2
 
@@ -245,12 +220,8 @@ def cmd_indep(args) -> int:
 def _sweep_worker(payload):
     plan_doc, seed, subset_budget, point_cap = payload
     plan = ConstructionPlan.from_json(plan_doc)
-    common = dict(point_cap=point_cap, subset_budget=subset_budget)
     try:
-        if plan.kind == "turan":
-            graph, report = construct_turan(plan, seed, **common)
-        else:
-            graph, report = construct_zar(plan, seed, **common)
+        graph, report = _construct_once(plan, seed, subset_budget, point_cap)
     except CertificationError as e:
         return {"seed": seed, "built": False, "error": str(e)}
     return {

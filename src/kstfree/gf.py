@@ -378,62 +378,6 @@ class FieldSpec:
         return table
 
 
-class FieldElem:
-    """A field element bound to its FieldSpec; wraps an integer encoding."""
-
-    __slots__ = ("spec", "enc")
-
-    def __init__(self, spec: FieldSpec, enc: int):
-        if not 0 <= enc < spec.order:
-            raise ValueError("encoding %r out of range for %r" % (enc, spec))
-        self.spec = spec
-        self.enc = enc
-
-    @property
-    def coords(self) -> tuple:
-        return self.spec.decode(self.enc)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElem) or other.spec != self.spec:
-            raise ValueError("field mismatch")
-        return other
-
-    def __add__(self, other):
-        return FieldElem(self.spec, self.spec.add(self.enc, self._check(other).enc))
-
-    def __sub__(self, other):
-        return FieldElem(self.spec, self.spec.sub(self.enc, self._check(other).enc))
-
-    def __mul__(self, other):
-        return FieldElem(self.spec, self.spec.mul(self.enc, self._check(other).enc))
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        return FieldElem(self.spec, self.spec.mul(self.enc, self.spec.inv(o.enc)))
-
-    def __pow__(self, e):
-        return FieldElem(self.spec, self.spec.pow(self.enc, int(e)))
-
-    def __neg__(self):
-        return FieldElem(self.spec, self.spec.neg(self.enc))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElem)
-            and other.spec == self.spec
-            and other.enc == self.enc
-        )
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.k, self.enc))
-
-    def __bool__(self):
-        return self.enc != 0
-
-    def __repr__(self):
-        return "FieldElem(%r, %d)" % (self.spec, self.enc)
-
-
 def elem_str(spec: FieldSpec, enc: int) -> str:
     """Residue for prime fields, comma-joined basis vector otherwise."""
     if spec.k == 1:
@@ -490,25 +434,3 @@ def field_for_order(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
     if v != 1:
         raise ValueError("%d is not a prime power" % q)
     return make_field(p, k, order_cap)
-
-
-def pick_base(n: int, s: int, kind: str) -> int:
-    """Smallest base order q of the given kind with q**s >= n.
-
-    kind 'prime' scans primes upward (Bertrand keeps q**s < 2**s * n);
-    kind 'power_of_two' scans 2, 4, 8, ...
-    """
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
-    if kind == "prime":
-        q = 2
-        while True:
-            if is_prime(q) and q**s >= n:
-                return q
-            q += 1
-    elif kind == "power_of_two":
-        q = 2
-        while q**s < n:
-            q *= 2
-        return q
-    raise ValueError("kind must be 'prime' or 'power_of_two'")

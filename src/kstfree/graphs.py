@@ -3,10 +3,11 @@
 Two pipelines produce graphs: a dense one whose adjacency comes from a
 random bihomogeneous form on a certified variety, and a lopsided one
 anchored on coordinate points.  Both are deterministic in (plan, seed):
-the master stream is split into fixed sub-streams (0 variety builder,
-1 left cutting forms, 2 right cutting forms, 3 adjacency form, 4 and 5
-sampling inside the verification report), so a reconstruction from the
-same inputs is byte-identical.
+the master stream is split into the fixed sub-streams named by the
+STREAM_* constants (0 variety builder, 1 and 2 left and right cutting
+forms, 3 adjacency form, 4 and 5 the sampled max-common search of the
+left and the right side, 6 the zarankiewicz cross-check), so a
+reconstruction from the same inputs is byte-identical.
 
 Verification never certifies from a sample: verdicts carry an explicit
 certified flag, and the exhaustive paths are the only ones that set it.
@@ -48,6 +49,15 @@ from .variety import BuildConfig, VarietySpec, build_independent_variety, fq_poi
 
 class CertificationError(RuntimeError):
     """A pipeline stage failed its certificate; retrying may succeed."""
+
+
+# Sub-streams of the master stream SeededRng(seed); each has one consumer.
+STREAM_VARIETY = 0
+STREAM_LEFT_CUT = 1
+STREAM_RIGHT_CUT = 2
+STREAM_ADJACENCY = 3
+STREAM_SEARCH = {"left": 4, "right": 5}
+STREAM_CROSS_CHECK = 6
 
 
 # ---------------------------------------------------------------------------
@@ -125,19 +135,30 @@ class SidedGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SidedGraph":
-        if doc.get("kind") != "sided":
+        """Load a graph document, rejecting any edge or plan it cannot hold."""
+        if not isinstance(doc, dict) or doc.get("kind") != "sided":
             raise ValueError("not a sided graph document")
         spec = make_field(doc["field"]["p"], doc["field"]["k"])
-        rows = [0] * len(doc["left"])
-        seen = set()
-        for i, j in doc["edges"]:
-            if (i, j) in seen:
+        n_left, n_right = len(doc["left"]), len(doc["right"])
+        rows = [0] * n_left
+        for edge in doc["edges"]:
+            # bool is an int subclass, so test the exact type
+            if (not isinstance(edge, list) or len(edge) != 2
+                    or any(type(x) is not int for x in edge)):
+                raise ValueError("edge %r is not a pair of integers" % (edge,))
+            i, j = edge
+            if not (0 <= i < n_left and 0 <= j < n_right):
+                raise ValueError("edge %r names a missing vertex" % (edge,))
+            if rows[i] >> j & 1:
                 raise ValueError("duplicate edge in document")
-            seen.add((i, j))
             rows[i] |= 1 << j
         plan = doc.get("plan")
-        return cls(spec, doc["left"], doc["right"], rows,
-                   plan=None if plan is None else ConstructionPlan.from_json(plan),
+        if plan is not None:
+            plan = ConstructionPlan.from_json(plan)
+            if plan.q != spec.order:
+                raise ValueError("plan order q = %r is not the field order %d"
+                                 % (plan.q, spec.order))
+        return cls(spec, doc["left"], doc["right"], rows, plan=plan,
                    seed=doc.get("seed"))
 
 
@@ -180,6 +201,11 @@ class ConstructionPlan:
             c=parse_frac(doc["c"]), mode=doc["mode"],
             headline_log10=doc.get("headline_log10"),
         )
+
+    @property
+    def orientation(self) -> str:
+        """Sides the K_{s,t} verdict anchors on."""
+        return "both" if self.kind == "turan" else "left_only"
 
 
 def _delta_ledger(r: int, target: int) -> tuple:
@@ -386,14 +412,17 @@ def _bits_of(x: int, limit: int | None = None):
     return out
 
 
-def kst_verdict(g: SidedGraph, s: int, t: int, orientation: str = "both",
-                budget: int = DEFAULT_SUBSET_BUDGET, rng=None,
-                samples: int | None = None) -> KstVerdict:
-    """Search for s vertices on the anchored side(s) with t common neighbors.
+def kst_verdict(g: SidedGraph, s: int, t: int, searches: dict,
+                orientation: str = "both",
+                budget: int = DEFAULT_SUBSET_BUDGET) -> KstVerdict:
+    """Judge whether s vertices on the anchored side(s) share t neighbors.
 
-    Freeness is certified only by exhaustive search or the pigeonhole
-    t > |opposite side|; a violation is certified by its witness no
-    matter how it was found.
+    `searches` maps each anchored side to its max_common_neighborhood
+    result at this s and budget.  A side over the budget with t greater
+    than its opposite side is settled by pigeonhole first and needs no
+    search.  Freeness is certified only by exhaustive search or that
+    pigeonhole; a violation is certified by its witness no matter how it
+    was found.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -410,13 +439,7 @@ def kst_verdict(g: SidedGraph, s: int, t: int, orientation: str = "both",
             per_side[side] = {"mode": "pigeonhole", "certified": True,
                               "opposite": opp}
             continue
-        if n >= s and comb(n, s) > budget and rng is None and t <= opp:
-            raise BudgetExceeded(
-                "certifying search over C(%d, %d) subsets exceeds budget %d"
-                % (n, s, budget)
-            )
-        mcn = max_common_neighborhood(g, s, side, budget=budget, rng=rng,
-                                      samples=samples)
+        mcn = searches[side]
         per_side[side] = mcn
         if mcn.subset is not None and mcn.size >= t:
             if witness is None:
@@ -509,11 +532,48 @@ def density_report(g: SidedGraph, plan: ConstructionPlan | None) -> DensityRepor
 
 
 # ---------------------------------------------------------------------------
-# trial reports
+# the shared verdict pass and trial reports
 
 
 @dataclass
-class TrialReport:
+class Verdicts:
+    max_common: dict          # side -> CommonNbhd
+    kst: KstVerdict
+    density: DensityReport
+
+    def free_and_dense(self, kind: str) -> bool:
+        """Certified K_{s,t}-free and at the density target of the kind."""
+        dense = self.density.turan_ok if kind == "turan" else self.density.zar_ok
+        return bool(dense and self.kst.free is True and self.kst.certified)
+
+    def to_json(self) -> dict:
+        return {
+            "kst": self.kst.to_json(),
+            "density": self.density.to_json(),
+            "max_common": {k: v.to_json() for k, v in self.max_common.items()},
+        }
+
+
+def judge_graph(g: SidedGraph, s: int, t: int, orientation: str,
+                budget: int = DEFAULT_SUBSET_BUDGET,
+                samples: int = DEFAULT_SAMPLE_SUBSETS) -> Verdicts:
+    """Search each side once, then judge K_{s,t} and density from that.
+
+    The graph must carry its plan and master seed.  A side over the
+    subset budget is sampled from its own STREAM_SEARCH sub-stream of the
+    seed, so construct and verify draw the same subsets.
+    """
+    base = SeededRng(g.seed)
+    mc = {side: max_common_neighborhood(g, s, side, budget=budget,
+                                        rng=base.derive(stream),
+                                        samples=samples)
+          for side, stream in STREAM_SEARCH.items()}
+    return Verdicts(mc, kst_verdict(g, s, t, mc, orientation, budget),
+                    density_report(g, g.plan))
+
+
+@dataclass
+class TrialReport(Verdicts):
     seed: int
     kind: str
     n_left: int
@@ -521,21 +581,16 @@ class TrialReport:
     n_edges: int
     t_threshold: int
     sides_full: bool
-    kst: KstVerdict
-    density: DensityReport
-    max_common: dict          # side -> CommonNbhd
     builder: dict | None      # variety certification summary
     cross_check: bool | None  # power-form rank agreement (odd char only)
 
     @property
     def passed(self) -> bool:
-        ok_density = (self.density.turan_ok if self.kind == "turan"
-                      else self.density.zar_ok)
-        return bool(self.sides_full and ok_density and self.kst.free is True
-                    and self.kst.certified)
+        return bool(self.sides_full) and self.free_and_dense(self.kind)
 
     def to_json(self) -> dict:
         return {
+            **super().to_json(),
             "seed": self.seed,
             "kind": self.kind,
             "n_left": self.n_left,
@@ -543,9 +598,6 @@ class TrialReport:
             "n_edges": self.n_edges,
             "t_threshold": self.t_threshold,
             "sides_full": self.sides_full,
-            "kst": self.kst.to_json(),
-            "density": self.density.to_json(),
-            "max_common": {k: v.to_json() for k, v in self.max_common.items()},
             "builder": self.builder,
             "cross_check": self.cross_check,
             "passed": self.passed,
@@ -571,22 +623,15 @@ def _adjacency_rows(g: BiHomPoly, left_enc: np.ndarray,
     return [_mask_to_bits(mask[i]) for i in range(len(left_enc))]
 
 
-def _trial_report(graph: SidedGraph, plan: ConstructionPlan, seed: int,
-                  base: SeededRng, sides_full: bool, builder: dict | None,
+def _trial_report(graph: SidedGraph, plan: ConstructionPlan,
+                  sides_full: bool, builder: dict | None,
                   cross_check: bool | None, budget: int,
                   samples: int) -> TrialReport:
-    mc = {}
-    for side, stream in (("left", 4), ("right", 4)):
-        mc[side] = max_common_neighborhood(graph, plan.s, side, budget=budget,
-                                           rng=base.derive(stream),
-                                           samples=samples)
-    orientation = "both" if plan.kind == "turan" else "left_only"
-    kst = kst_verdict(graph, plan.s, plan.t_threshold, orientation,
-                      budget=budget, rng=base.derive(5), samples=samples)
-    dens = density_report(graph, plan)
-    return TrialReport(seed, plan.kind, len(graph.left), len(graph.right),
-                       graph.num_edges, plan.t_threshold, sides_full, kst,
-                       dens, mc, builder, cross_check)
+    v = judge_graph(graph, plan.s, plan.t_threshold, plan.orientation,
+                    budget, samples)
+    return TrialReport(v.max_common, v.kst, v.density, graph.seed, plan.kind,
+                       len(graph.left), len(graph.right), graph.num_edges,
+                       plan.t_threshold, sides_full, builder, cross_check)
 
 
 def construct_turan(plan: ConstructionPlan, master_seed: int, *,
@@ -612,13 +657,15 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
                       max_attempts=max_attempts, point_cap=point_cap,
                       subset_budget=subset_budget, samples=samples,
                       probe_policy=probe_policy)
-    built = build_independent_variety(spec, cfg, base.derive(0))
+    built = build_independent_variety(spec, cfg,
+                                      base.derive(STREAM_VARIETY))
     if not built.certified:
         raise CertificationError(
             "variety certification failed after %d attempts (rejections: %r)"
             % (built.attempts, built.failure_tally)
         )
-    rng_h, rng_hp = base.derive(1), base.derive(2)
+    rng_h = base.derive(STREAM_LEFT_CUT)
+    rng_hp = base.derive(STREAM_RIGHT_CUT)
     hs = [random_hom(spec, plan.b, d, rng_h) for d in plan.delta]
     hps = [random_hom(spec, plan.b, d, rng_hp) for d in plan.delta]
     left_enc = _filter_vanishing(hs, built.points)
@@ -631,7 +678,8 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     right_enc = right_enc[:n_target]
     if len(left_enc) == 0 or len(right_enc) == 0:
         raise CertificationError("a side came out empty")
-    g = random_bihom(spec, plan.b, plan.b, plan.m, plan.m, base.derive(3))
+    g = random_bihom(spec, plan.b, plan.b, plan.m, plan.m,
+                     base.derive(STREAM_ADJACENCY))
     rows = _adjacency_rows(g, left_enc, right_enc)
     graph = SidedGraph(spec, _ids_of(spec, left_enc),
                        _ids_of(spec, right_enc), rows, plan=plan,
@@ -646,8 +694,8 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
         "probe_skipped": built.probe_skipped,
         "swise_mode": built.swise.mode if built.swise else None,
     }
-    report = _trial_report(graph, plan, master_seed, base, sides_full,
-                           builder_info, None, subset_budget, samples)
+    report = _trial_report(graph, plan, sides_full, builder_info, None,
+                           subset_budget, samples)
     return graph, report
 
 
@@ -671,7 +719,7 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
     if a < 1:
         raise CertificationError("left side is empty at this c and q")
     base = SeededRng(master_seed)
-    rng_hp = base.derive(2)
+    rng_hp = base.derive(STREAM_RIGHT_CUT)
     hps = [random_hom(spec, plan.b, d, rng_hp) for d in plan.delta]
     right_var = VarietySpec(spec, plan.b, tuple(hps))
     right_enc = fq_point_array(right_var, cap=point_cap)
@@ -680,7 +728,8 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
     left_enc = np.zeros((a, a + 1), dtype=np.int64)
     for i in range(a):
         left_enc[i, i] = 1
-    g = random_bihom(spec, a, plan.b, plan.m, plan.m, base.derive(3))
+    g = random_bihom(spec, a, plan.b, plan.m, plan.m,
+                     base.derive(STREAM_ADJACENCY))
     rows = _adjacency_rows(g, left_enc, right_enc)
     graph = SidedGraph(spec, _ids_of(spec, left_enc),
                        _ids_of(spec, right_enc), rows, plan=plan,
@@ -689,7 +738,7 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
     if spec.p > plan.m and a >= plan.s:
         cross = True
         pts = [ProjPoint(spec, tuple(int(c) for c in row)) for row in left_enc]
-        probe_rng = base.derive(6)
+        probe_rng = base.derive(STREAM_CROSS_CHECK)
         for _ in range(min(5, comb(a, plan.s))):
             sub = probe_rng.sample_subset(a, plan.s)
             sel = [pts[i] for i in sub]
@@ -698,8 +747,8 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
                 cross = False
                 break
     sides_full = 2 * len(right_enc) * spec.order**plan.r >= spec.order**plan.b
-    report = _trial_report(graph, plan, master_seed, base, sides_full, None,
-                           cross, subset_budget, samples)
+    report = _trial_report(graph, plan, sides_full, None, cross,
+                           subset_budget, samples)
     return graph, report
 
 

@@ -85,21 +85,3 @@ def read_points_file(spec, path: str):
             except ValueError as e:
                 raise ValueError("%s:%d: %s" % (path, lineno, e)) from None
     return pts
-
-
-def write_points_file(path: str, points) -> None:
-    from .projgeom import point_to_str
-
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".txt")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            for pt in points:
-                fh.write(point_to_str(pt) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

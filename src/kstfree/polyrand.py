@@ -213,10 +213,6 @@ def eval_hom_many(fs, pts_enc: np.ndarray, chunk: int = 1 << 17) -> np.ndarray:
     return out
 
 
-def eval_hom_batch(f: HomPoly, pts_enc: np.ndarray, chunk: int = 1 << 17) -> np.ndarray:
-    return eval_hom_many([f], pts_enc, chunk)[:, 0]
-
-
 def eval_bihom_grid(g: BiHomPoly, left_enc: np.ndarray, right_enc: np.ndarray) -> np.ndarray:
     """g on every (left, right) pair: (NL, NR) encoding matrix."""
     spec = g.spec
@@ -250,25 +246,3 @@ def hom_from_json(spec: FieldSpec, doc: dict) -> HomPoly:
     for beta, s in doc["coeffs"]:
         out[mis[tuple(beta)]] = elem_parse(spec, s)
     return HomPoly(spec, b, m, tuple(out))
-
-
-def bihom_to_json(g: BiHomPoly) -> dict:
-    mis_x = enumerate_multiindices(g.a, g.m)
-    mis_y = enumerate_multiindices(g.b, g.mp)
-    entries = []
-    for row, alpha in zip(g.coeffs, mis_x):
-        for c, beta in zip(row, mis_y):
-            if c:
-                entries.append([list(alpha), list(beta), elem_str(g.spec, c)])
-    return {"kind": "bihom", "a": g.a, "b": g.b, "m": g.m, "mp": g.mp,
-            "coeffs": entries}
-
-
-def bihom_from_json(spec: FieldSpec, doc: dict) -> BiHomPoly:
-    a, b, m, mp = (int(doc[k]) for k in ("a", "b", "m", "mp"))
-    xi = {tuple(al): i for i, al in enumerate(enumerate_multiindices(a, m))}
-    yi = {tuple(be): j for j, be in enumerate(enumerate_multiindices(b, mp))}
-    grid = [[0] * len(yi) for _ in range(len(xi))]
-    for alpha, beta, s in doc["coeffs"]:
-        grid[xi[tuple(alpha)]][yi[tuple(beta)]] = elem_parse(spec, s)
-    return BiHomPoly(spec, a, b, m, mp, tuple(tuple(r) for r in grid))

@@ -133,11 +133,6 @@ def monomial_eval(point: ProjPoint, beta) -> int:
     return acc
 
 
-def linear_form_of(point: ProjPoint) -> tuple:
-    """Coefficients of the linear form <x, v> attached to the point."""
-    return point.coords
-
-
 # ---------------------------------------------------------------------------
 # serialization: "1:2:0" for prime fields, "1,0:0,1" for extension fields
 

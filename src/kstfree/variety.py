@@ -43,14 +43,6 @@ class VarietySpec:
             if f.spec != self.spec or f.b != self.b:
                 raise ValueError("form does not match the ambient space")
 
-    @property
-    def degree_ledger(self) -> int:
-        """Product of the nominal degrees of the cutting forms."""
-        out = 1
-        for f in self.forms:
-            out *= f.m
-        return out
-
 
 def variety_to_json(var: VarietySpec) -> dict:
     return {
@@ -79,11 +71,6 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
     if not keep:
         return np.zeros((0, var.b + 1), dtype=np.int64)
     return np.concatenate(keep, axis=0)
-
-
-def fq_points(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET):
-    arr = fq_point_array(var, cap=cap)
-    return [ProjPoint(var.spec, tuple(int(c) for c in row)) for row in arr]
 
 
 def count_points(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> int:
@@ -273,14 +260,6 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
                            probe, probe_skipped, z_rep, dict(tally))
     assert last is not None
     return last
-
-
-def residual_degree_ledger(var: VarietySpec, extra_degree: int,
-                           copies: int) -> int:
-    """Degree bookkeeping after intersecting with more forms."""
-    if extra_degree < 1 or copies < 0:
-        raise ValueError("need extra_degree >= 1 and copies >= 0")
-    return var.degree_ledger * extra_degree**copies
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ reproducible; any seed is admissible per the check contracts, this one
 is simply the recorded choice.
 """
 
+import tempfile
+
 import pytest
 
-from kstfree.acceptance import CHECKS
+from kstfree.acceptance import CHECKS, run_checks
 
 SEED = 7000
 
@@ -22,3 +24,9 @@ def test_check(number, name, fn):
                                      summary))
     assert ok, "check %d (%s) failed: %s\ndetail: %r" % (
         number, name, summary, detail)
+
+
+def test_reproducibility_check_leaves_no_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run_checks(SEED, [11])
+    assert list(tmp_path.iterdir()) == []

@@ -94,6 +94,41 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     assert rc == 1
     assert "error" in err
 
+    # a valid q = 11 graph (30 vertices a side), then one bad input each
+    good = str(tmp_path / "g.json")
+    run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1",
+         "--q", "11", "--seed", "1", "--out", good], capsys)
+    doc = read_doc(good)
+    assert len(doc["left"]) == len(doc["right"]) == 30
+    broken = [dict(doc, edges=doc["edges"] + [edge])
+              for edge in ([-1, 0], [30, 0], [0, 30], [0, 1.0], ["0", 0],
+                           [True, 0])]
+    broken.append(dict(doc, plan=dict(doc["plan"], q=7)))
+    for i, bad_doc in enumerate(broken):
+        bad = tmp_path / ("bad%d.json" % i)
+        bad.write_text(json.dumps(bad_doc))
+        rc, _, err = run(["verify", "--graph", str(bad)], capsys)
+        assert rc == 1, i
+        assert err.startswith("error: "), i
+
+
+def test_verify_sampled_report_roundtrip(tmp_path, capsys):
+    out = str(tmp_path / "z.json")
+    rc, _, _ = run(["construct", "zarankiewicz", "--s", "2", "--T", "3",
+                    "--r", "1", "--m", "2", "--q", "8", "--c", "1/4",
+                    "--seed", "4", "--trials", "1", "--budget-subsets", "5",
+                    "--out", out], capsys)
+    assert rc == 2
+    report = read_doc(report_path_for(out))
+    assert [report["max_common"][side]["mode"]
+            for side in ("left", "right")] == ["sampled", "sampled"]
+    # the K_{s,t} verdict reads the one search of each side
+    assert report["kst"]["sides"]["left"] == report["max_common"]["left"]
+    rc, vout, _ = run(["verify", "--graph", out, "--budget-subsets", "5"],
+                      capsys)
+    assert rc == 2
+    assert json.loads(vout)["matches_report"] is True
+
 
 def test_verify_missing_file_exits_one(capsys):
     rc, _, _ = run(["verify", "--graph", "/nonexistent/g.json"], capsys)

@@ -2,8 +2,7 @@
 
 The expected modulus values are frozen from independent oracles written
 before the implementation: brute-force irreducibility by root search for
-degree 2 (a monic quadratic is reducible over GF(p) iff it has a root),
-and naive prime scans for pick_base.
+degree 2 (a monic quadratic is reducible over GF(p) iff it has a root).
 """
 import random
 
@@ -11,11 +10,9 @@ import numpy as np
 import pytest
 
 from kstfree.gf import (
-    FieldElem,
     field_for_order,
     is_prime,
     make_field,
-    pick_base,
     smallest_irreducible,
 )
 from kstfree.util import floor_scaled_power, iroot
@@ -71,20 +68,6 @@ def test_mul_examples():
     assert f4.mul(x, x1) == f4.one  # x * (x + 1) = x^2 + x = 1 mod x^2+x+1
     f7 = make_field(7)
     assert f7.inv(3) == 5
-
-
-def test_field_elem_operators():
-    f9 = make_field(3, 2)
-    a = FieldElem(f9, 5)
-    b = FieldElem(f9, 7)
-    assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert a * FieldElem(f9, f9.one) == a
-    assert (a**3) == a * a * a
-    with pytest.raises(ZeroDivisionError):
-        a / FieldElem(f9, 0)
-    with pytest.raises(ValueError):
-        a + FieldElem(make_field(5), 1)
 
 
 def all_prime_powers(limit):
@@ -174,26 +157,6 @@ def test_embedding_is_a_field_homomorphism(src, dst):
             assert t[base.add(a, b)] == ext.add(int(t[a]), int(t[b]))
             assert t[base.mul(a, b)] == ext.mul(int(t[a]), int(t[b]))
     assert len(set(int(x) for x in t)) == base.order  # injective
-
-
-def test_pick_base_examples():
-    assert pick_base(100, 2, "prime") == 11
-    assert pick_base(100, 2, "power_of_two") == 16
-    assert pick_base(2, 3, "prime") == 2
-    with pytest.raises(ValueError):
-        pick_base(10, 2, "fibonacci")
-
-
-def test_pick_base_bertrand_grid():
-    # q**s < 2n * 2**(s-1), i.e. q**s < n * 2**s, on a deterministic grid
-    ns = list(range(2, 400)) + [10**3, 10**4, 10**5, 5 * 10**5, 10**6]
-    for s in range(2, 6):
-        for n in ns:
-            q = pick_base(n, s, "prime")
-            assert q**s >= n
-            assert q**s < n * 2**s
-            q2 = pick_base(n, s, "power_of_two")
-            assert q2**s >= n and (q2 // 2) ** s < n
 
 
 def test_field_for_order():

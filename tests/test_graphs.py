@@ -112,9 +112,14 @@ def test_max_common_sampled_lower_bound():
         max_common_neighborhood(g, 2, "left", budget=3)
 
 
+def searches(g, s, **kw):
+    return {side: max_common_neighborhood(g, s, side, **kw)
+            for side in ("left", "right")}
+
+
 def test_kst_k22_found():
     g = complete_bipartite(2, 2)
-    v = kst_verdict(g, 2, 2, "both")
+    v = kst_verdict(g, 2, 2, searches(g, 2), "both")
     assert v.free is False and v.certified
     assert v.witness is not None
     assert verify_witness(g, v)
@@ -122,22 +127,23 @@ def test_kst_k22_found():
 
 def test_kst_fano_free():
     g = fano_graph()
-    v = kst_verdict(g, 2, 2, "both")
+    v = kst_verdict(g, 2, 2, searches(g, 2), "both")
     assert v.free is True and v.certified
     assert v.witness is None
 
 
 def test_kst_pigeonhole():
     g = complete_bipartite(8, 3)
-    # over budget on the left, but t exceeds the right side
-    v = kst_verdict(g, 2, 4, "left_only", budget=5)
+    # over budget on the left, but t exceeds the right side: no search needed
+    v = kst_verdict(g, 2, 4, {}, "left_only", budget=5)
     assert v.free is True and v.certified
     assert v.sides["left"]["mode"] == "pigeonhole"
 
 
 def test_kst_sampled_never_certifies_freeness():
     g = fano_graph()
-    v = kst_verdict(g, 2, 2, "both", budget=5, rng=SeededRng(3), samples=4)
+    found = searches(g, 2, budget=5, rng=SeededRng(3), samples=4)
+    v = kst_verdict(g, 2, 2, found, "both", budget=5)
     assert v.free is None and not v.certified
 
 
@@ -149,9 +155,10 @@ def test_kst_monotone_in_t():
         rows = [rng.randbelow(1 << nr) for _ in range(nl)]
         g = SidedGraph(spec, ["u%d" % i for i in range(nl)],
                        ["v%d" % j for j in range(nr)], rows)
+        found = searches(g, 2)
         prev = None
         for t in range(1, nr + 2):
-            v = kst_verdict(g, 2, t, "both")
+            v = kst_verdict(g, 2, t, found, "both")
             assert v.free in (True, False)
             if prev is True:
                 assert v.free is True

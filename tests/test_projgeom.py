@@ -12,7 +12,6 @@ from kstfree.projgeom import (
     canonicalize,
     enumerate_multiindices,
     enumerate_projective,
-    linear_form_of,
     monomial_eval,
     monomial_matrix,
     point_from_str,
@@ -118,12 +117,6 @@ def test_monomial_eval():
     pt0 = canonicalize(f7, (0, 1, 4))
     assert monomial_eval(pt0, (0, 2, 1)) == 4
     assert monomial_eval(pt0, (1, 0, 2)) == 0
-
-
-def test_linear_form_of():
-    f5 = make_field(5)
-    pt = canonicalize(f5, (1, 2, 3))
-    assert linear_form_of(pt) == (1, 2, 3)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (2, 2)])

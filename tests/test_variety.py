@@ -18,8 +18,7 @@ from kstfree.variety import (
     count_points_ext,
     dimension_probe,
     extend_form,
-    fq_points,
-    residual_degree_ledger,
+    fq_point_array,
     variety_from_json,
     variety_to_json,
 )
@@ -45,9 +44,9 @@ def brute_points(var):
 def test_conic_f5_has_six_points():
     spec = make_field(5, 1)
     var = VarietySpec(spec, 2, (conic(spec),))
-    pts = fq_points(var)
+    pts = fq_point_array(var)
     assert len(pts) == 6
-    assert pts == brute_points(var)
+    assert pts.tolist() == [list(pt.coords) for pt in brute_points(var)]
     assert count_points(var) == 6
 
 
@@ -65,7 +64,6 @@ def test_no_forms_gives_whole_space():
     spec = make_field(5, 1)
     var = VarietySpec(spec, 2, ())
     assert count_points(var) == projective_count(5, 2)
-    assert var.degree_ledger == 1
 
 
 def test_form_space_mismatch_rejected():
@@ -127,20 +125,6 @@ def test_extension_count_matches_manual_lift():
     # constants embed as constants
     manual = conic(ext)
     assert manual.coeffs == lifted.forms[0].coeffs
-
-
-def test_degree_ledger_and_residual():
-    spec = make_field(3, 1)
-    rng = SeededRng(8)
-    forms = tuple(random_hom(spec, 3, 3, rng) for _ in range(2))
-    var = VarietySpec(spec, 3, forms)
-    assert var.degree_ledger == 9
-    assert residual_degree_ledger(var, 3, 1) == 27
-    assert residual_degree_ledger(var, 3, 2) == 81
-    with pytest.raises(ValueError):
-        residual_degree_ledger(var, 0, 1)
-    with pytest.raises(ValueError):
-        residual_degree_ledger(var, 3, -1)
 
 
 def test_variety_json_roundtrip():
