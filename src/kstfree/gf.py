@@ -9,20 +9,22 @@ basis polynomial, constant term first.
 
 Two arithmetic paths exist and must agree bit for bit:
 
-* scalar ops on encodings (extended Euclid inversion, square-and-multiply
-  powers), optionally backed by lazily built add/mul tables for small
-  orders; and
-* bulk numpy ops on coordinate arrays of shape (..., k), used by the
-  enumeration and evaluation kernels.
+* bulk numpy ops on coordinate arrays of shape (..., k) (convolution
+  modulo the basis polynomial), which define multiplication; and
+* ops on encodings through three O(q) tables per extension field, built
+  lazily from the coordinate path: antilogs and logs over the primitive
+  element with the smallest encoding, and the antilogs' base-p digits
+  packed into k lanes.  Scalar mul/inv/pow and the form evaluation in
+  `polyrand.eval_hom_many` use them; prime fields use plain residues.
 
-Tables are an optimization only; results are identical by construction.
+The tables change no encoding: every value they give is the one the
+coordinate path gives.
 """
 from __future__ import annotations
 
 import numpy as np
 
 DEFAULT_ORDER_CAP = 1 << 20
-_TABLE_CAP = 2048  # build scalar add/mul tables when p^k is at most this
 
 _FIELD_CACHE: dict = {}
 
@@ -51,17 +53,6 @@ def _poly_trim(a):
     while i > 0 and a[i - 1] == 0:
         i -= 1
     return a[:i]
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
 
 
 def _poly_divmod(num, den, p):
@@ -133,7 +124,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "k", "order", "modulus",
-        "_red", "_ppow", "_add_t", "_mul_t",
+        "_red", "_ppow", "_exp", "_log", "_lanes",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple):
@@ -152,8 +143,7 @@ class FieldSpec:
             self._red = np.array(rows, dtype=np.int64)
         else:
             self._red = None
-        self._add_t = None
-        self._mul_t = None
+        self._exp = self._log = self._lanes = None
 
     # -- identity ----------------------------------------------------------
 
@@ -201,25 +191,16 @@ class FieldSpec:
 
     # -- scalar arithmetic on encodings --------------------------------------
 
-    def _tables(self):
-        if self._mul_t is None:
-            q, k = self.order, self.k
-            enc = np.arange(q, dtype=np.int64)
-            co = self.dec_array(enc)
-            a = co[:, None, :]
-            b = co[None, :, :]
-            self._add_t = self.enc_array((a + b) % self.p).astype(np.int32)
-            self._mul_t = self.enc_array(self.arr_mul(a, b)).astype(np.int32)
-        return self._add_t, self._mul_t
-
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        if self.order <= _TABLE_CAP:
-            return int(self._tables()[0][a, b])
-        return self.encode(
-            (x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))
-        )
+        p, out, place = self.p, 0, 1
+        while a or b:
+            out += (a % p + b % p) % p * place
+            a //= p
+            b //= p
+            place *= p
+        return out
 
     def neg(self, a: int) -> int:
         if self.k == 1:
@@ -232,49 +213,91 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if self.order <= _TABLE_CAP:
-            return int(self._tables()[1][a, b])
-        prod = _poly_mul(_poly_trim(self.decode(a)), _poly_trim(self.decode(b)), self.p)
-        red = _poly_mod(prod, self.modulus, self.p)
-        return self.encode(red + (0,) * (self.k - len(red)))
+        if a == 0 or b == 0:
+            return 0
+        exp, log, _ = self.log_tables()
+        return int(exp[(int(log[a]) + int(log[b])) % (self.order - 1)])
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse: Fermat for k=1, extended Euclid otherwise."""
+        """Multiplicative inverse: Fermat for k=1, antilog of -log(a) otherwise."""
         if a == 0:
             raise ZeroDivisionError("inversion of zero in %r" % self)
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        # extended Euclid on the polynomial basis
-        p = self.p
-        r0, r1 = self.modulus, _poly_trim(self.decode(a))
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            qs = _poly_mul(q, s1, p)
-            ln = max(len(s0), len(qs))
-            s0, s1 = s1, _poly_trim(tuple(
-                ((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % p
-                for i in range(ln)
-            ))
-        # r0 is a nonzero constant gcd; scale s0 by its inverse
-        c = pow(r0[0], p - 2, p)
-        res = tuple((c * x) % p for x in s0)
-        return self.encode(res + (0,) * (self.k - len(res)))
+        exp, log, _ = self.log_tables()
+        return int(exp[-int(log[a]) % (self.order - 1)])
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply; negative exponents go through inv."""
+        """a^e with 0^0 == 1; negative exponents go through inv."""
         if e < 0:
             return self.pow(self.inv(a), -e)
         if self.k == 1:
             return pow(a, e, self.p)
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            return 1 if e == 0 else 0
+        exp, log, _ = self.log_tables()
+        return int(exp[int(log[a]) * e % (self.order - 1)])
+
+    # -- log/antilog tables for k > 1 ------------------------------------------
+
+    def _primitive(self) -> int:
+        """The smallest encoding of multiplicative order q - 1.
+
+        Candidates are tested in blocks on the coordinate path: a has full
+        order iff a^((q-1)/r) != 1 for every prime r dividing q - 1.
+        """
+        n = self.order - 1
+        primes, v, r = [], n, 2
+        while r * r <= v:
+            if v % r == 0:
+                primes.append(r)
+                while v % r == 0:
+                    v //= r
+            r += 1
+        if v > 1:
+            primes.append(v)
+        for start in range(1, self.order, 16):
+            cand = np.arange(start, min(start + 16, self.order), dtype=np.int64)
+            co = self.dec_array(cand)
+            full = np.ones(len(cand), dtype=bool)
+            for r in primes:
+                full &= self.enc_array(self.arr_pow(co, n // r)) != 1
+            if full.any():
+                return int(cand[np.argmax(full)])
+        raise RuntimeError("%r has no primitive element" % self)
+
+    def log_tables(self):
+        """(exp, log, lanes) for k > 1, built once from the coordinate path.
+
+        With g the primitive element of smallest encoding and q the order:
+        exp[i] = g^i for i < q-1 and exp[q-1] = 0; log inverts exp, so
+        log[0] = q-1 is the zero sentinel and exp[log[a]] == a for every a.
+        lanes[i] holds the base-p digits of exp[i], digit j in bits
+        [j*w, (j+1)*w) with w = 63 // k, so sums of up to
+        (2^w - 1) // (p - 1) lane words never carry between digits.
+        """
+        if self.k == 1:
+            raise ValueError("log tables are for extension fields")
+        if self._exp is None:
+            q, k = self.order, self.k
+            step = self.dec_array(np.int64(self._primitive()))
+            basis = np.eye(k, dtype=np.int64)
+            # pw holds g^0 .. g^(n-1) and step is g^n; each round doubles n.
+            # Multiplying by step is GF(p)-linear: its matrix has the rows
+            # x^j * step, so a round is one matrix product.
+            pw = basis[:1]
+            while len(pw) < q - 1:
+                by_step = self.arr_mul(basis, step)
+                pw = np.concatenate([pw, pw @ by_step % self.p])
+                step = self.arr_mul(step, step)
+            pw = np.concatenate([pw[:q - 1], np.zeros((1, k), dtype=np.int64)])
+            exp = self.enc_array(pw)
+            log = np.empty(q, dtype=np.int64)
+            log[exp] = np.arange(q, dtype=np.int64)
+            w = 63 // k
+            self._lanes = pw @ (np.int64(1) << (w * np.arange(k, dtype=np.int64)))
+            self._exp, self._log = exp, log
+        return self._exp, self._log, self._lanes
 
     # -- bulk numpy arithmetic on coordinate arrays (..., k) -----------------
 

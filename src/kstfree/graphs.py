@@ -64,6 +64,15 @@ STREAM_CROSS_CHECK = 6
 # the graph container
 
 
+def _json_int(name: str, value, optional: bool = False):
+    """A loaded value that must be an int (not a bool), or None if optional."""
+    if value is None and optional:
+        return None
+    if type(value) is not int:
+        raise ValueError("%s = %r is not an integer" % (name, value))
+    return value
+
+
 def _mask_to_bits(mask: np.ndarray) -> int:
     packed = np.packbits(mask.astype(np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
@@ -138,7 +147,15 @@ class SidedGraph:
         """Load a graph document, rejecting any edge or plan it cannot hold."""
         if not isinstance(doc, dict) or doc.get("kind") != "sided":
             raise ValueError("not a sided graph document")
-        spec = make_field(doc["field"]["p"], doc["field"]["k"])
+        field = doc["field"]
+        spec = make_field(_json_int("field.p", field["p"]),
+                          _json_int("field.k", field["k"]))
+        for side in ("left", "right"):
+            ids = doc[side]
+            if not isinstance(ids, list) or any(type(v) is not str
+                                                for v in ids):
+                raise ValueError("%s vertex ids are not a list of strings"
+                                 % side)
         n_left, n_right = len(doc["left"]), len(doc["right"])
         rows = [0] * n_left
         for edge in doc["edges"]:
@@ -159,7 +176,7 @@ class SidedGraph:
                 raise ValueError("plan order q = %r is not the field order %d"
                                  % (plan.q, spec.order))
         return cls(spec, doc["left"], doc["right"], rows, plan=plan,
-                   seed=doc.get("seed"))
+                   seed=_json_int("seed", doc.get("seed"), optional=True))
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +211,12 @@ class ConstructionPlan:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConstructionPlan":
+        ints = {key: _json_int("plan." + key, doc[key])
+                for key in ("s", "m", "r", "b", "t_threshold")}
+        ints.update((key, _json_int("plan." + key, doc[key], optional=True))
+                    for key in ("Z", "T", "q", "a"))
         return cls(
-            kind=doc["kind"], s=doc["s"], m=doc["m"], r=doc["r"],
-            Z=doc["Z"], T=doc["T"], b=doc["b"], q=doc["q"], a=doc["a"],
-            delta=tuple(doc["delta"]), t_threshold=doc["t_threshold"],
+            kind=doc["kind"], **ints, delta=tuple(doc["delta"]),
             c=parse_frac(doc["c"]), mode=doc["mode"],
             headline_log10=doc.get("headline_log10"),
         )

@@ -104,12 +104,37 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
               for edge in ([-1, 0], [30, 0], [0, 30], [0, 1.0], ["0", 0],
                            [True, 0])]
     broken.append(dict(doc, plan=dict(doc["plan"], q=7)))
+    # wrongly typed vertex ids and plan, field and seed values
+    broken.append(dict(doc, left=[[1, 0, 0, 0]] + doc["left"][1:]))
+    broken.append(dict(doc, plan=dict(doc["plan"], s="2")))
+    broken.append(dict(doc, field=dict(doc["field"], p="11")))
+    broken.append(dict(doc, seed="1"))
     for i, bad_doc in enumerate(broken):
         bad = tmp_path / ("bad%d.json" % i)
         bad.write_text(json.dumps(bad_doc))
         rc, _, err = run(["verify", "--graph", str(bad)], capsys)
         assert rc == 1, i
         assert err.startswith("error: "), i
+
+
+def test_verify_overrides_skip_what_they_change(tmp_path, capsys):
+    out = str(tmp_path / "g.json")
+    rc, _, _ = run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
+                    "--Z", "1", "--q", "11", "--seed", "1", "--out", out],
+                   capsys)
+    assert rc == 0
+    # --s reruns the side searches at s = 3: neither they nor kst compare
+    rc, vout, _ = run(["verify", "--graph", out, "--s", "3", "--t", "82"],
+                      capsys)
+    vdoc = json.loads(vout)
+    assert (vdoc["kst"]["free"], vdoc["kst"]["certified"]) == (True, True)
+    assert vdoc["mismatched_fields"] == []
+    assert rc == 0
+    # --orientation leaves the searches at the plan's s, so they still compare
+    rc, vout, _ = run(["verify", "--graph", out, "--orientation", "left_only"],
+                      capsys)
+    assert rc == 0
+    assert json.loads(vout)["matches_report"] is True
 
 
 def test_verify_sampled_report_roundtrip(tmp_path, capsys):

@@ -130,6 +130,29 @@ def test_bulk_matches_scalar(p, k):
         assert got_pow[i] == fs.pow(int(a[i]), 5)
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3), (11, 2), (2, 10)])
+def test_log_tables(p, k):
+    fs = make_field(p, k)
+    q = fs.order
+    exp, log, lanes = fs.log_tables()
+    assert exp.shape == log.shape == lanes.shape == (q,)
+    nonzero = np.arange(1, q)
+    assert (exp[log[nonzero]] == nonzero).all()
+    assert log[0] == q - 1 and exp[q - 1] == 0  # the zero sentinel
+    # lanes hold the digits of the antilogs, 63 // k bits each
+    w = 63 // k
+    for j in range(k):
+        assert ((lanes >> (w * j)) % (1 << w) == exp // p**j % p).all()
+    # exp[1] is the smallest encoding of order q - 1, on the coordinate path
+    if q <= 121:
+        for a in range(1, int(exp[1]) + 1):
+            x = fs.dec_array(np.int64(a))
+            cur, order = x, 1
+            while fs.enc_array(cur) != 1:
+                cur, order = fs.arr_mul(cur, x), order + 1
+            assert (order == q - 1) == (a == exp[1])
+
+
 @pytest.mark.parametrize("p,k", [(7, 1), (2, 2), (3, 2)])
 def test_arr_dot_matches_scalar(p, k):
     fs = make_field(p, k)
