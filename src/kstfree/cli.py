@@ -71,9 +71,10 @@ def _add_plan_flags(sp):
                     help='density constant as a rational, e.g. "1/4"')
 
 
-def _add_budget_flags(sp):
+def _add_budget_flags(sp, points: bool):
     sp.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET)
-    sp.add_argument("--budget-points", type=int, default=DEFAULT_POINT_BUDGET)
+    if points:
+        sp.add_argument("--budget-points", type=int, default=DEFAULT_POINT_BUDGET)
 
 
 def _plan_from_args(args) -> ConstructionPlan:
@@ -295,7 +296,7 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("construct", help="build and certify a graph")
     _add_plan_flags(sp)
-    _add_budget_flags(sp)
+    _add_budget_flags(sp, points=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--trials", type=int, default=10,
                     help="master seeds to try before giving up")
@@ -307,7 +308,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--s", type=int)
     sp.add_argument("--t", type=int)
     sp.add_argument("--orientation", choices=("both", "left_only"))
-    _add_budget_flags(sp)
+    _add_budget_flags(sp, points=False)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify)
 
@@ -319,13 +320,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--trials", type=int, default=DEFAULT_SAMPLE_SUBSETS,
                     help="sampled subsets when the budget forces sampling")
-    _add_budget_flags(sp)
+    _add_budget_flags(sp, points=False)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_indep)
 
     sp = subs.add_parser("sweep", help="statistics over many master seeds")
     _add_plan_flags(sp)
-    _add_budget_flags(sp)
+    _add_budget_flags(sp, points=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--workers", type=int, default=1)

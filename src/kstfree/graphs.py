@@ -32,7 +32,7 @@ from .polyrand import (
     random_bihom,
     random_hom,
 )
-from .projgeom import ProjPoint, enumerate_multiindices, monomial_eval, point_to_str
+from .projgeom import ProjPoint, enumerate_multiindices, monomial_eval, point_from_str, point_to_str
 from .util import (
     DEFAULT_POINT_BUDGET,
     DEFAULT_SAMPLE_SUBSETS,
@@ -64,13 +64,32 @@ STREAM_CROSS_CHECK = 6
 # the graph container
 
 
-def _json_int(name: str, value, optional: bool = False):
-    """A loaded value that must be an int (not a bool), or None if optional."""
+_JSON_KINDS = {int: "an integer", dict: "an object", list: "a list"}
+
+
+def _json_typed(name: str, value, kind: type = int, optional: bool = False):
+    """A loaded value of exactly this type (a bool is no int), or None."""
     if value is None and optional:
         return None
-    if type(value) is not int:
-        raise ValueError("%s = %r is not an integer" % (name, value))
+    if type(value) is not kind:
+        raise ValueError("%s = %r is not %s" % (name, value, _JSON_KINDS[kind]))
     return value
+
+
+def _check_vertex_ids(spec: FieldSpec, side: str, ids, dim: int | None):
+    """Ids are strings; under a plan (dim given), canonical points of P^dim."""
+    if not isinstance(ids, list) or any(type(v) is not str for v in ids):
+        raise ValueError("%s vertex ids are not a list of strings" % side)
+    if dim is None:
+        return
+    for text in ids:
+        try:
+            pt = point_from_str(spec, text)
+        except ValueError:
+            pt = None
+        if pt is None or point_to_str(pt) != text or pt.dim != dim:
+            raise ValueError("%s vertex id %r is not a canonical point of "
+                             "P^%s(F_%d)" % (side, text, dim, spec.order))
 
 
 def _mask_to_bits(mask: np.ndarray) -> int:
@@ -147,18 +166,24 @@ class SidedGraph:
         """Load a graph document, rejecting any edge or plan it cannot hold."""
         if not isinstance(doc, dict) or doc.get("kind") != "sided":
             raise ValueError("not a sided graph document")
-        field = doc["field"]
-        spec = make_field(_json_int("field.p", field["p"]),
-                          _json_int("field.k", field["k"]))
-        for side in ("left", "right"):
-            ids = doc[side]
-            if not isinstance(ids, list) or any(type(v) is not str
-                                                for v in ids):
-                raise ValueError("%s vertex ids are not a list of strings"
-                                 % side)
+        field = _json_typed("field", doc["field"], dict)
+        spec = make_field(_json_typed("field.p", field["p"]),
+                          _json_typed("field.k", field["k"]))
+        plan = doc.get("plan")
+        left_dim = right_dim = None
+        if plan is not None:
+            plan = ConstructionPlan.from_json(plan)
+            if plan.q != spec.order:
+                raise ValueError("plan order q = %r is not the field order %d"
+                                 % (plan.q, spec.order))
+            right_dim = left_dim = plan.b
+            if plan.kind == "zarankiewicz":
+                left_dim = _json_typed("plan.a", plan.a)
+        _check_vertex_ids(spec, "left", doc["left"], left_dim)
+        _check_vertex_ids(spec, "right", doc["right"], right_dim)
         n_left, n_right = len(doc["left"]), len(doc["right"])
         rows = [0] * n_left
-        for edge in doc["edges"]:
+        for edge in _json_typed("edges", doc["edges"], list):
             # bool is an int subclass, so test the exact type
             if (not isinstance(edge, list) or len(edge) != 2
                     or any(type(x) is not int for x in edge)):
@@ -169,14 +194,8 @@ class SidedGraph:
             if rows[i] >> j & 1:
                 raise ValueError("duplicate edge in document")
             rows[i] |= 1 << j
-        plan = doc.get("plan")
-        if plan is not None:
-            plan = ConstructionPlan.from_json(plan)
-            if plan.q != spec.order:
-                raise ValueError("plan order q = %r is not the field order %d"
-                                 % (plan.q, spec.order))
         return cls(spec, doc["left"], doc["right"], rows, plan=plan,
-                   seed=_json_int("seed", doc.get("seed"), optional=True))
+                   seed=_json_typed("seed", doc.get("seed"), optional=True))
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +230,20 @@ class ConstructionPlan:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConstructionPlan":
-        ints = {key: _json_int("plan." + key, doc[key])
+        doc = _json_typed("plan", doc, dict)
+        for key, allowed in (("kind", ("turan", "zarankiewicz")),
+                             ("mode", ("desk", "theorem"))):
+            if doc[key] not in allowed:
+                raise ValueError("plan.%s = %r is not one of %s"
+                                 % (key, doc[key], allowed))
+        ints = {key: _json_typed("plan." + key, doc[key])
                 for key in ("s", "m", "r", "b", "t_threshold")}
-        ints.update((key, _json_int("plan." + key, doc[key], optional=True))
+        ints.update((key, _json_typed("plan." + key, doc[key], optional=True))
                     for key in ("Z", "T", "q", "a"))
+        delta = _json_typed("plan.delta", doc["delta"], list)
         return cls(
-            kind=doc["kind"], **ints, delta=tuple(doc["delta"]),
+            kind=doc["kind"], **ints,
+            delta=tuple(_json_typed("plan.delta", d) for d in delta),
             c=parse_frac(doc["c"]), mode=doc["mode"],
             headline_log10=doc.get("headline_log10"),
         )
@@ -574,8 +601,7 @@ class Verdicts:
 
 
 def judge_graph(g: SidedGraph, s: int, t: int, orientation: str,
-                budget: int = DEFAULT_SUBSET_BUDGET,
-                samples: int = DEFAULT_SAMPLE_SUBSETS) -> Verdicts:
+                budget: int = DEFAULT_SUBSET_BUDGET) -> Verdicts:
     """Search each side once, then judge K_{s,t} and density from that.
 
     The graph must carry its plan and master seed.  A side over the
@@ -584,8 +610,7 @@ def judge_graph(g: SidedGraph, s: int, t: int, orientation: str,
     """
     base = SeededRng(g.seed)
     mc = {side: max_common_neighborhood(g, s, side, budget=budget,
-                                        rng=base.derive(stream),
-                                        samples=samples)
+                                        rng=base.derive(stream))
           for side, stream in STREAM_SEARCH.items()}
     return Verdicts(mc, kst_verdict(g, s, t, mc, orientation, budget),
                     density_report(g, g.plan))
@@ -644,10 +669,9 @@ def _adjacency_rows(g: BiHomPoly, left_enc: np.ndarray,
 
 def _trial_report(graph: SidedGraph, plan: ConstructionPlan,
                   sides_full: bool, builder: dict | None,
-                  cross_check: bool | None, budget: int,
-                  samples: int) -> TrialReport:
+                  cross_check: bool | None, budget: int) -> TrialReport:
     v = judge_graph(graph, plan.s, plan.t_threshold, plan.orientation,
-                    budget, samples)
+                    budget)
     return TrialReport(v.max_common, v.kst, v.density, graph.seed, plan.kind,
                        len(graph.left), len(graph.right), graph.num_edges,
                        plan.t_threshold, sides_full, builder, cross_check)
@@ -655,10 +679,7 @@ def _trial_report(graph: SidedGraph, plan: ConstructionPlan,
 
 def construct_turan(plan: ConstructionPlan, master_seed: int, *,
                     point_cap: int = DEFAULT_POINT_BUDGET,
-                    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-                    samples: int = DEFAULT_SAMPLE_SUBSETS,
-                    max_attempts: int = 10,
-                    probe_policy: str = "if_within_cap"):
+                    subset_budget: int = DEFAULT_SUBSET_BUDGET):
     """Dense pipeline: certified variety, two sliced sides, one form.
 
     Stream 0 builds the variety W, streams 1 and 2 cut the left and
@@ -673,9 +694,7 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     spec = field_for_order(plan.q)
     base = SeededRng(master_seed)
     cfg = BuildConfig(b=plan.b, num_forms=plan.Z, degree=plan.m, s=plan.s,
-                      max_attempts=max_attempts, point_cap=point_cap,
-                      subset_budget=subset_budget, samples=samples,
-                      probe_policy=probe_policy)
+                      point_cap=point_cap, subset_budget=subset_budget)
     built = build_independent_variety(spec, cfg,
                                       base.derive(STREAM_VARIETY))
     if not built.certified:
@@ -710,18 +729,16 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
         "target_dim": built.target_dim,
         "probe_counts": (None if built.probe is None
                          else {str(e): c for e, c in built.probe.counts.items()}),
-        "probe_skipped": built.probe_skipped,
         "swise_mode": built.swise.mode if built.swise else None,
     }
     report = _trial_report(graph, plan, sides_full, builder_info, None,
-                           subset_budget, samples)
+                           subset_budget)
     return graph, report
 
 
 def construct_zar(plan: ConstructionPlan, master_seed: int, *,
                   point_cap: int = DEFAULT_POINT_BUDGET,
-                  subset_budget: int = DEFAULT_SUBSET_BUDGET,
-                  samples: int = DEFAULT_SAMPLE_SUBSETS):
+                  subset_budget: int = DEFAULT_SUBSET_BUDGET):
     """Lopsided pipeline: coordinate-point left side, sliced right side.
 
     The left side is the first floor(c * q^(T/s)) coordinate points of
@@ -767,7 +784,7 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
                 break
     sides_full = 2 * len(right_enc) * spec.order**plan.r >= spec.order**plan.b
     report = _trial_report(graph, plan, sides_full, None, cross,
-                           subset_budget, samples)
+                           subset_budget)
     return graph, report
 
 

@@ -94,7 +94,7 @@ class SWiseCheck:
     witness: tuple | None    # indices of a dependent s-subset, if found
     checked: int
     total: int
-    mode: str                # exhaustive | sampled | vacuous
+    mode: str                # exhaustive | sampled | vacuous | interpolation
 
     @property
     def verdict(self) -> str:

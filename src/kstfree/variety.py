@@ -7,10 +7,12 @@ easily be the single biggest computation in a run.
 
 The certified builder draws fresh forms until the zero set passes three
 checks: it is large enough (at least half the first-order prediction),
-it is s-wise independent at the forms' degree, and a point-count probe
-across field extensions lands on the expected dimension.  Each check
-can fail for an unlucky draw; the builder retries with derived streams
-and keeps a tally of which check rejected how many attempts.
+it is s-wise independent at the forms' degree m (by the interpolation
+theorem when s <= m+1, else only by an exhaustive search), and a
+point-count probe over F_q and, within the point cap, F_{q^2} lands on
+the expected dimension.  Each check can fail for an unlucky draw; the
+builder retries with derived streams and keeps a tally of which check
+rejected how many attempts.
 """
 from __future__ import annotations
 
@@ -24,12 +26,7 @@ from .gf import FieldSpec, make_field
 from .independence import SWiseCheck, ZConditionReport, s_wise_independent, z_condition
 from .polyrand import HomPoly, SeededRng, eval_hom_many, hom_from_json, hom_to_json, random_hom
 from .projgeom import ProjPoint, projective_chunks, projective_count
-from .util import (
-    DEFAULT_POINT_BUDGET,
-    DEFAULT_SAMPLE_SUBSETS,
-    DEFAULT_SUBSET_BUDGET,
-    BudgetExceeded,
-)
+from .util import DEFAULT_POINT_BUDGET, DEFAULT_SAMPLE_SUBSETS, DEFAULT_SUBSET_BUDGET
 
 
 @dataclass(frozen=True)
@@ -74,14 +71,7 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
 
 
 def count_points(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> int:
-    n = 0
-    for block in projective_chunks(var.spec, var.b, cap=cap):
-        if var.forms:
-            vals = eval_hom_many(var.forms, block)
-            n += int(np.all(vals == 0, axis=1).sum())
-        else:
-            n += len(block)
-    return n
+    return len(fq_point_array(var, cap=cap))
 
 
 def extend_form(f: HomPoly, ext: FieldSpec) -> HomPoly:
@@ -111,21 +101,19 @@ class DimensionProbe:
     confident: bool
 
 
-def dimension_probe(var: VarietySpec, exts=(1, 2),
-                    cap: int = DEFAULT_POINT_BUDGET) -> DimensionProbe:
-    """Dimension estimate from point counts across extensions.
+def dimension_probe(counts: dict, q: int) -> DimensionProbe:
+    """Dimension estimate from rational point counts across extensions.
 
+    counts maps each extension degree e >= 1 to the count over F_{q^e}.
     Fits ln(count) against e*ln(q) by least squares (through the origin
     when only one extension is available) and rounds the slope.  A count
     below 10q marks the probe as not confident.
     """
-    exts = sorted(set(int(e) for e in exts))
-    if not exts or exts[0] < 1:
+    counts = dict(sorted(counts.items()))
+    if not counts or min(counts) < 1:
         raise ValueError("extension degrees must be positive")
-    counts = {e: count_points_ext(var, e, cap=cap) for e in exts}
     if all(c == 0 for c in counts.values()):
         return DimensionProbe(counts, None, None, "empty", True)
-    q = var.spec.order
     xs, ys, confident = [], [], True
     for e, c in counts.items():
         if c == 0:
@@ -150,6 +138,8 @@ def dimension_probe(var: VarietySpec, exts=(1, 2),
 # ---------------------------------------------------------------------------
 # certified builder
 
+PROBE_EXTENSION = 2   # besides F_q itself, count over F_{q^2} when it fits
+
 
 @dataclass
 class BuildConfig:
@@ -161,9 +151,6 @@ class BuildConfig:
     point_cap: int = DEFAULT_POINT_BUDGET
     subset_budget: int = DEFAULT_SUBSET_BUDGET
     samples: int = DEFAULT_SAMPLE_SUBSETS
-    probe_policy: str = "if_within_cap"   # require | if_within_cap | skip
-    probe_exts: tuple = (1, 2)
-    allow_z_violation: bool = False
 
 
 @dataclass
@@ -176,7 +163,6 @@ class BuildResult:
     target_dim: int
     swise: SWiseCheck | None
     probe: DimensionProbe | None
-    probe_skipped: bool
     z_report: ZConditionReport | None
     failure_tally: dict = field(default_factory=dict)
 
@@ -186,6 +172,30 @@ def _count_ok(n_points: int, q: int, target_dim: int) -> bool:
     return 2 * n_points >= q**target_dim
 
 
+def _check_draw(var: VarietySpec, pts: np.ndarray, cfg: BuildConfig,
+                target_dim: int, by_theorem: bool, probe_ext: bool, rng):
+    """(first failed check or None, s-wise certificate, probe) of one draw."""
+    n, q = len(pts), var.spec.order
+    if not _count_ok(n, q, target_dim):
+        return "count", None, None
+    if by_theorem:
+        sw = SWiseCheck(True, True, None, 0, math.comb(n, cfg.s),
+                        "interpolation")
+    else:
+        proj = [ProjPoint(var.spec, tuple(int(c) for c in row)) for row in pts]
+        sw = s_wise_independent(proj, cfg.s, cfg.degree,
+                                budget=cfg.subset_budget, rng=rng,
+                                samples=cfg.samples)
+    if not sw.certified:
+        return "swise", sw, None
+    counts = {1: n}
+    if probe_ext:
+        counts[PROBE_EXTENSION] = count_points_ext(var, PROBE_EXTENSION,
+                                                   cap=cfg.point_cap)
+    probe = dimension_probe(counts, q)
+    return (None if probe.estimate == target_dim else "probe"), sw, probe
+
+
 def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
                               rng: SeededRng) -> BuildResult:
     """Draw forms until the zero set passes count, s-wise, and probe checks.
@@ -193,35 +203,24 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
     Attempt j always uses rng.derive(j), so retries are reproducible and
     independent of how earlier attempts consumed their stream.
     """
-    if cfg.num_forms < 0 or cfg.degree < 1 or cfg.b < 1:
+    if cfg.num_forms < 0 or cfg.degree < 1 or cfg.b < 1 or cfg.s < 1:
         raise ValueError("bad builder configuration")
-    if cfg.probe_policy not in ("require", "if_within_cap", "skip"):
-        raise ValueError("unknown probe policy %r" % cfg.probe_policy)
     target_dim = cfg.b - cfg.num_forms
     if target_dim < 0:
         raise ValueError("more forms than dimensions available")
 
     z_rep = z_condition(cfg.b, cfg.degree, cfg.num_forms, cfg.s) if cfg.s >= 2 else None
-    if z_rep is not None and z_rep.verdict == "false" and not cfg.allow_z_violation:
+    if z_rep is not None and z_rep.verdict == "false":
         raise ValueError(
             "form count %d is too small for certified %d-wise independence "
             "at degree %d in dimension %d" % (cfg.num_forms, cfg.s,
                                               cfg.degree, cfg.b)
         )
-
-    # decide the usable probe extensions once
-    probe_exts = []
-    if cfg.probe_policy != "skip":
-        q = spec.order
-        for e in sorted(set(cfg.probe_exts)):
-            if projective_count(q**e, cfg.b) <= cfg.point_cap:
-                probe_exts.append(e)
-            elif cfg.probe_policy == "require":
-                raise BudgetExceeded(
-                    "probe extension %d needs %d points, over cap %d"
-                    % (e, projective_count(q**e, cfg.b), cfg.point_cap)
-                )
-    probe_skipped = not probe_exts
+    # all rows empty: no s points are ever dependent, by interpolation
+    by_theorem = z_rep is None or all(row["kind"] == "empty"
+                                      for row in z_rep.rows)
+    probe_ext = projective_count(spec.order**PROBE_EXTENSION,
+                                 cfg.b) <= cfg.point_cap
 
     tally = {"count": 0, "swise": 0, "probe": 0}
     last = None
@@ -232,32 +231,14 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
         )
         var = VarietySpec(spec, cfg.b, forms)
         pts = fq_point_array(var, cap=cfg.point_cap)
-        n = len(pts)
-        if not _count_ok(n, spec.order, target_dim):
-            tally["count"] += 1
-            last = BuildResult(False, attempt + 1, var, pts, n, target_dim,
-                               None, None, probe_skipped, z_rep, dict(tally))
-            continue
-        proj = [ProjPoint(spec, tuple(int(c) for c in row)) for row in pts]
-        sw = s_wise_independent(proj, cfg.s, cfg.degree,
-                                budget=cfg.subset_budget, rng=sub,
-                                samples=cfg.samples)
-        if sw.witness is not None:
-            tally["swise"] += 1
-            last = BuildResult(False, attempt + 1, var, pts, n, target_dim,
-                               sw, None, probe_skipped, z_rep, dict(tally))
-            continue
-        probe = None
-        if not probe_skipped:
-            probe = dimension_probe(var, exts=probe_exts, cap=cfg.point_cap)
-            if probe.estimate != target_dim:
-                tally["probe"] += 1
-                last = BuildResult(False, attempt + 1, var, pts, n,
-                                   target_dim, sw, probe, probe_skipped,
-                                   z_rep, dict(tally))
-                continue
-        return BuildResult(True, attempt + 1, var, pts, n, target_dim, sw,
-                           probe, probe_skipped, z_rep, dict(tally))
+        failed, sw, probe = _check_draw(var, pts, cfg, target_dim, by_theorem,
+                                        probe_ext, sub)
+        if failed:
+            tally[failed] += 1
+        last = BuildResult(failed is None, attempt + 1, var, pts, len(pts),
+                           target_dim, sw, probe, z_rep, dict(tally))
+        if failed is None:
+            return last
     assert last is not None
     return last
 

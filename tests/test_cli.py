@@ -109,6 +109,15 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     broken.append(dict(doc, plan=dict(doc["plan"], s="2")))
     broken.append(dict(doc, field=dict(doc["field"], p="11")))
     broken.append(dict(doc, seed="1"))
+    # documents of the wrong shape
+    broken.append(dict(doc, edges=5))
+    broken.append(dict(doc, field=[11, 1]))
+    broken.append(dict(doc, plan=[1]))
+    for key, value in (("delta", 3), ("kind", 7), ("mode", 3)):
+        broken.append(dict(doc, plan=dict(doc["plan"], **{key: value})))
+    # vertex ids that are not canonical points of P^4(F_11)
+    for first in ("junk", "2:0:0:0:0", "1:0"):
+        broken.append(dict(doc, left=[first] + doc["left"][1:]))
     for i, bad_doc in enumerate(broken):
         bad = tmp_path / ("bad%d.json" % i)
         bad.write_text(json.dumps(bad_doc))

@@ -3,13 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kstfree.variety
 from kstfree.gf import make_field
 from kstfree.polyrand import HomPoly, SeededRng, evaluate, random_hom
 from kstfree.projgeom import enumerate_multiindices, enumerate_projective, projective_array, projective_count
-from kstfree.util import BudgetExceeded
 from kstfree.variety import (
     BuildConfig,
-    BuildResult,
     ConcentrationReport,
     VarietySpec,
     build_independent_variety,
@@ -72,6 +71,10 @@ def test_form_space_mismatch_rejected():
         VarietySpec(spec, 3, (conic(spec),))
 
 
+def probe_counts(var, exts):
+    return {e: count_points_ext(var, e) for e in exts}
+
+
 def test_empty_zero_set_probe():
     # x0^2 + x1^2 has no zeros on the line over F_3, so a base-field-only
     # probe reports empty; the quadratic extension picks up the two points
@@ -79,11 +82,11 @@ def test_empty_zero_set_probe():
     spec = make_field(3, 1)
     f = HomPoly(spec, 1, 2, (1, 0, 1))
     var = VarietySpec(spec, 1, (f,))
-    probe = dimension_probe(var, exts=(1,))
+    probe = dimension_probe(probe_counts(var, (1,)), 3)
     assert probe.kind == "empty"
     assert probe.estimate is None
     assert probe.counts == {1: 0}
-    wider = dimension_probe(var, exts=(1, 2))
+    wider = dimension_probe(probe_counts(var, (1, 2)), 3)
     assert wider.counts == {1: 0, 2: 2}
     assert wider.kind == "estimate"
     assert wider.estimate == 0
@@ -94,7 +97,7 @@ def test_conic_probe_counts_and_estimate():
     # smooth conic: q + 1 points over every extension
     spec = make_field(3, 1)
     var = VarietySpec(spec, 2, (conic(spec),))
-    probe = dimension_probe(var, exts=(1, 2, 3))
+    probe = dimension_probe(probe_counts(var, (1, 2, 3)), 3)
     assert probe.counts == {1: 4, 2: 10, 3: 28}
     assert probe.estimate == 1
     assert not probe.confident  # 4 < 10 * 3
@@ -104,14 +107,14 @@ def test_hyperplane_probe():
     spec = make_field(7, 1)
     f = HomPoly(spec, 3, 1, (1, 0, 0, 0))
     var = VarietySpec(spec, 3, (f,))
-    probe = dimension_probe(var, exts=(1, 2))
+    probe = dimension_probe(probe_counts(var, (1, 2)), 7)
     assert probe.counts == {1: projective_count(7, 2),
                             2: projective_count(49, 2)}
     assert probe.estimate == 2
     assert not probe.confident  # 57 < 10 * 7
     spec5 = make_field(5, 1)
     bigger = VarietySpec(spec5, 4, (HomPoly(spec5, 4, 1, (1, 0, 0, 0, 0)),))
-    wide = dimension_probe(bigger, exts=(1, 2))
+    wide = dimension_probe(probe_counts(bigger, (1, 2)), 5)
     assert wide.estimate == 3
     assert wide.confident  # 156 >= 50
 
@@ -183,29 +186,40 @@ def test_builder_rejects_insufficient_forms():
         build_independent_variety(spec, cfg, SeededRng(1))
 
 
-def test_builder_violation_waiver_runs():
-    spec = make_field(2, 1)
-    cfg = BuildConfig(b=10, num_forms=5, degree=3, s=5, max_attempts=2,
-                      probe_policy="skip", samples=40,
-                      allow_z_violation=True)
-    res = build_independent_variety(spec, cfg, SeededRng(3))
-    assert isinstance(res, BuildResult)
-    assert res.probe is None and res.probe_skipped
-    assert res.z_report.verdict == "false"
-    assert res.attempts <= 2
-
-
-def test_builder_probe_policy_require_over_cap():
+def test_builder_probe_counts_only_what_fits():
+    # P^3(F_121) is over this cap, so only the base field is counted
     spec = make_field(11, 1)
-    cfg = BuildConfig(b=3, num_forms=1, degree=3, s=3, probe_exts=(1, 4),
-                      probe_policy="require")
-    with pytest.raises(BudgetExceeded):
-        build_independent_variety(spec, cfg, SeededRng(5))
-    cfg2 = BuildConfig(b=3, num_forms=1, degree=3, s=3, probe_exts=(1, 4),
-                       probe_policy="if_within_cap")
-    res = build_independent_variety(spec, cfg2, SeededRng(5))
+    cfg = BuildConfig(b=3, num_forms=1, degree=3, s=3, point_cap=20_000)
+    res = build_independent_variety(spec, cfg, SeededRng(5))
     assert res.probe is not None
     assert list(res.probe.counts) == [1]  # only the base field fit the cap
+
+
+def test_builder_certifies_by_interpolation(monkeypatch):
+    # s <= m + 1: the certificate is the theorem, no subset is searched
+    def no_search(*args, **kwargs):
+        raise AssertionError("s-wise search ran")
+
+    monkeypatch.setattr(kstfree.variety, "s_wise_independent", no_search)
+    spec = make_field(11, 1)
+    cfg = BuildConfig(b=3, num_forms=1, degree=3, s=3)
+    res = build_independent_variety(spec, cfg, SeededRng(2026))
+    assert res.certified
+    assert res.swise.mode == "interpolation"
+    assert res.swise.certified and res.swise.checked == 0
+    assert res.probe.counts[1] == res.n_points
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_builder_sampled_swise_does_not_certify(seed):
+    # s = 5 > m + 1: C(n, 5) subsets exceed the budget, so the pass is
+    # only sampled, and a sampled pass rejects the attempt
+    spec = make_field(2, 1)
+    cfg = BuildConfig(b=10, num_forms=6, degree=3, s=5, max_attempts=1)
+    res = build_independent_variety(spec, cfg, SeededRng(seed))
+    assert res.swise.mode == "sampled"
+    assert res.certified is False
+    assert res.failure_tally["swise"] == 1
 
 
 def test_builder_failure_tally_bookkeeping():
