@@ -56,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int):
+    """argparse type: an int no smaller than low, else a usage error."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d"
+                                             % (low, value))
+        return value
+    return parse
+
+
 def _add_plan_flags(sp):
     sp.add_argument("kind", choices=("turan", "zarankiewicz"))
     sp.add_argument("--s", type=int, required=True)
@@ -72,9 +83,11 @@ def _add_plan_flags(sp):
 
 
 def _add_budget_flags(sp, points: bool):
-    sp.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET)
+    sp.add_argument("--budget-subsets", type=_at_least(0),
+                    default=DEFAULT_SUBSET_BUDGET)
     if points:
-        sp.add_argument("--budget-points", type=int, default=DEFAULT_POINT_BUDGET)
+        sp.add_argument("--budget-points", type=_at_least(0),
+                        default=DEFAULT_POINT_BUDGET)
 
 
 def _plan_from_args(args) -> ConstructionPlan:
@@ -298,7 +311,7 @@ def build_parser() -> _Parser:
     _add_plan_flags(sp)
     _add_budget_flags(sp, points=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=10,
+    sp.add_argument("--trials", type=_at_least(1), default=10,
                     help="master seeds to try before giving up")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_construct)
@@ -328,8 +341,8 @@ def build_parser() -> _Parser:
     _add_plan_flags(sp)
     _add_budget_flags(sp, points=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--trials", type=_at_least(1), default=20)
+    sp.add_argument("--workers", type=_at_least(1), default=1)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_sweep)
 

@@ -14,8 +14,10 @@ Two arithmetic paths exist and must agree bit for bit:
 * ops on encodings through three O(q) tables per extension field, built
   lazily from the coordinate path: antilogs and logs over the primitive
   element with the smallest encoding, and the antilogs' base-p digits
-  packed into k lanes.  Scalar mul/inv/pow and the form evaluation in
-  `polyrand.eval_hom_many` use them; prime fields use plain residues.
+  packed into k lanes.  Scalar mul/inv/pow and the form evaluation of
+  `polyrand.eval_hom_many` on point lists use them; prime fields use
+  plain residues.  Zero sets (`variety.fq_point_array`) do not: they
+  contract against multiply-by matrices built from the coordinate path.
 
 The tables change no encoding: every value they give is the one the
 coordinate path gives.

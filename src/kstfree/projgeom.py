@@ -68,26 +68,46 @@ def projective_count(q: int, b: int) -> int:
     return (q ** (b + 1) - 1) // (q - 1)
 
 
-def projective_chunks(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET,
-                      chunk: int = 1 << 17):
-    """Yield (rows, b+1) encoding arrays covering P^b(F_q) in canonical order."""
-    q = spec.order
+def checked_count(q: int, b: int, cap: int) -> int:
+    """|P^b(F_q)|, or BudgetExceeded when it is above cap."""
     total = projective_count(q, b)
     if total > cap:
         raise BudgetExceeded(
             "|P^%d(F_%d)| = %d exceeds point budget %d" % (b, q, total, cap)
         )
-    for lead in range(b, -1, -1):
-        tail = b - lead
-        cnt = q**tail
+    return total
+
+
+def chart_leads(b: int):
+    """Leads L of the affine charts {x_0..x_{L-1} = 0, x_L = 1}, canonical order.
+
+    Chart L is the grid F_q^(b-L) of its free coordinates x_{L+1..b}; read
+    in C order (x_{L+1} slowest) it lists its points in canonical order,
+    and the charts follow one another in the order given here.
+    """
+    return range(b, -1, -1)
+
+
+def chart_rows(q: int, b: int, lead: int, idx: np.ndarray) -> np.ndarray:
+    """Encodings of the points at grid indices idx of chart `lead`: (len, b+1)."""
+    tail = b - lead
+    block = np.zeros((len(idx), b + 1), dtype=np.int64)
+    block[:, lead] = 1
+    for t in range(tail):
+        block[:, lead + 1 + t] = (idx // q ** (tail - 1 - t)) % q
+    return block
+
+
+def projective_chunks(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET,
+                      chunk: int = 1 << 17):
+    """Yield (rows, b+1) encoding arrays covering P^b(F_q) in canonical order."""
+    q = spec.order
+    checked_count(q, b, cap)
+    for lead in chart_leads(b):
+        cnt = q ** (b - lead)
         for start in range(0, cnt, chunk):
-            stop = min(start + chunk, cnt)
-            idx = np.arange(start, stop, dtype=np.int64)
-            block = np.zeros((stop - start, b + 1), dtype=np.int64)
-            block[:, lead] = 1
-            for t in range(tail):
-                block[:, lead + 1 + t] = (idx // (q ** (tail - 1 - t))) % q
-            yield block
+            idx = np.arange(start, min(start + chunk, cnt), dtype=np.int64)
+            yield chart_rows(q, b, lead, idx)
 
 
 def projective_array(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 A variety here is the common projective zero set of a handful of
 homogeneous forms.  Everything is exhaustive over the finite field, so
-the budget caps are load-bearing: counting over an extension field can
-easily be the single biggest computation in a run.
+the point cap is load-bearing: a zero set costs a few float64 passes per
+form over the grid of every chart of P^b, in any field, and the
+builder's F_{q^2} probe covers about q^b times the points of its F_q
+count.
 
 The certified builder draws fresh forms until the zero set passes three
 checks: it is large enough (at least half the first-order prediction),
@@ -25,7 +27,7 @@ import numpy as np
 from .gf import FieldSpec, make_field
 from .independence import SWiseCheck, ZConditionReport, s_wise_independent, z_condition
 from .polyrand import HomPoly, SeededRng, eval_hom_many, hom_from_json, hom_to_json, random_hom
-from .projgeom import ProjPoint, projective_chunks, projective_count
+from .projgeom import ProjPoint, chart_leads, chart_rows, checked_count, projective_count
 from .util import DEFAULT_POINT_BUDGET, DEFAULT_SAMPLE_SUBSETS, DEFAULT_SUBSET_BUDGET
 
 
@@ -55,19 +57,121 @@ def variety_from_json(doc: dict) -> VarietySpec:
     return VarietySpec(spec, doc["b"], forms)
 
 
+SLAB = 1 << 17  # cells in one slab of a chart's last contraction
+
+
+def _mod(t: np.ndarray, p: int) -> np.ndarray:
+    """t % p, in place, for float64 integers 0 <= t <= 2^53 - p.
+
+    t / p then rounds to a value below the next integer, so the floor is
+    the exact quotient; numpy's float % takes several times longer.
+    """
+    r = t / p
+    np.floor(r, out=r)
+    r *= p
+    t -= r
+    return t
+
+
+def _power_matrix(spec: FieldSpec, a: int, xs: np.ndarray,
+                  mul_rows: np.ndarray) -> np.ndarray:
+    """(a*k, len(xs)*k) float64 matrix of c_0..c_{a-1} -> sum_e c_e x^e at xs.
+
+    Multiplying by a fixed element c is GF(p)-linear on coordinates; its
+    matrix M_c has the rows t^j c, t the basis root.  mul_rows[i, j] holds
+    the digits of t^i t^j, so M_x is one product with the digits of x,
+    and M_{x^e} = M_{x^(e-1)} M_x.  Rows are (exponent, input digit),
+    columns (point, output digit).
+    """
+    k, p = spec.k, spec.p
+    co = spec.dec_array(xs).astype(np.float64)  # (S, k)
+    mx = _mod(co @ mul_rows.reshape(k, k * k), p).reshape(-1, k, k)
+    by = [np.broadcast_to(np.eye(k), mx.shape)]
+    for _ in range(1, a):
+        by.append(_mod(by[-1] @ mx, p))
+    by = np.stack(by).transpose(0, 2, 1, 3)  # (e, j, x, l)
+    return by.reshape(a * k, len(xs) * k)
+
+
+def _chart_tensor(spec: FieldSpec, expo: np.ndarray, digits: np.ndarray,
+                  lead: int, a: int) -> np.ndarray:
+    """Digits of a form's restriction to chart `lead`: shape (a,)*n + (k,).
+
+    expo (M, b+1) and digits (M, k) are the form's nonzero terms.  A term
+    survives when it has no x_0..x_{lead-1}; x_lead = 1 drops out, and an
+    exponent e >= q on a free axis folds to ((e-1) mod (q-1)) + 1, because
+    x^q = x on F_q.  Terms that fold together add up.
+    """
+    q, n = spec.order, expo.shape[1] - 1 - lead
+    on = ~expo[:, :lead].any(axis=1)
+    e = expo[on, lead + 1:]
+    e = np.where(e >= q, (e - 1) % (q - 1) + 1, e)
+    flat = e @ (a ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    t = np.zeros((a**n, spec.k), dtype=np.int64)
+    np.add.at(t, flat, digits[on])
+    return (t % spec.p).reshape((a,) * n + (spec.k,)).astype(np.float64)
+
+
 def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
-    """Encodings of the rational points, canonical order, shape (N, b+1)."""
-    keep = []
-    for block in projective_chunks(var.spec, var.b, cap=cap):
-        if var.forms:
-            vals = eval_hom_many(var.forms, block)
-            mask = np.all(vals == 0, axis=1)
-            block = block[mask]
-        if len(block):
-            keep.append(block)
-    if not keep:
-        return np.zeros((0, var.b + 1), dtype=np.int64)
-    return np.concatenate(keep, axis=0)
+    """Encodings of the rational points, canonical order, shape (N, b+1).
+
+    Chart by chart (`projgeom.chart_leads`), each form is evaluated on the
+    whole grid F_q^n of its restriction by contracting its coefficient
+    tensor one exponent axis at a time against the powers of every x in
+    F_q, a = min(m+1, q) exponents per axis.  Each contraction is one
+    float64 matmul followed by % p, exact while a*k*(p-1)^2 + p <= 2^53
+    (else ValueError).  The leading free axis goes last, in slabs of at
+    most SLAB cells whose matrix columns are built per slab, and only the
+    grid indices where every form vanishes are kept.
+    """
+    spec, b = var.spec, var.b
+    p, k, q = spec.p, spec.k, spec.order
+    checked_count(q, b, cap)
+    forms = []
+    for f in var.forms:
+        a = min(f.m + 1, q)
+        if a * k * (p - 1) ** 2 + p > 1 << 53:  # see _mod
+            raise ValueError("degree-%d sums overflow float64 in %r"
+                             % (f.m, spec))
+        coeffs = np.array(f.coeffs, dtype=np.int64)
+        on = coeffs != 0
+        expo = np.array(f.multiindices(), dtype=np.int64)[on]
+        forms.append((a, expo, spec.dec_array(coeffs[on])))
+    basis = np.eye(k, dtype=np.int64)
+    mul_rows = spec.arr_mul(basis[:, None, :], basis[None, :, :])
+    mul_rows = mul_rows.astype(np.float64)
+    inner = {}  # a -> power matrix over all of F_q
+    rows = []
+    for lead in chart_leads(b):
+        n = b - lead
+        alive = np.ones(q**n, dtype=bool)
+        for a, expo, digits in forms:
+            t = _chart_tensor(spec, expo, digits, lead, a)
+            if n == 0:
+                alive &= not t.any()
+                continue
+            if n > 1 and a not in inner:
+                inner[a] = _power_matrix(spec, a, np.arange(q), mul_rows)
+            for _ in range(n - 1):
+                # (e_1, e_j.., x_2..x_{j-1}, k): contract e_j, append x_j
+                t = np.moveaxis(t, 1, -2)
+                head = t.shape[:-2]
+                t = _mod(t.reshape(-1, a * k) @ inner[a], p)
+                t = t.reshape(head + (q, k))
+            grid = q ** (n - 1)
+            t = np.moveaxis(t, 0, -2).reshape(grid, a * k)
+            step = max(1, SLAB // (k * max(grid, a * k)))
+            for x0 in range(0, q, step):
+                x1 = min(x0 + step, q)
+                if not alive[x0 * grid:x1 * grid].any():
+                    continue
+                w = _power_matrix(spec, a, np.arange(x0, x1), mul_rows)
+                vals = _mod(t @ w, p).reshape(grid, x1 - x0, k)
+                alive[x0 * grid:x1 * grid] &= ~vals.any(axis=2).T.ravel()
+            if not alive.any():
+                break
+        rows.append(chart_rows(q, b, lead, np.flatnonzero(alive)))
+    return np.concatenate(rows)
 
 
 def count_points(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> int:

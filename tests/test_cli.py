@@ -1,9 +1,13 @@
 """CLI contract: dispatch, exit codes, artifacts on disk."""
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import kstfree
 from kstfree.cli import main
 from kstfree.jsonio import read_doc, report_path_for
 
@@ -46,6 +50,27 @@ def test_usage_errors_exit_one(capsys):
                capsys)[0] == 1  # no --seed
     assert run(["plan", "turan", "--s", "1"], capsys)[0] == 1  # s too small
     assert run(["nonsense"], capsys)[0] == 1
+
+
+@pytest.mark.parametrize("sub,flags", [
+    ("construct", ["--trials", "0"]),
+    ("construct", ["--trials", "-3"]),
+    ("construct", ["--budget-subsets", "-5"]),
+    ("construct", ["--budget-points", "-1"]),
+    ("sweep", ["--trials", "0"]),
+    ("sweep", ["--workers", "0"]),
+    ("sweep", ["--budget-subsets", "-5"]),
+    ("sweep", ["--budget-points", "-1"]),
+])
+def test_bad_counts_and_budgets_are_usage_errors(sub, flags, tmp_path,
+                                                 capsys):
+    out = tmp_path / "g.json"
+    rc, stdout, err = run([sub, "turan", "--s", "2", "--m", "3", "--r", "1",
+                           "--Z", "1", "--q", "11", "--seed", "1",
+                           "--out", str(out)] + flags, capsys)
+    assert rc == 1
+    assert "usage error" in err and flags[0] in err
+    assert stdout == "" and not out.exists()
 
 
 def test_construct_verify_roundtrip(tmp_path, capsys):
@@ -244,9 +269,12 @@ def test_selftest_unknown_number(capsys):
 
 
 def test_console_script_installed():
+    # the child imports the package this suite imports, installed or not
+    src = os.path.dirname(os.path.dirname(kstfree.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "kstfree.cli", "plan", "turan", "--s", "2",
          "--m", "3", "--r", "1", "--Z", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["t_threshold"] == 82

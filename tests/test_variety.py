@@ -1,12 +1,17 @@
 from fractions import Fraction
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kstfree.variety
-from kstfree.gf import make_field
-from kstfree.polyrand import HomPoly, SeededRng, evaluate, random_hom
+from kstfree.gf import is_prime, make_field
+from kstfree.polyrand import HomPoly, SeededRng, eval_hom_many, evaluate, random_hom
 from kstfree.projgeom import enumerate_multiindices, enumerate_projective, projective_array, projective_count
+from kstfree.util import BudgetExceeded
 from kstfree.variety import (
     BuildConfig,
     ConcentrationReport,
@@ -69,6 +74,96 @@ def test_form_space_mismatch_rejected():
     spec = make_field(5, 1)
     with pytest.raises(ValueError):
         VarietySpec(spec, 3, (conic(spec),))
+
+
+def reference_points(var, cap=10**6):
+    """The zero set by evaluating every form at every point of P^b."""
+    pts = projective_array(var.spec, var.b, cap)
+    if not var.forms:
+        return pts
+    return pts[np.all(eval_hom_many(var.forms, pts) == 0, axis=1)]
+
+
+ZERO_SET_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                   (5, 2), (3, 3), (11, 2)]
+
+
+@st.composite
+def zero_set_cases(draw):
+    spec = make_field(*draw(st.sampled_from(ZERO_SET_FIELDS)))
+    q = spec.order
+    # keep the reference path small: few points, few monomial cells
+    bmax = max(b for b in range(5) if projective_count(q, b) <= 20_000)
+    b = bmax - draw(st.integers(0, bmax))  # the larger spaces first
+    n = projective_count(q, b)
+    mmax = max(m for m in range(q + 3) if comb(b + m, m) * n <= 400_000)
+    degrees = draw(st.lists(st.integers(0, mmax), max_size=3))
+    seed = draw(st.integers(0, 1 << 32))
+    slab = draw(st.sampled_from([1, 5, 24, 100]))
+    rng = SeededRng(seed)
+    forms = [random_hom(spec, b, m, rng) for m in degrees]
+    if forms and draw(st.booleans()):
+        # x_b^m alone, whose exponent folds once m >= q, and a zero form
+        m = degrees[0]
+        forms[0] = HomPoly(spec, b, m, (0,) * (comb(b + m, m) - 1) + (1,))
+        if len(forms) > 1:
+            forms[1] = HomPoly(spec, b, degrees[1],
+                               (0,) * len(forms[1].coeffs))
+    return VarietySpec(spec, b, tuple(forms)), slab
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(zero_set_cases())
+def test_zero_sets_match_pointwise_evaluation(case):
+    var, slab = case
+    with mock.patch.object(kstfree.variety, "SLAB", slab):
+        pts = fq_point_array(var)
+    ref = reference_points(var)
+    assert pts.dtype == np.int64
+    assert pts.shape == ref.shape
+    assert (pts == ref).all()
+
+
+def test_zero_set_on_a_wide_field_builds_slabs_only():
+    # P^1 over GF(2^16): one (a*k, q*k) matrix would hold 64 x 2^20 floats
+    spec = make_field(2, 16)
+    var = VarietySpec(spec, 1, (random_hom(spec, 1, 3, SeededRng(8)),))
+    real = kstfree.variety._power_matrix
+    sizes = []
+
+    def spy(*args):
+        out = real(*args)
+        sizes.append(out.size)
+        return out
+
+    with mock.patch.object(kstfree.variety, "_power_matrix", spy):
+        pts = fq_point_array(var)
+    assert (pts == reference_points(var)).all()
+    assert 1 <= len(pts) <= 3
+    assert max(sizes) <= kstfree.variety.SLAB
+
+
+def test_zero_set_budget_is_checked_before_any_work():
+    spec = make_field(2, 16)
+    var = VarietySpec(spec, 3, (random_hom(spec, 3, 3, SeededRng(8)),))
+    with mock.patch.object(kstfree.variety, "_chart_tensor",
+                           side_effect=AssertionError("work started")):
+        with pytest.raises(BudgetExceeded):
+            fq_point_array(var, cap=10**6)
+
+
+def test_zero_set_refuses_inexact_sums():
+    # a linear form has two exponents per axis: 2 (p-1)^2 >= 2^53
+    p = next(n for n in range((1 << 26) + 1, 1 << 27) if is_prime(n))
+    spec = make_field(p, 1, order_cap=p)
+    assert 2 * (p - 1) ** 2 >= 1 << 53 > (p - 1) ** 2 + p
+    line = VarietySpec(spec, 1, (HomPoly(spec, 1, 1, (1, 1)),))
+    with pytest.raises(ValueError, match="overflow"):
+        fq_point_array(line, cap=10**9)
+    # a constant has one exponent per axis, and P^0 is one point
+    for c, size in ((0, 1), (5, 0)):
+        point = VarietySpec(spec, 0, (HomPoly(spec, 0, 0, (c,)),))
+        assert len(fq_point_array(point)) == size
 
 
 def probe_counts(var, exts):
