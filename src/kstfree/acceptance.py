@@ -53,7 +53,6 @@ from .variety import (
     build_independent_variety,
     concentration_study,
     count_points,
-    fq_point_array,
 )
 
 
@@ -218,8 +217,8 @@ def check_slice_concentration(seed: int):
     standard errors of 400/7 and at most 7% of trials drop to half the
     expectation or below (the a-priori bound 4q/|Y| is exactly 0.07)."""
     spec = field_for_order(7)
-    pts = fq_point_array(VarietySpec(spec, 3, ()))
-    rep = concentration_study(spec, pts, 1, 2, SeededRng(seed), 500)
+    rep = concentration_study(VarietySpec(spec, 3, ()), 1, 2, SeededRng(seed),
+                              500)
     counts = np.asarray(rep.counts, dtype=np.float64)
     se = float(np.std(counts, ddof=1)) / math.sqrt(rep.trials)
     deviation = abs(rep.mean - float(rep.expected))

@@ -331,7 +331,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--s", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--trials", type=int, default=DEFAULT_SAMPLE_SUBSETS,
+    sp.add_argument("--trials", type=_at_least(1),
+                    default=DEFAULT_SAMPLE_SUBSETS,
                     help="sampled subsets when the budget forces sampling")
     _add_budget_flags(sp, points=False)
     sp.add_argument("--out")

@@ -11,13 +11,12 @@ Two arithmetic paths exist and must agree bit for bit:
 
 * bulk numpy ops on coordinate arrays of shape (..., k) (convolution
   modulo the basis polynomial), which define multiplication; and
-* ops on encodings through three O(q) tables per extension field, built
-  lazily from the coordinate path: antilogs and logs over the primitive
-  element with the smallest encoding, and the antilogs' base-p digits
-  packed into k lanes.  Scalar mul/inv/pow and the form evaluation of
-  `polyrand.eval_hom_many` on point lists use them; prime fields use
-  plain residues.  Zero sets (`variety.fq_point_array`) do not: they
-  contract against multiply-by matrices built from the coordinate path.
+* scalar ops on encodings through two O(q) tables per extension field,
+  built lazily from the coordinate path: antilogs and logs over the
+  primitive element with the smallest encoding.  Only scalar
+  mul/inv/pow read them; prime fields use plain residues.  Every bulk
+  kernel, zero sets (`variety.fq_point_array`) included, works on the
+  coordinate path.
 
 The tables change no encoding: every value they give is the one the
 coordinate path gives.
@@ -126,7 +125,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "k", "order", "modulus",
-        "_red", "_ppow", "_exp", "_log", "_lanes",
+        "_red", "_ppow", "_exp", "_log",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple):
@@ -145,7 +144,7 @@ class FieldSpec:
             self._red = np.array(rows, dtype=np.int64)
         else:
             self._red = None
-        self._exp = self._log = self._lanes = None
+        self._exp = self._log = None
 
     # -- identity ----------------------------------------------------------
 
@@ -217,7 +216,7 @@ class FieldSpec:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        exp, log, _ = self.log_tables()
+        exp, log = self.log_tables()
         return int(exp[(int(log[a]) + int(log[b])) % (self.order - 1)])
 
     def inv(self, a: int) -> int:
@@ -226,7 +225,7 @@ class FieldSpec:
             raise ZeroDivisionError("inversion of zero in %r" % self)
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        exp, log, _ = self.log_tables()
+        exp, log = self.log_tables()
         return int(exp[-int(log[a]) % (self.order - 1)])
 
     def pow(self, a: int, e: int) -> int:
@@ -237,7 +236,7 @@ class FieldSpec:
             return pow(a, e, self.p)
         if a == 0:
             return 1 if e == 0 else 0
-        exp, log, _ = self.log_tables()
+        exp, log = self.log_tables()
         return int(exp[int(log[a]) * e % (self.order - 1)])
 
     # -- log/antilog tables for k > 1 ------------------------------------------
@@ -269,14 +268,12 @@ class FieldSpec:
         raise RuntimeError("%r has no primitive element" % self)
 
     def log_tables(self):
-        """(exp, log, lanes) for k > 1, built once from the coordinate path.
+        """(exp, log) for k > 1, built once from the coordinate path.
 
         With g the primitive element of smallest encoding and q the order:
         exp[i] = g^i for i < q-1 and exp[q-1] = 0; log inverts exp, so
         log[0] = q-1 is the zero sentinel and exp[log[a]] == a for every a.
-        lanes[i] holds the base-p digits of exp[i], digit j in bits
-        [j*w, (j+1)*w) with w = 63 // k, so sums of up to
-        (2^w - 1) // (p - 1) lane words never carry between digits.
+        Only the scalar mul, inv and pow read them.
         """
         if self.k == 1:
             raise ValueError("log tables are for extension fields")
@@ -296,10 +293,8 @@ class FieldSpec:
             exp = self.enc_array(pw)
             log = np.empty(q, dtype=np.int64)
             log[exp] = np.arange(q, dtype=np.int64)
-            w = 63 // k
-            self._lanes = pw @ (np.int64(1) << (w * np.arange(k, dtype=np.int64)))
             self._exp, self._log = exp, log
-        return self._exp, self._log, self._lanes
+        return self._exp, self._log
 
     # -- bulk numpy arithmetic on coordinate arrays (..., k) -----------------
 

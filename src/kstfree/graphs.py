@@ -28,7 +28,6 @@ from .polyrand import (
     BiHomPoly,
     SeededRng,
     eval_bihom_grid,
-    eval_hom_many,
     random_bihom,
     random_hom,
 )
@@ -653,13 +652,6 @@ def _ids_of(spec: FieldSpec, enc: np.ndarray):
             for row in enc]
 
 
-def _filter_vanishing(forms, enc: np.ndarray) -> np.ndarray:
-    if not forms:
-        return enc
-    vals = eval_hom_many(list(forms), enc)
-    return enc[np.all(vals == 0, axis=1)]
-
-
 def _adjacency_rows(g: BiHomPoly, left_enc: np.ndarray,
                     right_enc: np.ndarray):
     vals = eval_bihom_grid(g, left_enc, right_enc)
@@ -682,10 +674,11 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
                     subset_budget: int = DEFAULT_SUBSET_BUDGET):
     """Dense pipeline: certified variety, two sliced sides, one form.
 
-    Stream 0 builds the variety W, streams 1 and 2 cut the left and
-    right slices, stream 3 draws the adjacency form.  Both sides are the
-    initial segment (canonical point order) of their slice, truncated to
-    floor(c * q^s) vertices.
+    Stream 0 builds the variety W, streams 1 and 2 draw the left and
+    right cutting forms H and H', stream 3 the adjacency form.  Each side
+    is a slice of W, the points of W where its cutting forms vanish: the
+    zero set of W's forms plus H (or H'), truncated to its initial
+    segment (canonical point order) of floor(c * q^s) vertices.
     """
     if plan.kind != "turan" or plan.mode != "desk":
         raise ValueError("need a desk-mode turan plan")
@@ -704,10 +697,12 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
         )
     rng_h = base.derive(STREAM_LEFT_CUT)
     rng_hp = base.derive(STREAM_RIGHT_CUT)
-    hs = [random_hom(spec, plan.b, d, rng_h) for d in plan.delta]
-    hps = [random_hom(spec, plan.b, d, rng_hp) for d in plan.delta]
-    left_enc = _filter_vanishing(hs, built.points)
-    right_enc = _filter_vanishing(hps, built.points)
+    hs = tuple(random_hom(spec, plan.b, d, rng_h) for d in plan.delta)
+    hps = tuple(random_hom(spec, plan.b, d, rng_hp) for d in plan.delta)
+    w = built.variety.forms
+    left_enc = fq_point_array(VarietySpec(spec, plan.b, w + hs), cap=point_cap)
+    right_enc = fq_point_array(VarietySpec(spec, plan.b, w + hps),
+                               cap=point_cap)
     n_target = floor_scaled_power(plan.c, plan.q, plan.s, 1)
     if n_target == 0:
         raise CertificationError("truncation target is zero; both sides empty")

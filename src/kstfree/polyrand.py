@@ -184,83 +184,29 @@ def specialize(g: BiHomPoly, v) -> HomPoly:
 # bulk evaluation
 
 
-def eval_hom_many(fs, pts_enc: np.ndarray, chunk: int = 1 << 17) -> np.ndarray:
+def eval_hom_many(fs, pts_enc: np.ndarray) -> np.ndarray:
     """Evaluate several HomPolys on a point array: (N, len(fs)) encodings.
 
-    Polynomials may have different degrees; each degree group is evaluated
-    per chunk, on the coordinate path (one monomial matrix) for prime
-    fields and on the log tables for extension fields.
+    The bulk reference that the tests hold `variety.fq_point_array` to;
+    the package itself finds zero sets only there.  Each degree group is
+    one monomial matrix times the coefficient matrix on the coordinate
+    path, which defines field multiplication, in every field.
     """
     fs = list(fs)
+    out = np.zeros((len(pts_enc), len(fs)), dtype=np.int64)
     if not fs:
-        return np.zeros((len(pts_enc), 0), dtype=np.int64)
-    spec = fs[0].spec
-    if any(f.spec != spec or f.b != fs[0].b for f in fs):
+        return out
+    spec, b = fs[0].spec, fs[0].b
+    if any(f.spec != spec or f.b != b for f in fs):
         raise ValueError("mixed specs or ambients in eval_hom_many")
     by_deg: dict = {}
     for i, f in enumerate(fs):
         by_deg.setdefault(f.m, []).append(i)
-    groups = [(idxs, enumerate_multiindices(fs[0].b, m),
-               np.array([fs[i].coeffs for i in idxs], dtype=np.int64))
-              for m, idxs in by_deg.items()]
-    n = len(pts_enc)
-    out = np.zeros((n, len(fs)), dtype=np.int64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = pts_enc[start:stop]
-        for idxs, mis, coeffs in groups:
-            if spec.k > 1:
-                out[start:stop, idxs] = _eval_logs(spec, block, mis, coeffs)
-                continue
-            mat = monomial_matrix(spec, block, mis)  # (C, M, 1)
-            vals = spec.arr_dot(mat, spec.dec_array(coeffs.T))  # (C, F, 1)
-            out[start:stop, idxs] = spec.enc_array(vals)
-    return out
-
-
-def _eval_logs(spec: FieldSpec, pts_enc: np.ndarray, mis,
-               coeffs: np.ndarray) -> np.ndarray:
-    """Same-degree forms at points of an extension field: (N, F) encodings.
-
-    coeffs is (F, M), aligned to the multiindices `mis`.  A term's log is
-    log(coefficient) + sum_j e_j log(x_j): one float64 matmul of coordinate
-    logs against the exponent matrix, exact because every partial sum stays
-    below 2^53.  A zero coordinate under a positive exponent, or a zero
-    coefficient, carries the log `zlog`, above every log of a nonzero term,
-    so those terms land on the zero entry of the tables.  The terms' digits
-    are summed in packed lanes when M digit sums fit in a lane, else one
-    digit at a time.
-    """
-    exp_t, log_t, lanes = spec.log_tables()
-    p, k, q1 = spec.p, spec.k, spec.order - 1
-    expo = np.array(mis, dtype=np.float64)  # (M, b+1)
-    m = int(expo[0].sum())
-    zlog = (m + 1) * q1  # nonzero terms have logs up to (m+1)(q-2)
-    top = (m + 1) * zlog  # bound on every partial sum of a term's log
-    if top >= 1 << 53:
-        raise ValueError("term logs of degree %d overflow float64 in %r"
-                         % (m, spec))
-    idt = np.int32 if top < 1 << 31 else np.int64
-    lx = np.where(pts_enc == 0, zlog, log_t[pts_enc]).astype(np.float64)
-    mono = (lx @ expo.T).astype(idt)  # (N, M) monomial logs
-    clog = np.where(coeffs == 0, zlog, log_t[coeffs]).astype(idt)
-    w = 63 // k  # lane width of spec.log_tables()
-    packed = len(mis) * (p - 1) < 1 << w
-    lane = (1 << w) - 1
-    ppow = p ** np.arange(k, dtype=np.int64)
-    out = np.zeros((len(pts_enc), len(coeffs)), dtype=np.int64)
-    for f, c in enumerate(clog):
-        t = mono + c
-        idx = t % idt(q1)
-        idx[t >= zlog] = q1  # exp_t[q1] == 0 and lanes[q1] == 0
-        if packed:
-            sums = lanes[idx].sum(axis=1)
-            for i in range(k):
-                out[:, f] += ((sums >> (w * i)) & lane) % p * ppow[i]
-        else:
-            terms = exp_t[idx]
-            for i in range(k):
-                out[:, f] += (terms // ppow[i] % p).sum(axis=1) % p * ppow[i]
+    for m, idxs in by_deg.items():
+        mat = monomial_matrix(spec, pts_enc, enumerate_multiindices(b, m))
+        coeffs = np.array([fs[i].coeffs for i in idxs], dtype=np.int64)
+        vals = spec.arr_dot(mat, spec.dec_array(coeffs.T))  # (N, F, k)
+        out[:, idxs] = spec.enc_array(vals)
     return out
 
 

@@ -1,11 +1,12 @@
 """Point sets cut out by random forms, with counting and certification.
 
 A variety here is the common projective zero set of a handful of
-homogeneous forms.  Everything is exhaustive over the finite field, so
-the point cap is load-bearing: a zero set costs a few float64 passes per
-form over the grid of every chart of P^b, in any field, and the
-builder's F_{q^2} probe covers about q^b times the points of its F_q
-count.
+homogeneous forms, and a slice of one by further forms is the zero set
+of both lists, so `fq_point_array` alone decides where forms vanish.
+Everything is exhaustive over the finite field, so the point cap is
+load-bearing: a zero set costs a few float64 passes per form over the
+grid of every chart of P^b, in any field, and the builder's F_{q^2}
+probe covers about q^b times the points of its F_q count.
 
 The certified builder draws fresh forms until the zero set passes three
 checks: it is large enough (at least half the first-order prediction),
@@ -26,7 +27,7 @@ import numpy as np
 
 from .gf import FieldSpec, make_field
 from .independence import SWiseCheck, ZConditionReport, s_wise_independent, z_condition
-from .polyrand import HomPoly, SeededRng, eval_hom_many, hom_from_json, hom_to_json, random_hom
+from .polyrand import HomPoly, SeededRng, hom_from_json, hom_to_json, random_hom
 from .projgeom import ProjPoint, chart_leads, chart_rows, checked_count, projective_count
 from .util import DEFAULT_POINT_BUDGET, DEFAULT_SAMPLE_SUBSETS, DEFAULT_SUBSET_BUDGET
 
@@ -362,28 +363,27 @@ class ConcentrationReport:
     failure_bound: Fraction   # 4 q^r / |Y|, capped at 1
 
 
-def concentration_study(spec: FieldSpec, pts_enc: np.ndarray, num_forms: int,
-                        degree: int, rng: SeededRng,
-                        trials: int) -> ConcentrationReport:
-    """Slice a fixed point set by random forms and watch the survivor count.
+def concentration_study(var: VarietySpec, num_forms: int, degree: int,
+                        rng: SeededRng, trials: int) -> ConcentrationReport:
+    """Slice the zero set Y of var by random forms and watch the survivor count.
 
     Each trial draws num_forms fresh degree-`degree` forms from the one
-    stream and counts the points where all vanish.  A trial fails when
-    the count drops to half the expected |Y|/q^r or lower.
+    stream and counts the points of Y where all vanish, the zero set of
+    var's forms plus the cut.  A trial fails when the count drops to half
+    the expected |Y|/q^r or lower.
     """
-    pts_enc = np.asarray(pts_enc, dtype=np.int64)
-    size = len(pts_enc)
-    if size == 0 or trials < 1 or num_forms < 1:
-        raise ValueError("need points, trials >= 1, and num_forms >= 1")
-    b = pts_enc.shape[1] - 1
-    q = spec.order
-    qr = q**num_forms
+    if trials < 1 or num_forms < 1:
+        raise ValueError("need trials >= 1 and num_forms >= 1")
+    size = count_points(var)
+    if size == 0:
+        raise ValueError("the sliced set Y has no points")
+    spec, b = var.spec, var.b
+    qr = spec.order**num_forms
     counts = []
     failures = 0
     for _ in range(trials):
-        forms = [random_hom(spec, b, degree, rng) for _ in range(num_forms)]
-        vals = eval_hom_many(forms, pts_enc)
-        cnt = int(np.all(vals == 0, axis=1).sum())
+        cut = tuple(random_hom(spec, b, degree, rng) for _ in range(num_forms))
+        cnt = count_points(VarietySpec(spec, b, var.forms + cut))
         counts.append(cnt)
         if 2 * cnt * qr <= size:
             failures += 1

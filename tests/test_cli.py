@@ -73,6 +73,19 @@ def test_bad_counts_and_budgets_are_usage_errors(sub, flags, tmp_path,
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("trials", ["-2", "0"])
+def test_indep_bad_trials_are_usage_errors(trials, tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0:1\n1:0\n1:1\n1:2\n1:3\n1:4\n")
+    rc, stdout, err = run(["indep", "--points", str(pts), "--q", "5",
+                           "--m", "1", "--s", "3", "--seed", "1",
+                           "--budget-subsets", "0", "--trials", trials],
+                          capsys)
+    assert rc == 1
+    assert "usage error:" in err and "--trials" in err
+    assert stdout == ""
+
+
 def test_construct_verify_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "g.json")
     rc, stdout, _ = run(["construct", "turan", "--s", "2", "--m", "3",

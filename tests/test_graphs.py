@@ -5,6 +5,9 @@ import pytest
 
 from kstfree.gf import make_field
 from kstfree.graphs import (
+    STREAM_LEFT_CUT,
+    STREAM_RIGHT_CUT,
+    STREAM_VARIETY,
     CertificationError,
     ConstructionPlan,
     SidedGraph,
@@ -17,9 +20,10 @@ from kstfree.graphs import (
     plan_construction,
     verify_witness,
 )
-from kstfree.polyrand import SeededRng
-from kstfree.projgeom import ProjPoint, enumerate_projective, point_from_str
-from kstfree.util import BudgetExceeded
+from kstfree.polyrand import SeededRng, evaluate, random_hom
+from kstfree.projgeom import ProjPoint, enumerate_projective, point_from_str, point_to_str
+from kstfree.util import BudgetExceeded, floor_scaled_power
+from kstfree.variety import BuildConfig, build_independent_variety
 
 
 def fano_graph():
@@ -262,6 +266,28 @@ def test_construct_turan_q7():
     assert verify_witness(graph, report.kst)
     assert report.builder is not None
     assert report.builder["attempts"] >= 1
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_turan_sides_are_slices_of_the_variety(q):
+    # each side: the points of W where its cutting forms vanish, evaluated
+    # one point at a time, in canonical order, cut to the plan's n_target
+    plan = plan_construction("turan", 2, m=3, r=1, Z=1, q=q)
+    seed = 1
+    graph, _ = construct_turan(plan, seed)
+    spec = graph.spec
+    base = SeededRng(seed)
+    cfg = BuildConfig(b=plan.b, num_forms=plan.Z, degree=plan.m, s=plan.s)
+    built = build_independent_variety(spec, cfg, base.derive(STREAM_VARIETY))
+    w = [ProjPoint(spec, tuple(int(c) for c in row)) for row in built.points]
+    n_target = floor_scaled_power(plan.c, plan.q, plan.s, 1)
+    for stream, side in ((STREAM_LEFT_CUT, graph.left),
+                         (STREAM_RIGHT_CUT, graph.right)):
+        rng = base.derive(stream)
+        hs = [random_hom(spec, plan.b, d, rng) for d in plan.delta]
+        kept = [point_to_str(pt) for pt in w
+                if all(evaluate(h, pt) == 0 for h in hs)]
+        assert list(side) == kept[:n_target]
 
 
 def test_construct_turan_deterministic():

@@ -1,6 +1,5 @@
 """Seeded sampling determinism, uniformity frequencies, and evaluation algebra."""
 import random
-from math import comb
 
 import numpy as np
 import pytest
@@ -22,12 +21,7 @@ from kstfree.polyrand import (
     random_hom,
     specialize,
 )
-from kstfree.projgeom import (
-    canonicalize,
-    enumerate_multiindices,
-    enumerate_projective,
-    monomial_matrix,
-)
+from kstfree.projgeom import canonicalize, enumerate_projective
 
 
 def test_rng_determinism_and_vector_agreement():
@@ -138,30 +132,13 @@ def test_bulk_eval_matches_scalar(p, k):
     rng = SeededRng(6)
     f2 = random_hom(spec, 2, 2, rng)
     f3 = random_hom(spec, 2, 3, rng)
-    out = eval_hom_many([f2, f3], enc, chunk=7)
+    out = eval_hom_many([f2, f3], enc)
     for i, pt in enumerate(pts):
         assert out[i, 0] == evaluate(f2, pt)
         assert out[i, 1] == evaluate(f3, pt)
 
 
 EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (3, 3), (11, 2), (2, 10)]
-
-
-def check_eval_against_oracles(spec, forms, raw_points, chunk):
-    """eval_hom_many against scalar evaluate and the coordinate path."""
-    pts = []
-    for raw in raw_points:
-        if not any(raw):
-            raw = [1] + list(raw[1:])
-        pts.append(canonicalize(spec, raw))
-    enc = np.array([pt.coords for pt in pts], dtype=np.int64)
-    out = eval_hom_many(forms, enc, chunk=chunk)
-    for j, f in enumerate(forms):
-        mat = monomial_matrix(spec, enc, enumerate_multiindices(f.b, f.m))
-        coeffs = spec.dec_array(np.array([f.coeffs], dtype=np.int64).T)
-        assert (out[:, j] == spec.enc_array(spec.arr_dot(mat, coeffs))[:, 0]).all()
-        for i, pt in enumerate(pts):
-            assert out[i, j] == evaluate(f, pt)
 
 
 @st.composite
@@ -174,28 +151,25 @@ def extension_eval_cases(draw):
     raw_points = draw(st.lists(st.lists(coord, min_size=b + 1,
                                         max_size=b + 1),
                                min_size=1, max_size=12))
-    chunk = draw(st.sampled_from([1, 3, 5, 7, 1 << 17]))
     rng = SeededRng(seed)
     forms = [random_hom(spec, b, m, rng) for m in degrees]
-    return spec, forms, raw_points, chunk
+    return spec, forms, raw_points
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(extension_eval_cases())
 def test_extension_eval_matches_scalar(case):
-    check_eval_against_oracles(*case)
-
-
-def test_extension_eval_digit_fallback():
-    # GF(2^10) packs 10 lanes of 6 bits; 70 quartics on P^4 overflow a lane
-    spec = make_field(2, 10)
-    assert comb(4 + 4, 4) * (spec.p - 1) >= 1 << (63 // spec.k)
-    rng = random.Random(5)
-    raw = [[rng.choice([0, rng.randrange(spec.order)]) for _ in range(5)]
-           for _ in range(40)]
-    forms = [random_hom(spec, 4, 4, SeededRng(s)) for s in (1, 2)]
-    forms.append(HomPoly(spec, 4, 4, (0,) * 69 + (3,)))
-    check_eval_against_oracles(spec, forms, raw, chunk=9)
+    spec, forms, raw_points = case
+    pts = []
+    for raw in raw_points:
+        if not any(raw):
+            raw = [1] + list(raw[1:])
+        pts.append(canonicalize(spec, raw))
+    enc = np.array([pt.coords for pt in pts], dtype=np.int64)
+    out = eval_hom_many(forms, enc)
+    for j, f in enumerate(forms):
+        for i, pt in enumerate(pts):
+            assert out[i, j] == evaluate(f, pt)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (2, 2)])
