@@ -9,17 +9,18 @@ basis polynomial, constant term first.
 
 Two arithmetic paths exist and must agree bit for bit:
 
-* bulk numpy ops on coordinate arrays of shape (..., k) (convolution
-  modulo the basis polynomial), which define multiplication; and
+* bulk numpy ops on coordinate arrays of shape (..., k), which define
+  multiplication by the regular representation: M_x, the k x k GF(p)
+  matrix of y -> y*x (`mul_matrix`), read off one table of the digits of
+  t^(i+j), t the basis root.  Every bulk product, zero sets included,
+  reads that table in float64 with an exact `_mod`; and
 * scalar ops on encodings through two O(q) tables per extension field,
-  built lazily from the coordinate path: antilogs and logs over the
-  primitive element with the smallest encoding.  Only scalar
-  mul/inv/pow read them; prime fields use plain residues.  Every bulk
-  kernel, zero sets (`variety.fq_point_array`) included, works on the
-  coordinate path.
+  built lazily from the bulk path: antilogs and logs over the primitive
+  element with the smallest encoding.  Only scalar mul/inv/pow read
+  them; prime fields use plain residues.
 
-The tables change no encoding: every value they give is the one the
-coordinate path gives.
+The log tables change no encoding: every value they give is the one the
+bulk path gives.
 """
 from __future__ import annotations
 
@@ -116,6 +117,19 @@ def smallest_irreducible(p: int, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _mod(t: np.ndarray, p: int) -> np.ndarray:
+    """t % p, in place, for float64 integers 0 <= t <= 2^53 - p.
+
+    t / p then rounds to a value below the next integer, so the floor is
+    the exact quotient; numpy's float % takes several times longer.
+    """
+    r = t / p
+    np.floor(r, out=r)
+    r *= p
+    t -= r
+    return t
+
+
 class FieldSpec:
     """A concrete finite field GF(p^k) with deterministic representation.
 
@@ -125,7 +139,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "k", "order", "modulus",
-        "_red", "_ppow", "_exp", "_log",
+        "_table", "_mul_terms", "_ppow", "_exp", "_log",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple):
@@ -134,16 +148,15 @@ class FieldSpec:
         self.order = p**k
         self.modulus = modulus  # () for k == 1
         self._ppow = np.array([p**i for i in range(k)], dtype=np.int64)
-        if k > 1:
-            # reduction rows: x^(k+i) mod modulus, i = 0..k-2
-            rows = []
-            cur = _poly_mod(tuple([0] * k + [1]), modulus, p)
-            for _ in range(k - 1):
-                rows.append(tuple(cur) + (0,) * (k - len(cur)))
-                cur = _poly_mod(tuple((0,) + tuple(cur)), modulus, p)
-            self._red = np.array(rows, dtype=np.int64)
-        else:
-            self._red = None
+        # row k*i + j holds the digits of t^(i+j), t the basis root
+        pows = [(1,) + (0,) * (k - 1)]
+        for _ in range(2 * k - 2):
+            nxt = _poly_mod((0,) + pows[-1], modulus, p)
+            pows.append(nxt + (0,) * (k - len(nxt)))
+        self._table = np.array([pows[i + j] for i in range(k) for j in range(k)],
+                               dtype=np.float64)
+        # arr_mul's widest sum, in digit products of at most (p-1)^2
+        self._mul_terms = int(self._table.sum(axis=0).max())
         self._exp = self._log = None
 
     # -- identity ----------------------------------------------------------
@@ -244,7 +257,7 @@ class FieldSpec:
     def _primitive(self) -> int:
         """The smallest encoding of multiplicative order q - 1.
 
-        Candidates are tested in blocks on the coordinate path: a has full
+        Candidates are tested in blocks on the bulk path: a has full
         order iff a^((q-1)/r) != 1 for every prime r dividing q - 1.
         """
         n = self.order - 1
@@ -268,7 +281,7 @@ class FieldSpec:
         raise RuntimeError("%r has no primitive element" % self)
 
     def log_tables(self):
-        """(exp, log) for k > 1, built once from the coordinate path.
+        """(exp, log) for k > 1, built once from the multiplication table.
 
         With g the primitive element of smallest encoding and q the order:
         exp[i] = g^i for i < q-1 and exp[q-1] = 0; log inverts exp, so
@@ -280,16 +293,13 @@ class FieldSpec:
         if self._exp is None:
             q, k = self.order, self.k
             step = self.dec_array(np.int64(self._primitive()))
-            basis = np.eye(k, dtype=np.int64)
-            # pw holds g^0 .. g^(n-1) and step is g^n; each round doubles n.
-            # Multiplying by step is GF(p)-linear: its matrix has the rows
-            # x^j * step, so a round is one matrix product.
-            pw = basis[:1]
+            # pw holds g^0 .. g^(n-1) and step is g^n; each round doubles n
+            # with one product by M_step, whose rows are t^j * step.
+            pw = np.eye(k)[:1]
             while len(pw) < q - 1:
-                by_step = self.arr_mul(basis, step)
-                pw = np.concatenate([pw, pw @ by_step % self.p])
+                pw = np.concatenate([pw, _mod(pw @ self.mul_matrix(step), self.p)])
                 step = self.arr_mul(step, step)
-            pw = np.concatenate([pw[:q - 1], np.zeros((1, k), dtype=np.int64)])
+            pw = np.concatenate([pw[:q - 1], np.zeros((1, k))])
             exp = self.enc_array(pw)
             log = np.empty(q, dtype=np.int64)
             log[exp] = np.arange(q, dtype=np.int64)
@@ -313,19 +323,32 @@ class FieldSpec:
     def arr_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self.p
 
-    def arr_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return (a * b) % self.p
+    def _exact(self, terms, what: str) -> None:
+        """Refuse float64 sums of `terms` digit products that `_mod` could round."""
+        if terms * (self.p - 1) ** 2 + self.p > 1 << 53:
+            raise ValueError("%s: %d-term sums overflow float64 in %r"
+                             % (what, terms, self))
+
+    def mul_matrix(self, x: np.ndarray) -> np.ndarray:
+        """M_x for coordinate arrays x (..., k): float64 (..., k, k).
+
+        Multiplying by x is GF(p)-linear on coordinates; row j of M_x holds
+        the digits of t^j * x, so y @ M_x (mod p) is y * x.
+        """
         k = self.k
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        prod = np.zeros(shape[:-1] + (2 * k - 1,), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                prod[..., i + j] += a[..., i] * b[..., j]
-        out = prod[..., :k]
-        for i in range(k - 1):
-            out = out + prod[..., k + i, None] * self._red[i]
-        return out % self.p
+        self._exact(k, "mul_matrix")
+        x = np.asarray(x, dtype=np.float64)
+        out = _mod(x @ self._table.reshape(k, k * k), self.p)
+        return out.reshape(x.shape[:-1] + (k, k))
+
+    def arr_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b over broadcast leading axes: a times M_b, as one product of
+        the digit products a_i b_j with the table rows t^(i+j)."""
+        k = self.k
+        self._exact(self._mul_terms, "arr_mul")
+        ab = np.multiply(a[..., :, None], b[..., None, :], dtype=np.float64)
+        ab = ab.reshape(ab.shape[:-2] + (k * k,))
+        return _mod(ab @ self._table, self.p).astype(np.int64)
 
     def arr_pow(self, a: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
@@ -341,27 +364,18 @@ class FieldSpec:
         return result
 
     def arr_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product over the field: (N, M, k) x (M, R, k) -> (N, R, k).
+        """Matrix product over the field: (..., M, k) x (M, R, k) -> (..., R, k).
 
-        Inner sums stay below 2^62 for desk-scale M and p, checked here.
+        One float64 matmul of a's digits against the (M*k, R*k) matrix of
+        blocks M_{b[m, r]}, exact while M*k*(p-1)^2 + p <= 2^53 (else
+        ValueError).
         """
-        m = a.shape[-2]
-        if m * self.p**3 * self.k >= (1 << 60):
-            raise ValueError("arr_dot inner dimension too large for int64")
-        if self.k == 1:
-            return (a[..., 0] @ b[..., 0] % self.p)[..., None]
-        k = self.k
-        pieces = []
-        for t in range(2 * k - 1):
-            acc = None
-            for i in range(max(0, t - k + 1), min(k, t + 1)):
-                term = a[..., i] @ b[..., t - i]
-                acc = term if acc is None else acc + term
-            pieces.append(acc)
-        out = np.stack(pieces[:k], axis=-1)
-        for i in range(k - 1):
-            out = out + pieces[k + i][..., None] * self._red[i]
-        return out % self.p
+        m, r, k = b.shape
+        self._exact(m * k, "arr_dot")
+        blocks = self.mul_matrix(b).transpose(0, 2, 1, 3).reshape(m * k, r * k)
+        lead = a.shape[:-2]
+        out = _mod(a.reshape(lead + (m * k,)).astype(np.float64) @ blocks, self.p)
+        return out.reshape(lead + (r, k)).astype(np.int64)
 
     # -- embeddings -----------------------------------------------------------
 

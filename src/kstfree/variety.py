@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldSpec, make_field
+from .gf import FieldSpec, _mod, make_field
 from .independence import SWiseCheck, ZConditionReport, s_wise_independent, z_condition
 from .polyrand import HomPoly, SeededRng, hom_from_json, hom_to_json, random_hom
 from .projgeom import ProjPoint, chart_leads, chart_rows, checked_count, projective_count
@@ -61,32 +61,15 @@ def variety_from_json(doc: dict) -> VarietySpec:
 SLAB = 1 << 17  # cells in one slab of a chart's last contraction
 
 
-def _mod(t: np.ndarray, p: int) -> np.ndarray:
-    """t % p, in place, for float64 integers 0 <= t <= 2^53 - p.
-
-    t / p then rounds to a value below the next integer, so the floor is
-    the exact quotient; numpy's float % takes several times longer.
-    """
-    r = t / p
-    np.floor(r, out=r)
-    r *= p
-    t -= r
-    return t
-
-
-def _power_matrix(spec: FieldSpec, a: int, xs: np.ndarray,
-                  mul_rows: np.ndarray) -> np.ndarray:
+def _power_matrix(spec: FieldSpec, a: int, xs: np.ndarray) -> np.ndarray:
     """(a*k, len(xs)*k) float64 matrix of c_0..c_{a-1} -> sum_e c_e x^e at xs.
 
-    Multiplying by a fixed element c is GF(p)-linear on coordinates; its
-    matrix M_c has the rows t^j c, t the basis root.  mul_rows[i, j] holds
-    the digits of t^i t^j, so M_x is one product with the digits of x,
-    and M_{x^e} = M_{x^(e-1)} M_x.  Rows are (exponent, input digit),
-    columns (point, output digit).
+    Each x acts on coordinates as `FieldSpec.mul_matrix` M_x, and
+    M_{x^e} = M_{x^(e-1)} M_x.  Rows are (exponent, input digit), columns
+    (point, output digit).
     """
     k, p = spec.k, spec.p
-    co = spec.dec_array(xs).astype(np.float64)  # (S, k)
-    mx = _mod(co @ mul_rows.reshape(k, k * k), p).reshape(-1, k, k)
+    mx = spec.mul_matrix(spec.dec_array(xs))  # (S, k, k)
     by = [np.broadcast_to(np.eye(k), mx.shape)]
     for _ in range(1, a):
         by.append(_mod(by[-1] @ mx, p))
@@ -119,11 +102,13 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
     Chart by chart (`projgeom.chart_leads`), each form is evaluated on the
     whole grid F_q^n of its restriction by contracting its coefficient
     tensor one exponent axis at a time against the powers of every x in
-    F_q, a = min(m+1, q) exponents per axis.  Each contraction is one
-    float64 matmul followed by % p, exact while a*k*(p-1)^2 + p <= 2^53
-    (else ValueError).  The leading free axis goes last, in slabs of at
-    most SLAB cells whose matrix columns are built per slab, and only the
-    grid indices where every form vanishes are kept.
+    F_q, a = min(m+1, q) exponents per axis, each power the GF(p) matrix
+    M_{x^e} of the field's one multiplication table (`_power_matrix`).
+    Each contraction is one float64 matmul followed by % p, exact while
+    a*k*(p-1)^2 + p <= 2^53 (else ValueError).  The leading free axis
+    goes last, in slabs of at most SLAB cells whose matrix columns are
+    built per slab, and only the grid indices where every form vanishes
+    are kept.
     """
     spec, b = var.spec, var.b
     p, k, q = spec.p, spec.k, spec.order
@@ -131,16 +116,11 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
     forms = []
     for f in var.forms:
         a = min(f.m + 1, q)
-        if a * k * (p - 1) ** 2 + p > 1 << 53:  # see _mod
-            raise ValueError("degree-%d sums overflow float64 in %r"
-                             % (f.m, spec))
+        spec._exact(a * k, "degree-%d zero set" % f.m)
         coeffs = np.array(f.coeffs, dtype=np.int64)
         on = coeffs != 0
         expo = np.array(f.multiindices(), dtype=np.int64)[on]
         forms.append((a, expo, spec.dec_array(coeffs[on])))
-    basis = np.eye(k, dtype=np.int64)
-    mul_rows = spec.arr_mul(basis[:, None, :], basis[None, :, :])
-    mul_rows = mul_rows.astype(np.float64)
     inner = {}  # a -> power matrix over all of F_q
     rows = []
     for lead in chart_leads(b):
@@ -152,7 +132,7 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
                 alive &= not t.any()
                 continue
             if n > 1 and a not in inner:
-                inner[a] = _power_matrix(spec, a, np.arange(q), mul_rows)
+                inner[a] = _power_matrix(spec, a, np.arange(q))
             for _ in range(n - 1):
                 # (e_1, e_j.., x_2..x_{j-1}, k): contract e_j, append x_j
                 t = np.moveaxis(t, 1, -2)
@@ -166,7 +146,7 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
                 x1 = min(x0 + step, q)
                 if not alive[x0 * grid:x1 * grid].any():
                     continue
-                w = _power_matrix(spec, a, np.arange(x0, x1), mul_rows)
+                w = _power_matrix(spec, a, np.arange(x0, x1))
                 vals = _mod(t @ w, p).reshape(grid, x1 - x0, k)
                 alive[x0 * grid:x1 * grid] &= ~vals.any(axis=2).T.ravel()
             if not alive.any():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kstfree.gf import (
+    _poly_mod,
     field_for_order,
     is_prime,
     make_field,
@@ -149,7 +150,46 @@ def test_log_tables(p, k):
             assert (order == q - 1) == (a == exp[1])
 
 
-@pytest.mark.parametrize("p,k", [(7, 1), (2, 2), (3, 2)])
+def oracle_mul(fs, x, y):
+    """x * y without the field's table: convolve the digits, then reduce
+    modulo the field's polynomial."""
+    conv = [0] * (2 * fs.k - 1)
+    for i, a in enumerate(fs.decode(x)):
+        for j, b in enumerate(fs.decode(y)):
+            conv[i + j] += a * b
+    return fs.encode(_poly_mod(tuple(c % fs.p for c in conv), fs.modulus, fs.p))
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3), (11, 2),
+                                 (2, 10), (2, 16)])
+def test_products_match_convolution_oracle(p, k):
+    # the log tables, arr_dot and the zero-set power matrices all read the
+    # one multiplication table; this oracle does not
+    fs = make_field(p, k)
+    rng = random.Random(5)
+    xs = np.array([rng.randrange(fs.order) for _ in range(300)])
+    ys = np.array([rng.randrange(fs.order) for _ in range(300)])
+    want = [oracle_mul(fs, int(x), int(y)) for x, y in zip(xs, ys)]
+    cx, cy = fs.dec_array(xs), fs.dec_array(ys)
+    assert fs.enc_array(fs.arr_mul(cx, cy)).tolist() == want
+    by_matrix = (cy[:, None, :] @ fs.mul_matrix(cx))[:, 0, :] % p
+    assert fs.enc_array(by_matrix).tolist() == want
+    assert [fs.mul(int(x), int(y)) for x, y in zip(xs, ys)] == want
+
+
+def scalar_dot(fs, A, B):
+    """Row-by-column sums of scalar products of encodings."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for t in range(A.shape[1]):
+                acc = fs.add(acc, fs.mul(int(A[i, t]), int(B[t, j])))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
 def test_arr_dot_matches_scalar(p, k):
     fs = make_field(p, k)
     rng = random.Random(3)
@@ -157,12 +197,33 @@ def test_arr_dot_matches_scalar(p, k):
     A = np.array([[rng.randrange(fs.order) for _ in range(m)] for _ in range(n)])
     B = np.array([[rng.randrange(fs.order) for _ in range(r)] for _ in range(m)])
     got = fs.enc_array(fs.arr_dot(fs.dec_array(A), fs.dec_array(B)))
-    for i in range(n):
-        for j in range(r):
-            acc = 0
-            for t in range(m):
-                acc = fs.add(acc, fs.mul(int(A[i, t]), int(B[t, j])))
-            assert got[i, j] == acc
+    assert (got == scalar_dot(fs, A, B)).all()
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 3), (3, 2)])
+def test_arr_dot_batches_leading_axes(p, k):
+    # graphs._specialize_batch: (N, ny, nx, k) grids times (nx, 1, k) values
+    fs = make_field(p, k)
+    rng = random.Random(4)
+    N, ny, nx = 3, 4, 6
+    A = np.array([rng.randrange(fs.order) for _ in range(N * ny * nx)])
+    A = A.reshape(N, ny, nx)
+    v = np.array([rng.randrange(fs.order) for _ in range(nx)]).reshape(nx, 1)
+    got = fs.enc_array(fs.arr_dot(fs.dec_array(A), fs.dec_array(v)))
+    assert got.shape == (N, ny, 1)
+    for i in range(N):
+        assert (got[i] == scalar_dot(fs, A[i], v)).all()
+
+
+def test_arr_dot_refuses_inexact_sums():
+    p = next(n for n in range((1 << 26) + 1, 1 << 27) if is_prime(n))
+    fs = make_field(p, 1, order_cap=p)
+    assert 2 * (p - 1) ** 2 + p > 1 << 53 >= (p - 1) ** 2 + p
+    top = np.full((1, 2, 1), p - 1)
+    with pytest.raises(ValueError, match="overflow"):
+        fs.arr_dot(top, top.reshape(2, 1, 1))
+    # (p-1)^2 = 1 mod p, and one such product is still exact
+    assert fs.arr_dot(top[:, :1], top[:, :1]).tolist() == [[[1]]]
 
 
 @pytest.mark.parametrize("src,dst", [((3, 1), (3, 2)), ((2, 2), (2, 4)), ((5, 1), (5, 2))])

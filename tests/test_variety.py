@@ -138,7 +138,8 @@ def test_zero_set_on_a_wide_field_builds_slabs_only():
 
     with mock.patch.object(kstfree.variety, "_power_matrix", spy):
         pts = fq_point_array(var)
-    # scalar evaluate multiplies through the log tables, not the matrices
+    # scalar evaluate reads the log tables, built from the same table as the
+    # matrices; test_gf::test_products_match_convolution_oracle checks it
     assert pts.tolist() == [list(pt.coords) for pt in brute_points(var)]
     assert 1 <= len(pts) <= 3
     assert max(sizes) <= kstfree.variety.SLAB
