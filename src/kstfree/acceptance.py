@@ -323,7 +323,7 @@ def check_zarankiewicz_pipeline(seed: int):
 
 def _random_basis(spec, n: int, rng: SeededRng):
     while True:
-        rows = [tuple(rng.residue(spec.order) for _ in range(n))
+        rows = [tuple(rng.randbelow(spec.order) for _ in range(n))
                 for _ in range(n)]
         if rank([list(r) for r in rows], spec) == n:
             return rows

@@ -434,12 +434,13 @@ def elem_parse(spec: FieldSpec, s: str) -> int:
 
 def make_field(p: int, k: int = 1, order_cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
     """Construct (or fetch) GF(p^k) with the deterministic modulus choice."""
-    if not is_prime(p):
-        raise ValueError("p = %r is not prime" % (p,))
     if k < 1:
         raise ValueError("k must be >= 1")
-    if p**k > order_cap:
-        raise ValueError("field order %d exceeds cap %d" % (p**k, order_cap))
+    # the cap goes first: p^k >= 2^k, and is_prime divides up to sqrt(p)
+    if k >= order_cap.bit_length() or p**k > order_cap:
+        raise ValueError("field order %d^%d exceeds cap %d" % (p, k, order_cap))
+    if not is_prime(p):
+        raise ValueError("p = %r is not prime" % (p,))
     key = (p, k)
     spec = _FIELD_CACHE.get(key)
     if spec is None:

@@ -6,8 +6,8 @@ anchored on coordinate points.  Both are deterministic in (plan, seed):
 the master stream is split into the fixed sub-streams named by the
 STREAM_* constants (0 variety builder, 1 and 2 left and right cutting
 forms, 3 adjacency form, 4 and 5 the sampled max-common search of the
-left and the right side, 6 the zarankiewicz cross-check), so a
-reconstruction from the same inputs is byte-identical.
+left and the right side), so a reconstruction from the same inputs is
+byte-identical.
 
 Verification never certifies from a sample: verdicts carry an explicit
 certified flag, and the exhaustive paths are the only ones that set it.
@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .gf import FieldSpec, field_for_order, make_field
-from .independence import hilbert_rank, m_cap, power_rank, z_condition
+from .independence import hilbert_rank, m_cap, z_condition
 from .polyrand import (
     BiHomPoly,
     SeededRng,
@@ -56,7 +56,6 @@ STREAM_LEFT_CUT = 1
 STREAM_RIGHT_CUT = 2
 STREAM_ADJACENCY = 3
 STREAM_SEARCH = {"left": 4, "right": 5}
-STREAM_CROSS_CHECK = 6
 
 
 # ---------------------------------------------------------------------------
@@ -91,63 +90,34 @@ def _check_vertex_ids(spec: FieldSpec, side: str, ids, dim: int | None):
                              "P^%s(F_%d)" % (side, text, dim, spec.order))
 
 
-def _mask_to_bits(mask: np.ndarray) -> int:
-    packed = np.packbits(mask.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 class SidedGraph:
     """Bipartite graph with an ordered left and right side.
 
-    Adjacency is one integer bitset per left vertex; bit j is the j-th
-    right vertex.  Instances are immutable by convention once built.
+    Adjacency is one bool matrix `adj` of shape (len(left), len(right)):
+    adj[i, j] is the edge between the i-th left and the j-th right
+    vertex.  Instances are immutable by convention once built.
     """
 
-    def __init__(self, spec: FieldSpec, left, right, rows, plan=None,
+    def __init__(self, spec: FieldSpec, left, right, adj, plan=None,
                  seed=None):
         left = list(left)
         right = list(right)
-        rows = [int(r) for r in rows]
+        adj = np.asarray(adj)
         if len(set(left)) != len(left) or len(set(right)) != len(right):
             raise ValueError("duplicate vertex ids within a side")
-        if len(rows) != len(left):
-            raise ValueError("adjacency must have one row per left vertex")
-        limit = 1 << len(right)
-        for r in rows:
-            if r < 0 or r >= limit:
-                raise ValueError("adjacency row indexes a missing right vertex")
+        if adj.dtype != bool or adj.shape != (len(left), len(right)):
+            raise ValueError("adjacency must be a bool matrix of shape "
+                             "(%d, %d)" % (len(left), len(right)))
         self.spec = spec
         self.left = left
         self.right = right
-        self.rows = rows
+        self.adj = adj
         self.plan = plan
         self.seed = seed
-        self._cols = None
 
     @property
     def num_edges(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
-    def columns(self):
-        """Transposed bitsets: one integer per right vertex, bit i = left i."""
-        if self._cols is None:
-            cols = [0] * len(self.right)
-            for i, row in enumerate(self.rows):
-                r = row
-                while r:
-                    low = r & -r
-                    cols[low.bit_length() - 1] |= 1 << i
-                    r ^= low
-            self._cols = cols
-        return self._cols
-
-    def edges(self):
-        for i, row in enumerate(self.rows):
-            r = row
-            while r:
-                low = r & -r
-                yield (i, low.bit_length() - 1)
-                r ^= low
+        return int(np.count_nonzero(self.adj))
 
     def to_json(self) -> dict:
         return {
@@ -157,7 +127,7 @@ class SidedGraph:
             "seed": self.seed,
             "left": list(self.left),
             "right": list(self.right),
-            "edges": [[i, j] for i, j in self.edges()],
+            "edges": np.argwhere(self.adj).tolist(),
         }
 
     @classmethod
@@ -181,7 +151,7 @@ class SidedGraph:
         _check_vertex_ids(spec, "left", doc["left"], left_dim)
         _check_vertex_ids(spec, "right", doc["right"], right_dim)
         n_left, n_right = len(doc["left"]), len(doc["right"])
-        rows = [0] * n_left
+        adj = np.zeros((n_left, n_right), dtype=bool)
         for edge in _json_typed("edges", doc["edges"], list):
             # bool is an int subclass, so test the exact type
             if (not isinstance(edge, list) or len(edge) != 2
@@ -190,10 +160,10 @@ class SidedGraph:
             i, j = edge
             if not (0 <= i < n_left and 0 <= j < n_right):
                 raise ValueError("edge %r names a missing vertex" % (edge,))
-            if rows[i] >> j & 1:
+            if adj[i, j]:
                 raise ValueError("duplicate edge in document")
-            rows[i] |= 1 << j
-        return cls(spec, doc["left"], doc["right"], rows, plan=plan,
+            adj[i, j] = True
+        return cls(spec, doc["left"], doc["right"], adj, plan=plan,
                    seed=_json_typed("seed", doc.get("seed"), optional=True))
 
 
@@ -363,12 +333,47 @@ class CommonNbhd:
         }
 
 
-def _side_bitsets(g: SidedGraph, side: str):
+def _side_adj(g: SidedGraph, side: str) -> np.ndarray:
+    """One row per vertex of `side`, one column per vertex opposite it."""
     if side == "left":
-        return g.rows, len(g.right)
+        return g.adj
     if side == "right":
-        return g.columns(), len(g.left)
+        return g.adj.T
     raise ValueError("side must be left or right")
+
+
+def _common(rows: np.ndarray, subset) -> np.ndarray:
+    """Bool mask of the vertices adjacent to every row in `subset`."""
+    return rows[list(subset)].all(axis=0)
+
+
+def _exhaustive_max(rows: np.ndarray, s: int):
+    """(size, subset) of the first largest common neighbourhood, s <= n.
+
+    For s = 1 that is the largest row sum.  For s >= 2 each (s-2)-prefix
+    P, in canonical order, is extended by the pair u < v after it whose
+    rows, masked by P's common neighbourhood, have the largest inner
+    product: the first maximum of the strict upper triangle of their
+    Gram matrix.  Entries are counts of at most n_opposite, exact in
+    float64.  Ties keep the earlier subset, so the answer is the first
+    maximum in itertools.combinations order.
+    """
+    if s == 1:
+        sums = np.count_nonzero(rows, axis=1)
+        i = int(sums.argmax())
+        return int(sums[i]), (i,)
+    n = len(rows)
+    best, best_sub = -1, None
+    for prefix in itertools.combinations(range(n - 2), s - 2):
+        start = prefix[-1] + 1 if prefix else 0
+        x = (rows[start:] & _common(rows, prefix)).astype(np.float64)
+        gram = x @ x.T
+        gram[np.tril_indices(len(x))] = -1
+        u, v = divmod(int(gram.argmax()), len(x))
+        size = int(gram[u, v])
+        if size > best:
+            best, best_sub = size, prefix + (start + u, start + v)
+    return best, best_sub
 
 
 def max_common_neighborhood(g: SidedGraph, s: int, side: str = "left",
@@ -376,34 +381,21 @@ def max_common_neighborhood(g: SidedGraph, s: int, side: str = "left",
                             samples: int | None = None) -> CommonNbhd:
     """Largest common neighborhood over s-subsets of one side.
 
-    Exhaustive within the subset budget (ties keep the first subset in
-    canonical order); beyond it a sampled pass gives a certified-False
+    Exhaustive when the C(n, s) subsets fit the budget: every subset is
+    counted as checked, and `_exhaustive_max` reads them from one Gram
+    product per (s-2)-prefix (ties keep the first subset in canonical
+    order).  Beyond the budget a sampled pass gives a certified-False
     lower bound.  Without an rng the over-budget case raises.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    sets, _ = _side_bitsets(g, side)
-    n = len(sets)
+    rows = _side_adj(g, side)
+    n = len(rows)
     if n < s:
         return CommonNbhd(0, None, True, 0, 0, "empty")
     total = comb(n, s)
-
-    def intersect(combo):
-        acc = sets[combo[0]]
-        for i in combo[1:]:
-            acc &= sets[i]
-            if not acc:
-                break
-        return acc
-
-    best = -1
-    best_sub = None
     if total <= budget:
-        for combo in itertools.combinations(range(n), s):
-            common = intersect(combo)
-            size = common.bit_count()
-            if size > best:
-                best, best_sub = size, combo
+        best, best_sub = _exhaustive_max(rows, s)
         return CommonNbhd(best, best_sub, True, total, total, "exhaustive")
     if rng is None:
         raise BudgetExceeded(
@@ -411,10 +403,10 @@ def max_common_neighborhood(g: SidedGraph, s: int, side: str = "left",
             % (n, s, total, budget)
         )
     count = samples if samples is not None else DEFAULT_SAMPLE_SUBSETS
+    best, best_sub = -1, None
     for _ in range(count):
         combo = rng.sample_subset(n, s)
-        common = intersect(combo)
-        size = common.bit_count()
+        size = int(np.count_nonzero(_common(rows, combo)))
         if size > best:
             best, best_sub = size, combo
     return CommonNbhd(best, best_sub, False, count, total, "sampled")
@@ -446,17 +438,6 @@ class KstVerdict:
         }
 
 
-def _bits_of(x: int, limit: int | None = None):
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-        if limit is not None and len(out) == limit:
-            break
-    return out
-
-
 def kst_verdict(g: SidedGraph, s: int, t: int, searches: dict,
                 orientation: str = "both",
                 budget: int = DEFAULT_SUBSET_BUDGET) -> KstVerdict:
@@ -478,8 +459,7 @@ def kst_verdict(g: SidedGraph, s: int, t: int, searches: dict,
     witness = None
     undetermined = False
     for side in check_sides:
-        sets, opp = _side_bitsets(g, side)
-        n = len(sets)
+        n, opp = _side_adj(g, side).shape
         if n >= s and comb(n, s) > budget and t > opp:
             per_side[side] = {"mode": "pigeonhole", "certified": True,
                               "opposite": opp}
@@ -488,13 +468,11 @@ def kst_verdict(g: SidedGraph, s: int, t: int, searches: dict,
         per_side[side] = mcn
         if mcn.subset is not None and mcn.size >= t:
             if witness is None:
-                acc = sets[mcn.subset[0]]
-                for i in mcn.subset[1:]:
-                    acc &= sets[i]
+                common = _common(_side_adj(g, side), mcn.subset)
                 witness = {
                     "side": side,
                     "anchors": tuple(mcn.subset),
-                    "neighbors": tuple(_bits_of(acc, limit=t)),
+                    "neighbors": tuple(np.flatnonzero(common)[:t].tolist()),
                 }
         elif not mcn.certified:
             undetermined = True
@@ -510,13 +488,10 @@ def verify_witness(g: SidedGraph, verdict: KstVerdict) -> bool:
     if verdict.witness is None:
         return True
     w = verdict.witness
-    sets, _ = _side_bitsets(g, w["side"])
-    acc = sets[w["anchors"][0]]
-    for i in w["anchors"][1:]:
-        acc &= sets[i]
+    common = _common(_side_adj(g, w["side"]), w["anchors"])
     return (len(w["anchors"]) == verdict.s
             and len(set(w["neighbors"])) == verdict.t
-            and all((acc >> j) & 1 for j in w["neighbors"]))
+            and all(common[j] for j in w["neighbors"]))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +600,6 @@ class TrialReport(Verdicts):
     t_threshold: int
     sides_full: bool
     builder: dict | None      # variety certification summary
-    cross_check: bool | None  # power-form rank agreement (odd char only)
 
     @property
     def passed(self) -> bool:
@@ -642,7 +616,6 @@ class TrialReport(Verdicts):
             "t_threshold": self.t_threshold,
             "sides_full": self.sides_full,
             "builder": self.builder,
-            "cross_check": self.cross_check,
             "passed": self.passed,
         }
 
@@ -652,21 +625,14 @@ def _ids_of(spec: FieldSpec, enc: np.ndarray):
             for row in enc]
 
 
-def _adjacency_rows(g: BiHomPoly, left_enc: np.ndarray,
-                    right_enc: np.ndarray):
-    vals = eval_bihom_grid(g, left_enc, right_enc)
-    mask = vals == 0
-    return [_mask_to_bits(mask[i]) for i in range(len(left_enc))]
-
-
 def _trial_report(graph: SidedGraph, plan: ConstructionPlan,
                   sides_full: bool, builder: dict | None,
-                  cross_check: bool | None, budget: int) -> TrialReport:
+                  budget: int) -> TrialReport:
     v = judge_graph(graph, plan.s, plan.t_threshold, plan.orientation,
                     budget)
     return TrialReport(v.max_common, v.kst, v.density, graph.seed, plan.kind,
                        len(graph.left), len(graph.right), graph.num_edges,
-                       plan.t_threshold, sides_full, builder, cross_check)
+                       plan.t_threshold, sides_full, builder)
 
 
 def construct_turan(plan: ConstructionPlan, master_seed: int, *,
@@ -713,9 +679,9 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
         raise CertificationError("a side came out empty")
     g = random_bihom(spec, plan.b, plan.b, plan.m, plan.m,
                      base.derive(STREAM_ADJACENCY))
-    rows = _adjacency_rows(g, left_enc, right_enc)
+    adj = eval_bihom_grid(g, left_enc, right_enc) == 0
     graph = SidedGraph(spec, _ids_of(spec, left_enc),
-                       _ids_of(spec, right_enc), rows, plan=plan,
+                       _ids_of(spec, right_enc), adj, plan=plan,
                        seed=master_seed)
     builder_info = {
         "attempts": built.attempts,
@@ -726,7 +692,7 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
                          else {str(e): c for e, c in built.probe.counts.items()}),
         "swise_mode": built.swise.mode if built.swise else None,
     }
-    report = _trial_report(graph, plan, sides_full, builder_info, None,
+    report = _trial_report(graph, plan, sides_full, builder_info,
                            subset_budget)
     return graph, report
 
@@ -738,8 +704,7 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
 
     The left side is the first floor(c * q^(T/s)) coordinate points of
     P^a with a = |L|; they are linearly independent, so every subset is
-    independent at any degree.  When the characteristic exceeds the
-    degree this is cross-checked through the power-form rank.
+    independent at any degree.
     """
     if plan.kind != "zarankiewicz" or plan.mode != "desk":
         raise ValueError("need a desk-mode zarankiewicz plan")
@@ -761,25 +726,12 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
         left_enc[i, i] = 1
     g = random_bihom(spec, a, plan.b, plan.m, plan.m,
                      base.derive(STREAM_ADJACENCY))
-    rows = _adjacency_rows(g, left_enc, right_enc)
+    adj = eval_bihom_grid(g, left_enc, right_enc) == 0
     graph = SidedGraph(spec, _ids_of(spec, left_enc),
-                       _ids_of(spec, right_enc), rows, plan=plan,
+                       _ids_of(spec, right_enc), adj, plan=plan,
                        seed=master_seed)
-    cross = None
-    if spec.p > plan.m and a >= plan.s:
-        cross = True
-        pts = [ProjPoint(spec, tuple(int(c) for c in row)) for row in left_enc]
-        probe_rng = base.derive(STREAM_CROSS_CHECK)
-        for _ in range(min(5, comb(a, plan.s))):
-            sub = probe_rng.sample_subset(a, plan.s)
-            sel = [pts[i] for i in sub]
-            if (power_rank(sel, plan.m) != plan.s
-                    or hilbert_rank(sel, plan.m) != plan.s):
-                cross = False
-                break
     sides_full = 2 * len(right_enc) * spec.order**plan.r >= spec.order**plan.b
-    report = _trial_report(graph, plan, sides_full, None, cross,
-                           subset_budget)
+    report = _trial_report(graph, plan, sides_full, None, subset_budget)
     return graph, report
 
 

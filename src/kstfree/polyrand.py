@@ -47,9 +47,6 @@ class SeededRng:
         self._ctr += 1
         return _mix64((self.seed + self._ctr * _GOLDEN) & _M64)
 
-    def residue(self, q: int) -> int:
-        return self.next_u64() % q
-
     def residues(self, n: int, q: int) -> np.ndarray:
         """n residues as one numpy block, identical to n scalar draws."""
         idx = np.arange(self._ctr + 1, self._ctr + n + 1, dtype=np.uint64)
@@ -124,17 +121,15 @@ class BiHomPoly:
 
 def random_hom(spec: FieldSpec, b: int, m: int, rng: SeededRng) -> HomPoly:
     n = comb(b + m, m)
-    return HomPoly(spec, b, m, tuple(rng.residue(spec.order) for _ in range(n)))
+    return HomPoly(spec, b, m, tuple(rng.residues(n, spec.order).tolist()))
 
 
 def random_bihom(spec: FieldSpec, a: int, b: int, m: int, mp: int,
                  rng: SeededRng) -> BiHomPoly:
     nx = comb(a + m, m)
     ny = comb(b + mp, mp)
-    rows = tuple(
-        tuple(rng.residue(spec.order) for _ in range(ny)) for _ in range(nx)
-    )
-    return BiHomPoly(spec, a, b, m, mp, rows)
+    grid = rng.residues(nx * ny, spec.order).reshape(nx, ny)
+    return BiHomPoly(spec, a, b, m, mp, tuple(map(tuple, grid.tolist())))
 
 
 def evaluate(f: HomPoly, point) -> int:

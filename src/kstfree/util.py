@@ -72,7 +72,13 @@ def parse_frac(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s.replace(" ", ""))
+        if "e" in s.lower():
+            # Fraction("1e100000000") would build a 10^8-digit integer
+            raise ValueError("%r: exponent notation is not accepted" % (s,))
+        try:
+            return Fraction(s.replace(" ", ""))
+        except ZeroDivisionError:
+            raise ValueError("%r has a zero denominator" % (s,)) from None
     raise ValueError("expected int or 'p/q' string, got %r" % (s,))
 
 

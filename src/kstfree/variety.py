@@ -108,7 +108,9 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
     a*k*(p-1)^2 + p <= 2^53 (else ValueError).  The leading free axis
     goes last, in slabs of at most SLAB cells whose matrix columns are
     built per slab, and only the grid indices where every form vanishes
-    are kept.
+    are kept.  The matrix over all of F_q is built once per exponent
+    count and serves every inner contraction and every slab that spans
+    F_q.
     """
     spec, b = var.spec, var.b
     p, k, q = spec.p, spec.k, spec.order
@@ -131,7 +133,9 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
             if n == 0:
                 alive &= not t.any()
                 continue
-            if n > 1 and a not in inner:
+            grid = q ** (n - 1)
+            step = max(1, SLAB // (k * max(grid, a * k)))
+            if (n > 1 or step >= q) and a not in inner:
                 inner[a] = _power_matrix(spec, a, np.arange(q))
             for _ in range(n - 1):
                 # (e_1, e_j.., x_2..x_{j-1}, k): contract e_j, append x_j
@@ -139,14 +143,15 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
                 head = t.shape[:-2]
                 t = _mod(t.reshape(-1, a * k) @ inner[a], p)
                 t = t.reshape(head + (q, k))
-            grid = q ** (n - 1)
             t = np.moveaxis(t, 0, -2).reshape(grid, a * k)
-            step = max(1, SLAB // (k * max(grid, a * k)))
             for x0 in range(0, q, step):
                 x1 = min(x0 + step, q)
                 if not alive[x0 * grid:x1 * grid].any():
                     continue
-                w = _power_matrix(spec, a, np.arange(x0, x1))
+                if x1 - x0 == q:
+                    w = inner[a]
+                else:
+                    w = _power_matrix(spec, a, np.arange(x0, x1))
                 vals = _mod(t @ w, p).reshape(grid, x1 - x0, k)
                 alive[x0 * grid:x1 * grid] &= ~vals.any(axis=2).T.ravel()
             if not alive.any():

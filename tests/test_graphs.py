@@ -1,7 +1,12 @@
+import itertools
 import json
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstfree.gf import make_field
 from kstfree.graphs import (
@@ -30,23 +35,18 @@ def fano_graph():
     # incidence of the 7 points and 7 lines of the plane over F_2
     spec = make_field(2, 1)
     pts = enumerate_projective(spec, 2)
-    rows = []
-    for p in pts:
-        bits = 0
-        for j, l in enumerate(pts):
-            if sum(a * b for a, b in zip(p.coords, l.coords)) % 2 == 0:
-                bits |= 1 << j
-        rows.append(bits)
+    adj = np.array([[sum(a * b for a, b in zip(p.coords, l.coords)) % 2 == 0
+                     for l in pts] for p in pts])
     left = ["p%d" % i for i in range(7)]
     right = ["l%d" % i for i in range(7)]
-    return SidedGraph(spec, left, right, rows)
+    return SidedGraph(spec, left, right, adj)
 
 
 def complete_bipartite(nl, nr):
     spec = make_field(2, 1)
-    full = (1 << nr) - 1
     return SidedGraph(spec, ["u%d" % i for i in range(nl)],
-                      ["v%d" % j for j in range(nr)], [full] * nl)
+                      ["v%d" % j for j in range(nr)],
+                      np.ones((nl, nr), dtype=bool))
 
 
 # --- container --------------------------------------------------------------
@@ -55,11 +55,15 @@ def complete_bipartite(nl, nr):
 def test_graph_validation():
     spec = make_field(2, 1)
     with pytest.raises(ValueError):
-        SidedGraph(spec, ["a", "a"], ["b"], [0, 0])
+        SidedGraph(spec, ["a", "a"], ["b"], np.zeros((2, 1), dtype=bool))
+    with pytest.raises(ValueError):  # one row too many
+        SidedGraph(spec, ["a"], ["b"], np.zeros((2, 1), dtype=bool))
+    with pytest.raises(ValueError):  # a column for a missing right vertex
+        SidedGraph(spec, ["a"], ["b"], np.zeros((1, 2), dtype=bool))
+    with pytest.raises(ValueError):  # 0/1 integers are not a bool matrix
+        SidedGraph(spec, ["a"], ["b"], np.ones((1, 1), dtype=np.int64))
     with pytest.raises(ValueError):
-        SidedGraph(spec, ["a"], ["b"], [0, 1])
-    with pytest.raises(ValueError):
-        SidedGraph(spec, ["a"], ["b"], [2])  # bit 1 has no right vertex
+        SidedGraph(spec, ["a"], ["b"], np.ones(1, dtype=bool))
 
 
 def test_graph_json_roundtrip():
@@ -67,7 +71,7 @@ def test_graph_json_roundtrip():
     doc = g.to_json()
     back = SidedGraph.from_json(doc)
     assert back.left == g.left and back.right == g.right
-    assert back.rows == g.rows
+    assert np.array_equal(back.adj, g.adj)
     assert back.to_json() == doc
     assert doc["edges"] == sorted(doc["edges"])
 
@@ -75,9 +79,135 @@ def test_graph_json_roundtrip():
 def test_graph_edges_and_columns():
     g = complete_bipartite(2, 3)
     assert g.num_edges == 6
-    assert list(g.edges()) == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]] \
-        or list(g.edges()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert g.columns() == [3, 3, 3]
+    assert g.to_json()["edges"] == [[0, 0], [0, 1], [0, 2],
+                                    [1, 0], [1, 1], [1, 2]]
+
+
+F2 = make_field(2, 1)
+TURAN_F2 = plan_construction("turan", 2, m=3, r=1, Z=1, q=2)  # on P^4(F_2)
+P4_IDS = [point_to_str(pt) for pt in enumerate_projective(F2, 4)]
+
+
+@st.composite
+def sided_docs(draw):
+    """Well-formed graph documents, with or without a plan, edges unsorted."""
+    planned = draw(st.booleans())
+    ids = st.sampled_from(P4_IDS) if planned else st.text(max_size=3)
+    left = draw(st.lists(ids, unique=True, max_size=5))
+    right = draw(st.lists(ids, unique=True, max_size=5))
+    edges = []
+    if left and right:
+        pairs = st.tuples(st.integers(0, len(left) - 1),
+                          st.integers(0, len(right) - 1))
+        edges = [list(e) for e in draw(st.lists(pairs, unique=True))]
+    return {"kind": "sided", "field": {"p": 2, "k": 1},
+            "plan": TURAN_F2.to_json() if planned else None,
+            "seed": draw(st.none() | st.integers()),
+            "left": left, "right": right, "edges": edges}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+def bad_edges(doc):
+    n_left, n_right = len(doc["left"]), len(doc["right"])
+    out_of_range = st.one_of(
+        st.tuples(st.integers(max_value=-1), st.integers()),
+        st.tuples(st.integers(min_value=n_left), st.integers()),
+        st.tuples(st.integers(), st.integers(max_value=-1)),
+        st.tuples(st.integers(), st.integers(min_value=n_right))).map(list)
+    edge = st.one_of(
+        st.lists(st.booleans(), min_size=2, max_size=2),
+        st.tuples(st.floats(), st.integers()).map(list),
+        st.tuples(st.integers(), st.floats()).map(list),
+        out_of_range,
+        st.lists(st.integers(), max_size=4).filter(lambda e: len(e) != 2),
+        st.tuples(st.integers(), st.integers()),  # a tuple is no JSON list
+        JSON_VALUES.filter(lambda e: not isinstance(e, list)))
+    if doc["edges"]:
+        edge = edge | st.sampled_from(doc["edges"])  # a duplicate
+    return edge
+
+
+@st.composite
+def malformed_docs(draw):
+    doc = draw(sided_docs())
+    where = draw(st.sampled_from(("edge", "edges", "field", "top", "plan",
+                                  "ids")))
+    if where == "edge":
+        edges = list(doc["edges"])
+        edges.insert(draw(st.integers(0, len(edges))), draw(bad_edges(doc)))
+        doc["edges"] = edges
+    elif where == "edges":
+        doc["edges"] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, list)))
+    elif where == "field":
+        field = dict(doc["field"])
+        key = draw(st.sampled_from(("p", "k")))
+        if draw(st.booleans()):
+            del field[key]
+        else:
+            field[key] = draw(JSON_VALUES)
+        doc["field"] = draw(st.just(field) | JSON_VALUES)
+    elif where == "top":
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(JSON_VALUES)
+    elif where == "plan":
+        plan = TURAN_F2.to_json()
+        key = draw(st.sampled_from(sorted(plan)))
+        if draw(st.booleans()):
+            del plan[key]
+        else:
+            plan[key] = draw(JSON_VALUES)
+        doc["plan"] = plan
+    else:
+        side = draw(st.sampled_from(("left", "right")))
+        ids = list(doc[side])
+        bad = JSON_VALUES if doc["plan"] is None else JSON_VALUES | st.text()
+        ids.insert(draw(st.integers(0, len(ids))), draw(bad))
+        doc[side] = ids
+    return doc
+
+
+@pytest.mark.parametrize("key, value", [
+    ("field", {"p": (1 << 61) - 1, "k": 1}),  # is_prime divides up to sqrt(p)
+    ("field", {"p": 2, "k": 10**8}),          # p^k grows with k
+    ("field", {"p": 4, "k": 1}),
+    ("plan", dict(TURAN_F2.to_json(), c="1/0")),
+    ("plan", dict(TURAN_F2.to_json(), c="1e100000000")),
+])
+def test_graph_loader_refuses_unbuildable_fields_and_plans(key, value):
+    doc = {"kind": "sided", "field": {"p": 2, "k": 1}, "plan": None,
+           "seed": None, "left": [], "right": [], "edges": []}
+    doc[key] = value
+    with pytest.raises(ValueError):
+        SidedGraph.from_json(doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sided_docs())
+def test_graph_loader_round_trips_what_it_accepts(doc):
+    out = SidedGraph.from_json(doc).to_json()
+    assert out == dict(doc, edges=sorted(doc["edges"]))
+    assert json.loads(json.dumps(out)) == out
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(malformed_docs())
+def test_graph_loader_refuses_with_value_or_key_errors(doc):
+    # cli.main maps exactly these two to exit code 1
+    try:
+        g = SidedGraph.from_json(doc)
+    except (ValueError, KeyError):
+        return
+    out = g.to_json()
+    assert SidedGraph.from_json(out).to_json() == out
 
 
 # --- neighborhoods and verdicts ----------------------------------------------
@@ -92,7 +222,7 @@ def test_max_common_complete_bipartite():
 
 def test_max_common_empty_graph():
     spec = make_field(2, 1)
-    g = SidedGraph(spec, ["a", "b"], ["c", "d"], [0, 0])
+    g = SidedGraph(spec, ["a", "b"], ["c", "d"], np.zeros((2, 2), dtype=bool))
     res = max_common_neighborhood(g, 2, "left")
     assert res.size == 0
 
@@ -114,6 +244,70 @@ def test_max_common_sampled_lower_bound():
     assert res.size == 4  # every pair sees everything
     with pytest.raises(BudgetExceeded):
         max_common_neighborhood(g, 2, "left", budget=3)
+
+
+def brute_max_common(adj, s, side, subsets=None):
+    """(size, subset) by Python set intersection over the given subsets."""
+    rows = (adj if side == "left" else adj.T).tolist()
+    sets = [{j for j, x in enumerate(row) if x} for row in rows]
+    if subsets is None:
+        subsets = itertools.combinations(range(len(sets)), s)
+    best, best_sub = -1, None
+    for combo in subsets:
+        size = len(set.intersection(*(sets[i] for i in combo)))
+        if size > best:
+            best, best_sub = size, combo
+    return best, best_sub
+
+
+def oracle_graphs():
+    gen = np.random.default_rng(2107)
+    for _ in range(60):
+        nl, nr = gen.integers(0, 9, size=2)
+        adj = gen.random((nl, nr)) < gen.choice([0.0, 0.3, 0.6, 1.0])
+        if nl and gen.random() < 0.5:
+            adj[gen.integers(nl)] = False          # an all-zero row
+        if nl > 1 and gen.random() < 0.5:
+            adj[-1] = adj[0]                       # a forced tie
+        if nr > 1 and gen.random() < 0.5:
+            adj[:, -1] = adj[:, 0]                 # a tie on the right
+        yield SidedGraph(F2, ["u%d" % i for i in range(nl)],
+                         ["v%d" % j for j in range(nr)], adj)
+
+
+def test_max_common_matches_set_oracle():
+    seen = set()
+    for g in oracle_graphs():
+        for s in (1, 2, 3):
+            for side in ("left", "right"):
+                res = max_common_neighborhood(g, s, side)
+                n = g.adj.shape[0 if side == "left" else 1]
+                if n < s:
+                    assert (res.size, res.subset, res.mode) == (0, None, "empty")
+                    assert res.checked == res.total == 0
+                    seen.add("empty")
+                    continue
+                assert (res.size, res.subset) == brute_max_common(g.adj, s, side)
+                assert res.mode == "exhaustive" and res.certified
+                assert res.checked == res.total == comb(n, s)
+                seen.add(s)
+    assert seen == {1, 2, 3, "empty"}
+
+
+def test_max_common_sampled_matches_set_oracle():
+    for g in oracle_graphs():
+        for s, side in ((2, "left"), (3, "right")):
+            n = g.adj.shape[0 if side == "left" else 1]
+            if n < s or comb(n, s) <= 4:
+                continue
+            res = max_common_neighborhood(g, s, side, budget=4,
+                                          rng=SeededRng(n), samples=7)
+            replay = SeededRng(n)
+            drawn = [replay.sample_subset(n, s) for _ in range(7)]
+            assert (res.size, res.subset) == brute_max_common(g.adj, s, side,
+                                                              drawn)
+            assert res.mode == "sampled" and not res.certified
+            assert (res.checked, res.total) == (7, comb(n, s))
 
 
 def searches(g, s, **kw):
@@ -157,8 +351,10 @@ def test_kst_monotone_in_t():
     for _ in range(20):
         nl, nr = 3 + rng.randbelow(4), 3 + rng.randbelow(4)
         rows = [rng.randbelow(1 << nr) for _ in range(nl)]
+        adj = np.array([[row >> j & 1 == 1 for j in range(nr)]
+                        for row in rows], dtype=bool)
         g = SidedGraph(spec, ["u%d" % i for i in range(nl)],
-                       ["v%d" % j for j in range(nr)], rows)
+                       ["v%d" % j for j in range(nr)], adj)
         found = searches(g, 2)
         prev = None
         for t in range(1, nr + 2):
@@ -174,7 +370,7 @@ def test_kst_monotone_in_t():
 
 def test_density_empty_graph():
     spec = make_field(2, 1)
-    g = SidedGraph(spec, ["a"], ["b"], [0])
+    g = SidedGraph(spec, ["a"], ["b"], np.zeros((1, 1), dtype=bool))
     rep = density_report(g, None)
     assert rep.edges == 0
     assert rep.kst_ratio == 0.0
@@ -257,7 +453,7 @@ def test_construct_turan_q7():
     plan = plan_construction("turan", 2, m=3, r=1, Z=1, q=7)
     graph, report = construct_turan(plan, 2024)
     assert len(graph.left) <= 12 and len(graph.right) <= 12
-    assert len(graph.rows) == len(graph.left)
+    assert graph.adj.shape == (len(graph.left), len(graph.right))
     assert report.kind == "turan"
     assert report.t_threshold == 82
     assert report.kst.orientation == "both"
@@ -336,16 +532,14 @@ def test_construct_zar_q8():
     assert point_from_str(spec8, graph.left[0]).coords == (1, 0, 0, 0, 0, 0)
     assert report.kind == "zarankiewicz"
     assert report.kst.orientation == "left_only"
-    assert report.cross_check is None  # characteristic 2 at degree 2
     assert report.t_threshold == 9
     assert verify_witness(graph, report.kst)
 
 
 def test_construct_zar_q11_cross_check():
     plan = plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=11)
-    graph, report = construct_zar(plan, 5)
+    graph, _ = construct_zar(plan, 5)
     assert len(graph.left) == 9
-    assert report.cross_check is True
 
 
 def test_construct_zar_deterministic():

@@ -397,7 +397,7 @@ def test_greedy_validation():
 
 def _random_invertible(spec, n, rng, avoid_unit_rows=False):
     while True:
-        mat = [[rng.residue(spec.order) for _ in range(n)] for _ in range(n)]
+        mat = [[rng.randbelow(spec.order) for _ in range(n)] for _ in range(n)]
         if rank(mat, spec) != n:
             continue
         if avoid_unit_rows and any(
