@@ -454,6 +454,9 @@ def field_for_order(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
     """GF(q) for a prime power q, factoring q deterministically."""
     if q < 2:
         raise ValueError("order must be >= 2")
+    # the cap goes first: the trial division below runs up to sqrt(q)
+    if q > order_cap:
+        raise ValueError("field order %d exceeds cap %d" % (q, order_cap))
     p = 2
     while p * p <= q:
         if q % p == 0:

@@ -15,8 +15,9 @@ certified flag, and the exhaustive paths are the only ones that set it.
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 
@@ -62,7 +63,8 @@ STREAM_SEARCH = {"left": 4, "right": 5}
 # the graph container
 
 
-_JSON_KINDS = {int: "an integer", dict: "an object", list: "a list"}
+_JSON_KINDS = {int: "an integer", dict: "an object", list: "a list",
+               str: "a string"}
 
 
 def _json_typed(name: str, value, kind: type = int, optional: bool = False):
@@ -72,6 +74,13 @@ def _json_typed(name: str, value, kind: type = int, optional: bool = False):
     if type(value) is not kind:
         raise ValueError("%s = %r is not %s" % (name, value, _JSON_KINDS[kind]))
     return value
+
+
+def _json_keys(name: str, doc: dict, keys) -> None:
+    """Refuse a loaded object with a missing or an unknown key."""
+    if set(doc) != set(keys):
+        raise ValueError("%s has keys %s, not %s"
+                         % (name, sorted(doc), sorted(keys)))
 
 
 def _check_vertex_ids(spec: FieldSpec, side: str, ids, dim: int | None):
@@ -135,10 +144,13 @@ class SidedGraph:
         """Load a graph document, rejecting any edge or plan it cannot hold."""
         if not isinstance(doc, dict) or doc.get("kind") != "sided":
             raise ValueError("not a sided graph document")
+        _json_keys("graph", doc, ("kind", "field", "plan", "seed", "left",
+                                  "right", "edges"))
         field = _json_typed("field", doc["field"], dict)
+        _json_keys("field", field, ("p", "k"))
         spec = make_field(_json_typed("field.p", field["p"]),
                           _json_typed("field.k", field["k"]))
-        plan = doc.get("plan")
+        plan = doc["plan"]
         left_dim = right_dim = None
         if plan is not None:
             plan = ConstructionPlan.from_json(plan)
@@ -164,7 +176,7 @@ class SidedGraph:
                 raise ValueError("duplicate edge in document")
             adj[i, j] = True
         return cls(spec, doc["left"], doc["right"], adj, plan=plan,
-                   seed=_json_typed("seed", doc.get("seed"), optional=True))
+                   seed=_json_typed("seed", doc["seed"], optional=True))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,9 @@ class ConstructionPlan:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConstructionPlan":
+        """Load a plan; refuse one that `to_json` would not write back as is."""
         doc = _json_typed("plan", doc, dict)
+        _json_keys("plan", doc, (f.name for f in fields(cls)))
         for key, allowed in (("kind", ("turan", "zarankiewicz")),
                              ("mode", ("desk", "theorem"))):
             if doc[key] not in allowed:
@@ -210,12 +224,20 @@ class ConstructionPlan:
         ints.update((key, _json_typed("plan." + key, doc[key], optional=True))
                     for key in ("Z", "T", "q", "a"))
         delta = _json_typed("plan.delta", doc["delta"], list)
-        return cls(
+        plan = cls(
             kind=doc["kind"], **ints,
             delta=tuple(_json_typed("plan.delta", d) for d in delta),
             c=parse_frac(doc["c"]), mode=doc["mode"],
-            headline_log10=doc.get("headline_log10"),
+            headline_log10=_json_typed("plan.headline_log10",
+                                       doc["headline_log10"], str,
+                                       optional=True),
         )
+        # compare serialisations, not values: True == 1 and "2/4" -> 1/2
+        for key, value in plan.to_json().items():
+            if json.dumps(doc[key]) != json.dumps(value):
+                raise ValueError("plan.%s = %r would be written back as %r"
+                                 % (key, doc[key], value))
+        return plan
 
     @property
     def orientation(self) -> str:
@@ -644,7 +666,8 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     right cutting forms H and H', stream 3 the adjacency form.  Each side
     is a slice of W, the points of W where its cutting forms vanish: the
     zero set of W's forms plus H (or H'), truncated to its initial
-    segment (canonical point order) of floor(c * q^s) vertices.
+    segment (canonical point order) of floor(c * q^s) vertices; the
+    zero set is computed only that far (`fq_point_array`'s limit).
     """
     if plan.kind != "turan" or plan.mode != "desk":
         raise ValueError("need a desk-mode turan plan")
@@ -666,15 +689,14 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     hs = tuple(random_hom(spec, plan.b, d, rng_h) for d in plan.delta)
     hps = tuple(random_hom(spec, plan.b, d, rng_hp) for d in plan.delta)
     w = built.variety.forms
-    left_enc = fq_point_array(VarietySpec(spec, plan.b, w + hs), cap=point_cap)
-    right_enc = fq_point_array(VarietySpec(spec, plan.b, w + hps),
-                               cap=point_cap)
     n_target = floor_scaled_power(plan.c, plan.q, plan.s, 1)
+    left_enc = fq_point_array(VarietySpec(spec, plan.b, w + hs),
+                              cap=point_cap, limit=n_target)
+    right_enc = fq_point_array(VarietySpec(spec, plan.b, w + hps),
+                               cap=point_cap, limit=n_target)
     if n_target == 0:
         raise CertificationError("truncation target is zero; both sides empty")
-    sides_full = len(left_enc) >= n_target and len(right_enc) >= n_target
-    left_enc = left_enc[:n_target]
-    right_enc = right_enc[:n_target]
+    sides_full = len(left_enc) == n_target and len(right_enc) == n_target
     if len(left_enc) == 0 or len(right_enc) == 0:
         raise CertificationError("a side came out empty")
     g = random_bihom(spec, plan.b, plan.b, plan.m, plan.m,

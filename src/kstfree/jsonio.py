@@ -14,6 +14,30 @@ import os
 import tempfile
 
 
+_LEAVES = (str, int, bool, type(None))
+
+
+def _plain(doc) -> bool:
+    """True when doc holds only str-keyed dicts, lists, tuples and _LEAVES.
+
+    A flat walk with exact type tests, so it builds no path strings; a
+    subclass of an accepted type sends the document to `_reject_floats`.
+    """
+    stack = [doc]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is dict:
+            if any(type(k) is not str for k in x):
+                return False
+            stack.extend(x.values())
+        elif t is list or t is tuple:
+            stack.extend(x)
+        elif t not in _LEAVES:
+            return False
+    return True
+
+
 def _reject_floats(doc, path="$"):
     # bool is an int subclass, check it first
     if isinstance(doc, bool) or doc is None or isinstance(doc, (int, str)):
@@ -36,7 +60,8 @@ def _reject_floats(doc, path="$"):
 
 def dump_doc(doc) -> str:
     """Canonical serialization: sorted keys, two-space indent, newline."""
-    _reject_floats(doc)
+    if not _plain(doc):
+        _reject_floats(doc)
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 

@@ -96,25 +96,67 @@ def _chart_tensor(spec: FieldSpec, expo: np.ndarray, digits: np.ndarray,
     return (t % spec.p).reshape((a,) * n + (spec.k,)).astype(np.float64)
 
 
-def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
+def _inner_contraction(spec: FieldSpec, t: np.ndarray, inner: np.ndarray,
+                       a: int) -> np.ndarray:
+    """(a*k, q^(n-1)): a chart tensor with every free axis but the first summed.
+
+    Row (e, j) holds digit j of the coefficient of x_1^e at each grid
+    point x_2..x_n (columns, C order); axis after axis is contracted
+    against the powers of all of F_q in `inner`.  The last contraction
+    writes a few exponents e at a time, at most SLAB cells, straight
+    into that layout, so no full-size temporary is transposed.
+    """
+    q, k, n = spec.order, spec.k, t.ndim - 1
+    if n == 1:
+        return t.reshape(a * k, 1)
+    w = inner[:a * k]
+    for _ in range(n - 2):
+        # (e_1, e_j.., x_2..x_{j-1}, k): contract e_j, append x_j
+        t = np.moveaxis(t, 1, -2)
+        head = t.shape[:-2]
+        t = _mod(t.reshape(-1, a * k) @ w, spec.p).reshape(head + (q, k))
+    t = np.moveaxis(t, 1, -2).reshape(a, -1, a * k)
+    grid = t.shape[1] * q
+    out = np.empty((a, k, grid))
+    step = max(1, SLAB // (grid * k))
+    for e in range(0, a, step):
+        part = _mod(t[e:e + step] @ w, spec.p).reshape(-1, grid, k)
+        out[e:e + step] = np.moveaxis(part, 2, 1)
+    return out.reshape(a * k, grid)
+
+
+def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
+                   limit: int | None = None) -> np.ndarray:
     """Encodings of the rational points, canonical order, shape (N, b+1).
 
+    With a `limit` the result is `fq_point_array(var)[:limit]`, and the
+    work stops once the canonical prefix holds that many points.
+
     Chart by chart (`projgeom.chart_leads`), each form is evaluated on the
-    whole grid F_q^n of its restriction by contracting its coefficient
-    tensor one exponent axis at a time against the powers of every x in
-    F_q, a = min(m+1, q) exponents per axis, each power the GF(p) matrix
+    grid F_q^n of its restriction by contracting its coefficient tensor
+    one exponent axis at a time against the powers of every x in F_q,
+    a = min(m+1, q) exponents per axis, each power the GF(p) matrix
     M_{x^e} of the field's one multiplication table (`_power_matrix`).
-    Each contraction is one float64 matmul followed by % p, exact while
-    a*k*(p-1)^2 + p <= 2^53 (else ValueError).  The leading free axis
-    goes last, in slabs of at most SLAB cells whose matrix columns are
-    built per slab, and only the grid indices where every form vanishes
-    are kept.  The matrix over all of F_q is built once per exponent
-    count and serves every inner contraction and every slab that spans
-    F_q.
+    Each contraction is float64 matmuls followed by % p, exact while
+    a*k*(p-1)^2 + p <= 2^53 (else ValueError).  A form's inner axes are
+    contracted at its first use in a chart (`_inner_contraction`).  The
+    chart is then walked slab by slab along its leading free axis, in
+    order and at most SLAB cells a slab.  The first form is applied to
+    the whole slab, and none once all its points are dead; on a slab of
+    SLAB/4 cells or more (digits counted) a later form sees only the
+    rows x_2..x_n where a point is still alive.  After each slab the
+    points found so far, across charts, are counted; once they reach
+    `limit`, the rest of the chart and the later charts are skipped.  A
+    slab's power matrix holds the largest exponent count and each form
+    takes the prefix of rows it needs; the one over all of F_q is built
+    once per call and serves every inner contraction and every slab
+    that spans F_q.
     """
     spec, b = var.spec, var.b
     p, k, q = spec.p, spec.k, spec.order
     checked_count(q, b, cap)
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0, got %d" % limit)
     forms = []
     for f in var.forms:
         a = min(f.m + 1, q)
@@ -123,41 +165,52 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> np.ndar
         on = coeffs != 0
         expo = np.array(f.multiindices(), dtype=np.int64)[on]
         forms.append((a, expo, spec.dec_array(coeffs[on])))
-    inner = {}  # a -> power matrix over all of F_q
-    rows = []
+    amax = max((a for a, _, _ in forms), default=1)
+    inner = None  # power matrix over all of F_q
+    rows, found = [], 0
     for lead in chart_leads(b):
         n = b - lead
         alive = np.ones(q**n, dtype=bool)
-        for a, expo, digits in forms:
-            t = _chart_tensor(spec, expo, digits, lead, a)
-            if n == 0:
-                alive &= not t.any()
-                continue
+        if n == 0:
+            alive[0] = not any(_chart_tensor(spec, expo, digits, lead, a).any()
+                               for a, expo, digits in forms)
+            found += int(alive[0])
+        else:
             grid = q ** (n - 1)
-            step = max(1, SLAB // (k * max(grid, a * k)))
-            if (n > 1 or step >= q) and a not in inner:
-                inner[a] = _power_matrix(spec, a, np.arange(q))
-            for _ in range(n - 1):
-                # (e_1, e_j.., x_2..x_{j-1}, k): contract e_j, append x_j
-                t = np.moveaxis(t, 1, -2)
-                head = t.shape[:-2]
-                t = _mod(t.reshape(-1, a * k) @ inner[a], p)
-                t = t.reshape(head + (q, k))
-            t = np.moveaxis(t, 0, -2).reshape(grid, a * k)
+            step = max(1, SLAB // (k * max(grid, amax * k)))
+            if forms and (n > 1 or step >= q) and inner is None:
+                inner = _power_matrix(spec, amax, np.arange(q))
+            ts = [None] * len(forms)  # (a*k, grid), contracted on first use
             for x0 in range(0, q, step):
                 x1 = min(x0 + step, q)
-                if not alive[x0 * grid:x1 * grid].any():
-                    continue
-                if x1 - x0 == q:
-                    w = inner[a]
-                else:
-                    w = _power_matrix(spec, a, np.arange(x0, x1))
-                vals = _mod(t @ w, p).reshape(grid, x1 - x0, k)
-                alive[x0 * grid:x1 * grid] &= ~vals.any(axis=2).T.ravel()
-            if not alive.any():
-                break
+                slab = alive[x0 * grid:x1 * grid]
+                for i, (a, expo, digits) in enumerate(forms):
+                    if not slab.any():
+                        break
+                    if i == 0:
+                        w = inner if x1 - x0 == q else _power_matrix(
+                            spec, amax, np.arange(x0, x1))
+                    if ts[i] is None:
+                        ts[i] = _inner_contraction(
+                            spec, _chart_tensor(spec, expo, digits, lead, a),
+                            inner, a)
+                    cells = slab.reshape(x1 - x0, grid)
+                    live = slice(None)
+                    if i > 0 and slab.size * k >= SLAB // 4:
+                        # below this size the gather costs more than it saves
+                        live = np.flatnonzero(cells.any(axis=0))
+                    # digits on a middle axis: numpy reduces a short last
+                    # axis many times slower
+                    vals = _mod(w[:a * k].T @ ts[i][:, live], p)
+                    cells[:, live] &= ~vals.reshape(x1 - x0, k, -1).any(axis=1)
+                found += np.count_nonzero(slab)
+                if limit is not None and found >= limit:
+                    alive[x1 * grid:] = False
+                    break
         rows.append(chart_rows(q, b, lead, np.flatnonzero(alive)))
-    return np.concatenate(rows)
+        if limit is not None and found >= limit:
+            break
+    return np.concatenate(rows)[:limit]
 
 
 def count_points(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> int:

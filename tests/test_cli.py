@@ -52,6 +52,21 @@ def test_usage_errors_exit_one(capsys):
     assert run(["nonsense"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1",
+     "--seed", "1"],
+    ["indep", "--points", "pts.txt", "--m", "1"],
+])
+def test_huge_prime_order_is_refused_at_once(argv, tmp_path, capsys):
+    # 2^61 - 1 is prime: trial division up to its square root would hang
+    out = tmp_path / "g.json"
+    rc, stdout, err = run(argv + ["--q", "2305843009213693951",
+                                  "--out", str(out)], capsys)
+    assert rc == 1
+    assert err.startswith("error: field order 2305843009213693951 exceeds cap")
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("sub,flags", [
     ("construct", ["--trials", "0"]),
     ("construct", ["--trials", "-3"]),
@@ -153,6 +168,12 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     broken.append(dict(doc, plan=[1]))
     for key, value in (("delta", 3), ("kind", 7), ("mode", 3)):
         broken.append(dict(doc, plan=dict(doc["plan"], **{key: value})))
+    # plans and documents that would not be written back as they were read
+    for key, value in (("c", "2/8"), ("c", "0.25"), ("c", True),
+                       ("extra", 1)):
+        broken.append(dict(doc, plan=dict(doc["plan"], **{key: value})))
+    broken.append(dict(doc, extra=1))
+    broken.append({key: doc[key] for key in doc if key != "seed"})
     # vertex ids that are not canonical points of P^4(F_11)
     for first in ("junk", "2:0:0:0:0", "1:0"):
         broken.append(dict(doc, left=[first] + doc["left"][1:]))

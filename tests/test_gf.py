@@ -245,6 +245,11 @@ def test_field_for_order():
     assert field_for_order(7) is make_field(7)
     with pytest.raises(ValueError):
         field_for_order(12)
+    # the cap is checked before the trial division, which would hang here
+    with pytest.raises(ValueError, match="exceeds cap"):
+        field_for_order((1 << 61) - 1)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        field_for_order(128, order_cap=127)
 
 
 def test_make_field_validation():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstfree.gf import make_field
+from kstfree.jsonio import dump_doc
 from kstfree.graphs import (
     STREAM_LEFT_CUT,
     STREAM_RIGHT_CUT,
@@ -153,18 +154,20 @@ def malformed_docs(draw):
             field[key] = draw(JSON_VALUES)
         doc["field"] = draw(st.just(field) | JSON_VALUES)
     elif where == "top":
-        key = draw(st.sampled_from(sorted(doc)))
-        if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc)) | st.text(max_size=3))
+        if key in doc and draw(st.booleans()):
             del doc[key]
         else:
             doc[key] = draw(JSON_VALUES)
     elif where == "plan":
         plan = TURAN_F2.to_json()
-        key = draw(st.sampled_from(sorted(plan)))
-        if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(plan)) | st.text(max_size=3))
+        if key in plan and draw(st.booleans()):
             del plan[key]
         else:
-            plan[key] = draw(JSON_VALUES)
+            # c = 1/4 also as a bool, unreduced, or a decimal
+            plan[key] = draw(JSON_VALUES | st.sampled_from(
+                [True, "2/8", "0.25", " 1/4", 0]))
         doc["plan"] = plan
     else:
         side = draw(st.sampled_from(("left", "right")))
@@ -181,6 +184,14 @@ def malformed_docs(draw):
     ("field", {"p": 4, "k": 1}),
     ("plan", dict(TURAN_F2.to_json(), c="1/0")),
     ("plan", dict(TURAN_F2.to_json(), c="1e100000000")),
+    # plans and fields that would not be written back as they were read
+    ("plan", dict(TURAN_F2.to_json(), c="2/8")),
+    ("plan", dict(TURAN_F2.to_json(), c="0.25")),
+    ("plan", dict(TURAN_F2.to_json(), c=True)),
+    ("plan", dict(TURAN_F2.to_json(), extra=1)),
+    ("plan", dict(TURAN_F2.to_json(), headline_log10=1.5)),
+    ("field", {"p": 2, "k": 1, "extra": 1}),
+    ("extra", 1),
 ])
 def test_graph_loader_refuses_unbuildable_fields_and_plans(key, value):
     doc = {"kind": "sided", "field": {"p": 2, "k": 1}, "plan": None,
@@ -188,6 +199,9 @@ def test_graph_loader_refuses_unbuildable_fields_and_plans(key, value):
     doc[key] = value
     with pytest.raises(ValueError):
         SidedGraph.from_json(doc)
+    if key == "plan":
+        with pytest.raises(ValueError):
+            ConstructionPlan.from_json(value)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -206,8 +220,9 @@ def test_graph_loader_refuses_with_value_or_key_errors(doc):
         g = SidedGraph.from_json(doc)
     except (ValueError, KeyError):
         return
-    out = g.to_json()
-    assert SidedGraph.from_json(out).to_json() == out
+    # what is accepted is written back byte for byte, up to edge order
+    assert (dump_doc(g.to_json())
+            == dump_doc(dict(doc, edges=sorted(doc["edges"]))))
 
 
 # --- neighborhoods and verdicts ----------------------------------------------

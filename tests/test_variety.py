@@ -145,13 +145,68 @@ def test_zero_set_on_a_wide_field_builds_slabs_only():
     assert max(sizes) <= kstfree.variety.SLAB
 
 
+LIMIT_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("p, k", LIMIT_FIELDS)
+def test_limit_returns_the_canonical_prefix(p, k):
+    spec = make_field(p, k)
+    rng = SeededRng(1000 * p + k)
+    for b in range(5):
+        for nforms in (1, 2, 3):
+            degrees = [1 + (b + i) % 3 for i in range(nforms)]
+            var = VarietySpec(spec, b, tuple(random_hom(spec, b, m, rng)
+                                             for m in degrees))
+            full = fq_point_array(var)
+            n = len(full)
+            # small slabs put the stop in the middle of a chart
+            slab = (1, 24, kstfree.variety.SLAB)[(b + nforms) % 3]
+            for limit in sorted({0, 1, n // 2, n, n + 3}):
+                with mock.patch.object(kstfree.variety, "SLAB", slab):
+                    pts = fq_point_array(var, limit=limit)
+                assert pts.dtype == np.int64
+                assert pts.shape == full[:limit].shape
+                assert (pts == full[:limit]).all()
+
+
+def test_limit_stops_the_last_chart_before_its_last_slab():
+    # q = 23, b = 4: chart 0 is walked in slabs x_1 in [0, 10), [10, 20),
+    # [20, 23); the other charts span F_q in one slab.  A quarter of the
+    # points lies in the first slab.
+    spec = make_field(23, 1)
+    rng = SeededRng(23)
+    var = VarietySpec(spec, 4, tuple(random_hom(spec, 4, 3, rng)
+                                     for _ in range(2)))
+    real = kstfree.variety._power_matrix
+    starts = []
+
+    def spy(spec, a, xs):
+        starts.append(int(xs[0]) if len(xs) < spec.order else None)
+        return real(spec, a, xs)
+
+    with mock.patch.object(kstfree.variety, "_power_matrix", spy):
+        full = fq_point_array(var)
+        assert starts == [None, 0, 10, 20]
+        starts.clear()
+        pts = fq_point_array(var, limit=23 * 23 // 4)
+        assert starts == [None, 0]
+    assert (pts == full[:132]).all()
+
+
+def test_limit_refuses_negative_values():
+    spec = make_field(5, 1)
+    with pytest.raises(ValueError, match="limit"):
+        fq_point_array(VarietySpec(spec, 2, (conic(spec),)), limit=-1)
+
+
 def test_zero_set_budget_is_checked_before_any_work():
     spec = make_field(2, 16)
     var = VarietySpec(spec, 3, (random_hom(spec, 3, 3, SeededRng(8)),))
     with mock.patch.object(kstfree.variety, "_chart_tensor",
                            side_effect=AssertionError("work started")):
-        with pytest.raises(BudgetExceeded):
-            fq_point_array(var, cap=10**6)
+        for limit in (None, 0, 5):
+            with pytest.raises(BudgetExceeded):
+                fq_point_array(var, cap=10**6, limit=limit)
 
 
 def test_zero_set_refuses_inexact_sums():
