@@ -17,7 +17,6 @@ is no wall-clock seeding anywhere.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -70,14 +69,11 @@ def _at_least(low: int):
 def _add_plan_flags(sp):
     sp.add_argument("kind", choices=("turan", "zarankiewicz"))
     sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--mode", choices=("desk", "theorem"), default="desk")
     sp.add_argument("--m", type=int)
     sp.add_argument("--r", type=int)
     sp.add_argument("--Z", type=int)
     sp.add_argument("--T", type=int)
     sp.add_argument("--q", type=int)
-    sp.add_argument("--a", type=int,
-                    help="override the left ambient dimension (zarankiewicz)")
     sp.add_argument("--c", type=parse_frac,
                     help='density constant as a rational, e.g. "1/4"')
 
@@ -91,17 +87,14 @@ def _add_budget_flags(sp, points: bool):
 
 
 def _plan_from_args(args) -> ConstructionPlan:
+    """The plan the flags name; only `plan` takes --mode, the rest are desk."""
     kw = {}
     for name in ("m", "r", "Z", "T", "q", "c"):
         v = getattr(args, name)
         if v is not None:
             kw[name] = v
-    plan = plan_construction(args.kind, args.s, mode=args.mode, **kw)
-    if getattr(args, "a", None) is not None:
-        if plan.kind != "zarankiewicz":
-            raise UsageError("--a only applies to zarankiewicz plans")
-        plan = dataclasses.replace(plan, a=args.a)
-    return plan
+    return plan_construction(args.kind, args.s,
+                             mode=getattr(args, "mode", "desk"), **kw)
 
 
 def _emit(doc, out: str | None) -> None:
@@ -180,6 +173,8 @@ def cmd_verify(args) -> int:
     stored_path = report_path_for(args.graph)
     if os.path.exists(stored_path):
         stored = read_doc(stored_path)
+        if not isinstance(stored, dict):
+            raise ValueError("%s is not a JSON object" % stored_path)
         fresh.update(n_edges=graph.num_edges, n_left=len(graph.left),
                      n_right=len(graph.right))
         kst = fresh.pop("kst")
@@ -304,6 +299,7 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("plan", help="print a construction plan")
     _add_plan_flags(sp)
+    sp.add_argument("--mode", choices=("desk", "theorem"), default="desk")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_plan)
 

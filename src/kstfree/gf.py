@@ -192,13 +192,6 @@ class FieldSpec:
             e //= self.p
         return tuple(out)
 
-    def elements(self):
-        return range(self.order)
-
-    @property
-    def zero(self) -> int:
-        return 0
-
     @property
     def one(self) -> int:
         return 1

@@ -25,13 +25,7 @@ import numpy as np
 
 from .gf import FieldSpec, field_for_order, make_field
 from .independence import hilbert_rank, m_cap, z_condition
-from .polyrand import (
-    BiHomPoly,
-    SeededRng,
-    eval_bihom_grid,
-    random_bihom,
-    random_hom,
-)
+from .polyrand import SeededRng, eval_bihom_grid, random_bihom, random_hom
 from .projgeom import ProjPoint, enumerate_multiindices, monomial_eval, point_from_str, point_to_str
 from .util import (
     DEFAULT_POINT_BUDGET,
@@ -94,7 +88,7 @@ def _check_vertex_ids(spec: FieldSpec, side: str, ids, dim: int | None):
             pt = point_from_str(spec, text)
         except ValueError:
             pt = None
-        if pt is None or point_to_str(pt) != text or pt.dim != dim:
+        if pt is None or pt.dim != dim:
             raise ValueError("%s vertex id %r is not a canonical point of "
                              "P^%s(F_%d)" % (side, text, dim, spec.order))
 
@@ -399,15 +393,16 @@ def _exhaustive_max(rows: np.ndarray, s: int):
 
 
 def max_common_neighborhood(g: SidedGraph, s: int, side: str = "left",
-                            budget: int = DEFAULT_SUBSET_BUDGET, rng=None,
-                            samples: int | None = None) -> CommonNbhd:
+                            budget: int = DEFAULT_SUBSET_BUDGET,
+                            rng=None) -> CommonNbhd:
     """Largest common neighborhood over s-subsets of one side.
 
     Exhaustive when the C(n, s) subsets fit the budget: every subset is
     counted as checked, and `_exhaustive_max` reads them from one Gram
     product per (s-2)-prefix (ties keep the first subset in canonical
-    order).  Beyond the budget a sampled pass gives a certified-False
-    lower bound.  Without an rng the over-budget case raises.
+    order).  Beyond the budget a sampled pass over DEFAULT_SAMPLE_SUBSETS
+    subsets drawn from rng gives an uncertified lower bound.  Without an
+    rng the over-budget case raises.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -424,14 +419,14 @@ def max_common_neighborhood(g: SidedGraph, s: int, side: str = "left",
             "C(%d, %d) = %d subsets exceed budget %d and no rng was given"
             % (n, s, total, budget)
         )
-    count = samples if samples is not None else DEFAULT_SAMPLE_SUBSETS
     best, best_sub = -1, None
-    for _ in range(count):
+    for _ in range(DEFAULT_SAMPLE_SUBSETS):
         combo = rng.sample_subset(n, s)
         size = int(np.count_nonzero(_common(rows, combo)))
         if size > best:
             best, best_sub = size, combo
-    return CommonNbhd(best, best_sub, False, count, total, "sampled")
+    return CommonNbhd(best, best_sub, False, DEFAULT_SAMPLE_SUBSETS, total,
+                      "sampled")
 
 
 @dataclass
@@ -461,16 +456,15 @@ class KstVerdict:
 
 
 def kst_verdict(g: SidedGraph, s: int, t: int, searches: dict,
-                orientation: str = "both",
-                budget: int = DEFAULT_SUBSET_BUDGET) -> KstVerdict:
+                orientation: str = "both") -> KstVerdict:
     """Judge whether s vertices on the anchored side(s) share t neighbors.
 
     `searches` maps each anchored side to its max_common_neighborhood
-    result at this s and budget.  A side over the budget with t greater
-    than its opposite side is settled by pigeonhole first and needs no
-    search.  Freeness is certified only by exhaustive search or that
-    pigeonhole; a violation is certified by its witness no matter how it
-    was found.
+    result at this s.  A side whose search was sampled (it went over the
+    subset budget) is settled by pigeonhole when t exceeds its opposite
+    side, since no s vertices can share more neighbors than that.
+    Freeness is certified only by exhaustive search or that pigeonhole;
+    a violation is certified by its witness no matter how it was found.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -481,12 +475,12 @@ def kst_verdict(g: SidedGraph, s: int, t: int, searches: dict,
     witness = None
     undetermined = False
     for side in check_sides:
-        n, opp = _side_adj(g, side).shape
-        if n >= s and comb(n, s) > budget and t > opp:
+        mcn = searches[side]
+        opp = _side_adj(g, side).shape[1]
+        if mcn.mode == "sampled" and t > opp:
             per_side[side] = {"mode": "pigeonhole", "certified": True,
                               "opposite": opp}
             continue
-        mcn = searches[side]
         per_side[side] = mcn
         if mcn.subset is not None and mcn.size >= t:
             if witness is None:
@@ -608,7 +602,7 @@ def judge_graph(g: SidedGraph, s: int, t: int, orientation: str,
     mc = {side: max_common_neighborhood(g, s, side, budget=budget,
                                         rng=base.derive(stream))
           for side, stream in STREAM_SEARCH.items()}
-    return Verdicts(mc, kst_verdict(g, s, t, mc, orientation, budget),
+    return Verdicts(mc, kst_verdict(g, s, t, mc, orientation),
                     density_report(g, g.plan))
 
 
@@ -760,6 +754,10 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
 # ---------------------------------------------------------------------------
 # joint uniformity of anchored specializations
 
+UNIFORMITY_EXHAUSTIVE_CAP = 1 << 20   # coefficient grids enumerated at most
+UNIFORMITY_DRAWS = 10_000             # grids drawn in sampled mode
+UNIFORMITY_QUANTILE = 1e-6            # chi-square rejection level
+
 
 @dataclass
 class JointUniformityResult:
@@ -789,18 +787,17 @@ def _specialize_batch(spec: FieldSpec, coeffs: np.ndarray,
 
 def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors,
                           mode: str = "exhaustive", rng=None, *,
-                          draws: int = 10_000,
-                          exhaustive_cap: int = 1 << 20,
-                          quantile: float = 1e-6,
                           require_independent: bool = True) -> JointUniformityResult:
     """Are the anchored specializations of a random form jointly uniform?
 
-    Exhaustive mode enumerates every coefficient grid and demands the
-    exact product-uniform tally.  Sampled mode draws `draws` grids and
-    runs one chi-square per specialized coefficient slot on the joint
-    distribution of that slot across anchors (q^s cells), rejecting at
-    the given quantile.  Anchors must form an independent set at degree
-    m; pass require_independent=False only to study the failure mode.
+    Exhaustive mode enumerates every coefficient grid, at most
+    UNIFORMITY_EXHAUSTIVE_CAP of them (else BudgetExceeded), and demands
+    the exact product-uniform tally.  Sampled mode draws UNIFORMITY_DRAWS
+    grids and runs one chi-square per specialized coefficient slot on the
+    joint distribution of that slot across anchors (q^s cells), rejecting
+    at UNIFORMITY_QUANTILE.  Anchors must form an independent set at
+    degree m; pass require_independent=False only to study the failure
+    mode.
     """
     anchors = list(anchors)
     if not anchors:
@@ -823,10 +820,10 @@ def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors,
     if mode == "exhaustive":
         ncoef = nx * ny
         total = q**ncoef
-        if total > exhaustive_cap:
+        if total > UNIFORMITY_EXHAUSTIVE_CAP:
             raise BudgetExceeded(
                 "q^(nx*ny) = %d exceeds exhaustive cap %d"
-                % (total, exhaustive_cap)
+                % (total, UNIFORMITY_EXHAUSTIVE_CAP)
             )
         cells = q ** (s * ny)
         from collections import Counter
@@ -860,11 +857,12 @@ def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors,
         raise ValueError("sampled mode needs an rng")
     from scipy.stats import chi2
     ncoef = nx * ny
+    draws = UNIFORMITY_DRAWS
     # one block draw is bit-identical to `draws` sequential poly draws
     grids = rng.residues(draws * ncoef, q).reshape(draws, nx, ny)
     anchored = [_specialize_batch(spec, grids, vm) for vm in vmons]
     cells = q**s
-    threshold = float(chi2.isf(quantile, cells - 1))
+    threshold = float(chi2.isf(UNIFORMITY_QUANTILE, cells - 1))
     expected = draws / cells
     stats = []
     for j in range(ny):

@@ -60,10 +60,14 @@ class DependenceReport:
     kernel_basis: list
 
 
-def dependence_classify(points, m: int, minimal_cap: int = 64) -> DependenceReport:
+MINIMAL_CAP = 64   # largest dependent set whose minimality is decided
+KERNEL_CAP = 4     # largest kernel dimension the strong witness searches
+
+
+def dependence_classify(points, m: int) -> DependenceReport:
     """Full dependence diagnosis of one point set.
 
-    minimal is None when t exceeds minimal_cap (each of the t subsets of
+    minimal is None when t exceeds MINIMAL_CAP (each of the t subsets of
     size t-1 needs its own rank).
     """
     spec, _ = _common_spec(points)
@@ -75,7 +79,7 @@ def dependence_classify(points, m: int, minimal_cap: int = 64) -> DependenceRepo
     dependent = r < t
     if not dependent:
         minimal = False
-    elif t > minimal_cap:
+    elif t > MINIMAL_CAP:
         minimal = None
     else:
         # dependent, and by monotonicity minimal iff every (t-1)-subset
@@ -188,14 +192,15 @@ def power_rank(points, m: int) -> int:
     return rank(power_rows(points, m), spec)
 
 
-def strong_dependence_witness(points, m: int, kernel_cap: int = 4):
+def strong_dependence_witness(points, m: int):
     """All-nonzero left-kernel vector of the evaluation matrix, or None.
 
     Such a vector certifies a product relation among the attached linear
     forms in any characteristic; when char > m it is equally a kernel
     vector of the power matrix (the two differ by nonzero column scalings).
     Preconditions: the points span the ambient space, and the kernel
-    dimension stays within kernel_cap (the search is projective over F_q).
+    dimension stays within KERNEL_CAP (the search is projective over F_q;
+    else BudgetExceeded).
     """
     spec, b = _common_spec(points)
     coord_rows = [list(pt.coords) for pt in points]
@@ -206,8 +211,8 @@ def strong_dependence_witness(points, m: int, kernel_cap: int = 4):
     d = len(kern)
     if d == 0:
         return None
-    if d > kernel_cap:
-        raise BudgetExceeded("kernel dimension %d exceeds cap %d" % (d, kernel_cap))
+    if d > KERNEL_CAP:
+        raise BudgetExceeded("kernel dimension %d exceeds cap %d" % (d, KERNEL_CAP))
     t = len(points)
     for combo in enumerate_projective(spec, d - 1):
         cand = [0] * t
@@ -225,13 +230,24 @@ def strong_dependence_witness(points, m: int, kernel_cap: int = 4):
 
 
 def m_cap(k: int, T: int) -> int:
-    """Smallest m >= 0 with C(m + k, k) >= T."""
+    """Smallest m >= 0 with C(m + k, k) >= T.
+
+    C(m + k, k) increases with m, so m is bracketed by doubling and then
+    found by bisection: O(log m) binomials, not m of them.
+    """
     if k < 1 or T < 1:
         raise ValueError("need k >= 1 and T >= 1")
-    m = 0
-    while comb(m + k, k) < T:
-        m += 1
-    return m
+    hi = 1
+    while comb(hi + k, k) < T:
+        hi *= 2
+    lo = hi // 2  # the answer lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if comb(mid + k, k) >= T:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass

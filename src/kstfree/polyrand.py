@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import FieldSpec, elem_parse, elem_str
+from .gf import FieldSpec, elem_str
 from .projgeom import enumerate_multiindices, monomial_eval, monomial_matrix
 
 _M64 = (1 << 64) - 1
@@ -89,10 +89,6 @@ class HomPoly:
         if len(self.coeffs) != comb(self.b + self.m, self.m):
             raise ValueError("coefficient count does not match (b, m)")
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def multiindices(self):
         return enumerate_multiindices(self.b, self.m)
 
@@ -159,22 +155,6 @@ def evaluate_bi(g: BiHomPoly, v, w) -> int:
     return acc
 
 
-def specialize(g: BiHomPoly, v) -> HomPoly:
-    """Anchor the x side at v: the degree-mp polynomial g(v, .) on P^b."""
-    spec = g.spec
-    mis_x = enumerate_multiindices(g.a, g.m)
-    ny = comb(g.b + g.mp, g.mp)
-    out = [0] * ny
-    for row, alpha in zip(g.coeffs, mis_x):
-        xa = monomial_eval(v, alpha)
-        if xa == 0:
-            continue
-        for j, c in enumerate(row):
-            if c:
-                out[j] = spec.add(out[j], spec.mul(xa, c))
-    return HomPoly(spec, g.b, g.mp, tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # bulk evaluation
 
@@ -229,12 +209,3 @@ def hom_to_json(f: HomPoly) -> dict:
         if c
     ]
     return {"kind": "hom", "b": f.b, "m": f.m, "coeffs": entries}
-
-
-def hom_from_json(spec: FieldSpec, doc: dict) -> HomPoly:
-    b, m = int(doc["b"]), int(doc["m"])
-    mis = {tuple(beta): i for i, beta in enumerate(enumerate_multiindices(b, m))}
-    out = [0] * len(mis)
-    for beta, s in doc["coeffs"]:
-        out[mis[tuple(beta)]] = elem_parse(spec, s)
-    return HomPoly(spec, b, m, tuple(out))

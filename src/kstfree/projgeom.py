@@ -10,8 +10,6 @@ that listing.
 """
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 from .gf import FieldSpec, elem_parse, elem_str
@@ -45,9 +43,6 @@ class ProjPoint:
 
     def __hash__(self):
         return hash((self.spec.p, self.spec.k, self.coords))
-
-    def __lt__(self, other):
-        return self.coords < other.coords
 
     def __repr__(self):
         return "ProjPoint(%s)" % point_to_str(self)
@@ -98,15 +93,20 @@ def chart_rows(q: int, b: int, lead: int, idx: np.ndarray) -> np.ndarray:
     return block
 
 
-def projective_chunks(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET,
-                      chunk: int = 1 << 17):
-    """Yield (rows, b+1) encoding arrays covering P^b(F_q) in canonical order."""
+CHUNK = 1 << 17  # most points in one projective_chunks block
+
+
+def projective_chunks(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET):
+    """Yield (rows, b+1) encoding arrays covering P^b(F_q) in canonical order.
+
+    Each array holds at most CHUNK points of one chart.
+    """
     q = spec.order
     checked_count(q, b, cap)
     for lead in chart_leads(b):
         cnt = q ** (b - lead)
-        for start in range(0, cnt, chunk):
-            idx = np.arange(start, min(start + chunk, cnt), dtype=np.int64)
+        for start in range(0, cnt, CHUNK):
+            idx = np.arange(start, min(start + CHUNK, cnt), dtype=np.int64)
             yield chart_rows(q, b, lead, idx)
 
 
@@ -120,17 +120,13 @@ def enumerate_projective(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGE
     return [ProjPoint(spec, row) for row in arr.tolist()]
 
 
-def enumerate_multiindices(b: int, m: int, cap: int | None = None):
+def enumerate_multiindices(b: int, m: int):
     """Exponent vectors of degree m in b+1 variables, graded-lex order.
 
     The first exponent descends fastest: (m,0,...), then (m-1,1,0,...), ...
     """
     if b < 0 or m < 0:
         raise ValueError("need b >= 0 and m >= 0")
-    total = comb(b + m, m)
-    if cap is not None and total > cap:
-        raise BudgetExceeded("C(%d,%d) = %d multiindices exceed cap %d"
-                             % (b + m, m, total, cap))
 
     def rec(nvars, deg):
         if nvars == 1:
@@ -162,8 +158,16 @@ def point_to_str(point: ProjPoint) -> str:
 
 
 def point_from_str(spec: FieldSpec, s: str) -> ProjPoint:
-    coords = [elem_parse(spec, part) for part in s.split(":")]
-    return canonicalize(spec, coords)
+    """Inverse of point_to_str; refuses text it would not write back as is.
+
+    So a scaled point ("2:1" over F_5), padding, signs or leading zeros
+    are errors, not silent rewrites.
+    """
+    pt = canonicalize(spec, [elem_parse(spec, part) for part in s.split(":")])
+    if point_to_str(pt) != s:
+        raise ValueError("%r is not a canonical point of %r; its canonical "
+                         "form is %r" % (s, spec, point_to_str(pt)))
+    return pt
 
 
 # ---------------------------------------------------------------------------

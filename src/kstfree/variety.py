@@ -26,10 +26,10 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import FieldSpec, _mod, make_field
-from .independence import SWiseCheck, ZConditionReport, s_wise_independent, z_condition
-from .polyrand import HomPoly, SeededRng, hom_from_json, hom_to_json, random_hom
+from .independence import SWiseCheck, s_wise_independent, z_condition
+from .polyrand import HomPoly, SeededRng, hom_to_json, random_hom
 from .projgeom import ProjPoint, chart_leads, chart_rows, checked_count, projective_count
-from .util import DEFAULT_POINT_BUDGET, DEFAULT_SAMPLE_SUBSETS, DEFAULT_SUBSET_BUDGET
+from .util import DEFAULT_POINT_BUDGET, DEFAULT_SUBSET_BUDGET
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,6 @@ def variety_to_json(var: VarietySpec) -> dict:
         "b": var.b,
         "forms": [hom_to_json(f) for f in var.forms],
     }
-
-
-def variety_from_json(doc: dict) -> VarietySpec:
-    spec = make_field(doc["field"]["p"], doc["field"]["k"])
-    forms = tuple(hom_from_json(spec, d) for d in doc["forms"])
-    return VarietySpec(spec, doc["b"], forms)
 
 
 SLAB = 1 << 17  # cells in one slab of a chart's last contraction
@@ -293,7 +287,6 @@ class BuildConfig:
     max_attempts: int = 10
     point_cap: int = DEFAULT_POINT_BUDGET
     subset_budget: int = DEFAULT_SUBSET_BUDGET
-    samples: int = DEFAULT_SAMPLE_SUBSETS
 
 
 @dataclass
@@ -306,7 +299,6 @@ class BuildResult:
     target_dim: int
     swise: SWiseCheck | None
     probe: DimensionProbe | None
-    z_report: ZConditionReport | None
     failure_tally: dict = field(default_factory=dict)
 
 
@@ -327,8 +319,7 @@ def _check_draw(var: VarietySpec, pts: np.ndarray, cfg: BuildConfig,
     else:
         proj = [ProjPoint(var.spec, tuple(int(c) for c in row)) for row in pts]
         sw = s_wise_independent(proj, cfg.s, cfg.degree,
-                                budget=cfg.subset_budget, rng=rng,
-                                samples=cfg.samples)
+                                budget=cfg.subset_budget, rng=rng)
     if not sw.certified:
         return "swise", sw, None
     counts = {1: n}
@@ -379,7 +370,7 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
         if failed:
             tally[failed] += 1
         last = BuildResult(failed is None, attempt + 1, var, pts, len(pts),
-                           target_dim, sw, probe, z_rep, dict(tally))
+                           target_dim, sw, probe, dict(tally))
         if failed is None:
             return last
     assert last is not None
@@ -396,8 +387,7 @@ class ConcentrationReport:
     counts: list
     mean: float
     expected: Fraction        # |Y| / q^r
-    threshold_num: int        # failure when 2 * count * q^r <= |Y|
-    failures: int
+    failures: int             # trials with 2 * count * q^r <= |Y|
     failure_bound: Fraction   # 4 q^r / |Y|, capped at 1
 
 
@@ -427,6 +417,6 @@ def concentration_study(var: VarietySpec, num_forms: int, degree: int,
             failures += 1
     mean = sum(counts) / trials
     return ConcentrationReport(
-        trials, counts, mean, Fraction(size, qr), size, failures,
+        trials, counts, mean, Fraction(size, qr), failures,
         min(Fraction(1), Fraction(4 * qr, size)),
     )

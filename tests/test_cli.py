@@ -28,19 +28,20 @@ def test_plan_prints_known_threshold(capsys):
     assert doc["c"] == "1/4"
 
 
-def test_plan_zarankiewicz_with_width_override(capsys):
-    rc, out, _ = run(["plan", "zarankiewicz", "--s", "2", "--T", "3",
-                      "--r", "1", "--m", "2", "--q", "8", "--a", "7"],
-                     capsys)
-    assert rc == 0
-    assert json.loads(out)["a"] == 7
-
-
-def test_width_override_rejected_for_turan(capsys):
-    rc, _, err = run(["plan", "turan", "--s", "2", "--m", "3", "--r", "1",
-                      "--Z", "1", "--a", "7"], capsys)
-    assert rc == 1
-    assert "zarankiewicz" in err
+def test_width_and_mode_overrides_are_usage_errors(tmp_path, capsys):
+    # a is derived from (s, c, q, T), and only plan resolves theorem plans
+    zar = ["zarankiewicz", "--s", "2", "--T", "3", "--r", "1", "--m", "2",
+           "--q", "8"]
+    out = ["--seed", "1", "--out", str(tmp_path / "g.json")]
+    cases = [["plan"] + zar + ["--a", "7"]]
+    for sub in ("construct", "sweep"):
+        cases.append([sub] + zar + out + ["--a", "7"])
+        cases.append([sub] + zar + out + ["--mode", "theorem"])
+    for argv in cases:
+        rc, stdout, err = run(argv, capsys)
+        assert rc == 1, argv
+        assert err.startswith("usage error:") and argv[-2] in err, argv
+        assert stdout == "" and not (tmp_path / "g.json").exists()
 
 
 def test_usage_errors_exit_one(capsys):
@@ -223,6 +224,20 @@ def test_verify_sampled_report_roundtrip(tmp_path, capsys):
     assert json.loads(vout)["matches_report"] is True
 
 
+@pytest.mark.parametrize("stored", ["[]", '"x"', "3"])
+def test_verify_refuses_a_report_that_is_not_an_object(stored, tmp_path,
+                                                       capsys):
+    out = str(tmp_path / "g.json")
+    run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1",
+         "--q", "7", "--seed", "1", "--out", out], capsys)
+    with open(report_path_for(out), "w") as fh:
+        fh.write(stored + "\n")
+    rc, stdout, err = run(["verify", "--graph", out], capsys)
+    assert rc == 1
+    assert err.startswith("error: ") and "not a JSON object" in err
+    assert stdout == ""
+
+
 def test_verify_missing_file_exits_one(capsys):
     rc, _, _ = run(["verify", "--graph", "/nonexistent/g.json"], capsys)
     assert rc == 1
@@ -270,6 +285,18 @@ def test_indep_rejects_garbage_points(tmp_path, capsys):
                      capsys)
     assert rc == 1
     assert "pts.txt:2" in err
+
+
+@pytest.mark.parametrize("line", ["2:1", "1: 1", "01:1", "1:+1"])
+def test_indep_refuses_non_canonical_points(line, tmp_path, capsys):
+    # 2:1 is the point 1:3 over F_5, but the file must say so
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1:0\n%s\n" % line)
+    rc, stdout, err = run(["indep", "--points", str(pts), "--q", "5",
+                           "--m", "2"], capsys)
+    assert rc == 1
+    assert err.startswith("error: ") and "pts.txt:2" in err
+    assert stdout == ""
 
 
 def test_sweep_aggregates(tmp_path, capsys):

@@ -87,7 +87,7 @@ def all_prime_powers(limit):
 @pytest.mark.parametrize("p,k,q", [t for t in all_prime_powers(27)])
 def test_axioms_exhaustive_small(p, k, q):
     fs = make_field(p, k)
-    els = list(fs.elements())
+    els = range(q)
     for a in els:
         assert fs.add(a, 0) == a and fs.mul(a, 1) == a
         assert fs.add(a, fs.neg(a)) == 0
@@ -108,7 +108,7 @@ def test_axioms_exhaustive_small(p, k, q):
 
 def test_encode_decode_roundtrip():
     fs = make_field(3, 3)
-    for e in fs.elements():
+    for e in range(fs.order):
         assert fs.encode(fs.decode(e)) == e
     assert fs.decode(5) == (2, 1, 0)
 
@@ -232,8 +232,8 @@ def test_embedding_is_a_field_homomorphism(src, dst):
     ext = make_field(*dst)
     t = base.embed_table(ext)
     assert t[0] == 0 and t[1] == 1
-    for a in base.elements():
-        for b in base.elements():
+    for a in range(base.order):
+        for b in range(base.order):
             assert t[base.add(a, b)] == ext.add(int(t[a]), int(t[b]))
             assert t[base.mul(a, b)] == ext.mul(int(t[a]), int(t[b]))
     assert len(set(int(x) for x in t)) == base.order  # injective

@@ -28,7 +28,7 @@ from kstfree.graphs import (
 )
 from kstfree.polyrand import SeededRng, evaluate, random_hom
 from kstfree.projgeom import ProjPoint, enumerate_projective, point_from_str, point_to_str
-from kstfree.util import BudgetExceeded, floor_scaled_power
+from kstfree.util import DEFAULT_SAMPLE_SUBSETS, BudgetExceeded, floor_scaled_power
 from kstfree.variety import BuildConfig, build_independent_variety
 
 
@@ -253,9 +253,9 @@ def test_max_common_fano():
 
 def test_max_common_sampled_lower_bound():
     g = complete_bipartite(6, 4)
-    res = max_common_neighborhood(g, 2, "left", budget=3, rng=SeededRng(1),
-                                  samples=5)
+    res = max_common_neighborhood(g, 2, "left", budget=3, rng=SeededRng(1))
     assert res.mode == "sampled" and not res.certified
+    assert res.checked == DEFAULT_SAMPLE_SUBSETS
     assert res.size == 4  # every pair sees everything
     with pytest.raises(BudgetExceeded):
         max_common_neighborhood(g, 2, "left", budget=3)
@@ -316,13 +316,15 @@ def test_max_common_sampled_matches_set_oracle():
             if n < s or comb(n, s) <= 4:
                 continue
             res = max_common_neighborhood(g, s, side, budget=4,
-                                          rng=SeededRng(n), samples=7)
+                                          rng=SeededRng(n))
             replay = SeededRng(n)
-            drawn = [replay.sample_subset(n, s) for _ in range(7)]
+            drawn = [replay.sample_subset(n, s)
+                     for _ in range(DEFAULT_SAMPLE_SUBSETS)]
             assert (res.size, res.subset) == brute_max_common(g.adj, s, side,
                                                               drawn)
             assert res.mode == "sampled" and not res.certified
-            assert (res.checked, res.total) == (7, comb(n, s))
+            assert (res.checked, res.total) == (DEFAULT_SAMPLE_SUBSETS,
+                                                comb(n, s))
 
 
 def searches(g, s, **kw):
@@ -347,16 +349,23 @@ def test_kst_fano_free():
 
 def test_kst_pigeonhole():
     g = complete_bipartite(8, 3)
-    # over budget on the left, but t exceeds the right side: no search needed
-    v = kst_verdict(g, 2, 4, {}, "left_only", budget=5)
+    # sampled on the left, but t exceeds the right side: pigeonhole settles it
+    found = searches(g, 2, budget=5, rng=SeededRng(3))
+    assert found["left"].mode == "sampled"
+    v = kst_verdict(g, 2, 4, found, "left_only")
     assert v.free is True and v.certified
-    assert v.sides["left"]["mode"] == "pigeonhole"
+    assert v.sides["left"] == {"mode": "pigeonhole", "certified": True,
+                               "opposite": 3}
+    # an exhaustive search is read as it is, even when t exceeds the side
+    found = searches(g, 2)
+    v = kst_verdict(g, 2, 4, found, "left_only")
+    assert v.sides["left"] is found["left"] and v.free is True
 
 
 def test_kst_sampled_never_certifies_freeness():
     g = fano_graph()
-    found = searches(g, 2, budget=5, rng=SeededRng(3), samples=4)
-    v = kst_verdict(g, 2, 2, found, "both", budget=5)
+    found = searches(g, 2, budget=5, rng=SeededRng(3))
+    v = kst_verdict(g, 2, 2, found, "both")
     assert v.free is None and not v.certified
 
 
@@ -630,7 +639,7 @@ def test_joint_uniformity_sampled():
     spec = make_field(5, 1)
     anchors = [ProjPoint(spec, (1, 0, 3)), ProjPoint(spec, (0, 1, 2))]
     res = joint_uniformity_test(2, 2, 2, 2, anchors, "sampled",
-                                rng=SeededRng(505), draws=10_000)
+                                rng=SeededRng(505))
     assert res.ok
     assert res.mode == "sampled"
     assert res.cells == 25

@@ -260,7 +260,7 @@ def test_strong_witness_kernel_cap():
     spec = make_field(3, 1)
     sel = enumerate_projective(spec, 2)  # 13 points, m = 1: kernel dim 10
     with pytest.raises(BudgetExceeded):
-        strong_dependence_witness(sel, 1, kernel_cap=4)
+        strong_dependence_witness(sel, 1)  # above KERNEL_CAP = 4
 
 
 # --- caps, bounds, conditions ----------------------------------------------
@@ -271,15 +271,16 @@ def test_m_cap_frozen():
     assert m_cap(2, 6) == 2
     for k in range(1, 6):
         assert m_cap(k, 1) == 0
+    assert m_cap(1, 10**10) == 10**10 - 1  # 10^10 steps of a linear search
 
 
 def test_m_cap_definition():
-    for k in range(1, 5):
-        for T in range(1, 60):
-            m = m_cap(k, T)
-            assert comb(m + k, k) >= T
-            if m > 0:
-                assert comb(m - 1 + k, k) < T
+    grid = [(k, T) for k in range(1, 5) for T in range(1, 60)]
+    for k, T in grid + [(2, 10**12), (3, 10**9), (7, 10**30)]:
+        m = m_cap(k, T)
+        assert comb(m + k, k) >= T
+        if m > 0:
+            assert comb(m - 1 + k, k) < T
 
 
 def test_m_cap_validation():

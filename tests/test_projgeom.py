@@ -104,11 +104,6 @@ def test_multiindex_count_and_degrees(b, m):
     assert all(sum(mi) == m and len(mi) == b + 1 for mi in mis)
 
 
-def test_multiindex_cap():
-    with pytest.raises(BudgetExceeded):
-        enumerate_multiindices(10, 10, cap=5)
-
-
 def test_monomial_eval():
     f7 = make_field(7)
     pt = canonicalize(f7, (1, 3, 2))
@@ -140,6 +135,15 @@ def test_point_serialization_examples():
     pt = canonicalize(f4, (1, 2))  # second coord is the basis root x
     assert point_to_str(pt) == "1,0:0,1"
     assert point_from_str(f4, "1,0:0,1") == pt
+
+
+@pytest.mark.parametrize("k,text", [
+    (1, "2:1"), (1, "0:3:0"), (2, "0,1:1,0"), (2, "1,0: 0,1"),
+    (2, "1,0:0,01"),
+])
+def test_point_from_str_refuses_non_canonical_text(k, text):
+    with pytest.raises(ValueError):
+        point_from_str(make_field(5, k), text)
 
 
 def test_zero_set_invariant_under_rescaling():
