@@ -28,12 +28,30 @@ def test_plan_prints_known_threshold(capsys):
     assert doc["c"] == "1/4"
 
 
+def test_plan_zarankiewicz_with_width_override(capsys):
+    # a is derived from (s, c, q, T); --a is no longer an option
+    zar = ["plan", "zarankiewicz", "--s", "2", "--T", "3", "--r", "1",
+           "--m", "2", "--q", "8"]
+    rc, out, err = run(zar + ["--a", "7"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("usage error:") and "--a" in err
+    rc, out, _ = run(zar, capsys)
+    assert rc == 0 and json.loads(out)["a"] != 7
+
+
+def test_width_override_rejected_for_turan(capsys):
+    rc, out, err = run(["plan", "turan", "--s", "2", "--m", "3", "--r", "1",
+                        "--Z", "1", "--a", "7"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("usage error:") and "--a" in err
+
+
 def test_width_and_mode_overrides_are_usage_errors(tmp_path, capsys):
     # a is derived from (s, c, q, T), and only plan resolves theorem plans
     zar = ["zarankiewicz", "--s", "2", "--T", "3", "--r", "1", "--m", "2",
            "--q", "8"]
     out = ["--seed", "1", "--out", str(tmp_path / "g.json")]
-    cases = [["plan"] + zar + ["--a", "7"]]
+    cases = []
     for sub in ("construct", "sweep"):
         cases.append([sub] + zar + out + ["--a", "7"])
         cases.append([sub] + zar + out + ["--mode", "theorem"])
