@@ -258,10 +258,6 @@ def check_builder_yield(seed: int):
     }
 
 
-def _side_mode(entry) -> str:
-    return entry["mode"] if isinstance(entry, dict) else entry.mode
-
-
 def check_turan_pipeline(seed: int):
     """Dense two-sided pipeline at s=2, m=3, r=1, one cut, c=1/4: for each
     of q=7 and q=11, among 20 master seeds at least one graph passes both
@@ -281,7 +277,7 @@ def check_turan_pipeline(seed: int):
             except CertificationError:
                 continue
             built += 1
-            exhaustive = all(_side_mode(v) == "exhaustive"
+            exhaustive = all(v.mode == "exhaustive"
                              for v in rep.kst.sides.values())
             if (rep.kst.free is True and rep.kst.certified and exhaustive
                     and rep.density.turan_ok):

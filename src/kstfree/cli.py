@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -86,15 +87,33 @@ def _add_budget_flags(sp, points: bool):
                         default=DEFAULT_POINT_BUDGET)
 
 
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of n >= 1, without converting it to a string."""
+    d = int(math.log10(n)) + 1
+    if 10 ** (d - 1) > n:     # log10 rounded up across a power of ten
+        return d - 1
+    return d + (10 ** d <= n)
+
+
 def _plan_from_args(args) -> ConstructionPlan:
-    """The plan the flags name; only `plan` takes --mode, the rest are desk."""
+    """The plan the flags name; only `plan` takes --mode, the rest are desk.
+
+    A t_threshold longer than Python's int-to-string limit could not be
+    written as JSON, so it is refused here, before any output.
+    """
     kw = {}
     for name in ("m", "r", "Z", "T", "q", "c"):
         v = getattr(args, name)
         if v is not None:
             kw[name] = v
-    return plan_construction(args.kind, args.s,
+    plan = plan_construction(args.kind, args.s,
                              mode=getattr(args, "mode", "desk"), **kw)
+    limit = sys.get_int_max_str_digits()
+    digits = _decimal_digits(plan.t_threshold)
+    if limit and digits > limit:
+        raise ValueError("t_threshold has %d decimal digits, more than the "
+                         "%d that JSON output can write" % (digits, limit))
+    return plan
 
 
 def _emit(doc, out: str | None) -> None:
@@ -157,8 +176,6 @@ def cmd_verify(args) -> int:
     graph = SidedGraph.from_json(read_doc(args.graph))
     if graph.plan is None:
         raise ValueError("graph document carries no plan")
-    if graph.seed is None:
-        raise ValueError("graph document carries no seed")
     plan = graph.plan
     s = args.s if args.s is not None else plan.s
     t = args.t if args.t is not None else plan.t_threshold
@@ -178,8 +195,8 @@ def cmd_verify(args) -> int:
         fresh.update(n_edges=graph.num_edges, n_left=len(graph.left),
                      n_right=len(graph.right))
         kst = fresh.pop("kst")
-        if s != plan.s:
-            # the sides were searched at the overridden s, not the plan's
+        if (s, orientation) != (plan.s, plan.orientation):
+            # the searches ran at another s or over other sides
             del fresh["max_common"]
         mismatches = [key for key, value in fresh.items()
                       if key in stored and stored[key] != value]

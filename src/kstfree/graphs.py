@@ -5,12 +5,12 @@ random bihomogeneous form on a certified variety, and a lopsided one
 anchored on coordinate points.  Both are deterministic in (plan, seed):
 the master stream is split into the fixed sub-streams named by the
 STREAM_* constants (0 variety builder, 1 and 2 left and right cutting
-forms, 3 adjacency form, 4 and 5 the sampled max-common search of the
-left and the right side), so a reconstruction from the same inputs is
+forms, 3 adjacency form), so a reconstruction from the same inputs is
 byte-identical.
 
-Verification never certifies from a sample: verdicts carry an explicit
-certified flag, and the exhaustive paths are the only ones that set it.
+Verdicts read the adjacency and the plan, never the seed or a sample: a side
+is searched exhaustively when its subsets fit the budget, and bounded
+by its degrees when they do not.
 """
 from __future__ import annotations
 
@@ -23,13 +23,12 @@ from math import comb
 
 import numpy as np
 
-from .gf import FieldSpec, field_for_order, make_field
+from .gf import FieldSpec, elem_str, field_for_order, make_field
 from .independence import hilbert_rank, m_cap, z_condition
 from .polyrand import SeededRng, eval_bihom_grid, random_bihom, random_hom
-from .projgeom import ProjPoint, enumerate_multiindices, monomial_eval, point_from_str, point_to_str
+from .projgeom import enumerate_multiindices, monomial_eval, point_from_str
 from .util import (
     DEFAULT_POINT_BUDGET,
-    DEFAULT_SAMPLE_SUBSETS,
     DEFAULT_SUBSET_BUDGET,
     BudgetExceeded,
     dec12,
@@ -50,7 +49,6 @@ STREAM_VARIETY = 0
 STREAM_LEFT_CUT = 1
 STREAM_RIGHT_CUT = 2
 STREAM_ADJACENCY = 3
-STREAM_SEARCH = {"left": 4, "right": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +331,12 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
 
 @dataclass
 class CommonNbhd:
-    size: int
-    subset: tuple | None
+    size: int                 # exact, or an upper bound in degree mode
+    subset: tuple | None      # a subset attaining size; None in degree mode
     certified: bool
     checked: int
     total: int
-    mode: str                 # exhaustive | sampled | empty
+    mode: str                 # exhaustive | degree | empty
 
     def to_json(self) -> dict:
         return {
@@ -393,16 +391,16 @@ def _exhaustive_max(rows: np.ndarray, s: int):
 
 
 def max_common_neighborhood(g: SidedGraph, s: int, side: str = "left",
-                            budget: int = DEFAULT_SUBSET_BUDGET,
-                            rng=None) -> CommonNbhd:
+                            budget: int = DEFAULT_SUBSET_BUDGET) -> CommonNbhd:
     """Largest common neighborhood over s-subsets of one side.
 
     Exhaustive when the C(n, s) subsets fit the budget: every subset is
     counted as checked, and `_exhaustive_max` reads them from one Gram
     product per (s-2)-prefix (ties keep the first subset in canonical
-    order).  Beyond the budget a sampled pass over DEFAULT_SAMPLE_SUBSETS
-    subsets drawn from rng gives an uncertified lower bound.  Without an
-    rng the over-budget case raises.
+    order).  Beyond the budget no subset is checked: s vertices share at
+    most the smallest of their degrees, so the s-th largest degree of
+    the side is returned as a proved upper bound (mode "degree", no
+    subset), not as an attained size.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -414,19 +412,9 @@ def max_common_neighborhood(g: SidedGraph, s: int, side: str = "left",
     if total <= budget:
         best, best_sub = _exhaustive_max(rows, s)
         return CommonNbhd(best, best_sub, True, total, total, "exhaustive")
-    if rng is None:
-        raise BudgetExceeded(
-            "C(%d, %d) = %d subsets exceed budget %d and no rng was given"
-            % (n, s, total, budget)
-        )
-    best, best_sub = -1, None
-    for _ in range(DEFAULT_SAMPLE_SUBSETS):
-        combo = rng.sample_subset(n, s)
-        size = int(np.count_nonzero(_common(rows, combo)))
-        if size > best:
-            best, best_sub = size, combo
-    return CommonNbhd(best, best_sub, False, DEFAULT_SAMPLE_SUBSETS, total,
-                      "sampled")
+    degrees = np.count_nonzero(rows, axis=1)
+    bound = int(np.partition(degrees, n - s)[n - s])
+    return CommonNbhd(bound, None, True, 0, total, "degree")
 
 
 @dataclass
@@ -434,10 +422,10 @@ class KstVerdict:
     s: int
     t: int
     orientation: str          # both | left_only
-    free: bool | None         # None = undetermined (sampled, clean)
+    free: bool | None         # None = undetermined (a degree bound >= t)
     certified: bool
     witness: dict | None      # {"side", "anchors", "neighbors"}
-    sides: dict               # side -> CommonNbhd or {"mode": "pigeonhole"}
+    sides: dict               # anchored side -> CommonNbhd
 
     def to_json(self) -> dict:
         return {
@@ -448,11 +436,17 @@ class KstVerdict:
                 "anchors": list(self.witness["anchors"]),
                 "neighbors": list(self.witness["neighbors"]),
             },
-            "sides": {
-                k: (v.to_json() if isinstance(v, CommonNbhd) else v)
-                for k, v in self.sides.items()
-            },
+            "sides": {k: v.to_json() for k, v in self.sides.items()},
         }
+
+
+def _anchored_sides(orientation: str) -> tuple:
+    """The sides a K_{s,t} verdict of this orientation reads."""
+    if orientation == "both":
+        return ("left", "right")
+    if orientation == "left_only":
+        return ("left",)
+    raise ValueError("orientation must be both or left_only")
 
 
 def kst_verdict(g: SidedGraph, s: int, t: int, searches: dict,
@@ -460,38 +454,28 @@ def kst_verdict(g: SidedGraph, s: int, t: int, searches: dict,
     """Judge whether s vertices on the anchored side(s) share t neighbors.
 
     `searches` maps each anchored side to its max_common_neighborhood
-    result at this s.  A side whose search was sampled (it went over the
-    subset budget) is settled by pigeonhole when t exceeds its opposite
-    side, since no s vertices can share more neighbors than that.
-    Freeness is certified only by exhaustive search or that pigeonhole;
-    a violation is certified by its witness no matter how it was found.
+    result at this s.  A side whose size (exact, or a degree upper
+    bound) is below t is certified free; a subset sharing t or more
+    neighbors is a certified violation with its witness; a degree bound
+    at or above t leaves the side undetermined.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if orientation not in ("both", "left_only"):
-        raise ValueError("orientation must be both or left_only")
-    check_sides = ("left", "right") if orientation == "both" else ("left",)
-    per_side: dict = {}
+    per_side = {side: searches[side] for side in _anchored_sides(orientation)}
     witness = None
     undetermined = False
-    for side in check_sides:
-        mcn = searches[side]
-        opp = _side_adj(g, side).shape[1]
-        if mcn.mode == "sampled" and t > opp:
-            per_side[side] = {"mode": "pigeonhole", "certified": True,
-                              "opposite": opp}
+    for side, mcn in per_side.items():
+        if mcn.size < t:
             continue
-        per_side[side] = mcn
-        if mcn.subset is not None and mcn.size >= t:
-            if witness is None:
-                common = _common(_side_adj(g, side), mcn.subset)
-                witness = {
-                    "side": side,
-                    "anchors": tuple(mcn.subset),
-                    "neighbors": tuple(np.flatnonzero(common)[:t].tolist()),
-                }
-        elif not mcn.certified:
+        if mcn.subset is None:
             undetermined = True
+        elif witness is None:
+            common = _common(_side_adj(g, side), mcn.subset)
+            witness = {
+                "side": side,
+                "anchors": tuple(mcn.subset),
+                "neighbors": tuple(np.flatnonzero(common)[:t].tolist()),
+            }
     if witness is not None:
         return KstVerdict(s, t, orientation, False, True, witness, per_side)
     if undetermined:
@@ -592,16 +576,12 @@ class Verdicts:
 
 def judge_graph(g: SidedGraph, s: int, t: int, orientation: str,
                 budget: int = DEFAULT_SUBSET_BUDGET) -> Verdicts:
-    """Search each side once, then judge K_{s,t} and density from that.
+    """Search each anchored side once, then judge K_{s,t} and density.
 
-    The graph must carry its plan and master seed.  A side over the
-    subset budget is sampled from its own STREAM_SEARCH sub-stream of the
-    seed, so construct and verify draw the same subsets.
+    The verdicts read the adjacency and the plan alone, never the seed.
     """
-    base = SeededRng(g.seed)
-    mc = {side: max_common_neighborhood(g, s, side, budget=budget,
-                                        rng=base.derive(stream))
-          for side, stream in STREAM_SEARCH.items()}
+    mc = {side: max_common_neighborhood(g, s, side, budget=budget)
+          for side in _anchored_sides(orientation)}
     return Verdicts(mc, kst_verdict(g, s, t, mc, orientation),
                     density_report(g, g.plan))
 
@@ -637,8 +617,8 @@ class TrialReport(Verdicts):
 
 
 def _ids_of(spec: FieldSpec, enc: np.ndarray):
-    return [point_to_str(ProjPoint(spec, tuple(int(c) for c in row)))
-            for row in enc]
+    """Point ids of canonical encoded rows, as `point_to_str` writes them."""
+    return [":".join(elem_str(spec, c) for c in row) for row in enc.tolist()]
 
 
 def _trial_report(graph: SidedGraph, plan: ConstructionPlan,

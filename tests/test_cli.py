@@ -6,10 +6,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kstfree
 from kstfree.cli import main
+from kstfree.gf import field_for_order
 from kstfree.jsonio import read_doc, report_path_for
+from kstfree.projgeom import enumerate_projective, point_to_str
 
 
 def run(argv, capsys):
@@ -217,14 +221,15 @@ def test_verify_overrides_skip_what_they_change(tmp_path, capsys):
     assert (vdoc["kst"]["free"], vdoc["kst"]["certified"]) == (True, True)
     assert vdoc["mismatched_fields"] == []
     assert rc == 0
-    # --orientation leaves the searches at the plan's s, so they still compare
+    # --orientation left_only searches one side: neither kst nor max_common
+    # is compared
     rc, vout, _ = run(["verify", "--graph", out, "--orientation", "left_only"],
                       capsys)
     assert rc == 0
     assert json.loads(vout)["matches_report"] is True
 
 
-def test_verify_sampled_report_roundtrip(tmp_path, capsys):
+def test_verify_degree_report_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "z.json")
     rc, _, _ = run(["construct", "zarankiewicz", "--s", "2", "--T", "3",
                     "--r", "1", "--m", "2", "--q", "8", "--c", "1/4",
@@ -232,14 +237,24 @@ def test_verify_sampled_report_roundtrip(tmp_path, capsys):
                     "--out", out], capsys)
     assert rc == 2
     report = read_doc(report_path_for(out))
-    assert [report["max_common"][side]["mode"]
-            for side in ("left", "right")] == ["sampled", "sampled"]
-    # the K_{s,t} verdict reads the one search of each side
-    assert report["kst"]["sides"]["left"] == report["max_common"]["left"]
+    # left_only: only the left side is searched, and over budget it is
+    # bounded by its degrees; a bound of t = 9 leaves it undetermined
+    assert report["max_common"] == {"left": {
+        "size": 9, "subset": None, "certified": True, "checked": 0,
+        "total": 10, "mode": "degree"}}
+    assert report["kst"]["sides"] == report["max_common"]
+    assert report["kst"]["free"] is None
     rc, vout, _ = run(["verify", "--graph", out, "--budget-subsets", "5"],
                       capsys)
     assert rc == 2
     assert json.loads(vout)["matches_report"] is True
+    # the verdicts never read the seed, so a graph without one verifies alike
+    doc = dict(read_doc(out), seed=None)
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    rc, vout2, _ = run(["verify", "--graph", out, "--budget-subsets", "5"],
+                       capsys)
+    assert (rc, vout2) == (2, vout)
 
 
 @pytest.mark.parametrize("stored", ["[]", '"x"', "3"])
@@ -254,6 +269,15 @@ def test_verify_refuses_a_report_that_is_not_an_object(stored, tmp_path,
     assert rc == 1
     assert err.startswith("error: ") and "not a JSON object" in err
     assert stdout == ""
+
+
+def test_plan_with_an_unwritable_threshold_exits_one(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    rc, stdout, err = run(["plan", "turan", "--s", "10000", "--mode",
+                           "theorem", "--out", str(out)], capsys)
+    assert rc == 1 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "t_threshold has 10511 decimal digits" in err
 
 
 def test_verify_missing_file_exits_one(capsys):
@@ -315,6 +339,47 @@ def test_indep_refuses_non_canonical_points(line, tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: ") and "pts.txt:2" in err
     assert stdout == ""
+
+
+FUZZ_ORDERS = (2, 3, 4, 5, 9)
+CANONICAL_IDS = {
+    (q, dim): [point_to_str(pt)
+               for pt in enumerate_projective(field_for_order(q), dim)]
+    for q in FUZZ_ORDERS for dim in (1, 2)}
+POINT_PARTS = st.one_of(st.integers(-2, 10).map(str),
+                        st.sampled_from(["1,0", "0,1", "2,1", "", " 1", "1 "]),
+                        st.text(alphabet="0123456789,:-+ #x", max_size=3))
+NOISE_LINES = st.one_of(
+    st.lists(POINT_PARTS, min_size=1, max_size=5).map(":".join),
+    st.text(max_size=6))
+
+
+@st.composite
+def points_files(draw):
+    """(q, lines): distinct canonical points of P^1 or P^2, in any order
+    with up to two noise lines."""
+    q = draw(st.sampled_from(FUZZ_ORDERS))
+    ids = CANONICAL_IDS[q, draw(st.sampled_from((1, 2)))]
+    lines = (draw(st.lists(st.sampled_from(ids), unique=True, max_size=5))
+             + draw(st.lists(NOISE_LINES, max_size=2)))
+    return q, draw(st.permutations(lines))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=points_files(), m=st.integers(1, 3),
+       s=st.none() | st.integers(1, 3))
+def test_indep_loader_fuzz_exits_cleanly(doc, m, s, tmp_path, capsys):
+    q, lines = doc
+    pts = tmp_path / "pts.txt"
+    pts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["indep", "--points", str(pts), "--q", str(q), "--m", str(m)]
+    if s is not None:
+        argv += ["--s", str(s)]
+    rc, _, err = run(argv, capsys)
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert err.startswith("error: ")
 
 
 def test_sweep_aggregates(tmp_path, capsys):

@@ -21,6 +21,7 @@ from kstfree.graphs import (
     construct_zar,
     density_report,
     joint_uniformity_test,
+    judge_graph,
     kst_verdict,
     max_common_neighborhood,
     plan_construction,
@@ -28,7 +29,7 @@ from kstfree.graphs import (
 )
 from kstfree.polyrand import SeededRng, evaluate, random_hom
 from kstfree.projgeom import ProjPoint, enumerate_projective, point_from_str, point_to_str
-from kstfree.util import DEFAULT_SAMPLE_SUBSETS, BudgetExceeded, floor_scaled_power
+from kstfree.util import BudgetExceeded, floor_scaled_power
 from kstfree.variety import BuildConfig, build_independent_variety
 
 
@@ -251,24 +252,19 @@ def test_max_common_fano():
     assert single.size == 3  # every point lies on three lines
 
 
-def test_max_common_sampled_lower_bound():
+def test_max_common_degree_upper_bound():
     g = complete_bipartite(6, 4)
-    res = max_common_neighborhood(g, 2, "left", budget=3, rng=SeededRng(1))
-    assert res.mode == "sampled" and not res.certified
-    assert res.checked == DEFAULT_SAMPLE_SUBSETS
-    assert res.size == 4  # every pair sees everything
-    with pytest.raises(BudgetExceeded):
-        max_common_neighborhood(g, 2, "left", budget=3)
+    res = max_common_neighborhood(g, 2, "left", budget=3)
+    assert (res.size, res.subset, res.mode) == (4, None, "degree")
+    assert res.certified and (res.checked, res.total) == (0, comb(6, 2))
 
 
-def brute_max_common(adj, s, side, subsets=None):
-    """(size, subset) by Python set intersection over the given subsets."""
+def brute_max_common(adj, s, side):
+    """(size, subset) by Python set intersection over every s-subset."""
     rows = (adj if side == "left" else adj.T).tolist()
     sets = [{j for j, x in enumerate(row) if x} for row in rows]
-    if subsets is None:
-        subsets = itertools.combinations(range(len(sets)), s)
     best, best_sub = -1, None
-    for combo in subsets:
+    for combo in itertools.combinations(range(len(sets)), s):
         size = len(set.intersection(*(sets[i] for i in combo)))
         if size > best:
             best, best_sub = size, combo
@@ -309,22 +305,23 @@ def test_max_common_matches_set_oracle():
     assert seen == {1, 2, 3, "empty"}
 
 
-def test_max_common_sampled_matches_set_oracle():
+def test_max_common_degree_bound_matches_set_oracle():
+    strict = set()
     for g in oracle_graphs():
         for s, side in ((2, "left"), (3, "right")):
             n = g.adj.shape[0 if side == "left" else 1]
             if n < s or comb(n, s) <= 4:
                 continue
-            res = max_common_neighborhood(g, s, side, budget=4,
-                                          rng=SeededRng(n))
-            replay = SeededRng(n)
-            drawn = [replay.sample_subset(n, s)
-                     for _ in range(DEFAULT_SAMPLE_SUBSETS)]
-            assert (res.size, res.subset) == brute_max_common(g.adj, s, side,
-                                                              drawn)
-            assert res.mode == "sampled" and not res.certified
-            assert (res.checked, res.total) == (DEFAULT_SAMPLE_SUBSETS,
-                                                comb(n, s))
+            res = max_common_neighborhood(g, s, side, budget=4)
+            rows = (g.adj if side == "left" else g.adj.T).tolist()
+            degrees = sorted((sum(row) for row in rows), reverse=True)
+            exact, _ = brute_max_common(g.adj, s, side)
+            assert res.size == degrees[s - 1] >= exact
+            assert (res.subset, res.mode, res.certified) == (None, "degree",
+                                                             True)
+            assert (res.checked, res.total) == (0, comb(n, s))
+            strict.add(res.size > exact)
+    assert strict == {True, False}
 
 
 def searches(g, s, **kw):
@@ -349,24 +346,43 @@ def test_kst_fano_free():
 
 def test_kst_pigeonhole():
     g = complete_bipartite(8, 3)
-    # sampled on the left, but t exceeds the right side: pigeonhole settles it
-    found = searches(g, 2, budget=5, rng=SeededRng(3))
-    assert found["left"].mode == "sampled"
+    # over budget on the left, and t exceeds the right side: the degree
+    # bound, at most the opposite side, settles it
+    found = searches(g, 2, budget=5)
+    assert (found["left"].mode, found["left"].size) == ("degree", 3)
     v = kst_verdict(g, 2, 4, found, "left_only")
     assert v.free is True and v.certified
-    assert v.sides["left"] == {"mode": "pigeonhole", "certified": True,
-                               "opposite": 3}
+    assert v.sides == {"left": found["left"]}
     # an exhaustive search is read as it is, even when t exceeds the side
     found = searches(g, 2)
     v = kst_verdict(g, 2, 4, found, "left_only")
     assert v.sides["left"] is found["left"] and v.free is True
 
 
-def test_kst_sampled_never_certifies_freeness():
+def test_kst_degree_bound_at_t_is_undetermined():
     g = fano_graph()
-    found = searches(g, 2, budget=5, rng=SeededRng(3))
+    found = searches(g, 2, budget=5)
+    assert [found[side].size for side in ("left", "right")] == [3, 3]
     v = kst_verdict(g, 2, 2, found, "both")
-    assert v.free is None and not v.certified
+    assert v.free is None and not v.certified and v.witness is None
+    # the same bound certifies every t above it
+    v = kst_verdict(g, 2, 4, found, "both")
+    assert v.free is True and v.certified
+
+
+def test_verdict_depends_on_the_adjacency_alone():
+    adj = np.random.default_rng(11).random((9, 4)) < 0.5
+    docs = []
+    for seed in (1, 2):
+        g = SidedGraph(F2, ["u%d" % i for i in range(9)],
+                       ["v%d" % j for j in range(4)], adj, seed=seed)
+        v = judge_graph(g, 2, 3, "both", budget=10)
+        assert [v.max_common[side].mode
+                for side in ("left", "right")] == ["degree", "exhaustive"]
+        docs.append(v.to_json())
+    assert docs[0] == docs[1]
+    # a left_only verdict searches only the side it anchors
+    assert list(judge_graph(g, 2, 3, "left_only").max_common) == ["left"]
 
 
 def test_kst_monotone_in_t():
