@@ -23,10 +23,10 @@ from math import comb
 
 import numpy as np
 
-from .gf import FieldSpec, elem_str, field_for_order, make_field
+from .gf import FieldSpec, elem_parse, field_for_order, make_field
 from .independence import hilbert_rank, m_cap, z_condition
 from .polyrand import SeededRng, eval_bihom_grid, random_bihom, random_hom
-from .projgeom import enumerate_multiindices, monomial_eval, point_from_str
+from .projgeom import enumerate_multiindices, monomial_eval
 from .util import (
     DEFAULT_POINT_BUDGET,
     DEFAULT_SUBSET_BUDGET,
@@ -76,19 +76,72 @@ def _json_keys(name: str, doc: dict, keys) -> None:
 
 
 def _check_vertex_ids(spec: FieldSpec, side: str, ids, dim: int | None):
-    """Ids are strings; under a plan (dim given), canonical points of P^dim."""
+    """Ids are strings; under a plan (dim given), canonical points of P^dim.
+
+    Canonical means: each coordinate parses, the first nonzero one is 1,
+    and `_ids_of` writes the parsed row back as the same text, which
+    refuses padding, signs and leading zeros.  The error names the first
+    id that fails.
+    """
     if not isinstance(ids, list) or any(type(v) is not str for v in ids):
         raise ValueError("%s vertex ids are not a list of strings" % side)
     if dim is None:
         return
+    rows = []
     for text in ids:
         try:
-            pt = point_from_str(spec, text)
+            row = [elem_parse(spec, part) for part in text.split(":")]
         except ValueError:
-            pt = None
-        if pt is None or pt.dim != dim:
-            raise ValueError("%s vertex id %r is not a canonical point of "
-                             "P^%s(F_%d)" % (side, text, dim, spec.order))
+            break
+        if len(row) != dim + 1:
+            break
+        rows.append(row)
+    first_bad = len(rows)
+    if rows:
+        enc = np.array(rows, dtype=np.int64)
+        lead = enc[np.arange(len(rows)), np.argmax(enc != 0, axis=1)]
+        bad = (lead != 1) | np.array([a != b for a, b in
+                                      zip(_ids_of(spec, enc), ids)])
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            first_bad = int(hits[0])
+    if first_bad < len(ids):
+        raise ValueError("%s vertex id %r is not a canonical point of "
+                         "P^%s(F_%d)"
+                         % (side, ids[first_bad], dim, spec.order))
+
+
+def _edge_matrix(edges: list, n_left: int, n_right: int) -> np.ndarray:
+    """The adjacency matrix of a loaded edge list; refuses a bad edge.
+
+    The bulk checks accept almost every document; a list they refuse is
+    walked edge by edge, which names the first bad edge and its fault.
+    """
+    # bool is an int subclass, so test the exact type
+    if (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(edges))) <= {int}):
+        try:
+            ij = np.fromiter(itertools.chain.from_iterable(edges), np.int64,
+                             2 * len(edges)).reshape(len(edges), 2)
+        except OverflowError:  # past int64, so past either side too
+            ij = None
+        if ij is not None and ((ij >= 0) & (ij < (n_left, n_right))).all():
+            adj = np.zeros((n_left, n_right), dtype=bool)
+            adj[ij[:, 0], ij[:, 1]] = True
+            if np.count_nonzero(adj) == len(edges):
+                return adj
+    adj = np.zeros((n_left, n_right), dtype=bool)
+    for edge in edges:
+        if (not isinstance(edge, list) or len(edge) != 2
+                or any(type(x) is not int for x in edge)):
+            raise ValueError("edge %r is not a pair of integers" % (edge,))
+        i, j = edge
+        if not (0 <= i < n_left and 0 <= j < n_right):
+            raise ValueError("edge %r names a missing vertex" % (edge,))
+        if adj[i, j]:
+            raise ValueError("duplicate edge in document")
+        adj[i, j] = True
+    return adj
 
 
 class SidedGraph:
@@ -154,19 +207,8 @@ class SidedGraph:
                 left_dim = _json_typed("plan.a", plan.a)
         _check_vertex_ids(spec, "left", doc["left"], left_dim)
         _check_vertex_ids(spec, "right", doc["right"], right_dim)
-        n_left, n_right = len(doc["left"]), len(doc["right"])
-        adj = np.zeros((n_left, n_right), dtype=bool)
-        for edge in _json_typed("edges", doc["edges"], list):
-            # bool is an int subclass, so test the exact type
-            if (not isinstance(edge, list) or len(edge) != 2
-                    or any(type(x) is not int for x in edge)):
-                raise ValueError("edge %r is not a pair of integers" % (edge,))
-            i, j = edge
-            if not (0 <= i < n_left and 0 <= j < n_right):
-                raise ValueError("edge %r names a missing vertex" % (edge,))
-            if adj[i, j]:
-                raise ValueError("duplicate edge in document")
-            adj[i, j] = True
+        adj = _edge_matrix(_json_typed("edges", doc["edges"], list),
+                           len(doc["left"]), len(doc["right"]))
         return cls(spec, doc["left"], doc["right"], adj, plan=plan,
                    seed=_json_typed("seed", doc["seed"], optional=True))
 
@@ -616,9 +658,19 @@ class TrialReport(Verdicts):
         }
 
 
-def _ids_of(spec: FieldSpec, enc: np.ndarray):
-    """Point ids of canonical encoded rows, as `point_to_str` writes them."""
-    return [":".join(elem_str(spec, c) for c in row) for row in enc.tolist()]
+def _ids_of(spec: FieldSpec, enc: np.ndarray) -> list:
+    """Point ids of encoded rows, as `point_to_str` writes canonical ones.
+
+    One format of a repeated template over the decoded digits: "%d:%d:..."
+    over a prime field; over an extension field each coordinate is
+    "%d,%d,..." (its basis digits, lowest first).
+    """
+    n, width = enc.shape
+    if n == 0:
+        return []
+    row = ":".join([",".join(["%d"] * spec.k)] * width)
+    digits = spec.dec_array(enc).ravel().tolist()
+    return ("\n".join([row] * n) % tuple(digits)).split("\n")
 
 
 def _trial_report(graph: SidedGraph, plan: ConstructionPlan,

@@ -208,6 +208,50 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
         assert err.startswith("error: "), i
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
+                                         (0o002, 0o664)])
+def test_artifacts_take_the_mode_open_would_give(umask, mode, tmp_path,
+                                                 capsys):
+    out = str(tmp_path / "g.json")
+    old = os.umask(umask)
+    try:
+        rc, _, _ = run(["construct", "turan", "--s", "2", "--m", "3",
+                        "--r", "1", "--Z", "1", "--q", "7", "--seed", "1",
+                        "--out", out], capsys)
+    finally:
+        os.umask(old)
+    assert rc == 0
+    for path in (out, report_path_for(out)):
+        assert os.stat(path).st_mode & 0o777 == mode
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
+
+
+def test_verify_refuses_duplicate_keys_and_constants(tmp_path, capsys):
+    out = str(tmp_path / "g.json")
+    run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1",
+         "--q", "7", "--seed", "1", "--out", out], capsys)
+    good = open(out).read()
+    report = open(report_path_for(out)).read()
+    assert good.startswith("{\n") and '"seed": 1\n' in good
+    assert '"n_edges": ' in report
+    cases = [
+        # json.load would keep the last "edges" and load the graph as is
+        (good.replace("{\n", '{\n  "edges": [],\n', 1), report,
+         "duplicate key 'edges'"),
+        (good.replace('"seed": 1\n', '"seed": NaN\n'), report, "NaN"),
+        (good, report.replace('"n_edges": ', '"n_edges": -Infinity, "x": ', 1),
+         "-Infinity"),
+    ]
+    for graph_text, report_text, named in cases:
+        with open(out, "w") as fh:
+            fh.write(graph_text)
+        with open(report_path_for(out), "w") as fh:
+            fh.write(report_text)
+        rc, stdout, err = run(["verify", "--graph", out], capsys)
+        assert (rc, stdout) == (1, "")
+        assert err.startswith("error: ") and named in err
+
+
 def test_verify_overrides_skip_what_they_change(tmp_path, capsys):
     out = str(tmp_path / "g.json")
     rc, _, _ = run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1",

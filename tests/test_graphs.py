@@ -226,6 +226,80 @@ def test_graph_loader_refuses_with_value_or_key_errors(doc):
             == dump_doc(dict(doc, edges=sorted(doc["edges"]))))
 
 
+F11 = make_field(11, 1)
+TURAN_F11 = plan_construction("turan", 2, m=3, r=1, Z=1, q=11)
+P4_F11_IDS = [point_to_str(pt) for pt in enumerate_projective(F11, 4)][:2000]
+
+
+def f11_doc(edges=(), left=P4_F11_IDS[:6], right=P4_F11_IDS[:6]):
+    return {"kind": "sided", "field": {"p": 11, "k": 1},
+            "plan": TURAN_F11.to_json(), "seed": 1, "left": list(left),
+            "right": list(right), "edges": [list(e) for e in edges]}
+
+
+GOOD_EDGES = [(i, j) for i in range(6) for j in range(6) if (i + j) % 3]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([2 ** 70, 0], "edge [1180591620717411303424, 0] names a missing vertex"),
+    ([0, -(2 ** 64)], "edge [0, -18446744073709551616] names a missing "
+                      "vertex"),
+    ([True, 0], "edge [True, 0] is not a pair of integers"),
+    ([0, 1.0], "edge [0, 1.0] is not a pair of integers"),
+    ([0, 1], "duplicate edge in document"),
+    ([6, 0], "edge [6, 0] names a missing vertex"),
+])
+def test_graph_loader_names_a_bad_edge(bad, message):
+    doc = f11_doc(GOOD_EDGES + [bad])
+    with pytest.raises(ValueError) as err:
+        SidedGraph.from_json(doc)
+    assert str(err.value) == message
+
+
+def test_graph_loader_names_the_first_of_two_bad_edges():
+    # an out-of-range edge before a mistyped one, and the reverse
+    for edges, first in (([[0, 9], [0, True]], "[0, 9]"),
+                         ([[0, True], [0, 9]], "[0, True]")):
+        with pytest.raises(ValueError) as err:
+            SidedGraph.from_json(f11_doc(GOOD_EDGES + edges))
+        assert str(err.value).startswith("edge %s " % first)
+
+
+@pytest.mark.parametrize("bad", [
+    "2:0:0:0:0",      # not scaled to a leading 1
+    "0:0:0:0:0",      # the zero vector
+    "1:0:0:0",        # a point of P^3
+    "1:0:0:0:0:0",    # a point of P^5
+    "1:01:0:0:0",     # a leading zero
+    "1:+1:0:0:0",     # a sign
+    "1: 1:0:0:0",     # padding
+    "1:11:0:0:0",     # out of the field
+    "1:0:0:0:x",
+    "",
+])
+def test_graph_loader_names_a_bad_id_at_the_end(bad):
+    ids = P4_F11_IDS[:-1] + [bad]
+    for side in ("left", "right"):
+        doc = dict(f11_doc(), **{side: ids})
+        with pytest.raises(ValueError) as err:
+            SidedGraph.from_json(doc)
+        assert str(err.value) == ("%s vertex id %r is not a canonical point "
+                                  "of P^4(F_11)" % (side, bad))
+    # a second bad id further on does not hide the first
+    doc = f11_doc(left=P4_F11_IDS[:1000] + [bad] + P4_F11_IDS[1000:]
+                  + ["3:0:0:0:0"])
+    with pytest.raises(ValueError) as err:
+        SidedGraph.from_json(doc)
+    assert str(err.value).startswith("left vertex id %r " % bad)
+
+
+def test_graph_loader_takes_a_long_planned_document():
+    doc = f11_doc(GOOD_EDGES, left=P4_F11_IDS, right=P4_F11_IDS[:50])
+    g = SidedGraph.from_json(doc)
+    assert g.num_edges == len(GOOD_EDGES)
+    assert g.to_json() == doc
+
+
 # --- neighborhoods and verdicts ----------------------------------------------
 
 
