@@ -13,7 +13,9 @@ Two arithmetic paths exist and must agree bit for bit:
   multiplication by the regular representation: M_x, the k x k GF(p)
   matrix of y -> y*x (`mul_matrix`), read off one table of the digits of
   t^(i+j), t the basis root.  Every bulk product, zero sets included,
-  reads that table in float64 with an exact `_mod`; and
+  reads that table in floats with an exact `_mod`, in the dtype that one
+  rule (`FieldSpec._dtype`) gives for the width of its sums: float32
+  while they stay within 2^24, float64 within 2^53, refused beyond; and
 * scalar ops on encodings through two O(q) tables per extension field,
   built lazily from the bulk path: antilogs and logs over the primitive
   element with the smallest encoding.  Only scalar mul/inv/pow read
@@ -118,10 +120,13 @@ def smallest_irreducible(p: int, k: int) -> tuple:
 
 
 def _mod(t: np.ndarray, p: int) -> np.ndarray:
-    """t % p, in place, for float64 integers 0 <= t <= 2^53 - p.
+    """t % p, in place, for integers 0 <= t <= 2^P - p held in floats of
+    P-bit significand: float32 (P = 24) or float64 (P = 53).
 
-    t / p then rounds to a value below the next integer, so the floor is
-    the exact quotient; numpy's float % takes several times longer.
+    With t = u*p + r and 0 < r < p, t / p lies 1/p or more below u + 1,
+    and (u + 1) * p <= t + p - 1 < 2^P keeps its rounding error below
+    (u + 1) / 2^P < 1/p, so the floor of the rounded quotient is the exact
+    u (r = 0 divides exactly).  numpy's float % takes several times longer.
     """
     r = t / p
     np.floor(r, out=r)
@@ -288,7 +293,7 @@ class FieldSpec:
             step = self.dec_array(np.int64(self._primitive()))
             # pw holds g^0 .. g^(n-1) and step is g^n; each round doubles n
             # with one product by M_step, whose rows are t^j * step.
-            pw = np.eye(k)[:1]
+            pw = np.eye(k, dtype=self._dtype(k, "log_tables"))[:1]
             while len(pw) < q - 1:
                 pw = np.concatenate([pw, _mod(pw @ self.mul_matrix(step), self.p)])
                 step = self.arr_mul(step, step)
@@ -316,32 +321,42 @@ class FieldSpec:
     def arr_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self.p
 
-    def _exact(self, terms, what: str) -> None:
-        """Refuse float64 sums of `terms` digit products that `_mod` could round."""
-        if terms * (self.p - 1) ** 2 + self.p > 1 << 53:
-            raise ValueError("%s: %d-term sums overflow float64 in %r"
-                             % (what, terms, self))
+    def _dtype(self, terms, what: str):
+        """The float dtype for sums of `terms` digit products, each at most
+        (p-1)^2: the narrowest one whose `_mod` stays exact on them, float32
+        while terms*(p-1)^2 + p <= 2^24 and float64 while it is <= 2^53.
+        Wider sums are refused (ValueError)."""
+        top = terms * (self.p - 1) ** 2 + self.p
+        if top <= 1 << 24:
+            return np.float32
+        if top <= 1 << 53:
+            return np.float64
+        raise ValueError("%s: %d-term sums overflow float64 in %r"
+                         % (what, terms, self))
 
     def mul_matrix(self, x: np.ndarray) -> np.ndarray:
-        """M_x for coordinate arrays x (..., k): float64 (..., k, k).
+        """M_x for coordinate arrays x (..., k): floats (..., k, k), in the
+        dtype of k-term sums.
 
         Multiplying by x is GF(p)-linear on coordinates; row j of M_x holds
         the digits of t^j * x, so y @ M_x (mod p) is y * x.
         """
         k = self.k
-        self._exact(k, "mul_matrix")
-        x = np.asarray(x, dtype=np.float64)
-        out = _mod(x @ self._table.reshape(k, k * k), self.p)
+        dt = self._dtype(k, "mul_matrix")
+        x = np.asarray(x, dtype=dt)
+        table = self._table.reshape(k, k * k).astype(dt, copy=False)
+        out = _mod(x @ table, self.p)
         return out.reshape(x.shape[:-1] + (k, k))
 
     def arr_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a * b over broadcast leading axes: a times M_b, as one product of
         the digit products a_i b_j with the table rows t^(i+j)."""
         k = self.k
-        self._exact(self._mul_terms, "arr_mul")
-        ab = np.multiply(a[..., :, None], b[..., None, :], dtype=np.float64)
+        dt = self._dtype(self._mul_terms, "arr_mul")
+        ab = np.multiply(a[..., :, None], b[..., None, :], dtype=dt)
         ab = ab.reshape(ab.shape[:-2] + (k * k,))
-        return _mod(ab @ self._table, self.p).astype(np.int64)
+        table = self._table.astype(dt, copy=False)
+        return _mod(ab @ table, self.p).astype(np.int64)
 
     def arr_pow(self, a: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
@@ -359,15 +374,17 @@ class FieldSpec:
     def arr_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product over the field: (..., M, k) x (M, R, k) -> (..., R, k).
 
-        One float64 matmul of a's digits against the (M*k, R*k) matrix of
-        blocks M_{b[m, r]}, exact while M*k*(p-1)^2 + p <= 2^53 (else
-        ValueError).
+        One matmul of a's digits against the (M*k, R*k) matrix of blocks
+        M_{b[m, r]}, in the dtype of M*k-term sums: float32 while
+        M*k*(p-1)^2 + p <= 2^24, float64 while it is <= 2^53, else
+        ValueError.
         """
         m, r, k = b.shape
-        self._exact(m * k, "arr_dot")
-        blocks = self.mul_matrix(b).transpose(0, 2, 1, 3).reshape(m * k, r * k)
+        dt = self._dtype(m * k, "arr_dot")
+        blocks = self.mul_matrix(b).astype(dt, copy=False)
+        blocks = blocks.transpose(0, 2, 1, 3).reshape(m * k, r * k)
         lead = a.shape[:-2]
-        out = _mod(a.reshape(lead + (m * k,)).astype(np.float64) @ blocks, self.p)
+        out = _mod(a.reshape(lead + (m * k,)).astype(dt) @ blocks, self.p)
         return out.reshape(lead + (r, k)).astype(np.int64)
 
     # -- embeddings -----------------------------------------------------------

@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import FieldSpec, elem_parse, field_for_order, make_field
+from .gf import FieldSpec, field_for_order, make_field
 from .independence import hilbert_rank, m_cap, z_condition
 from .polyrand import SeededRng, eval_bihom_grid, random_bihom, random_hom
 from .projgeom import enumerate_multiindices, monomial_eval
@@ -78,30 +78,38 @@ def _json_keys(name: str, doc: dict, keys) -> None:
 def _check_vertex_ids(spec: FieldSpec, side: str, ids, dim: int | None):
     """Ids are strings; under a plan (dim given), canonical points of P^dim.
 
-    Canonical means: each coordinate parses, the first nonzero one is 1,
-    and `_ids_of` writes the parsed row back as the same text, which
-    refuses padding, signs and leading zeros.  The error names the first
-    id that fails.
+    Canonical means: each id holds dim+1 coordinates of k digits, every
+    digit is a decimal below p, the first nonzero coordinate is 1, and
+    `_ids_of` writes the parsed row back as the same text.  That last
+    comparison refuses what `int` takes but would not write: padding,
+    signs, "_" separators, non-ASCII digits and leading zeros.  The error
+    names the first id that fails.
+
+    All ids are split at once and cut into rows of (dim+1)*k digits.  An
+    id with another digit count never equals its row written back, and
+    the rows before the first such id are exactly their ids' digits.
     """
     if not isinstance(ids, list) or any(type(v) is not str for v in ids):
         raise ValueError("%s vertex ids are not a list of strings" % side)
     if dim is None:
         return
-    rows = []
-    for text in ids:
-        try:
-            row = [elem_parse(spec, part) for part in text.split(":")]
-        except ValueError:
-            break
-        if len(row) != dim + 1:
-            break
-        rows.append(row)
-    first_bad = len(rows)
-    if rows:
-        enc = np.array(rows, dtype=np.int64)
-        lead = enc[np.arange(len(rows)), np.argmax(enc != 0, axis=1)]
-        bad = (lead != 1) | np.array([a != b for a, b in
-                                      zip(_ids_of(spec, enc), ids)])
+    width = (dim + 1) * spec.k
+    digits = ":".join(ids).replace(",", ":").split(":")
+    n = min(len(ids), len(digits) // width)
+    del digits[n * width:]
+    # only short decimal text reaches int(), so it cannot fail or overflow
+    ok = (np.fromiter(map(str.isdecimal, digits), bool, len(digits))
+          & (np.fromiter(map(len, digits), np.int64, len(digits))
+             <= len(str(spec.p))))
+    hits = np.flatnonzero(~ok.reshape(n, width).all(axis=1))
+    first_bad = n = int(hits[0]) if hits.size else n
+    if n:
+        dig = np.array(list(map(int, digits[:n * width])), dtype=np.int64)
+        dig = dig.reshape(n, dim + 1, spec.k)
+        enc = spec.enc_array(dig)
+        lead = enc[np.arange(n), np.argmax(enc != 0, axis=1)]
+        bad = ((dig >= spec.p).any(axis=(1, 2)) | (lead != 1)
+               | np.array([a != b for a, b in zip(_ids_of(spec, enc), ids)]))
         hits = np.flatnonzero(bad)
         if hits.size:
             first_bad = int(hits[0])

@@ -4,9 +4,12 @@ A variety here is the common projective zero set of a handful of
 homogeneous forms, and a slice of one by further forms is the zero set
 of both lists, so `fq_point_array` alone decides where forms vanish.
 Everything is exhaustive over the finite field, so the point cap is
-load-bearing: a zero set costs a few float64 passes per form over the
+load-bearing: a zero set costs a few float passes per form over the
 grid of every chart of P^b, in any field, and the builder's F_{q^2}
-probe covers about q^b times the points of its F_q count.
+probe covers about q^b times the points of its F_q count.  The passes
+run in float32 wherever `FieldSpec._dtype` keeps their sums exact in
+it, as for cubics over every field of characteristic up to 2,039 under
+the default order cap, and in float64 otherwise.
 
 The certified builder draws fresh forms until the zero set passes three
 checks: it is large enough (at least half the first-order prediction),
@@ -56,15 +59,17 @@ SLAB = 1 << 17  # cells in one slab of a chart's last contraction
 
 
 def _power_matrix(spec: FieldSpec, a: int, xs: np.ndarray) -> np.ndarray:
-    """(a*k, len(xs)*k) float64 matrix of c_0..c_{a-1} -> sum_e c_e x^e at xs.
+    """(a*k, len(xs)*k) matrix of c_0..c_{a-1} -> sum_e c_e x^e at xs.
 
     Each x acts on coordinates as `FieldSpec.mul_matrix` M_x, and
     M_{x^e} = M_{x^(e-1)} M_x.  Rows are (exponent, input digit), columns
-    (point, output digit).
+    (point, output digit).  The matrix feeds a*k-term sums, and comes in
+    their dtype.
     """
     k, p = spec.k, spec.p
-    mx = spec.mul_matrix(spec.dec_array(xs))  # (S, k, k)
-    by = [np.broadcast_to(np.eye(k), mx.shape)]
+    dt = spec._dtype(a * k, "zero set")
+    mx = spec.mul_matrix(spec.dec_array(xs)).astype(dt, copy=False)
+    by = [np.broadcast_to(np.eye(k, dtype=dt), mx.shape)]
     for _ in range(1, a):
         by.append(_mod(by[-1] @ mx, p))
     by = np.stack(by).transpose(0, 2, 1, 3)  # (e, j, x, l)
@@ -78,7 +83,8 @@ def _chart_tensor(spec: FieldSpec, expo: np.ndarray, digits: np.ndarray,
     expo (M, b+1) and digits (M, k) are the form's nonzero terms.  A term
     survives when it has no x_0..x_{lead-1}; x_lead = 1 drops out, and an
     exponent e >= q on a free axis folds to ((e-1) mod (q-1)) + 1, because
-    x^q = x on F_q.  Terms that fold together add up.
+    x^q = x on F_q.  Terms that fold together add up.  The tensor feeds
+    a*k-term sums, and comes in their dtype.
     """
     q, n = spec.order, expo.shape[1] - 1 - lead
     on = ~expo[:, :lead].any(axis=1)
@@ -87,7 +93,8 @@ def _chart_tensor(spec: FieldSpec, expo: np.ndarray, digits: np.ndarray,
     flat = e @ (a ** np.arange(n - 1, -1, -1, dtype=np.int64))
     t = np.zeros((a**n, spec.k), dtype=np.int64)
     np.add.at(t, flat, digits[on])
-    return (t % spec.p).reshape((a,) * n + (spec.k,)).astype(np.float64)
+    dt = spec._dtype(a * spec.k, "zero set")
+    return (t % spec.p).reshape((a,) * n + (spec.k,)).astype(dt)
 
 
 def _inner_contraction(spec: FieldSpec, t: np.ndarray, inner: np.ndarray,
@@ -111,7 +118,7 @@ def _inner_contraction(spec: FieldSpec, t: np.ndarray, inner: np.ndarray,
         t = _mod(t.reshape(-1, a * k) @ w, spec.p).reshape(head + (q, k))
     t = np.moveaxis(t, 1, -2).reshape(a, -1, a * k)
     grid = t.shape[1] * q
-    out = np.empty((a, k, grid))
+    out = np.empty((a, k, grid), dtype=np.result_type(t, w))
     step = max(1, SLAB // (grid * k))
     for e in range(0, a, step):
         part = _mod(t[e:e + step] @ w, spec.p).reshape(-1, grid, k)
@@ -131,8 +138,9 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
     one exponent axis at a time against the powers of every x in F_q,
     a = min(m+1, q) exponents per axis, each power the GF(p) matrix
     M_{x^e} of the field's one multiplication table (`_power_matrix`).
-    Each contraction is float64 matmuls followed by % p, exact while
-    a*k*(p-1)^2 + p <= 2^53 (else ValueError).  A form's inner axes are
+    Each contraction is matmuls followed by % p, in the dtype of a*k-term
+    sums (`FieldSpec._dtype`): float32 while a*k*(p-1)^2 + p <= 2^24,
+    float64 while it is <= 2^53, else ValueError.  A form's inner axes are
     contracted at its first use in a chart (`_inner_contraction`).  The
     chart is then walked slab by slab along its leading free axis, in
     order and at most SLAB cells a slab.  The first form is applied to
@@ -154,7 +162,7 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
     forms = []
     for f in var.forms:
         a = min(f.m + 1, q)
-        spec._exact(a * k, "degree-%d zero set" % f.m)
+        spec._dtype(a * k, "degree-%d zero set" % f.m)  # refuses early
         coeffs = np.array(f.coeffs, dtype=np.int64)
         on = coeffs != 0
         expo = np.array(f.multiindices(), dtype=np.int64)[on]

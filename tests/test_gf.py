@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kstfree.gf import (
+    _mod,
     _poly_mod,
     field_for_order,
     is_prime,
@@ -224,6 +225,30 @@ def test_arr_dot_refuses_inexact_sums():
         fs.arr_dot(top, top.reshape(2, 1, 1))
     # (p-1)^2 = 1 mod p, and one such product is still exact
     assert fs.arr_dot(top[:, :1], top[:, :1]).tolist() == [[[1]]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 2897, 4093])
+def test_float32_mod_matches_integer_mod_up_to_its_bound(p):
+    # the float32 bound is 2^24 - p; check the 2^20 values just below it
+    top = (1 << 24) - p
+    t = np.arange(top - (1 << 20), top + 1, dtype=np.int64)
+    got = _mod(t.astype(np.float32), p)
+    assert got.dtype == np.float32
+    assert (got.astype(np.int64) == t % p).all()
+
+
+def test_dtype_rule_keeps_every_benchmark_field_in_float32():
+    # degree-3 zero sets sum 4*k terms; arr_mul sums _mul_terms, and
+    # eval_hom_many's arr_dot on P^4 sums one term per monomial
+    for q in (7, 11, 23, 29, 31, 121):
+        fs = field_for_order(q)
+        for terms in (fs.k, 4 * fs.k, fs._mul_terms, 35 * fs.k):
+            assert fs._dtype(terms, "test") is np.float32, (q, terms)
+    fs = make_field(2, 16)
+    for terms in (16, 4 * 16, fs._mul_terms):
+        assert fs._dtype(terms, "test") is np.float32
+    fs = make_field((1 << 26) + 15, 1, order_cap=1 << 27)
+    assert fs._dtype(1, "test") is np.float64
 
 
 @pytest.mark.parametrize("src,dst", [((3, 1), (3, 2)), ((2, 2), (2, 4)), ((5, 1), (5, 2))])

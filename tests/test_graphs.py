@@ -276,6 +276,12 @@ def test_graph_loader_names_the_first_of_two_bad_edges():
     "1:11:0:0:0",     # out of the field
     "1:0:0:0:x",
     "",
+    # text int() reads but that is not written so
+    " 1:0:0:0:0",
+    "+1:0:0:0:0",
+    "1:1_0:0:0:0",
+    "1:\u0663:0:0:0",  # ARABIC-INDIC DIGIT THREE
+    "1:0,0:0:0:0",    # digits of an extension-field coordinate
 ])
 def test_graph_loader_names_a_bad_id_at_the_end(bad):
     ids = P4_F11_IDS[:-1] + [bad]
@@ -291,6 +297,32 @@ def test_graph_loader_names_a_bad_id_at_the_end(bad):
     with pytest.raises(ValueError) as err:
         SidedGraph.from_json(doc)
     assert str(err.value).startswith("left vertex id %r " % bad)
+
+
+F4 = make_field(2, 2)
+P4_F4_IDS = [point_to_str(pt) for pt in enumerate_projective(F4, 4)]
+
+
+@pytest.mark.parametrize("bad", [
+    "1,0:0,0:0,0:0,0:1",        # a coordinate short of a digit
+    "1,0:0,0:0,0:0,0:1,0,0",    # a coordinate with a digit too many
+    "1,0:0,0:0,0:0,0:1,0:0,0",  # a point of P^5
+    "1:0,0:0,0:0,0:1,0,0",      # digits that add up but sit wrong
+    "1,0:0,0:0,0:0,0:2,0",      # a digit out of GF(2)
+    "0,1:0,0:0,0:0,0:0,0",      # not scaled to a leading 1
+    "1,0:0,0:0,0:0,0:0, 1",     # padding
+])
+def test_graph_loader_names_a_bad_extension_field_id(bad):
+    plan = plan_construction("turan", 2, m=3, r=1, Z=1, q=4)
+    doc = {"kind": "sided", "field": {"p": 2, "k": 2}, "plan": plan.to_json(),
+           "seed": 1, "left": P4_F4_IDS, "right": P4_F4_IDS[:3], "edges": []}
+    assert SidedGraph.from_json(doc).to_json() == doc
+    for i in (0, 100, len(P4_F4_IDS) - 1):
+        ids = P4_F4_IDS[:i] + [bad] + P4_F4_IDS[i + 1:] + ["junk"]
+        with pytest.raises(ValueError) as err:
+            SidedGraph.from_json(dict(doc, left=ids))
+        assert str(err.value) == ("left vertex id %r is not a canonical point "
+                                  "of P^4(F_4)" % bad)
 
 
 def test_graph_loader_takes_a_long_planned_document():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kstfree.gf
 import kstfree.variety
 from kstfree.gf import is_prime, make_field
+from kstfree.graphs import construct_turan, plan_construction
 from kstfree.polyrand import HomPoly, SeededRng, eval_hom_many, evaluate, hom_to_json, random_hom
 from kstfree.projgeom import enumerate_multiindices, enumerate_projective, projective_array, projective_count
 from kstfree.util import BudgetExceeded
@@ -220,6 +222,47 @@ def test_zero_set_refuses_inexact_sums():
     for c, size in ((0, 1), (5, 0)):
         point = VarietySpec(spec, 0, (HomPoly(spec, 0, 0, (c,)),))
         assert len(fq_point_array(point)) == size
+
+
+@pytest.mark.parametrize("p, degree, dtype", [
+    (2897, 1, np.float32),   # the last prime whose 2-term sums fit float32
+    (2903, 1, np.float64),
+    (2039, 3, np.float32),   # the same for 4-term sums
+    (2053, 3, np.float64),
+])
+def test_zero_sets_on_both_sides_of_the_float32_bound(p, degree, dtype):
+    spec = make_field(p, 1)
+    assert spec._dtype(degree + 1, "test") is dtype
+    rng = SeededRng(p)
+    pts = projective_array(spec, 1)
+    for _ in range(4):
+        f = random_hom(spec, 1, degree, rng)
+        var = VarietySpec(spec, 1, (f,))
+        scalar = [evaluate(f, pt) for pt in enumerate_projective(spec, 1)]
+        assert eval_hom_many([f], pts)[:, 0].tolist() == scalar
+        zeros = [row for row, v in zip(pts.tolist(), scalar) if v == 0]
+        assert fq_point_array(var).tolist() == zeros
+
+
+def test_benchmark_zero_sets_and_constructs_run_in_float32():
+    # every exact reduction of a builder-ext op and a q=31 turan construct
+    seen = set()
+    real = kstfree.gf._mod
+
+    def spy(t, p):
+        seen.add(t.dtype)
+        return real(t, p)
+
+    plan = plan_construction("turan", 2, m=3, r=1, Z=1, c=Fraction(1, 4),
+                             q=31)
+    with mock.patch.object(kstfree.gf, "_mod", spy), \
+            mock.patch.object(kstfree.variety, "_mod", spy):
+        built = build_independent_variety(
+            make_field(11, 1), BuildConfig(b=3, num_forms=1, degree=3, s=3),
+            SeededRng(1))
+        construct_turan(plan, 1)
+    assert built.certified
+    assert seen == {np.dtype(np.float32)}
 
 
 def probe_counts(var, exts):
