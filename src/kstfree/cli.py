@@ -17,6 +17,7 @@ is no wall-clock seeding anywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import multiprocessing
@@ -36,10 +37,8 @@ from .graphs import (
 )
 from .independence import dependence_classify, s_wise_independent
 from .jsonio import dump_doc, read_doc, read_points_file, report_path_for, write_doc
-from .polyrand import SeededRng
 from .util import (
     DEFAULT_POINT_BUDGET,
-    DEFAULT_SAMPLE_SUBSETS,
     DEFAULT_SUBSET_BUDGET,
     BudgetExceeded,
     parse_frac,
@@ -177,16 +176,11 @@ def cmd_verify(args) -> int:
     if graph.plan is None:
         raise ValueError("graph document carries no plan")
     plan = graph.plan
-    s = args.s if args.s is not None else plan.s
-    t = args.t if args.t is not None else plan.t_threshold
-    orientation = args.orientation or plan.orientation
-    overridden = (s, t, orientation) != (plan.s, plan.t_threshold,
-                                         plan.orientation)
-    verdicts = judge_graph(graph, s, t, orientation,
+    verdicts = judge_graph(graph, plan.s, plan.t_threshold, plan.orientation,
                            budget=args.budget_subsets)
     fresh = verdicts.to_json()
-    result = dict(fresh, graph=os.path.basename(args.graph), s=s, t=t,
-                  orientation=orientation)
+    result = dict(fresh, graph=os.path.basename(args.graph), s=plan.s,
+                  t=plan.t_threshold, orientation=plan.orientation)
     stored_path = report_path_for(args.graph)
     if os.path.exists(stored_path):
         stored = read_doc(stored_path)
@@ -194,13 +188,11 @@ def cmd_verify(args) -> int:
             raise ValueError("%s is not a JSON object" % stored_path)
         fresh.update(n_edges=graph.num_edges, n_left=len(graph.left),
                      n_right=len(graph.right))
+        # kst is compared even where the stored report lacks it, and last
         kst = fresh.pop("kst")
-        if (s, orientation) != (plan.s, plan.orientation):
-            # the searches ran at another s or over other sides
-            del fresh["max_common"]
         mismatches = [key for key, value in fresh.items()
                       if key in stored and stored[key] != value]
-        if not overridden and stored.get("kst") != kst:
+        if stored.get("kst") != kst:
             mismatches.append("kst")
         result["matches_report"] = not mismatches
         result["mismatched_fields"] = mismatches
@@ -224,14 +216,8 @@ def cmd_indep(args) -> int:
     }
     certified = True
     if args.s is not None:
-        rng = SeededRng(args.seed) if args.seed is not None else None
-        try:
-            sw = s_wise_independent(points, args.s, args.m,
-                                    budget=args.budget_subsets, rng=rng,
-                                    samples=args.trials)
-        except BudgetExceeded:
-            raise BudgetExceeded(
-                "subset budget exceeded; pass --seed to enable sampling")
+        sw = s_wise_independent(points, args.s, args.m,
+                                budget=args.budget_subsets)
         doc["s_wise"] = {
             "s": args.s,
             "verdict": sw.verdict,
@@ -247,8 +233,7 @@ def cmd_indep(args) -> int:
 
 
 def _sweep_worker(payload):
-    plan_doc, seed, subset_budget, point_cap = payload
-    plan = ConstructionPlan.from_json(plan_doc)
+    plan, seed, subset_budget, point_cap = payload
     try:
         graph, report = _construct_once(plan, seed, subset_budget, point_cap)
     except CertificationError as e:
@@ -267,7 +252,7 @@ def _sweep_worker(payload):
 
 def cmd_sweep(args) -> int:
     plan = _plan_from_args(args)
-    payloads = [(plan.to_json(), args.seed + i, args.budget_subsets,
+    payloads = [(plan, args.seed + i, args.budget_subsets,
                  args.budget_points) for i in range(args.trials)]
     if args.workers > 1:
         with multiprocessing.Pool(args.workers) as pool:
@@ -308,7 +293,9 @@ def cmd_selftest(args) -> int:
     return 0 if all_ok else 2
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument tree, built once per process; `main` only parses."""
     parser = _Parser(prog="kstfree", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="subcommand", required=True,
@@ -318,7 +305,6 @@ def build_parser() -> _Parser:
     _add_plan_flags(sp)
     sp.add_argument("--mode", choices=("desk", "theorem"), default="desk")
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_plan)
 
     sp = subs.add_parser("construct", help="build and certify a graph")
     _add_plan_flags(sp)
@@ -327,29 +313,19 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=_at_least(1), default=10,
                     help="master seeds to try before giving up")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_construct)
 
     sp = subs.add_parser("verify", help="re-run verdicts on a graph file")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--t", type=int)
-    sp.add_argument("--orientation", choices=("both", "left_only"))
     _add_budget_flags(sp, points=False)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("indep", help="dependence diagnostics for points")
     sp.add_argument("--points", required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--s", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--trials", type=_at_least(1),
-                    default=DEFAULT_SAMPLE_SUBSETS,
-                    help="sampled subsets when the budget forces sampling")
     _add_budget_flags(sp, points=False)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_indep)
 
     sp = subs.add_parser("sweep", help="statistics over many master seeds")
     _add_plan_flags(sp)
@@ -358,23 +334,24 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=_at_least(1), default=20)
     sp.add_argument("--workers", type=_at_least(1), default=1)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_sweep)
 
     sp = subs.add_parser("selftest", help="run the built-in check suite")
     sp.add_argument("checks", nargs="*", type=int,
                     help="check numbers to run (default: all)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # read at each call, so a wrapper set on a module attribute runs
+        command = {"plan": cmd_plan, "construct": cmd_construct,
+                   "verify": cmd_verify, "indep": cmd_indep,
+                   "sweep": cmd_sweep, "selftest": cmd_selftest}
+        return command[args.subcommand](args)
     except UsageError as e:
         sys.stderr.write("usage error: %s\n" % e)
         return 1

@@ -291,13 +291,6 @@ def _delta_ledger(r: int, target: int) -> tuple:
     return tuple(m_cap(r - i + 1, target) for i in range(1, r + 1))
 
 
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
                       r=None, Z=None, T=None, q=None, c=None) -> ConstructionPlan:
     """Resolve all derived parameters for one construction.
@@ -321,7 +314,7 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
             Z = s + r + 3
             b = r + s + Z
             delta = _delta_ledger(r, s * s)
-            t_threshold = m ** (s + Z) * _prod(delta) + 1
+            t_threshold = m ** (s + Z) * math.prod(delta) + 1
             headline = dec12(s * math.log10(9)
                              + 4 * s ** (2 / 3) * math.log10(s))
             return ConstructionPlan(kind, s, m, r, Z, None, b, None, None,
@@ -331,7 +324,7 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
         T = comb(r + 1 + m, m)
         b = r + s
         delta = _delta_ledger(r, T)
-        t_threshold = m**s * _prod(delta) + 1
+        t_threshold = m**s * math.prod(delta) + 1
         return ConstructionPlan(kind, s, m, r, None, T, b, None, None,
                                 delta, t_threshold, c, mode, None)
     if mode != "desk":
@@ -355,7 +348,7 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
                 % (bad[0]["t"], bad[0]["required"], Z)
             )
         delta = _delta_ledger(r, s * s)
-        t_threshold = m ** (s + Z) * _prod(delta) + 1
+        t_threshold = m ** (s + Z) * math.prod(delta) + 1
         return ConstructionPlan(kind, s, m, r, Z, None, b, q, None, delta,
                                 t_threshold, c, mode, None)
     if T is None or r is None or m is None:
@@ -369,7 +362,7 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
         )
     b = r + s
     delta = _delta_ledger(r, T)
-    t_threshold = m**s * _prod(delta) + 1
+    t_threshold = m**s * math.prod(delta) + 1
     a = None if q is None else floor_scaled_power(c, q, T, s)
     return ConstructionPlan(kind, s, m, r, None, T, b, q, a, delta,
                             t_threshold, c, mode, None)

@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .gf import FieldSpec
 from .linalg import is_scalar_multiple, left_kernel, rank, solve_coords
 from .projgeom import enumerate_multiindices, enumerate_projective, monomial_eval
-from .util import DEFAULT_SAMPLE_SUBSETS, DEFAULT_SUBSET_BUDGET, BudgetExceeded
+from .util import DEFAULT_SUBSET_BUDGET, BudgetExceeded
 
 
 def _common_spec(points):
@@ -98,7 +98,7 @@ class SWiseCheck:
     witness: tuple | None    # indices of a dependent s-subset, if found
     checked: int
     total: int
-    mode: str                # exhaustive | sampled | vacuous | interpolation
+    mode: str                # exhaustive | vacuous | interpolation (builder)
 
     @property
     def verdict(self) -> str:
@@ -108,49 +108,27 @@ class SWiseCheck:
 
 
 def s_wise_independent(points, s: int, m: int,
-                       budget: int = DEFAULT_SUBSET_BUDGET,
-                       rng=None, samples: int | None = None) -> SWiseCheck:
+                       budget: int = DEFAULT_SUBSET_BUDGET) -> SWiseCheck:
     """No s distinct points are m-dependent.
 
-    Exhaustive when C(n, s) fits the budget (certifying); otherwise checks
-    random s-subsets from rng (never certifying).  With neither option a
-    BudgetExceeded propagates: a sampled pass is reported as undetermined,
-    never as a false "true".
+    Searches every s-subset, so a pass is a certificate; when C(n, s)
+    exceeds the budget it raises BudgetExceeded instead of searching.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    spec, b = _common_spec(points)
+    spec, _ = _common_spec(points)
     n = len(points)
     if n < s:
         return SWiseCheck(True, True, None, 0, 0, "vacuous")
-    # rows are built on demand so sampling large sets stays cheap
-    mis = enumerate_multiindices(b, m)
-    cache: dict = {}
-
-    def row(i):
-        r = cache.get(i)
-        if r is None:
-            r = [monomial_eval(points[i], beta) for beta in mis]
-            cache[i] = r
-        return r
-
     total = comb(n, s)
-    if total <= budget:
-        for combo in itertools.combinations(range(n), s):
-            if rank([row(i) for i in combo], spec) < s:
-                return SWiseCheck(False, False, combo, 0, total, "exhaustive")
-        return SWiseCheck(True, True, None, total, total, "exhaustive")
-    if rng is None:
-        raise BudgetExceeded(
-            "C(%d, %d) = %d subsets exceed budget %d and no rng was given"
-            % (n, s, total, budget)
-        )
-    count = samples if samples is not None else DEFAULT_SAMPLE_SUBSETS
-    for _ in range(count):
-        combo = rng.sample_subset(n, s)
-        if rank([row(i) for i in combo], spec) < s:
-            return SWiseCheck(False, False, combo, 0, total, "sampled")
-    return SWiseCheck(True, False, None, count, total, "sampled")
+    if total > budget:
+        raise BudgetExceeded("C(%d, %d) = %d subsets exceed budget %d"
+                             % (n, s, total, budget))
+    rows = evaluation_rows(points, m)
+    for combo in itertools.combinations(range(n), s):
+        if rank([rows[i] for i in combo], spec) < s:
+            return SWiseCheck(False, False, combo, 0, total, "exhaustive")
+    return SWiseCheck(True, True, None, total, total, "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +148,14 @@ def power_rows(points, m: int):
             "power form needs characteristic > m (p = %d, m = %d)" % (spec.p, m)
         )
     mis = enumerate_multiindices(b, m)
-    multinom = [factorial(m) // _prod_factorials(beta) % spec.p for beta in mis]
+    multinom = [factorial(m) // prod(map(factorial, beta)) % spec.p
+                for beta in mis]
     out = []
     for pt in points:
         out.append([
             spec.mul(mn, monomial_eval(pt, beta))
             for mn, beta in zip(multinom, mis)
         ])
-    return out
-
-
-def _prod_factorials(beta):
-    out = 1
-    for e in beta:
-        out *= factorial(e)
     return out
 
 

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 DEFAULT_SUBSET_BUDGET = 100_000
 DEFAULT_POINT_BUDGET = 3_000_000
-DEFAULT_SAMPLE_SUBSETS = 500
 
 
 class BudgetExceeded(RuntimeError):

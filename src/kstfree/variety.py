@@ -14,11 +14,11 @@ the default order cap, and in float64 otherwise.
 The certified builder draws fresh forms until the zero set passes three
 checks: it is large enough (at least half the first-order prediction),
 it is s-wise independent at the forms' degree m (by the interpolation
-theorem when s <= m+1, else only by an exhaustive search), and a
-point-count probe over F_q and, within the point cap, F_{q^2} lands on
-the expected dimension.  Each check can fail for an unlucky draw; the
-builder retries with derived streams and keeps a tally of which check
-rejected how many attempts.
+theorem when s <= m+1, else only by an exhaustive search within the
+subset budget), and a point-count probe over F_q and, within the point
+cap, F_{q^2} lands on the expected dimension.  Each check can fail for
+an unlucky draw; the builder retries with derived streams and keeps a
+tally of which check rejected how many attempts.
 """
 from __future__ import annotations
 
@@ -316,18 +316,25 @@ def _count_ok(n_points: int, q: int, target_dim: int) -> bool:
 
 
 def _check_draw(var: VarietySpec, pts: np.ndarray, cfg: BuildConfig,
-                target_dim: int, by_theorem: bool, probe_ext: bool, rng):
-    """(first failed check or None, s-wise certificate, probe) of one draw."""
+                target_dim: int, by_theorem: bool, probe_ext: bool):
+    """(first failed check or None, s-wise certificate, probe) of one draw.
+
+    Without the theorem the s-subsets are searched only within the subset
+    budget; a draw with more of them is rejected unsearched, as it could
+    not be certified.
+    """
     n, q = len(pts), var.spec.order
     if not _count_ok(n, q, target_dim):
         return "count", None, None
     if by_theorem:
         sw = SWiseCheck(True, True, None, 0, math.comb(n, cfg.s),
                         "interpolation")
+    elif math.comb(n, cfg.s) > cfg.subset_budget:
+        return "swise", None, None
     else:
         proj = [ProjPoint(var.spec, tuple(int(c) for c in row)) for row in pts]
         sw = s_wise_independent(proj, cfg.s, cfg.degree,
-                                budget=cfg.subset_budget, rng=rng)
+                                budget=cfg.subset_budget)
     if not sw.certified:
         return "swise", sw, None
     counts = {1: n}
@@ -374,7 +381,7 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
         var = VarietySpec(spec, cfg.b, forms)
         pts = fq_point_array(var, cap=cfg.point_cap)
         failed, sw, probe = _check_draw(var, pts, cfg, target_dim, by_theorem,
-                                        probe_ext, sub)
+                                        probe_ext)
         if failed:
             tally[failed] += 1
         last = BuildResult(failed is None, attempt + 1, var, pts, len(pts),

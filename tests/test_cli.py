@@ -99,20 +99,31 @@ def test_huge_prime_order_is_refused_at_once(argv, tmp_path, capsys):
     ("sweep", ["--workers", "0"]),
     ("sweep", ["--budget-subsets", "-5"]),
     ("sweep", ["--budget-points", "-1"]),
+    # verify judges at the plan's own s, t and orientation, and indep
+    # certifies or refuses, so these options are gone
+    ("indep", ["--seed", "1"]),
+    ("indep", ["--trials", "4"]),
+    ("verify", ["--s", "3"]),
+    ("verify", ["--t", "82"]),
+    ("verify", ["--orientation", "both"]),
 ])
 def test_bad_counts_and_budgets_are_usage_errors(sub, flags, tmp_path,
                                                  capsys):
     out = tmp_path / "g.json"
-    rc, stdout, err = run([sub, "turan", "--s", "2", "--m", "3", "--r", "1",
-                           "--Z", "1", "--q", "11", "--seed", "1",
-                           "--out", str(out)] + flags, capsys)
+    head = {"indep": ["--points", str(tmp_path / "pts.txt"), "--q", "5",
+                      "--m", "2", "--s", "3"],
+            "verify": ["--graph", str(tmp_path / "in.json")]}.get(
+        sub, ["turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1",
+              "--q", "11", "--seed", "1"])
+    rc, stdout, err = run([sub] + head + ["--out", str(out)] + flags, capsys)
     assert rc == 1
-    assert "usage error" in err and flags[0] in err
+    assert err.startswith("usage error:") and flags[0] in err
     assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("trials", ["-2", "0"])
 def test_indep_bad_trials_are_usage_errors(trials, tmp_path, capsys):
+    # indep has no --trials (nor --seed) to take any value
     pts = tmp_path / "pts.txt"
     pts.write_text("0:1\n1:0\n1:1\n1:2\n1:3\n1:4\n")
     rc, stdout, err = run(["indep", "--points", str(pts), "--q", "5",
@@ -146,10 +157,14 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert vdoc["matches_report"] is True
     assert vdoc["mismatched_fields"] == []
 
-    # the documented explicit form
-    rc, _, _ = run(["verify", "--graph", out, "--s", "2", "--t", "82",
-                    "--orientation", "both"], capsys)
-    assert rc == 0
+    # a stored report without kst mismatches, and kst is listed last
+    stored = dict(report, n_edges=report["n_edges"] + 1)
+    del stored["kst"]
+    with open(report_path_for(out), "w") as fh:
+        json.dump(stored, fh)
+    rc, vout, _ = run(["verify", "--graph", out], capsys)
+    assert rc == 2
+    assert json.loads(vout)["mismatched_fields"] == ["n_edges", "kst"]
 
 
 def test_construct_is_reproducible(tmp_path, capsys):
@@ -252,27 +267,6 @@ def test_verify_refuses_duplicate_keys_and_constants(tmp_path, capsys):
         assert err.startswith("error: ") and named in err
 
 
-def test_verify_overrides_skip_what_they_change(tmp_path, capsys):
-    out = str(tmp_path / "g.json")
-    rc, _, _ = run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
-                    "--Z", "1", "--q", "11", "--seed", "1", "--out", out],
-                   capsys)
-    assert rc == 0
-    # --s reruns the side searches at s = 3: neither they nor kst compare
-    rc, vout, _ = run(["verify", "--graph", out, "--s", "3", "--t", "82"],
-                      capsys)
-    vdoc = json.loads(vout)
-    assert (vdoc["kst"]["free"], vdoc["kst"]["certified"]) == (True, True)
-    assert vdoc["mismatched_fields"] == []
-    assert rc == 0
-    # --orientation left_only searches one side: neither kst nor max_common
-    # is compared
-    rc, vout, _ = run(["verify", "--graph", out, "--orientation", "left_only"],
-                      capsys)
-    assert rc == 0
-    assert json.loads(vout)["matches_report"] is True
-
-
 def test_verify_degree_report_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "z.json")
     rc, _, _ = run(["construct", "zarankiewicz", "--s", "2", "--T", "3",
@@ -351,17 +345,18 @@ def test_indep_reports_rank(tmp_path, capsys):
 def test_indep_budget_paths(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("1:0\n0:1\n1:1\n1:2\n1:3\n")
-    # budget too small, no seed: refuse with exit 2
-    rc, _, err = run(["indep", "--points", str(pts), "--q", "5", "--m", "2",
-                      "--s", "3", "--budget-subsets", "2"], capsys)
-    assert rc == 2
-    assert "--seed" in err
-    # same budget with a seed: sampled, uncertified, still exit 2
+    # C(5, 3) = 10 subsets over a budget of 2: refused, nothing printed
+    rc, out, err = run(["indep", "--points", str(pts), "--q", "5", "--m", "2",
+                        "--s", "3", "--budget-subsets", "2"], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("budget exceeded:")
+    # within the budget every subset is searched
     rc, out, _ = run(["indep", "--points", str(pts), "--q", "5", "--m", "2",
-                      "--s", "3", "--budget-subsets", "2", "--seed", "9",
-                      "--trials", "4"], capsys)
-    assert rc == 2
-    assert json.loads(out)["s_wise"]["mode"] == "sampled"
+                      "--s", "3", "--budget-subsets", "10"], capsys)
+    assert rc == 0
+    sw = json.loads(out)["s_wise"]
+    assert (sw["mode"], sw["checked"], sw["certified"]) == (
+        "exhaustive", 10, True)
 
 
 def test_indep_rejects_garbage_points(tmp_path, capsys):

@@ -150,20 +150,6 @@ def test_s_wise_budget_no_rng_raises():
         s_wise_independent(points, 3, 2, budget=3)
 
 
-def test_s_wise_sampled():
-    spec = make_field(7, 1)
-    points = enumerate_projective(spec, 1)[:6]
-    rng = SeededRng(11)
-    res = s_wise_independent(points, 4, 2, budget=3, rng=rng, samples=5)
-    assert res.mode == "sampled"
-    assert not res.certified
-    assert res.witness is not None  # every 4-subset is dependent here
-    clean = s_wise_independent(points, 3, 2, budget=3, rng=SeededRng(11),
-                               samples=20)
-    assert clean.mode == "sampled" and clean.ok and not clean.certified
-    assert clean.verdict == "undetermined"
-
-
 # --- power form cross-check -------------------------------------------------
 
 

@@ -405,15 +405,20 @@ def test_builder_certifies_by_interpolation(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [2, 3])
-def test_builder_sampled_swise_does_not_certify(seed):
-    # s = 5 > m + 1: C(n, 5) subsets exceed the budget, so the pass is
-    # only sampled, and a sampled pass rejects the attempt
+def test_builder_sampled_swise_does_not_certify(seed, monkeypatch):
+    # s = 5 > m + 1: C(n, 5) subsets exceed the budget, so the draw could
+    # not be certified and is rejected without a search
+    def no_search(*args, **kwargs):
+        raise AssertionError("s-wise search ran")
+
+    monkeypatch.setattr(kstfree.variety, "s_wise_independent", no_search)
     spec = make_field(2, 1)
     cfg = BuildConfig(b=10, num_forms=6, degree=3, s=5, max_attempts=1)
     res = build_independent_variety(spec, cfg, SeededRng(seed))
-    assert res.swise.mode == "sampled"
+    assert comb(res.n_points, 5) > cfg.subset_budget
+    assert res.swise is None
     assert res.certified is False
-    assert res.failure_tally["swise"] == 1
+    assert res.failure_tally == {"count": 0, "swise": 1, "probe": 0}
 
 
 def test_builder_failure_tally_bookkeeping():
