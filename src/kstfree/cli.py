@@ -214,7 +214,7 @@ def cmd_indep(args) -> int:
         "minimal": rep.minimal,
         "kernel_dim": len(rep.kernel_basis),
     }
-    certified = True
+    sw = None
     if args.s is not None:
         sw = s_wise_independent(points, args.s, args.m,
                                 budget=args.budget_subsets)
@@ -227,9 +227,8 @@ def cmd_indep(args) -> int:
             "mode": sw.mode,
             "witness": None if sw.witness is None else list(sw.witness),
         }
-        certified = sw.certified
     _emit(doc, args.out)
-    return 0 if certified else 2
+    return 0 if sw is None or sw.certified else 2
 
 
 def _sweep_worker(payload):

@@ -24,9 +24,8 @@ from math import comb
 import numpy as np
 
 from .gf import FieldSpec, field_for_order, make_field
-from .independence import hilbert_rank, m_cap, z_condition
+from .independence import evaluation_rows, hilbert_rank, m_cap, z_condition
 from .polyrand import SeededRng, eval_bihom_grid, random_bihom, random_hom
-from .projgeom import enumerate_multiindices, monomial_eval
 from .util import (
     DEFAULT_POINT_BUDGET,
     DEFAULT_SUBSET_BUDGET,
@@ -847,9 +846,7 @@ def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors,
     q = spec.order
     nx = comb(a + m, m)
     ny = comb(b + mp, mp)
-    mis_x = enumerate_multiindices(a, m)
-    vmons = [np.array([monomial_eval(v, al) for al in mis_x], dtype=np.int64)
-             for v in anchors]
+    vmons = np.array(evaluation_rows(anchors, m), dtype=np.int64)
     if mode == "exhaustive":
         ncoef = nx * ny
         total = q**ncoef

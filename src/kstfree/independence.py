@@ -20,7 +20,7 @@ from math import comb, factorial, prod
 
 from .gf import FieldSpec
 from .linalg import is_scalar_multiple, left_kernel, rank, solve_coords
-from .projgeom import enumerate_multiindices, enumerate_projective, monomial_eval
+from .projgeom import enumerate_multiindices, enumerate_projective, monomial_matrix
 from .util import DEFAULT_SUBSET_BUDGET, BudgetExceeded
 
 
@@ -38,8 +38,9 @@ def _common_spec(points):
 def evaluation_rows(points, m: int):
     """Degree-m monomial values, one row per point, canonical column order."""
     spec, b = _common_spec(points)
-    mis = enumerate_multiindices(b, m)
-    return [[monomial_eval(pt, beta) for beta in mis] for pt in points]
+    mat = monomial_matrix(spec, [pt.coords for pt in points],
+                          enumerate_multiindices(b, m))
+    return spec.enc_array(mat).tolist()
 
 
 def hilbert_rank(points, m: int) -> int:
@@ -93,18 +94,19 @@ def dependence_classify(points, m: int) -> DependenceReport:
 
 @dataclass
 class SWiseCheck:
-    ok: bool                 # no dependent subset seen
-    certified: bool          # every subset was examined
     witness: tuple | None    # indices of a dependent s-subset, if found
     checked: int
     total: int
     mode: str                # exhaustive | vacuous | interpolation (builder)
 
     @property
+    def certified(self) -> bool:
+        """Independence is proved: every path without a witness is a proof."""
+        return self.witness is None
+
+    @property
     def verdict(self) -> str:
-        if self.witness is not None:
-            return "dependent"
-        return "independent" if self.certified else "undetermined"
+        return "independent" if self.certified else "dependent"
 
 
 def s_wise_independent(points, s: int, m: int,
@@ -119,7 +121,7 @@ def s_wise_independent(points, s: int, m: int,
     spec, _ = _common_spec(points)
     n = len(points)
     if n < s:
-        return SWiseCheck(True, True, None, 0, 0, "vacuous")
+        return SWiseCheck(None, 0, 0, "vacuous")
     total = comb(n, s)
     if total > budget:
         raise BudgetExceeded("C(%d, %d) = %d subsets exceed budget %d"
@@ -127,8 +129,8 @@ def s_wise_independent(points, s: int, m: int,
     rows = evaluation_rows(points, m)
     for combo in itertools.combinations(range(n), s):
         if rank([rows[i] for i in combo], spec) < s:
-            return SWiseCheck(False, False, combo, 0, total, "exhaustive")
-    return SWiseCheck(True, True, None, total, total, "exhaustive")
+            return SWiseCheck(combo, 0, total, "exhaustive")
+    return SWiseCheck(None, total, total, "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +149,10 @@ def power_rows(points, m: int):
         raise ValueError(
             "power form needs characteristic > m (p = %d, m = %d)" % (spec.p, m)
         )
-    mis = enumerate_multiindices(b, m)
     multinom = [factorial(m) // prod(map(factorial, beta)) % spec.p
-                for beta in mis]
-    out = []
-    for pt in points:
-        out.append([
-            spec.mul(mn, monomial_eval(pt, beta))
-            for mn, beta in zip(multinom, mis)
-        ])
-    return out
+                for beta in enumerate_multiindices(b, m)]
+    return [[spec.mul(mn, v) for mn, v in zip(multinom, row)]
+            for row in evaluation_rows(points, m)]
 
 
 def power_rank(points, m: int) -> int:

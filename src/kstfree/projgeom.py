@@ -10,6 +10,9 @@ that listing.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from .gf import FieldSpec, elem_parse, elem_str
@@ -93,7 +96,8 @@ def chart_rows(q: int, b: int, lead: int, idx: np.ndarray) -> np.ndarray:
     return block
 
 
-CHUNK = 1 << 17  # most points in one projective_chunks block
+CHUNK = 1 << 17  # most points in one projective_chunks block, and most
+                 # digit products in one monomial_matrix arr_mul
 
 
 def projective_chunks(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET):
@@ -124,19 +128,25 @@ def enumerate_multiindices(b: int, m: int):
     """Exponent vectors of degree m in b+1 variables, graded-lex order.
 
     The first exponent descends fastest: (m,0,...), then (m-1,1,0,...), ...
+    Each call returns a fresh list of the cached table.
     """
     if b < 0 or m < 0:
         raise ValueError("need b >= 0 and m >= 0")
+    return list(_multiindices(b, m))
 
-    def rec(nvars, deg):
-        if nvars == 1:
-            yield (deg,)
-            return
-        for first in range(deg, -1, -1):
-            for rest in rec(nvars - 1, deg - first):
-                yield (first,) + rest
 
-    return list(rec(b + 1, m))
+@functools.cache
+def _multiindices(b: int, m: int) -> tuple:
+    # sorted multisets of m variables, in lex order, are the exponent
+    # vectors in descending lex order
+    return tuple(tuple(c.count(i) for i in range(b + 1))
+                 for c in itertools.combinations_with_replacement(range(b + 1), m))
+
+
+@functools.cache
+def _positions(b: int, m: int) -> dict:
+    """Column of each degree-m multiindex in the graded-lex table."""
+    return {beta: i for i, beta in enumerate(_multiindices(b, m))}
 
 
 def monomial_eval(point: ProjPoint, beta) -> int:
@@ -174,30 +184,45 @@ def point_from_str(spec: FieldSpec, s: str) -> ProjPoint:
 # bulk monomial matrices
 
 
+@functools.cache
+def _level_links(b: int, d: int):
+    """(parent, var) of the degree-d monomials on P^b, graded-lex order.
+
+    x^beta = x^parent * x_var, where var is beta's first positive exponent
+    and parent, a column of the degree-(d-1) table, is beta with that
+    exponent decremented.
+    """
+    up, betas = _positions(b, d - 1), _multiindices(b, d)
+    var = [next(i for i, e in enumerate(beta) if e) for beta in betas]
+    parent = [up[beta[:j] + (beta[j] - 1,) + beta[j + 1:]]
+              for beta, j in zip(betas, var)]
+    return np.array(parent), np.array(var)
+
+
 def monomial_matrix(spec: FieldSpec, pts_enc: np.ndarray, mindices) -> np.ndarray:
     """Values of every monomial at every point: (N, M, k) coordinate array.
 
-    Each degree-d monomial is one field multiplication on top of its
-    degree-(d-1) parent (first positive exponent decremented), so the whole
-    matrix costs about one multiplication per cell.
+    Level d, all degree-d monomials, is one arr_mul of level d-1 (at each
+    monomial's parent) by the coordinates (at its variable), per block of
+    rows; blocks keep each call's (rows, C(b+d, d), k, k) digit products
+    within CHUNK cells.  Level m is then gathered in the order of mindices.
     """
     pts_enc = np.asarray(pts_enc, dtype=np.int64)
-    n = pts_enc.shape[0]
-    coords = spec.dec_array(pts_enc)  # (N, b+1, k)
-    mindices = list(mindices)
+    n, k = pts_enc.shape[0], spec.k
+    mindices = [tuple(beta) for beta in mindices]
+    out = np.zeros((n, len(mindices), k), dtype=np.int64)
     if not mindices:
-        return np.zeros((n, 0, spec.k), dtype=np.int64)
-    m = sum(mindices[0])
-    ones = np.zeros((n, spec.k), dtype=np.int64)
-    ones[:, 0] = 1
-    nvars = len(mindices[0])
-    zero_mi = (0,) * nvars
-    level = {zero_mi: ones}
-    for d in range(1, m + 1):
-        nxt = {}
-        for beta in enumerate_multiindices(nvars - 1, d):
-            j = next(i for i, e in enumerate(beta) if e > 0)
-            parent = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
-            nxt[beta] = spec.arr_mul(level[parent], coords[:, j, :])
-        level = nxt
-    return np.stack([level[tuple(beta)] for beta in mindices], axis=1)
+        return out
+    b, m = len(mindices[0]) - 1, sum(mindices[0])
+    pos = _positions(b, m)
+    cols = [pos[beta] for beta in mindices]
+    rows = max(1, CHUNK // (len(pos) * k * k))
+    for start in range(0, n, rows):
+        coords = spec.dec_array(pts_enc[start:start + rows])  # (rows, b+1, k)
+        level = np.zeros((len(coords), 1, k), dtype=np.int64)
+        level[:, :, 0] = 1
+        for d in range(1, m + 1):
+            parent, var = _level_links(b, d)
+            level = spec.arr_mul(level[:, parent], coords[:, var])
+        out[start:start + rows] = level[:, cols]
+    return out

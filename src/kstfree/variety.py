@@ -327,8 +327,7 @@ def _check_draw(var: VarietySpec, pts: np.ndarray, cfg: BuildConfig,
     if not _count_ok(n, q, target_dim):
         return "count", None, None
     if by_theorem:
-        sw = SWiseCheck(True, True, None, 0, math.comb(n, cfg.s),
-                        "interpolation")
+        sw = SWiseCheck(None, 0, math.comb(n, cfg.s), "interpolation")
     elif math.comb(n, cfg.s) > cfg.subset_budget:
         return "swise", None, None
     else:

@@ -118,7 +118,7 @@ def test_rank_monotone_under_supersets():
 
 def test_s_wise_vacuous():
     res = s_wise_independent(FOUR_PTS[:2], 3, 2)
-    assert res.ok and res.certified and res.mode == "vacuous"
+    assert res.certified and res.mode == "vacuous"
     assert res.verdict == "independent"
     assert res.total == 0
 
@@ -129,7 +129,7 @@ def test_s_wise_exhaustive_witness():
     points = enumerate_projective(spec, 1)[:5]
     res = s_wise_independent(points, 4, 2)
     assert res.mode == "exhaustive"
-    assert not res.ok
+    assert not res.certified
     assert res.witness == (0, 1, 2, 3)
     assert res.verdict == "dependent"
 
@@ -138,7 +138,7 @@ def test_s_wise_exhaustive_clean():
     spec = make_field(7, 1)
     points = enumerate_projective(spec, 1)[:5]
     res = s_wise_independent(points, 3, 2)
-    assert res.ok and res.certified
+    assert res.certified
     assert res.checked == res.total == comb(5, 3)
     assert res.verdict == "independent"
 

@@ -2,12 +2,14 @@
 import itertools
 import random
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from kstfree.gf import make_field
+from kstfree.gf import FieldSpec, make_field
 from kstfree.projgeom import (
+    CHUNK,
     ProjPoint,
     canonicalize,
     enumerate_multiindices,
@@ -104,6 +106,17 @@ def test_multiindex_count_and_degrees(b, m):
     assert all(sum(mi) == m and len(mi) == b + 1 for mi in mis)
 
 
+def test_multiindices_are_a_fresh_list_each_call():
+    first = enumerate_multiindices(2, 2)
+    first.reverse()
+    first.append((9, 9, 9))
+    second = enumerate_multiindices(2, 2)
+    assert second is not first
+    assert second == [
+        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
+    ]
+
+
 def test_monomial_eval():
     f7 = make_field(7)
     pt = canonicalize(f7, (1, 3, 2))
@@ -176,6 +189,65 @@ def test_monomial_matrix_matches_scalar(p, k, b, m):
         i = rng.randrange(len(pts))
         j = rng.randrange(len(mis))
         assert got[i, j] == monomial_eval(pts[i], mis[j])
+
+
+def random_points(spec, b, n, seed):
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < n:
+        raw = [rng.randrange(spec.order) for _ in range(b + 1)]
+        if any(raw):
+            pts.append(canonicalize(spec, raw))
+    return pts
+
+
+def scalar_matrix(pts, mis):
+    return [[monomial_eval(pt, beta) for beta in mis] for pt in pts]
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 2), (3, 2), (2, 16)])
+def test_monomial_matrix_on_random_points_matches_scalar(p, k):
+    spec = make_field(p, k)
+    for b, m in [(1, 4), (2, 3), (4, 2), (3, 0)]:
+        pts = random_points(spec, b, 40, 100 * p + k)
+        mis = enumerate_multiindices(b, m)
+        enc = np.array([pt.coords for pt in pts], dtype=np.int64)
+        got = spec.enc_array(monomial_matrix(spec, enc, mis))
+        assert got.tolist() == scalar_matrix(pts, mis)
+
+
+def test_monomial_matrix_blocks_stay_within_chunk():
+    # GF(2^16) has 256 digit products per cell, so 4 cubic monomials on
+    # P^1 allow 128 rows a block: 300 points take three blocks
+    spec = make_field(2, 16)
+    pts = random_points(spec, 1, 300, 5)
+    mis = enumerate_multiindices(1, 3)
+    enc = np.array([pt.coords for pt in pts], dtype=np.int64)
+    real = FieldSpec.arr_mul
+    outer = []
+
+    def spy(self, a, b):
+        outer.append(np.broadcast(a[..., :, None], b[..., None, :]).size)
+        return real(self, a, b)
+
+    with mock.patch.object(FieldSpec, "arr_mul", spy):
+        got = spec.enc_array(monomial_matrix(spec, enc, mis))
+    assert len(outer) == 3 * 3
+    assert max(outer) <= CHUNK
+    assert got.tolist() == scalar_matrix(pts, mis)
+
+
+def test_monomial_matrix_follows_the_order_of_mindices():
+    spec = make_field(3, 2)
+    pts = random_points(spec, 2, 30, 6)
+    enc = np.array([pt.coords for pt in pts], dtype=np.int64)
+    full = enumerate_multiindices(2, 3)
+    order = [7, 2, 9, 0, 4]
+    sub = [list(full[j]) for j in order]
+    got = monomial_matrix(spec, enc, sub)
+    assert got.shape == (30, 5, 2)
+    assert np.array_equal(got, monomial_matrix(spec, enc, full)[:, order])
+    assert spec.enc_array(got).tolist() == scalar_matrix(pts, [full[j] for j in order])
 
 
 def test_projective_budget():

@@ -355,7 +355,7 @@ def test_builder_no_forms_trivial():
     assert res.attempts == 1
     assert res.n_points == 6
     assert res.target_dim == 1
-    assert res.swise.certified and res.swise.ok
+    assert res.swise.certified
     assert res.probe is not None and res.probe.estimate == 1
     assert res.failure_tally == {"count": 0, "swise": 0, "probe": 0}
 
