@@ -5,7 +5,7 @@ Subcommands:
     construct   build a graph, retrying master seeds until a trial passes
     verify      re-run the verdicts on an emitted graph file
     indep       dependence diagnostics for a point file
-    sweep       run many master seeds and aggregate the outcomes
+    sweep       run many master seeds, one after another, and aggregate
     selftest    run the built-in check suite
 
 Exit codes: 0 = certified pass, 2 = built but uncertified within budget
@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -231,8 +230,7 @@ def cmd_indep(args) -> int:
     return 0 if sw is None or sw.certified else 2
 
 
-def _sweep_worker(payload):
-    plan, seed, subset_budget, point_cap = payload
+def _sweep_row(plan, seed: int, subset_budget: int, point_cap: int) -> dict:
     try:
         graph, report = _construct_once(plan, seed, subset_budget, point_cap)
     except CertificationError as e:
@@ -251,14 +249,8 @@ def _sweep_worker(payload):
 
 def cmd_sweep(args) -> int:
     plan = _plan_from_args(args)
-    payloads = [(plan, args.seed + i, args.budget_subsets,
-                 args.budget_points) for i in range(args.trials)]
-    if args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
-            rows = pool.map(_sweep_worker, payloads)
-    else:
-        rows = [_sweep_worker(p) for p in payloads]
-    rows.sort(key=lambda r: r["seed"])
+    rows = [_sweep_row(plan, args.seed + i, args.budget_subsets,
+                       args.budget_points) for i in range(args.trials)]
     built = [r for r in rows if r["built"]]
     passed = [r for r in built if r["passed"]]
     agg = {
@@ -331,7 +323,6 @@ def build_parser() -> _Parser:
     _add_budget_flags(sp, points=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--trials", type=_at_least(1), default=20)
-    sp.add_argument("--workers", type=_at_least(1), default=1)
     sp.add_argument("--out")
 
     sp = subs.add_parser("selftest", help="run the built-in check suite")

@@ -525,17 +525,6 @@ def kst_verdict(g: SidedGraph, s: int, t: int, searches: dict,
     return KstVerdict(s, t, orientation, True, True, None, per_side)
 
 
-def verify_witness(g: SidedGraph, verdict: KstVerdict) -> bool:
-    """Re-check a violation witness against the adjacency data."""
-    if verdict.witness is None:
-        return True
-    w = verdict.witness
-    common = _common(_side_adj(g, w["side"]), w["anchors"])
-    return (len(w["anchors"]) == verdict.s
-            and len(set(w["neighbors"])) == verdict.t
-            and all(common[j] for j in w["neighbors"]))
-
-
 # ---------------------------------------------------------------------------
 # density
 

@@ -37,9 +37,8 @@ def _common_spec(points):
 
 def evaluation_rows(points, m: int):
     """Degree-m monomial values, one row per point, canonical column order."""
-    spec, b = _common_spec(points)
-    mat = monomial_matrix(spec, [pt.coords for pt in points],
-                          enumerate_multiindices(b, m))
+    spec, _ = _common_spec(points)
+    mat = monomial_matrix(spec, [pt.coords for pt in points], m)
     return spec.enc_array(mat).tolist()
 
 

@@ -138,23 +138,6 @@ def evaluate(f: HomPoly, point) -> int:
     return acc
 
 
-def evaluate_bi(g: BiHomPoly, v, w) -> int:
-    spec = g.spec
-    mis_x = enumerate_multiindices(g.a, g.m)
-    mis_y = enumerate_multiindices(g.b, g.mp)
-    acc = 0
-    for row, alpha in zip(g.coeffs, mis_x):
-        xa = monomial_eval(v, alpha)
-        if xa == 0:
-            continue
-        inner = 0
-        for c, beta in zip(row, mis_y):
-            if c:
-                inner = spec.add(inner, spec.mul(c, monomial_eval(w, beta)))
-        acc = spec.add(acc, spec.mul(xa, inner))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # bulk evaluation
 
@@ -178,7 +161,7 @@ def eval_hom_many(fs, pts_enc: np.ndarray) -> np.ndarray:
     for i, f in enumerate(fs):
         by_deg.setdefault(f.m, []).append(i)
     for m, idxs in by_deg.items():
-        mat = monomial_matrix(spec, pts_enc, enumerate_multiindices(b, m))
+        mat = monomial_matrix(spec, pts_enc, m)
         coeffs = np.array([fs[i].coeffs for i in idxs], dtype=np.int64)
         vals = spec.arr_dot(mat, spec.dec_array(coeffs.T))  # (N, F, k)
         out[:, idxs] = spec.enc_array(vals)
@@ -188,10 +171,8 @@ def eval_hom_many(fs, pts_enc: np.ndarray) -> np.ndarray:
 def eval_bihom_grid(g: BiHomPoly, left_enc: np.ndarray, right_enc: np.ndarray) -> np.ndarray:
     """g on every (left, right) pair: (NL, NR) encoding matrix."""
     spec = g.spec
-    mis_x = enumerate_multiindices(g.a, g.m)
-    mis_y = enumerate_multiindices(g.b, g.mp)
-    mon_l = monomial_matrix(spec, np.asarray(left_enc, dtype=np.int64), mis_x)
-    mon_r = monomial_matrix(spec, np.asarray(right_enc, dtype=np.int64), mis_y)
+    mon_l = monomial_matrix(spec, left_enc, g.m)
+    mon_r = monomial_matrix(spec, right_enc, g.mp)
     coeff = spec.dec_array(np.array(g.coeffs, dtype=np.int64))  # (nx, ny, k)
     mid = spec.arr_dot(mon_l, coeff)  # (NL, ny, k)
     vals = spec.arr_dot(mid, mon_r.transpose(1, 0, 2))  # (NL, NR, k)

@@ -4,14 +4,15 @@ Canonical representatives scale the first nonzero coordinate to 1.  The
 enumeration order is lexicographic on the canonical coordinate vector,
 coordinates compared by their integer encodings; every downstream notion
 of "first points" or "initial segment" refers to this order.  Degree-m
-multiindices are listed in graded-lex order with the first exponent
-descending, and every coefficient vector in the package is aligned to
-that listing.
+multiindices are the rows of one read-only array per (b, m),
+`multiindex_table`, in graded-lex order with the first exponent
+descending; every coefficient vector and every monomial matrix column
+in the package is aligned to it.
 """
 from __future__ import annotations
 
 import functools
-import itertools
+from math import comb
 
 import numpy as np
 
@@ -125,28 +126,40 @@ def enumerate_projective(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGE
 
 
 def enumerate_multiindices(b: int, m: int):
-    """Exponent vectors of degree m in b+1 variables, graded-lex order.
+    """`multiindex_table(b, m)` as a fresh list of tuples of Python ints.
 
-    The first exponent descends fastest: (m,0,...), then (m-1,1,0,...), ...
-    Each call returns a fresh list of the cached table.
+    For the scalar and JSON readers, which need Python ints.
+    """
+    return list(map(tuple, multiindex_table(b, m).tolist()))
+
+
+@functools.cache
+def multiindex_table(b: int, m: int) -> np.ndarray:
+    """Exponent vectors of degree m in b+1 variables: read-only (C(b+m, m), b+1).
+
+    Graded-lex order, the first exponent descending fastest: (m,0,...),
+    then (m-1,1,0,...), ...  table(b, m) is x_0 * table(b, m-1), in
+    order, followed by table(b-1, m) with a zero x_0 exponent prepended.
+    The smaller tables are built on the way, one variable at a time, and
+    only this one is kept.
     """
     if b < 0 or m < 0:
         raise ValueError("need b >= 0 and m >= 0")
-    return list(_multiindices(b, m))
-
-
-@functools.cache
-def _multiindices(b: int, m: int) -> tuple:
-    # sorted multisets of m variables, in lex order, are the exponent
-    # vectors in descending lex order
-    return tuple(tuple(c.count(i) for i in range(b + 1))
-                 for c in itertools.combinations_with_replacement(range(b + 1), m))
-
-
-@functools.cache
-def _positions(b: int, m: int) -> dict:
-    """Column of each degree-m multiindex in the graded-lex table."""
-    return {beta: i for i, beta in enumerate(_multiindices(b, m))}
+    # by_deg[d]: the degree-d table in the last c+1 variables
+    by_deg = [np.full((1, 1), d, dtype=np.int64) for d in range(m + 1)]
+    for c in range(1, b + 1):
+        grown = [np.zeros((1, c + 1), dtype=np.int64)]
+        for d in range(1, m + 1):
+            head, tail = grown[d - 1], by_deg[d]
+            t = np.zeros((len(head) + len(tail), c + 1), dtype=np.int64)
+            t[:len(head)] = head
+            t[:len(head), 0] += 1
+            t[len(head):, 1:] = tail
+            grown.append(t)
+        by_deg = grown
+    table = by_deg[m]
+    table.flags.writeable = False
+    return table
 
 
 def monomial_eval(point: ProjPoint, beta) -> int:
@@ -186,37 +199,35 @@ def point_from_str(spec: FieldSpec, s: str) -> ProjPoint:
 
 @functools.cache
 def _level_links(b: int, d: int):
-    """(parent, var) of the degree-d monomials on P^b, graded-lex order.
+    """(parent, var) of the degree-d monomials on P^b, table order.
 
     x^beta = x^parent * x_var, where var is beta's first positive exponent
-    and parent, a column of the degree-(d-1) table, is beta with that
-    exponent decremented.
+    and parent, a row of table(b, d-1), is beta with that exponent
+    decremented.  By the identity of `multiindex_table` the x_0 block has
+    parent = its own row and var = 0, and the rest are the links of
+    (b-1, d) past the x_0 block of table(b, d-1), with var + 1.
     """
-    up, betas = _positions(b, d - 1), _multiindices(b, d)
-    var = [next(i for i, e in enumerate(beta) if e) for beta in betas]
-    parent = [up[beta[:j] + (beta[j] - 1,) + beta[j + 1:]]
-              for beta, j in zip(betas, var)]
-    return np.array(parent), np.array(var)
+    parent = var = np.zeros(1, dtype=np.int64)
+    for c in range(1, b + 1):
+        head = comb(c + d - 1, d - 1)
+        shift = comb(c + d - 2, d - 2) if d > 1 else 0
+        parent = np.concatenate([np.arange(head), parent + shift])
+        var = np.concatenate([np.zeros(head, dtype=np.int64), var + 1])
+    return parent, var
 
 
-def monomial_matrix(spec: FieldSpec, pts_enc: np.ndarray, mindices) -> np.ndarray:
-    """Values of every monomial at every point: (N, M, k) coordinate array.
+def monomial_matrix(spec: FieldSpec, pts_enc: np.ndarray, m: int) -> np.ndarray:
+    """Values of every degree-m monomial at every point: (N, C(b+m, m), k).
 
-    Level d, all degree-d monomials, is one arr_mul of level d-1 (at each
-    monomial's parent) by the coordinates (at its variable), per block of
-    rows; blocks keep each call's (rows, C(b+d, d), k, k) digit products
-    within CHUNK cells.  Level m is then gathered in the order of mindices.
+    Columns follow `multiindex_table(b, m)`.  Level d, all degree-d
+    monomials, is one arr_mul of level d-1 (at each monomial's parent) by
+    the coordinates (at its variable), per block of rows; blocks keep
+    each call's (rows, C(b+d, d), k, k) digit products within CHUNK cells.
     """
     pts_enc = np.asarray(pts_enc, dtype=np.int64)
-    n, k = pts_enc.shape[0], spec.k
-    mindices = [tuple(beta) for beta in mindices]
-    out = np.zeros((n, len(mindices), k), dtype=np.int64)
-    if not mindices:
-        return out
-    b, m = len(mindices[0]) - 1, sum(mindices[0])
-    pos = _positions(b, m)
-    cols = [pos[beta] for beta in mindices]
-    rows = max(1, CHUNK // (len(pos) * k * k))
+    n, b, k = len(pts_enc), pts_enc.shape[1] - 1, spec.k
+    out = np.zeros((n, comb(b + m, m), k), dtype=np.int64)
+    rows = max(1, CHUNK // (out.shape[1] * k * k))
     for start in range(0, n, rows):
         coords = spec.dec_array(pts_enc[start:start + rows])  # (rows, b+1, k)
         level = np.zeros((len(coords), 1, k), dtype=np.int64)
@@ -224,5 +235,5 @@ def monomial_matrix(spec: FieldSpec, pts_enc: np.ndarray, mindices) -> np.ndarra
         for d in range(1, m + 1):
             parent, var = _level_links(b, d)
             level = spec.arr_mul(level[:, parent], coords[:, var])
-        out[start:start + rows] = level[:, cols]
+        out[start:start + rows] = level
     return out

@@ -31,7 +31,8 @@ import numpy as np
 from .gf import FieldSpec, _mod, make_field
 from .independence import SWiseCheck, s_wise_independent, z_condition
 from .polyrand import HomPoly, SeededRng, hom_to_json, random_hom
-from .projgeom import ProjPoint, chart_leads, chart_rows, checked_count, projective_count
+from .projgeom import (ProjPoint, chart_leads, chart_rows, checked_count,
+                       multiindex_table, projective_count)
 from .util import DEFAULT_POINT_BUDGET, DEFAULT_SUBSET_BUDGET
 
 
@@ -165,7 +166,7 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
         spec._dtype(a * k, "degree-%d zero set" % f.m)  # refuses early
         coeffs = np.array(f.coeffs, dtype=np.int64)
         on = coeffs != 0
-        expo = np.array(f.multiindices(), dtype=np.int64)[on]
+        expo = multiindex_table(b, f.m)[on]
         forms.append((a, expo, spec.dec_array(coeffs[on])))
     amax = max((a for a, _, _ in forms), default=1)
     inner = None  # power matrix over all of F_q
@@ -240,44 +241,35 @@ def count_points_ext(var: VarietySpec, ext_degree: int,
 @dataclass
 class DimensionProbe:
     counts: dict              # extension degree -> rational point count
-    slope: float | None
-    estimate: int | None      # round(slope), None when the set is empty
-    kind: str                 # estimate | empty
-    confident: bool
+    estimate: int | None      # best-fitting dimension, None when all are 0
 
 
 def dimension_probe(counts: dict, q: int) -> DimensionProbe:
     """Dimension estimate from rational point counts across extensions.
 
-    counts maps each extension degree e >= 1 to the count over F_{q^e}.
-    Fits ln(count) against e*ln(q) by least squares (through the origin
-    when only one extension is available) and rounds the slope.  A count
-    below 10q marks the probe as not confident.
+    counts maps each extension degree e >= 1 to the count c_e over
+    F_{q^e}.  The estimate is the d that minimises
+    sum_e (ln c_e - ln |P^d(F_{q^e})|)^2 over the nonzero counts, the
+    smallest such d on a tie.  |P^d|, not q^(ed), is the scale: a random
+    zero set of codimension Z in P^b has about |P^b| q^(-eZ) points, which
+    is |P^(b-Z)| up to lower-order terms.  Past the first d whose |P^d|
+    reaches every count each term only grows, so the search stops there.
     """
     counts = dict(sorted(counts.items()))
     if not counts or min(counts) < 1:
         raise ValueError("extension degrees must be positive")
-    if all(c == 0 for c in counts.values()):
-        return DimensionProbe(counts, None, None, "empty", True)
-    xs, ys, confident = [], [], True
-    for e, c in counts.items():
-        if c == 0:
-            confident = False
-            continue
-        if c < 10 * q:
-            confident = False
-        xs.append(e * math.log(q))
-        ys.append(math.log(c))
-    if len(xs) == 1:
-        slope = ys[0] / xs[0]
-    else:
-        mx = sum(xs) / len(xs)
-        my = sum(ys) / len(ys)
-        var_x = sum((x - mx) ** 2 for x in xs)
-        cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-        slope = cov / var_x
-    return DimensionProbe(counts, slope, max(0, round(slope)), "estimate",
-                          confident)
+    seen = {e: c for e, c in counts.items() if c}
+    if not seen:
+        return DimensionProbe(counts, None)
+
+    def misfit(d):
+        return sum((math.log(c) - math.log(projective_count(q**e, d))) ** 2
+                   for e, c in seen.items())
+
+    top = 0
+    while any(projective_count(q**e, top) < c for e, c in seen.items()):
+        top += 1
+    return DimensionProbe(counts, min(range(top + 1), key=misfit))
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def test_huge_prime_order_is_refused_at_once(argv, tmp_path, capsys):
     ("construct", ["--budget-subsets", "-5"]),
     ("construct", ["--budget-points", "-1"]),
     ("sweep", ["--trials", "0"]),
-    ("sweep", ["--workers", "0"]),
+    ("sweep", ["--workers", "2"]),  # sweep runs its seeds in one process
     ("sweep", ["--budget-subsets", "-5"]),
     ("sweep", ["--budget-points", "-1"]),
     # verify judges at the plan's own s, t and orientation, and indep
@@ -430,13 +430,6 @@ def test_sweep_aggregates(tmp_path, capsys):
     assert doc["aggregate"]["trials"] == 3
     assert [r["seed"] for r in doc["rows"]] == [1, 2, 3]
     assert rc == (0 if doc["aggregate"]["passed"] else 2)
-
-    # a parallel run must produce the identical document
-    out2 = str(tmp_path / "sweep2.json")
-    run(["sweep", "turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1",
-         "--q", "7", "--seed", "1", "--trials", "3", "--workers", "2",
-         "--out", out2], capsys)
-    assert open(out).read() == open(out2).read()
 
 
 def test_selftest_subset(capsys):

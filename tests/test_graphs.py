@@ -25,12 +25,12 @@ from kstfree.graphs import (
     kst_verdict,
     max_common_neighborhood,
     plan_construction,
-    verify_witness,
 )
 from kstfree.polyrand import SeededRng, evaluate, random_hom
 from kstfree.projgeom import ProjPoint, enumerate_projective, point_from_str, point_to_str
 from kstfree.util import BudgetExceeded, floor_scaled_power
 from kstfree.variety import BuildConfig, build_independent_variety
+from references import verify_witness
 
 
 def fano_graph():

@@ -13,12 +13,12 @@ from kstfree.polyrand import (
     eval_bihom_grid,
     eval_hom_many,
     evaluate,
-    evaluate_bi,
     hom_to_json,
     random_bihom,
     random_hom,
 )
 from kstfree.projgeom import canonicalize, enumerate_projective
+from references import evaluate_bi
 
 
 def test_rng_determinism_and_vector_agreement():

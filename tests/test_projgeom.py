@@ -11,11 +11,13 @@ from kstfree.gf import FieldSpec, make_field
 from kstfree.projgeom import (
     CHUNK,
     ProjPoint,
+    _level_links,
     canonicalize,
     enumerate_multiindices,
     enumerate_projective,
     monomial_eval,
     monomial_matrix,
+    multiindex_table,
     point_from_str,
     point_to_str,
     projective_array,
@@ -117,6 +119,41 @@ def test_multiindices_are_a_fresh_list_each_call():
     ]
 
 
+def reference_table(b, m):
+    """Exponent rows from sorted multisets of m variables, in lex order."""
+    rows = list(itertools.combinations_with_replacement(range(b + 1), m))
+    multisets = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    return (multisets[:, :, None] == np.arange(b + 1)).sum(axis=1)
+
+
+@pytest.mark.parametrize("b,m", [(b, m) for b in range(8) for m in range(9)]
+                         + [(7, 15)])
+def test_multiindex_table_matches_sorted_multisets(b, m):
+    table = multiindex_table(b, m)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, reference_table(b, m))
+
+
+def test_multiindex_table_is_read_only():
+    table = multiindex_table(3, 2)
+    with pytest.raises(ValueError):
+        table[0, 0] = 5
+    with pytest.raises(ValueError):
+        table[:, 1] += 1
+    assert multiindex_table(3, 2)[0].tolist() == [2, 0, 0, 0]
+
+
+@pytest.mark.parametrize("b,d", [(0, 1), (0, 4), (1, 1), (3, 1), (2, 5),
+                                 (4, 3), (6, 2)])
+def test_level_links_step_up_one_degree(b, d):
+    parent, var = _level_links(b, d)
+    table, below = multiindex_table(b, d), multiindex_table(b, d - 1)
+    step = np.eye(b + 1, dtype=np.int64)[var]
+    assert np.array_equal(table, below[parent] + step)
+    # var is each row's first positive exponent
+    assert np.array_equal(var, (table > 0).argmax(axis=1))
+
+
 def test_monomial_eval():
     f7 = make_field(7)
     pt = canonicalize(f7, (1, 3, 2))
@@ -181,7 +218,7 @@ def test_monomial_matrix_matches_scalar(p, k, b, m):
     pts = enumerate_projective(spec, b)
     enc = np.array([pt.coords for pt in pts], dtype=np.int64)
     mis = enumerate_multiindices(b, m)
-    mat = monomial_matrix(spec, enc, mis)
+    mat = monomial_matrix(spec, enc, m)
     assert mat.shape == (len(pts), len(mis), spec.k)
     got = spec.enc_array(mat)
     rng = random.Random(0)
@@ -212,7 +249,7 @@ def test_monomial_matrix_on_random_points_matches_scalar(p, k):
         pts = random_points(spec, b, 40, 100 * p + k)
         mis = enumerate_multiindices(b, m)
         enc = np.array([pt.coords for pt in pts], dtype=np.int64)
-        got = spec.enc_array(monomial_matrix(spec, enc, mis))
+        got = spec.enc_array(monomial_matrix(spec, enc, m))
         assert got.tolist() == scalar_matrix(pts, mis)
 
 
@@ -231,23 +268,10 @@ def test_monomial_matrix_blocks_stay_within_chunk():
         return real(self, a, b)
 
     with mock.patch.object(FieldSpec, "arr_mul", spy):
-        got = spec.enc_array(monomial_matrix(spec, enc, mis))
+        got = spec.enc_array(monomial_matrix(spec, enc, 3))
     assert len(outer) == 3 * 3
     assert max(outer) <= CHUNK
     assert got.tolist() == scalar_matrix(pts, mis)
-
-
-def test_monomial_matrix_follows_the_order_of_mindices():
-    spec = make_field(3, 2)
-    pts = random_points(spec, 2, 30, 6)
-    enc = np.array([pt.coords for pt in pts], dtype=np.int64)
-    full = enumerate_multiindices(2, 3)
-    order = [7, 2, 9, 0, 4]
-    sub = [list(full[j]) for j in order]
-    got = monomial_matrix(spec, enc, sub)
-    assert got.shape == (30, 5, 2)
-    assert np.array_equal(got, monomial_matrix(spec, enc, full)[:, order])
-    assert spec.enc_array(got).tolist() == scalar_matrix(pts, [full[j] for j in order])
 
 
 def test_projective_budget():
