@@ -313,7 +313,7 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("indep", help="dependence diagnostics for points")
     sp.add_argument("--points", required=True)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_at_least(0), required=True)
     sp.add_argument("--s", type=int)
     _add_budget_flags(sp, points=False)
     sp.add_argument("--out")

@@ -328,6 +328,8 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
                                 delta, t_threshold, c, mode, None)
     if mode != "desk":
         raise ValueError("mode must be desk or theorem")
+    if q is not None:
+        field_for_order(q)  # refuses an order no field has, or over the cap
     if kind == "turan":
         if m is None or r is None or Z is None:
             raise ValueError("desk mode needs explicit m, r, Z")
@@ -689,6 +691,9 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     if plan.q is None:
         raise ValueError("plan carries no field order")
     spec = field_for_order(plan.q)
+    n_target = floor_scaled_power(plan.c, plan.q, plan.s, 1)
+    if n_target == 0:
+        raise CertificationError("truncation target is zero; both sides empty")
     base = SeededRng(master_seed)
     cfg = BuildConfig(b=plan.b, num_forms=plan.Z, degree=plan.m, s=plan.s,
                       point_cap=point_cap, subset_budget=subset_budget)
@@ -704,13 +709,10 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     hs = tuple(random_hom(spec, plan.b, d, rng_h) for d in plan.delta)
     hps = tuple(random_hom(spec, plan.b, d, rng_hp) for d in plan.delta)
     w = built.variety.forms
-    n_target = floor_scaled_power(plan.c, plan.q, plan.s, 1)
     left_enc = fq_point_array(VarietySpec(spec, plan.b, w + hs),
                               cap=point_cap, limit=n_target)
     right_enc = fq_point_array(VarietySpec(spec, plan.b, w + hps),
                                cap=point_cap, limit=n_target)
-    if n_target == 0:
-        raise CertificationError("truncation target is zero; both sides empty")
     sides_full = len(left_enc) == n_target and len(right_enc) == n_target
     if len(left_enc) == 0 or len(right_enc) == 0:
         raise CertificationError("a side came out empty")

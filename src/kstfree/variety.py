@@ -56,16 +56,17 @@ def variety_to_json(var: VarietySpec) -> dict:
     }
 
 
-SLAB = 1 << 17  # cells in one slab of a chart's last contraction
+SLAB = 1 << 17  # cells in one slab of a chart's leading free axis
 
 
 def _power_matrix(spec: FieldSpec, a: int, xs: np.ndarray) -> np.ndarray:
-    """(a*k, len(xs)*k) matrix of c_0..c_{a-1} -> sum_e c_e x^e at xs.
+    """(a*k, k*len(xs)) matrix of c_0..c_{a-1} -> sum_e c_e x^e at xs.
 
     Each x acts on coordinates as `FieldSpec.mul_matrix` M_x, and
     M_{x^e} = M_{x^(e-1)} M_x.  Rows are (exponent, input digit), columns
-    (point, output digit).  The matrix feeds a*k-term sums, and comes in
-    their dtype.
+    (output digit, point), so a product puts its digits just before the
+    new point axis, beside the exponent axis that is contracted next.
+    The matrix feeds a*k-term sums, and comes in their dtype.
     """
     k, p = spec.k, spec.p
     dt = spec._dtype(a * k, "zero set")
@@ -73,8 +74,8 @@ def _power_matrix(spec: FieldSpec, a: int, xs: np.ndarray) -> np.ndarray:
     by = [np.broadcast_to(np.eye(k, dtype=dt), mx.shape)]
     for _ in range(1, a):
         by.append(_mod(by[-1] @ mx, p))
-    by = np.stack(by).transpose(0, 2, 1, 3)  # (e, j, x, l)
-    return by.reshape(a * k, len(xs) * k)
+    by = np.stack(by).transpose(0, 2, 3, 1)  # (e, j, l, x)
+    return by.reshape(a * k, k * len(xs))
 
 
 def _chart_tensor(spec: FieldSpec, expo: np.ndarray, digits: np.ndarray,
@@ -103,28 +104,20 @@ def _inner_contraction(spec: FieldSpec, t: np.ndarray, inner: np.ndarray,
     """(a*k, q^(n-1)): a chart tensor with every free axis but the first summed.
 
     Row (e, j) holds digit j of the coefficient of x_1^e at each grid
-    point x_2..x_n (columns, C order); axis after axis is contracted
-    against the powers of all of F_q in `inner`.  The last contraction
-    writes a few exponents e at a time, at most SLAB cells, straight
-    into that layout, so no full-size temporary is transposed.
+    point x_2..x_n (columns, C order).  The axes are contracted last to
+    first against the powers of all of F_q in `inner`, whose columns
+    (digit, point) put each product's digits on the next exponent axis,
+    so every step is a reshape and one matmul.
     """
     q, k, n = spec.order, spec.k, t.ndim - 1
     if n == 1:
         return t.reshape(a * k, 1)
     w = inner[:a * k]
-    for _ in range(n - 2):
-        # (e_1, e_j.., x_2..x_{j-1}, k): contract e_j, append x_j
-        t = np.moveaxis(t, 1, -2)
-        head = t.shape[:-2]
-        t = _mod(t.reshape(-1, a * k) @ w, spec.p).reshape(head + (q, k))
-    t = np.moveaxis(t, 1, -2).reshape(a, -1, a * k)
-    grid = t.shape[1] * q
-    out = np.empty((a, k, grid), dtype=np.result_type(t, w))
-    step = max(1, SLAB // (grid * k))
-    for e in range(0, a, step):
-        part = _mod(t[e:e + step] @ w, spec.p).reshape(-1, grid, k)
-        out[e:e + step] = np.moveaxis(part, 2, 1)
-    return out.reshape(a * k, grid)
+    t = _mod(t.reshape(-1, a * k) @ w, spec.p)  # (e_1..e_{n-1}, k, x_n)
+    for j in range(1, n - 1):
+        # (e_1..e_{n-j}, k, x_{n-j+1}..x_n): contract e_{n-j}
+        t = _mod(w.T @ t.reshape(-1, a * k, q**j), spec.p)
+    return t.reshape(a * k, q ** (n - 1))
 
 
 def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
@@ -139,21 +132,22 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
     one exponent axis at a time against the powers of every x in F_q,
     a = min(m+1, q) exponents per axis, each power the GF(p) matrix
     M_{x^e} of the field's one multiplication table (`_power_matrix`).
-    Each contraction is matmuls followed by % p, in the dtype of a*k-term
-    sums (`FieldSpec._dtype`): float32 while a*k*(p-1)^2 + p <= 2^24,
-    float64 while it is <= 2^53, else ValueError.  A form's inner axes are
-    contracted at its first use in a chart (`_inner_contraction`).  The
-    chart is then walked slab by slab along its leading free axis, in
-    order and at most SLAB cells a slab.  The first form is applied to
-    the whole slab, and none once all its points are dead; on a slab of
-    SLAB/4 cells or more (digits counted) a later form sees only the
-    rows x_2..x_n where a point is still alive.  After each slab the
-    points found so far, across charts, are counted; once they reach
-    `limit`, the rest of the chart and the later charts are skipped.  A
-    slab's power matrix holds the largest exponent count and each form
-    takes the prefix of rows it needs; the one over all of F_q is built
-    once per call and serves every inner contraction and every slab
-    that spans F_q.
+    Each contraction is one matmul followed by % p, in the dtype of
+    a*k-term sums (`FieldSpec._dtype`): float32 while
+    a*k*(p-1)^2 + p <= 2^24, float64 while it is <= 2^53, else
+    ValueError.  A form's inner axes are contracted at its first use in a
+    chart (`_inner_contraction`).  The chart is then walked slab by slab
+    along its leading free axis, in order and at most SLAB cells a slab;
+    a slab's product has rows (digit, x_1), and a point stays alive where
+    all its digits are 0.  The first form is applied to the whole slab,
+    and none once all its points are dead; on a slab of SLAB/4 cells or
+    more (digits counted) a later form sees only the rows x_2..x_n where
+    a point is still alive.  After each slab the points found so far,
+    across charts, are counted; once they reach `limit`, the rest of the
+    chart and the later charts are skipped.  A slab's power matrix holds
+    the largest exponent count and each form takes the prefix of rows it
+    needs; the one over all of F_q is built once per call and serves
+    every inner contraction and every slab that spans F_q.
     """
     spec, b = var.spec, var.b
     p, k, q = spec.p, spec.k, spec.order
@@ -202,10 +196,8 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
                     if i > 0 and slab.size * k >= SLAB // 4:
                         # below this size the gather costs more than it saves
                         live = np.flatnonzero(cells.any(axis=0))
-                    # digits on a middle axis: numpy reduces a short last
-                    # axis many times slower
                     vals = _mod(w[:a * k].T @ ts[i][:, live], p)
-                    cells[:, live] &= ~vals.reshape(x1 - x0, k, -1).any(axis=1)
+                    cells[:, live] &= ~vals.reshape(k, x1 - x0, -1).any(axis=0)
                 found += np.count_nonzero(slab)
                 if limit is not None and found >= limit:
                     alive[x1 * grid:] = False

@@ -79,6 +79,7 @@ def test_usage_errors_exit_one(capsys):
     ["construct", "turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1",
      "--seed", "1"],
     ["indep", "--points", "pts.txt", "--m", "1"],
+    ["plan", "turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1"],
 ])
 def test_huge_prime_order_is_refused_at_once(argv, tmp_path, capsys):
     # 2^61 - 1 is prime: trial division up to its square root would hang
@@ -90,6 +91,30 @@ def test_huge_prime_order_is_refused_at_once(argv, tmp_path, capsys):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("q, message", [
+    ("6", "6 is not a prime power"),
+    ("1", "order must be >= 2"),
+    ("0", "order must be >= 2"),
+    ("-5", "order must be >= 2"),
+])
+def test_orders_without_a_field_are_refused(q, message, tmp_path, capsys):
+    # the plan resolves --q to a field, so no subcommand starts without one
+    out = tmp_path / "g.json"
+    seed = ["--seed", "1"]
+    for argv in (["plan", "turan", "--s", "2", "--m", "3", "--r", "1",
+                  "--Z", "1"],
+                 ["plan", "zarankiewicz", "--s", "2", "--T", "3", "--r", "1",
+                  "--m", "2"],
+                 ["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
+                  "--Z", "1"] + seed,
+                 ["sweep", "turan", "--s", "2", "--m", "3", "--r", "1",
+                  "--Z", "1"] + seed):
+        rc, stdout, err = run(argv + ["--q", q, "--out", str(out)], capsys)
+        assert rc == 1, argv
+        assert err == "error: %s\n" % message, argv
+        assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("sub,flags", [
     ("construct", ["--trials", "0"]),
     ("construct", ["--trials", "-3"]),
@@ -99,6 +124,7 @@ def test_huge_prime_order_is_refused_at_once(argv, tmp_path, capsys):
     ("sweep", ["--workers", "2"]),  # sweep runs its seeds in one process
     ("sweep", ["--budget-subsets", "-5"]),
     ("sweep", ["--budget-points", "-1"]),
+    ("indep", ["--m", "-1"]),
     # verify judges at the plan's own s, t and orientation, and indep
     # certifies or refuses, so these options are gone
     ("indep", ["--seed", "1"]),

@@ -2,12 +2,14 @@ import itertools
 import json
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kstfree.graphs
 from kstfree.gf import make_field
 from kstfree.jsonio import dump_doc
 from kstfree.graphs import (
@@ -656,9 +658,12 @@ def test_construct_turan_density_sweep():
 
 
 def test_construct_turan_zero_c():
+    # refused before W is drawn: nothing is built for an empty target
     plan = plan_construction("turan", 2, m=3, r=1, Z=1, q=7, c=0)
-    with pytest.raises(CertificationError):
-        construct_turan(plan, 1)
+    with mock.patch.object(kstfree.graphs, "build_independent_variety",
+                           side_effect=AssertionError("W was built")):
+        with pytest.raises(CertificationError, match="target is zero"):
+            construct_turan(plan, 1)
 
 
 def test_construct_turan_rejects_wrong_plan():

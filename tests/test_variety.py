@@ -125,6 +125,20 @@ def test_zero_sets_match_pointwise_evaluation(case):
     assert (pts == ref).all()
 
 
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2)])
+def test_power_matrix_rows_are_exponent_digit_columns_digit_point(p, k):
+    # both contraction sites read this layout: row (e, j), column (l, x)
+    spec = make_field(p, k)
+    a, xs = 4, np.array([5, 0, 3, 7, 1])
+    pm = kstfree.variety._power_matrix(spec, a, xs)
+    assert pm.shape == (a * k, k * len(xs))
+    blocks = pm.reshape(a, k, k, len(xs))
+    for e in range(a):
+        for i, x in enumerate(xs.tolist()):
+            power = spec.dec_array(np.int64(spec.pow(x, e)))
+            assert (blocks[e, :, :, i] == spec.mul_matrix(power)).all()
+
+
 def test_zero_set_on_a_wide_field_builds_slabs_only():
     # P^1 over GF(2^16): one (a*k, q*k) matrix would hold 64 x 2^20 floats
     spec = make_field(2, 16)
