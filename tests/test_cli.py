@@ -124,7 +124,6 @@ def test_orders_without_a_field_are_refused(q, message, tmp_path, capsys):
     ("sweep", ["--workers", "2"]),  # sweep runs its seeds in one process
     ("sweep", ["--budget-subsets", "-5"]),
     ("sweep", ["--budget-points", "-1"]),
-    ("indep", ["--m", "-1"]),
     # verify judges at the plan's own s, t and orientation, and indep
     # certifies or refuses, so these options are gone
     ("indep", ["--seed", "1"]),
@@ -132,6 +131,7 @@ def test_orders_without_a_field_are_refused(q, message, tmp_path, capsys):
     ("verify", ["--s", "3"]),
     ("verify", ["--t", "82"]),
     ("verify", ["--orientation", "both"]),
+    ("indep", ["--m", "-1"]),
 ])
 def test_bad_counts_and_budgets_are_usage_errors(sub, flags, tmp_path,
                                                  capsys):
