@@ -13,7 +13,8 @@ Two arithmetic paths exist and must agree bit for bit:
   multiplication by the regular representation: M_x, the k x k GF(p)
   matrix of y -> y*x (`mul_matrix`), read off one table of the digits of
   t^(i+j), t the basis root.  Every bulk product, zero sets included,
-  reads that table in floats with an exact `_mod`, in the dtype that one
+  reads that table in floats with an exact `_mod` (or `_zero_mask`,
+  where a zero set only asks which values are 0), in the dtype that one
   rule (`FieldSpec._dtype`) gives for the width of its sums: float32
   while they stay within 2^24, float64 within 2^53, refused beyond; and
 * scalar ops on encodings through two O(q) tables per extension field,
@@ -119,6 +120,9 @@ def smallest_irreducible(p: int, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+_MOD_BLOCK = 1 << 15  # cells per block of one `_mod` pass over a large array
+
+
 def _mod(t: np.ndarray, p: int) -> np.ndarray:
     """t % p, in place, for integers 0 <= t <= 2^P - p held in floats of
     P-bit significand: float32 (P = 24) or float64 (P = 53).
@@ -127,12 +131,43 @@ def _mod(t: np.ndarray, p: int) -> np.ndarray:
     and (u + 1) * p <= t + p - 1 < 2^P keeps its rounding error below
     (u + 1) / 2^P < 1/p, so the floor of the rounded quotient is the exact
     u (r = 0 divides exactly).  numpy's float % takes several times longer.
+    A contiguous t of more than _MOD_BLOCK cells is reduced block by block
+    through one scratch block, which stays in cache where a full-size
+    quotient would not.
     """
-    r = t / p
-    np.floor(r, out=r)
-    r *= p
-    t -= r
+    if t.size <= _MOD_BLOCK or not t.flags.c_contiguous:
+        r = t / p
+        np.floor(r, out=r)
+        r *= p
+        t -= r
+        return t
+    flat = t.reshape(-1)
+    scratch = np.empty(_MOD_BLOCK, dtype=t.dtype)
+    for i in range(0, flat.size, _MOD_BLOCK):
+        block = flat[i:i + _MOD_BLOCK]
+        r = scratch[:block.size]
+        np.divide(block, p, out=r)
+        np.floor(r, out=r)
+        r *= p
+        block -= r
     return t
+
+
+def _zero_mask(t: np.ndarray, p: int, scratch: np.ndarray, eq: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """out = (t % p == 0).all(axis=0), for t (k, ...) of integers held as
+    in `_mod`; t is overwritten.  scratch (floats) and eq (bools) are
+    buffers of t's shape.
+
+    p divides t exactly when the rounded t / p is an integer: a multiple
+    of p divides exactly, and otherwise t / p lies 1/p or more from every
+    integer, farther than its rounding error (the bound in `_mod`).  So a
+    zero test needs the quotient and its floor, not the remainder.
+    """
+    np.divide(t, p, out=t)
+    np.floor(t, out=scratch)
+    np.equal(t, scratch, out=eq)
+    return np.logical_and.reduce(eq, axis=0, out=out)
 
 
 class FieldSpec:

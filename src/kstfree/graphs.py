@@ -348,6 +348,11 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
                 "violated: Z > bound/(t-1) at t = %d (needs Z > %s, have %d)"
                 % (bad[0]["t"], bad[0]["required"], Z)
             )
+        if q is not None and floor_scaled_power(c, q, s, 1) == 0:
+            # the same for every seed: each side keeps floor(c q^s) points
+            raise ValueError("truncation target floor(c * q^s) is zero at "
+                             "c = %s, q = %d; both sides would be empty"
+                             % (c, q))
         delta = _delta_ledger(r, s * s)
         t_threshold = m ** (s + Z) * math.prod(delta) + 1
         return ConstructionPlan(kind, s, m, r, Z, None, b, q, None, delta,

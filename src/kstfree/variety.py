@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldSpec, _mod, make_field
+from .gf import FieldSpec, _mod, _zero_mask, make_field
 from .independence import SWiseCheck, s_wise_independent, z_condition
 from .polyrand import HomPoly, SeededRng, hom_to_json, random_hom
 from .projgeom import (ProjPoint, chart_leads, chart_rows, checked_count,
@@ -132,22 +132,28 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
     one exponent axis at a time against the powers of every x in F_q,
     a = min(m+1, q) exponents per axis, each power the GF(p) matrix
     M_{x^e} of the field's one multiplication table (`_power_matrix`).
-    Each contraction is one matmul followed by % p, in the dtype of
-    a*k-term sums (`FieldSpec._dtype`): float32 while
-    a*k*(p-1)^2 + p <= 2^24, float64 while it is <= 2^53, else
-    ValueError.  A form's inner axes are contracted at its first use in a
-    chart (`_inner_contraction`).  The chart is then walked slab by slab
-    along its leading free axis, in order and at most SLAB cells a slab;
-    a slab's product has rows (digit, x_1), and a point stays alive where
-    all its digits are 0.  The first form is applied to the whole slab,
-    and none once all its points are dead; on a slab of SLAB/4 cells or
-    more (digits counted) a later form sees only the rows x_2..x_n where
-    a point is still alive.  After each slab the points found so far,
-    across charts, are counted; once they reach `limit`, the rest of the
-    chart and the later charts are skipped.  A slab's power matrix holds
-    the largest exponent count and each form takes the prefix of rows it
-    needs; the one over all of F_q is built once per call and serves
-    every inner contraction and every slab that spans F_q.
+    Each contraction is one matmul in the dtype of a*k-term sums
+    (`FieldSpec._dtype`): float32 while a*k*(p-1)^2 + p <= 2^24, float64
+    while it is <= 2^53, else ValueError.  A form's inner axes are
+    contracted at its first use in a chart (`_inner_contraction`), each
+    step followed by % p.  The chart is then walked slab by slab along
+    its leading free axis, in order and at most SLAB cells a slab; a
+    slab's product has axes (digit, x_1, x_2..x_n), and a point stays
+    alive where all its digits are 0 mod p (`gf._zero_mask`, which tests
+    without reducing).  The first form writes the slab's cells, and no
+    form runs once all its points are dead; on a slab of SLAB/4 cells or
+    more (digits counted) a later form sees only the columns x_2..x_n
+    where a point is still alive and ANDs its test into them.  After
+    each slab the points found so far, across charts, are counted; once
+    they reach `limit`, the rest of the chart and the later charts are
+    skipped.  The power matrix over all of F_q holds the largest exponent
+    count, each form takes the prefix of rows it needs, and a slab's
+    powers are its columns at the slab's x_1; it is built once per call,
+    unless b = 1 and F_q does not fit in one slab (a wide field such as
+    GF(2^16)), where each slab builds its own.  A slab's product, its
+    zero tests and its live cells go into buffers allocated once per
+    call, as large as the largest slab needs, and only the grid indices
+    of its points are kept.
     """
     spec, b = var.spec, var.b
     p, k, q = spec.p, spec.k, spec.order
@@ -163,46 +169,70 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
         expo = multiindex_table(b, f.m)[on]
         forms.append((a, expo, spec.dec_array(coeffs[on])))
     amax = max((a for a, _, _ in forms), default=1)
+    # x_1 values per slab of the chart with n free axes
+    steps = {n: max(1, SLAB // (k * max(q ** (n - 1), amax * k)))
+             for n in range(1, b + 1)}
     inner = None  # power matrix over all of F_q
+    if forms and (b > 1 or steps.get(1, 0) >= q):
+        inner = _power_matrix(spec, amax, np.arange(q))
+    # a slab's cells, alive where every form so far vanishes; the first
+    # form writes them
+    most = max((min(steps[n], q) * q ** (n - 1) for n in steps), default=0)
+    alive = np.empty(most, dtype=bool)
+    if forms and b > 0:
+        # a slab's product, its floor, its digit and its form zero tests
+        dt = spec._dtype(amax * k, "zero set")
+        bufs = tuple(np.empty(k * most, d) for d in (dt, dt, bool, bool))
     rows, found = [], 0
     for lead in chart_leads(b):
         n = b - lead
-        alive = np.ones(q**n, dtype=bool)
         if n == 0:
-            alive[0] = not any(_chart_tensor(spec, expo, digits, lead, a).any()
-                               for a, expo, digits in forms)
-            found += int(alive[0])
+            zero = not any(_chart_tensor(spec, expo, digits, lead, a).any()
+                           for a, expo, digits in forms)
+            hits = [np.zeros(int(zero), dtype=np.int64)]
+            found += int(zero)
         else:
-            grid = q ** (n - 1)
-            step = max(1, SLAB // (k * max(grid, amax * k)))
-            if forms and (n > 1 or step >= q) and inner is None:
-                inner = _power_matrix(spec, amax, np.arange(q))
+            grid, step = q ** (n - 1), steps[n]
             ts = [None] * len(forms)  # (a*k, grid), contracted on first use
+            hits = []  # grid indices of the chart's points, slab by slab
             for x0 in range(0, q, step):
                 x1 = min(x0 + step, q)
-                slab = alive[x0 * grid:x1 * grid]
+                cells = alive[:(x1 - x0) * grid].reshape(x1 - x0, grid)
+                if not forms:
+                    cells.fill(True)
                 for i, (a, expo, digits) in enumerate(forms):
-                    if not slab.any():
+                    # w: (digit, x_1, exponent and digit) powers at x0..x1
+                    if i == 0 and inner is None:
+                        w = _power_matrix(spec, amax, np.arange(x0, x1))
+                        w = w.reshape(amax * k, k, x1 - x0).transpose(1, 2, 0)
+                    elif i == 0:
+                        w = inner.reshape(amax * k, k, q)[:, :, x0:x1]
+                        w = w.transpose(1, 2, 0)
+                    elif not cells.any():
                         break
-                    if i == 0:
-                        w = inner if x1 - x0 == q else _power_matrix(
-                            spec, amax, np.arange(x0, x1))
                     if ts[i] is None:
                         ts[i] = _inner_contraction(
                             spec, _chart_tensor(spec, expo, digits, lead, a),
                             inner, a)
-                    cells = slab.reshape(x1 - x0, grid)
                     live = slice(None)
-                    if i > 0 and slab.size * k >= SLAB // 4:
+                    if i > 0 and cells.size * k >= SLAB // 4:
                         # below this size the gather costs more than it saves
                         live = np.flatnonzero(cells.any(axis=0))
-                    vals = _mod(w[:a * k].T @ ts[i][:, live], p)
-                    cells[:, live] &= ~vals.reshape(k, x1 - x0, -1).any(axis=0)
-                found += np.count_nonzero(slab)
+                    t = ts[i][:, live]
+                    shape = (k, x1 - x0, t.shape[1])
+                    size = math.prod(shape)
+                    vals, fl, eq, mask = (buf[:size].reshape(shape)
+                                          for buf in bufs)
+                    np.matmul(w[..., :a * k], t, out=vals)
+                    if i == 0:
+                        _zero_mask(vals, p, fl, eq, cells)
+                    else:
+                        cells[:, live] &= _zero_mask(vals, p, fl, eq, mask[0])
+                hits.append(np.flatnonzero(cells) + x0 * grid)
+                found += len(hits[-1])
                 if limit is not None and found >= limit:
-                    alive[x1 * grid:] = False
                     break
-        rows.append(chart_rows(q, b, lead, np.flatnonzero(alive)))
+        rows.append(chart_rows(q, b, lead, np.concatenate(hits)))
         if limit is not None and found >= limit:
             break
     return np.concatenate(rows)[:limit]

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from kstfree.gf import (
+    _MOD_BLOCK,
     _mod,
     _poly_mod,
+    _zero_mask,
     field_for_order,
     is_prime,
     make_field,
@@ -235,6 +237,42 @@ def test_float32_mod_matches_integer_mod_up_to_its_bound(p):
     got = _mod(t.astype(np.float32), p)
     assert got.dtype == np.float32
     assert (got.astype(np.int64) == t % p).all()
+
+
+@pytest.mark.parametrize("p, dtype, top", [
+    (2, np.float32, (1 << 24) - 2),
+    (3, np.float32, (1 << 24) - 3),
+    (2897, np.float32, (1 << 24) - 2897),
+    (4093, np.float32, (1 << 24) - 4093),
+    ((1 << 26) + 15, np.float64, (1 << 53) - (1 << 26) - 15),
+])
+def test_zero_mask_matches_integer_divisibility_up_to_its_bound(p, dtype, top):
+    # the 2^20 values just below each dtype's bound, as two digits whose
+    # cell is zero only when both are
+    t = np.arange(top - (1 << 20), top + 1, dtype=np.int64)
+    digits = np.stack([t, t[::-1]])
+    work = digits.astype(dtype)
+    assert (work == digits).all()
+    out = np.empty(t.size, dtype=bool)
+    got = _zero_mask(work, p, np.empty_like(work),
+                     np.empty(work.shape, dtype=bool), out)
+    assert got is out
+    assert (got == (digits % p == 0).all(axis=0)).all()
+    one = _zero_mask(t[None].astype(dtype), p, np.empty((1, t.size), dtype),
+                     np.empty((1, t.size), dtype=bool), out)
+    assert (one == (t % p == 0)).all()
+
+
+def test_blockwise_mod_matches_the_single_pass():
+    # above _MOD_BLOCK cells a contiguous array is reduced block by block,
+    # in place; a strided view keeps the single pass
+    rng = np.random.default_rng(5)
+    t = rng.integers(0, (1 << 24) - 7, size=(3, _MOD_BLOCK + 5))
+    for view in (lambda a: a, lambda a: a.T):
+        work = view(t.astype(np.float32))
+        got = _mod(work, 7)
+        assert got is work
+        assert (got.astype(np.int64) == view(t) % 7).all()
 
 
 def test_dtype_rule_keeps_every_benchmark_field_in_float32():

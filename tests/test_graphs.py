@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -584,6 +585,17 @@ def test_plan_validation_errors():
         plan_construction("turan", 1, mode="theorem")
 
 
+def test_plan_refuses_a_zero_truncation_target():
+    # floor(c * 7^2) is 0 below c = 1/49, whatever the seed
+    for c in (0, Fraction(1, 50)):
+        with pytest.raises(ValueError, match="truncation target"):
+            plan_construction("turan", 2, m=3, r=1, Z=1, q=7, c=c)
+    assert plan_construction("turan", 2, m=3, r=1, Z=1, q=7,
+                             c=Fraction(1, 49)).c == Fraction(1, 49)
+    # without a field order there is no target yet
+    assert plan_construction("turan", 2, m=3, r=1, Z=1, c=0).q is None
+
+
 def test_plan_json_roundtrip():
     for plan in (plan_construction("turan", 2, m=3, r=1, Z=1, q=7),
                  plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8),
@@ -658,8 +670,10 @@ def test_construct_turan_density_sweep():
 
 
 def test_construct_turan_zero_c():
-    # refused before W is drawn: nothing is built for an empty target
-    plan = plan_construction("turan", 2, m=3, r=1, Z=1, q=7, c=0)
+    # refused before W is drawn: nothing is built for an empty target.
+    # plan_construction refuses such a plan, so this one is edited in.
+    plan = replace(plan_construction("turan", 2, m=3, r=1, Z=1, q=7),
+                   c=Fraction(0))
     with mock.patch.object(kstfree.graphs, "build_independent_variety",
                            side_effect=AssertionError("W was built")):
         with pytest.raises(CertificationError, match="target is zero"):

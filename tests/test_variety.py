@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import kstfree.gf
 import kstfree.variety
-from kstfree.gf import is_prime, make_field
+from kstfree.gf import field_for_order, is_prime, make_field
 from kstfree.graphs import construct_turan, plan_construction
 from kstfree.polyrand import HomPoly, SeededRng, eval_hom_many, evaluate, hom_to_json, random_hom
 from kstfree.projgeom import enumerate_multiindices, enumerate_projective, projective_array, projective_count
@@ -192,20 +192,33 @@ def test_limit_stops_the_last_chart_before_its_last_slab():
     rng = SeededRng(23)
     var = VarietySpec(spec, 4, tuple(random_hom(spec, 4, 3, rng)
                                      for _ in range(2)))
-    real = kstfree.variety._power_matrix
-    starts = []
+    real = kstfree.variety._zero_mask
+    rows = []  # x_1 values of each zero test in chart 0, one per form
 
-    def spy(spec, a, xs):
-        starts.append(int(xs[0]) if len(xs) < spec.order else None)
-        return real(spec, a, xs)
+    def spy(t, p, scratch, eq, out):
+        if t.shape[1] < spec.order:
+            rows.append(t.shape[1])
+        return real(t, p, scratch, eq, out)
 
-    with mock.patch.object(kstfree.variety, "_power_matrix", spy):
+    with mock.patch.object(kstfree.variety, "_zero_mask", spy):
         full = fq_point_array(var)
-        assert starts == [None, 0, 10, 20]
-        starts.clear()
+        assert rows == [10, 10, 10, 10, 3, 3]
+        rows.clear()
         pts = fq_point_array(var, limit=23 * 23 // 4)
-        assert starts == [None, 0]
+        assert rows == [10, 10]
     assert (pts == full[:132]).all()
+
+
+@pytest.mark.parametrize("q", [8, 9, 121])
+def test_slab_slice_of_the_full_power_matrix_is_the_slab_power_matrix(q):
+    # fq_point_array slices each slab's powers out of the one over F_q
+    spec = field_for_order(q)
+    k, a = spec.k, 4
+    power_matrix = kstfree.variety._power_matrix
+    inner = power_matrix(spec, a, np.arange(q)).reshape(a * k, k, q)
+    for x0, x1 in ((0, 1), (0, 4), (3, 7), (q - 2, q), (0, q)):
+        got = inner[:, :, x0:x1].reshape(a * k, k * (x1 - x0))
+        assert (got == power_matrix(spec, a, np.arange(x0, x1))).all()
 
 
 def test_limit_refuses_negative_values():
@@ -259,18 +272,24 @@ def test_zero_sets_on_both_sides_of_the_float32_bound(p, degree, dtype):
 
 
 def test_benchmark_zero_sets_and_constructs_run_in_float32():
-    # every exact reduction of a builder-ext op and a q=31 turan construct
+    # every exact reduction and zero test of a builder-ext op and a q=31
+    # turan construct
     seen = set()
-    real = kstfree.gf._mod
+    real, real_zero = kstfree.gf._mod, kstfree.variety._zero_mask
 
     def spy(t, p):
         seen.add(t.dtype)
         return real(t, p)
 
+    def zero_spy(t, p, scratch, eq, out):
+        seen.add(t.dtype)
+        return real_zero(t, p, scratch, eq, out)
+
     plan = plan_construction("turan", 2, m=3, r=1, Z=1, c=Fraction(1, 4),
                              q=31)
     with mock.patch.object(kstfree.gf, "_mod", spy), \
-            mock.patch.object(kstfree.variety, "_mod", spy):
+            mock.patch.object(kstfree.variety, "_mod", spy), \
+            mock.patch.object(kstfree.variety, "_zero_mask", zero_spy):
         built = build_independent_variety(
             make_field(11, 1), BuildConfig(b=3, num_forms=1, degree=3, s=3),
             SeededRng(1))
