@@ -4,7 +4,10 @@ The stack, bottom up: exact finite-field arithmetic (gf), projective
 points and monomials (projgeom), seeded random forms (polyrand),
 dependence and rank diagnostics (independence), certified variety
 building (variety), graph pipelines and verdicts (graphs), and the CLI
-plus built-in check suite (cli, acceptance).
+plus built-in check suite (cli, acceptance).  The lemma experiments
+that only the check suite runs (power-form rank, joint uniformity,
+slice concentration, strong witnesses, two-basis selection) live in
+acceptance and are not exported here.
 """
 
 from .gf import FieldSpec, field_for_order, make_field
@@ -15,21 +18,16 @@ from .graphs import (
     construct_turan,
     construct_zar,
     density_report,
-    joint_uniformity_test,
     kst_verdict,
     max_common_neighborhood,
     plan_construction,
 )
 from .independence import (
     dependence_classify,
-    disjoint_span_subset,
     hilbert_rank,
-    independent_set_third,
     m_cap,
     phi_upper_bound,
-    power_rank,
     s_wise_independent,
-    strong_dependence_witness,
     z_condition,
 )
 from .polyrand import BiHomPoly, HomPoly, SeededRng, random_bihom, random_hom
@@ -45,7 +43,6 @@ from .variety import (
     BuildConfig,
     VarietySpec,
     build_independent_variety,
-    concentration_study,
     count_points,
     dimension_probe,
     fq_point_array,
@@ -66,21 +63,17 @@ __all__ = [
     "SidedGraph",
     "VarietySpec",
     "build_independent_variety",
-    "concentration_study",
     "construct_turan",
     "construct_zar",
     "count_points",
     "density_report",
     "dependence_classify",
     "dimension_probe",
-    "disjoint_span_subset",
     "enumerate_multiindices",
     "enumerate_projective",
     "field_for_order",
     "fq_point_array",
     "hilbert_rank",
-    "independent_set_third",
-    "joint_uniformity_test",
     "kst_verdict",
     "m_cap",
     "make_field",
@@ -89,10 +82,8 @@ __all__ = [
     "plan_construction",
     "point_from_str",
     "point_to_str",
-    "power_rank",
     "random_bihom",
     "random_hom",
     "s_wise_independent",
-    "strong_dependence_witness",
     "z_condition",
 ]

@@ -9,6 +9,15 @@ the seed, so a given seed always reproduces the same verdicts.
 Wall-clock limits are part of two checks (field exactness, builder
 yield); they are measured with a monotonic clock and included in the
 pass condition.
+
+The lemma experiments that only these checks run live here, each just
+above the check that reads it: power-form rank (check 3), joint
+uniformity of anchored specializations (check 4), slice concentration
+(check 5), and strong witnesses with the greedy and two-basis
+selections (check 9).  They call the pipeline's primitives but are not
+part of it, so `graphs`, `variety` and `independence` hold only what
+the construct, verify, sweep and indep commands run.  Check 4 is the
+one place in the package that imports scipy, lazily.
 """
 
 from __future__ import annotations
@@ -20,38 +29,35 @@ import os
 import tempfile
 import time
 from contextlib import redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gf import field_for_order, make_field
+from .gf import FieldSpec, field_for_order, make_field
 from .graphs import (
     CertificationError,
     construct_turan,
     construct_zar,
-    joint_uniformity_test,
     plan_construction,
 )
 from .independence import (
+    _common_spec,
+    evaluation_rows,
     hilbert_rank,
-    independent_set_third,
-    disjoint_span_subset,
     m_cap,
     phi_upper_bound,
-    power_rank,
-    strong_dependence_witness,
     z_condition,
 )
 from .jsonio import read_doc, report_path_for
-from .linalg import is_scalar_multiple, rank
-from .polyrand import SeededRng
-from .projgeom import ProjPoint, enumerate_projective
-from .util import dec12, iroot
+from .linalg import is_scalar_multiple, left_kernel, rank, solve_coords
+from .polyrand import SeededRng, random_hom
+from .projgeom import ProjPoint, enumerate_multiindices, enumerate_projective
+from .util import BudgetExceeded, dec12, iroot
 from .variety import (
     BuildConfig,
     VarietySpec,
     build_independent_variety,
-    concentration_study,
     count_points,
 )
 
@@ -161,6 +167,29 @@ def check_interpolation_floor(seed: int):
     }
 
 
+def power_rows(points, m: int):
+    """Coefficient rows of the m-th powers of the attached linear forms.
+
+    Valid only when the characteristic strictly exceeds m; otherwise some
+    multinomial coefficient vanishes mod p and the expansion misrepresents
+    the forms, so we refuse.
+    """
+    spec, b = _common_spec(points)
+    if spec.p <= m:
+        raise ValueError(
+            "power form needs characteristic > m (p = %d, m = %d)" % (spec.p, m)
+        )
+    multinom = [math.factorial(m) // math.prod(map(math.factorial, beta))
+                % spec.p for beta in enumerate_multiindices(b, m)]
+    return [[spec.mul(mn, v) for mn, v in zip(multinom, row)]
+            for row in evaluation_rows(points, m)]
+
+
+def power_rank(points, m: int) -> int:
+    spec, _ = _common_spec(points)
+    return rank(power_rows(points, m), spec)
+
+
 def check_rank_agreement(seed: int):
     """Monomial-evaluation rank equals power-form rank on 200 random point
     sets per configuration: plane over F_7 and line over F_11, m in {2, 3}."""
@@ -182,6 +211,127 @@ def check_rank_agreement(seed: int):
         "total": total,
         "mismatches": mismatches,
     }
+
+
+UNIFORMITY_EXHAUSTIVE_CAP = 1 << 20   # coefficient grids enumerated at most
+UNIFORMITY_DRAWS = 10_000             # grids drawn in sampled mode
+UNIFORMITY_QUANTILE = 1e-6            # chi-square rejection level
+
+
+@dataclass
+class JointUniformityResult:
+    mode: str                 # exhaustive | sampled
+    ok: bool
+    total: int                # polynomials examined
+    cells: int                # size of the joint space (exhaustive) or q^s
+    detail: dict
+
+
+def _specialize_batch(spec: FieldSpec, coeffs: np.ndarray,
+                      vmon_enc: np.ndarray) -> np.ndarray:
+    """Specialize many bihom coefficient grids at one anchor.
+
+    coeffs: (N, nx, ny) encodings; vmon_enc: (nx,) anchor monomial values.
+    Returns (N, ny) encodings of the anchored forms.
+    """
+    swapped = spec.dec_array(coeffs.transpose(0, 2, 1))   # (N, ny, nx, k)
+    v = spec.dec_array(vmon_enc.reshape(-1, 1))           # (nx, 1, k)
+    out = spec.arr_dot(swapped, v)                        # (N, ny, 1, k)
+    return spec.enc_array(out[:, :, 0, :])
+
+
+def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors,
+                          mode: str = "exhaustive", rng=None, *,
+                          require_independent: bool = True) -> JointUniformityResult:
+    """Are the anchored specializations of a random form jointly uniform?
+
+    Exhaustive mode enumerates every coefficient grid, at most
+    UNIFORMITY_EXHAUSTIVE_CAP of them (else BudgetExceeded), and demands
+    the exact product-uniform tally.  Sampled mode draws UNIFORMITY_DRAWS
+    grids and runs one chi-square per specialized coefficient slot on the
+    joint distribution of that slot across anchors (q^s cells), rejecting
+    at UNIFORMITY_QUANTILE.  Anchors must form an independent set at
+    degree m; pass require_independent=False only to study the failure
+    mode.
+    """
+    anchors = list(anchors)
+    if not anchors:
+        raise ValueError("need at least one anchor")
+    spec = anchors[0].spec
+    s = len(anchors)
+    if any(pt.dim != a for pt in anchors):
+        raise ValueError("anchors do not live in P^a")
+    if len(set(pt.coords for pt in anchors)) != s:
+        raise ValueError("anchors must be distinct")
+    independent = hilbert_rank(anchors, m) == s
+    if require_independent and not independent:
+        raise ValueError("anchors are dependent at degree %d" % m)
+    q = spec.order
+    nx = math.comb(a + m, m)
+    ny = math.comb(b + mp, mp)
+    vmons = np.array(evaluation_rows(anchors, m), dtype=np.int64)
+    if mode == "exhaustive":
+        ncoef = nx * ny
+        total = q**ncoef
+        if total > UNIFORMITY_EXHAUSTIVE_CAP:
+            raise BudgetExceeded(
+                "q^(nx*ny) = %d exceeds exhaustive cap %d"
+                % (total, UNIFORMITY_EXHAUSTIVE_CAP)
+            )
+        cells = q ** (s * ny)
+        from collections import Counter
+        tally: Counter = Counter()
+        chunk = 1 << 15
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            grid = np.zeros((len(idx), ncoef), dtype=np.int64)
+            for pos in range(ncoef):
+                grid[:, pos] = (idx // q ** (ncoef - 1 - pos)) % q
+            grid = grid.reshape(len(idx), nx, ny)
+            keys = np.concatenate(
+                [_specialize_batch(spec, grid, vm) for vm in vmons], axis=1
+            )
+            keys = np.ascontiguousarray(keys)
+            view = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1])))
+            uniq, cnt = np.unique(view.ravel(), return_counts=True)
+            for u, c in zip(uniq, cnt):
+                tally[u.tobytes()] += int(c)
+        per = total // cells if total >= cells else 0
+        ok = (total % cells == 0 and per > 0 and len(tally) == cells
+              and set(tally.values()) == {per})
+        return JointUniformityResult(
+            "exhaustive", ok, total, cells,
+            {"distinct": len(tally), "expected_multiplicity": per,
+             "independent_anchors": independent},
+        )
+    if mode != "sampled":
+        raise ValueError("mode must be exhaustive or sampled")
+    if rng is None:
+        raise ValueError("sampled mode needs an rng")
+    from scipy.stats import chi2
+    ncoef = nx * ny
+    draws = UNIFORMITY_DRAWS
+    # one block draw is bit-identical to `draws` sequential poly draws
+    grids = rng.residues(draws * ncoef, q).reshape(draws, nx, ny)
+    anchored = [_specialize_batch(spec, grids, vm) for vm in vmons]
+    cells = q**s
+    threshold = float(chi2.isf(UNIFORMITY_QUANTILE, cells - 1))
+    expected = draws / cells
+    stats = []
+    for j in range(ny):
+        code = np.zeros(draws, dtype=np.int64)
+        for t_i in range(s):
+            code = code * q + anchored[t_i][:, j]
+        counts = np.bincount(code, minlength=cells)
+        stats.append(float(((counts - expected) ** 2 / expected).sum()))
+    worst = max(stats)
+    ok = worst <= threshold
+    return JointUniformityResult(
+        "sampled", ok, draws, cells,
+        {"threshold": dec12(threshold), "worst_stat": dec12(worst),
+         "stats": [dec12(x) for x in stats],
+         "independent_anchors": independent},
+    )
 
 
 def check_specialization_uniformity(seed: int):
@@ -208,6 +358,47 @@ def check_specialization_uniformity(seed: int):
         "sampled": {"ok": sampled.ok, "detail": sampled.detail},
         "negative_control_failed": not negative.ok,
     }
+
+
+@dataclass
+class ConcentrationReport:
+    trials: int
+    counts: list
+    mean: float
+    expected: Fraction        # |Y| / q^r
+    failures: int             # trials with 2 * count * q^r <= |Y|
+    failure_bound: Fraction   # 4 q^r / |Y|, capped at 1
+
+
+def concentration_study(var: VarietySpec, num_forms: int, degree: int,
+                        rng: SeededRng, trials: int) -> ConcentrationReport:
+    """Slice the zero set Y of var by random forms and watch the survivor count.
+
+    Each trial draws num_forms fresh degree-`degree` forms from the one
+    stream and counts the points of Y where all vanish, the zero set of
+    var's forms plus the cut.  A trial fails when the count drops to half
+    the expected |Y|/q^r or lower.
+    """
+    if trials < 1 or num_forms < 1:
+        raise ValueError("need trials >= 1 and num_forms >= 1")
+    size = count_points(var)
+    if size == 0:
+        raise ValueError("the sliced set Y has no points")
+    spec, b = var.spec, var.b
+    qr = spec.order**num_forms
+    counts = []
+    failures = 0
+    for _ in range(trials):
+        cut = tuple(random_hom(spec, b, degree, rng) for _ in range(num_forms))
+        cnt = count_points(VarietySpec(spec, b, var.forms + cut))
+        counts.append(cnt)
+        if 2 * cnt * qr <= size:
+            failures += 1
+    mean = sum(counts) / trials
+    return ConcentrationReport(
+        trials, counts, mean, Fraction(size, qr), failures,
+        min(Fraction(1), Fraction(4 * qr, size)),
+    )
 
 
 def check_slice_concentration(seed: int):
@@ -314,6 +505,117 @@ def check_zarankiewicz_pipeline(seed: int):
         ok = ok and hits >= 1
     return ok, ", ".join("q=%s: %d/20 full passes" % (q, v["hits"])
                          for q, v in per_q.items()), per_q
+
+
+KERNEL_CAP = 4     # largest kernel dimension the strong witness searches
+
+
+def strong_dependence_witness(points, m: int):
+    """All-nonzero left-kernel vector of the evaluation matrix, or None.
+
+    Such a vector certifies a product relation among the attached linear
+    forms in any characteristic; when char > m it is equally a kernel
+    vector of the power matrix (the two differ by nonzero column scalings).
+    Preconditions: the points span the ambient space, and the kernel
+    dimension stays within KERNEL_CAP (the search is projective over F_q;
+    else BudgetExceeded).
+    """
+    spec, b = _common_spec(points)
+    coord_rows = [list(pt.coords) for pt in points]
+    if rank(coord_rows, spec) != b + 1:
+        raise ValueError("points do not span the ambient space")
+    rows = evaluation_rows(points, m)
+    kern = left_kernel(rows, spec)
+    d = len(kern)
+    if d == 0:
+        return None
+    if d > KERNEL_CAP:
+        raise BudgetExceeded("kernel dimension %d exceeds cap %d" % (d, KERNEL_CAP))
+    t = len(points)
+    for combo in enumerate_projective(spec, d - 1):
+        cand = [0] * t
+        for lam, kv in zip(combo.coords, kern):
+            if lam:
+                for i in range(t):
+                    cand[i] = spec.add(cand[i], spec.mul(lam, kv[i]))
+        if all(cand):
+            return tuple(cand)
+    return None
+
+
+def independent_set_third(n: int, edges) -> list:
+    """Independent set of size >= ceil(n/3) in a graph with <= n edges.
+
+    Greedy minimum degree (ties to the lowest index): removing a minimum
+    degree vertex and its closed neighborhood costs at most 1 from the
+    sum of 1/(deg+1), so the greedy set reaches that sum, which is at
+    least n/3 when the average degree is at most 2.
+    """
+    dedup = set()
+    for (u, v) in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("edge endpoint out of range")
+        if u == v:
+            raise ValueError("self-loops are not allowed")
+        dedup.add((min(u, v), max(u, v)))
+    if len(dedup) > n:
+        raise ValueError("too many edges: %d > %d vertices" % (len(dedup), n))
+    adj = {v: set() for v in range(n)}
+    for (u, v) in dedup:
+        adj[u].add(v)
+        adj[v].add(u)
+    alive = set(range(n))
+    chosen = []
+    while alive:
+        v = min(alive, key=lambda x: (len(adj[x] & alive), x))
+        chosen.append(v)
+        dead = (adj[v] & alive) | {v}
+        alive -= dead
+    chosen.sort()
+    assert len(chosen) >= -(-n // 3)
+    assert all(
+        (min(u, v), max(u, v)) not in dedup
+        for u, v in itertools.combinations(chosen, 2)
+    )
+    return chosen
+
+
+def disjoint_span_subset(spec: FieldSpec, basis_a, basis_b) -> list:
+    """Indices C into basis_a, |C| >= ceil(n/3), with span(C) missing basis_b.
+
+    Both arguments must be bases of F_q^n with no vector of one a scalar
+    multiple of a vector of the other.  Each basis_b vector's support in
+    basis_a coordinates has size >= 2; shrinking every support to its
+    first two indices leaves at most n edges, and an independent set of
+    that graph spans nothing of basis_b (every support keeps a coordinate
+    outside C).
+    """
+    n = len(basis_a)
+    if len(basis_b) != n or n < 2:
+        raise ValueError("need two bases of the same dimension n >= 2")
+    if any(len(v) != n for v in basis_a) or any(len(v) != n for v in basis_b):
+        raise ValueError("vectors must have length n")
+    if rank([list(v) for v in basis_a], spec) != n:
+        raise ValueError("first family is not a basis")
+    if rank([list(v) for v in basis_b], spec) != n:
+        raise ValueError("second family is not a basis")
+    for u in basis_b:
+        for v in basis_a:
+            if is_scalar_multiple(u, v, spec):
+                raise ValueError("bases share a direction (scalar multiple)")
+    edges = set()
+    for u in basis_b:
+        coords = solve_coords(basis_a, u, spec)
+        support = [i for i, c in enumerate(coords) if c]
+        if len(support) < 2:
+            raise RuntimeError("support collapsed despite multiple-freeness")
+        edges.add((support[0], support[1]))
+    chosen = independent_set_third(n, sorted(edges))
+    sub = [basis_a[i] for i in chosen]
+    for u in basis_b:
+        if rank([list(v) for v in sub] + [list(u)], spec) != len(sub) + 1:
+            raise RuntimeError("span verification failed")
+    return chosen
 
 
 def _random_basis(spec, n: int, rng: SeededRng):

@@ -1,4 +1,4 @@
-"""Sided bipartite constructions, planners, and the verification suite.
+"""Sided bipartite constructions, their plans, and their verdicts.
 
 Two pipelines produce graphs: a dense one whose adjacency comes from a
 random bihomogeneous form on a certified variety, and a lopsided one
@@ -24,12 +24,11 @@ from math import comb
 import numpy as np
 
 from .gf import FieldSpec, field_for_order, make_field
-from .independence import evaluation_rows, hilbert_rank, m_cap, z_condition
+from .independence import m_cap, z_condition
 from .polyrand import SeededRng, eval_bihom_grid, random_bihom, random_hom
 from .util import (
     DEFAULT_POINT_BUDGET,
     DEFAULT_SUBSET_BUDGET,
-    BudgetExceeded,
     dec12,
     frac_json,
     floor_scaled_power,
@@ -370,6 +369,11 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
     delta = _delta_ledger(r, T)
     t_threshold = m**s * math.prod(delta) + 1
     a = None if q is None else floor_scaled_power(c, q, T, s)
+    if a == 0:
+        # the same for every seed: the left side is the first a
+        # coordinate points of P^a
+        raise ValueError("left width floor(c * q^(T/s)) is zero at c = %s, "
+                         "q = %d; the left side would be empty" % (c, q))
     return ConstructionPlan(kind, s, m, r, None, T, b, q, a, delta,
                             t_threshold, c, mode, None)
 
@@ -777,131 +781,3 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
     sides_full = 2 * len(right_enc) * spec.order**plan.r >= spec.order**plan.b
     report = _trial_report(graph, plan, sides_full, None, subset_budget)
     return graph, report
-
-
-# ---------------------------------------------------------------------------
-# joint uniformity of anchored specializations
-
-UNIFORMITY_EXHAUSTIVE_CAP = 1 << 20   # coefficient grids enumerated at most
-UNIFORMITY_DRAWS = 10_000             # grids drawn in sampled mode
-UNIFORMITY_QUANTILE = 1e-6            # chi-square rejection level
-
-
-@dataclass
-class JointUniformityResult:
-    mode: str                 # exhaustive | sampled
-    ok: bool
-    total: int                # polynomials examined
-    cells: int                # size of the joint space (exhaustive) or q^s
-    detail: dict
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "ok": self.ok, "total": self.total,
-                "cells": self.cells, "detail": self.detail}
-
-
-def _specialize_batch(spec: FieldSpec, coeffs: np.ndarray,
-                      vmon_enc: np.ndarray) -> np.ndarray:
-    """Specialize many bihom coefficient grids at one anchor.
-
-    coeffs: (N, nx, ny) encodings; vmon_enc: (nx,) anchor monomial values.
-    Returns (N, ny) encodings of the anchored forms.
-    """
-    swapped = spec.dec_array(coeffs.transpose(0, 2, 1))   # (N, ny, nx, k)
-    v = spec.dec_array(vmon_enc.reshape(-1, 1))           # (nx, 1, k)
-    out = spec.arr_dot(swapped, v)                        # (N, ny, 1, k)
-    return spec.enc_array(out[:, :, 0, :])
-
-
-def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors,
-                          mode: str = "exhaustive", rng=None, *,
-                          require_independent: bool = True) -> JointUniformityResult:
-    """Are the anchored specializations of a random form jointly uniform?
-
-    Exhaustive mode enumerates every coefficient grid, at most
-    UNIFORMITY_EXHAUSTIVE_CAP of them (else BudgetExceeded), and demands
-    the exact product-uniform tally.  Sampled mode draws UNIFORMITY_DRAWS
-    grids and runs one chi-square per specialized coefficient slot on the
-    joint distribution of that slot across anchors (q^s cells), rejecting
-    at UNIFORMITY_QUANTILE.  Anchors must form an independent set at
-    degree m; pass require_independent=False only to study the failure
-    mode.
-    """
-    anchors = list(anchors)
-    if not anchors:
-        raise ValueError("need at least one anchor")
-    spec = anchors[0].spec
-    s = len(anchors)
-    if any(pt.dim != a for pt in anchors):
-        raise ValueError("anchors do not live in P^a")
-    if len(set(pt.coords for pt in anchors)) != s:
-        raise ValueError("anchors must be distinct")
-    independent = hilbert_rank(anchors, m) == s
-    if require_independent and not independent:
-        raise ValueError("anchors are dependent at degree %d" % m)
-    q = spec.order
-    nx = comb(a + m, m)
-    ny = comb(b + mp, mp)
-    vmons = np.array(evaluation_rows(anchors, m), dtype=np.int64)
-    if mode == "exhaustive":
-        ncoef = nx * ny
-        total = q**ncoef
-        if total > UNIFORMITY_EXHAUSTIVE_CAP:
-            raise BudgetExceeded(
-                "q^(nx*ny) = %d exceeds exhaustive cap %d"
-                % (total, UNIFORMITY_EXHAUSTIVE_CAP)
-            )
-        cells = q ** (s * ny)
-        from collections import Counter
-        tally: Counter = Counter()
-        chunk = 1 << 15
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            grid = np.zeros((len(idx), ncoef), dtype=np.int64)
-            for pos in range(ncoef):
-                grid[:, pos] = (idx // q ** (ncoef - 1 - pos)) % q
-            grid = grid.reshape(len(idx), nx, ny)
-            keys = np.concatenate(
-                [_specialize_batch(spec, grid, vm) for vm in vmons], axis=1
-            )
-            keys = np.ascontiguousarray(keys)
-            view = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1])))
-            uniq, cnt = np.unique(view.ravel(), return_counts=True)
-            for u, c in zip(uniq, cnt):
-                tally[u.tobytes()] += int(c)
-        per = total // cells if total >= cells else 0
-        ok = (total % cells == 0 and per > 0 and len(tally) == cells
-              and set(tally.values()) == {per})
-        return JointUniformityResult(
-            "exhaustive", ok, total, cells,
-            {"distinct": len(tally), "expected_multiplicity": per,
-             "independent_anchors": independent},
-        )
-    if mode != "sampled":
-        raise ValueError("mode must be exhaustive or sampled")
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    from scipy.stats import chi2
-    ncoef = nx * ny
-    draws = UNIFORMITY_DRAWS
-    # one block draw is bit-identical to `draws` sequential poly draws
-    grids = rng.residues(draws * ncoef, q).reshape(draws, nx, ny)
-    anchored = [_specialize_batch(spec, grids, vm) for vm in vmons]
-    cells = q**s
-    threshold = float(chi2.isf(UNIFORMITY_QUANTILE, cells - 1))
-    expected = draws / cells
-    stats = []
-    for j in range(ny):
-        code = np.zeros(draws, dtype=np.int64)
-        for t_i in range(s):
-            code = code * q + anchored[t_i][:, j]
-        counts = np.bincount(code, minlength=cells)
-        stats.append(float(((counts - expected) ** 2 / expected).sum()))
-    worst = max(stats)
-    ok = worst <= threshold
-    return JointUniformityResult(
-        "sampled", ok, draws, cells,
-        {"threshold": dec12(threshold), "worst_stat": dec12(worst),
-         "stats": [dec12(x) for x in stats],
-         "independent_anchors": independent},
-    )

@@ -1,26 +1,20 @@
 """Dependence of point sets through degree-m evaluation ranks.
 
 A set of t projective points is m-dependent when the t x C(b+m, m)
-matrix of degree-m monomial values drops rank below t.  Everything else
-here is built on that one matrix: minimality, s-wise certification,
-power-form cross-checks, strong-dependence witnesses, and the exact
-rational bookkeeping (m_cap, phi_upper_bound, z_condition) that the
+matrix of degree-m monomial values drops rank below t.  Minimality and
+s-wise certification are built on that one matrix; the exact rational
+bookkeeping (m_cap, phi_upper_bound, z_condition) is what the
 construction plans consume.
-
-Two constructive helpers live at the bottom: a greedy independent-set
-extractor for sparse graphs and the two-bases disjoint-span selection
-that rides on it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb
 
-from .gf import FieldSpec
-from .linalg import is_scalar_multiple, left_kernel, rank, solve_coords
-from .projgeom import enumerate_multiindices, enumerate_projective, monomial_matrix
+from .linalg import left_kernel, rank
+from .projgeom import monomial_matrix
 from .util import DEFAULT_SUBSET_BUDGET, BudgetExceeded
 
 
@@ -61,7 +55,6 @@ class DependenceReport:
 
 
 MINIMAL_CAP = 64   # largest dependent set whose minimality is decided
-KERNEL_CAP = 4     # largest kernel dimension the strong witness searches
 
 
 def dependence_classify(points, m: int) -> DependenceReport:
@@ -130,66 +123,6 @@ def s_wise_independent(points, s: int, m: int,
         if rank([rows[i] for i in combo], spec) < s:
             return SWiseCheck(combo, 0, total, "exhaustive")
     return SWiseCheck(None, total, total, "exhaustive")
-
-
-# ---------------------------------------------------------------------------
-# power form
-
-
-def power_rows(points, m: int):
-    """Coefficient rows of the m-th powers of the attached linear forms.
-
-    Valid only when the characteristic strictly exceeds m; otherwise some
-    multinomial coefficient vanishes mod p and the expansion misrepresents
-    the forms, so we refuse.
-    """
-    spec, b = _common_spec(points)
-    if spec.p <= m:
-        raise ValueError(
-            "power form needs characteristic > m (p = %d, m = %d)" % (spec.p, m)
-        )
-    multinom = [factorial(m) // prod(map(factorial, beta)) % spec.p
-                for beta in enumerate_multiindices(b, m)]
-    return [[spec.mul(mn, v) for mn, v in zip(multinom, row)]
-            for row in evaluation_rows(points, m)]
-
-
-def power_rank(points, m: int) -> int:
-    spec, _ = _common_spec(points)
-    return rank(power_rows(points, m), spec)
-
-
-def strong_dependence_witness(points, m: int):
-    """All-nonzero left-kernel vector of the evaluation matrix, or None.
-
-    Such a vector certifies a product relation among the attached linear
-    forms in any characteristic; when char > m it is equally a kernel
-    vector of the power matrix (the two differ by nonzero column scalings).
-    Preconditions: the points span the ambient space, and the kernel
-    dimension stays within KERNEL_CAP (the search is projective over F_q;
-    else BudgetExceeded).
-    """
-    spec, b = _common_spec(points)
-    coord_rows = [list(pt.coords) for pt in points]
-    if rank(coord_rows, spec) != b + 1:
-        raise ValueError("points do not span the ambient space")
-    rows = evaluation_rows(points, m)
-    kern = left_kernel(rows, spec)
-    d = len(kern)
-    if d == 0:
-        return None
-    if d > KERNEL_CAP:
-        raise BudgetExceeded("kernel dimension %d exceeds cap %d" % (d, KERNEL_CAP))
-    t = len(points)
-    for combo in enumerate_projective(spec, d - 1):
-        cand = [0] * t
-        for lam, kv in zip(combo.coords, kern):
-            if lam:
-                for i in range(t):
-                    cand[i] = spec.add(cand[i], spec.mul(lam, kv[i]))
-        if all(cand):
-            return tuple(cand)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -285,82 +218,3 @@ def z_condition(b: int, m: int, Z: int, s: int) -> ZConditionReport:
     else:
         verdict = "false" if any_false else "true"
     return ZConditionReport(verdict, rows, offending)
-
-
-# ---------------------------------------------------------------------------
-# constructive selections
-
-
-def independent_set_third(n: int, edges) -> list:
-    """Independent set of size >= ceil(n/3) in a graph with <= n edges.
-
-    Greedy minimum degree (ties to the lowest index): removing a minimum
-    degree vertex and its closed neighborhood costs at most 1 from the
-    sum of 1/(deg+1), so the greedy set reaches that sum, which is at
-    least n/3 when the average degree is at most 2.
-    """
-    dedup = set()
-    for (u, v) in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError("edge endpoint out of range")
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        dedup.add((min(u, v), max(u, v)))
-    if len(dedup) > n:
-        raise ValueError("too many edges: %d > %d vertices" % (len(dedup), n))
-    adj = {v: set() for v in range(n)}
-    for (u, v) in dedup:
-        adj[u].add(v)
-        adj[v].add(u)
-    alive = set(range(n))
-    chosen = []
-    while alive:
-        v = min(alive, key=lambda x: (len(adj[x] & alive), x))
-        chosen.append(v)
-        dead = (adj[v] & alive) | {v}
-        alive -= dead
-    chosen.sort()
-    assert len(chosen) >= -(-n // 3)
-    assert all(
-        (min(u, v), max(u, v)) not in dedup
-        for u, v in itertools.combinations(chosen, 2)
-    )
-    return chosen
-
-
-def disjoint_span_subset(spec: FieldSpec, basis_a, basis_b) -> list:
-    """Indices C into basis_a, |C| >= ceil(n/3), with span(C) missing basis_b.
-
-    Both arguments must be bases of F_q^n with no vector of one a scalar
-    multiple of a vector of the other.  Each basis_b vector's support in
-    basis_a coordinates has size >= 2; shrinking every support to its
-    first two indices leaves at most n edges, and an independent set of
-    that graph spans nothing of basis_b (every support keeps a coordinate
-    outside C).
-    """
-    n = len(basis_a)
-    if len(basis_b) != n or n < 2:
-        raise ValueError("need two bases of the same dimension n >= 2")
-    if any(len(v) != n for v in basis_a) or any(len(v) != n for v in basis_b):
-        raise ValueError("vectors must have length n")
-    if rank([list(v) for v in basis_a], spec) != n:
-        raise ValueError("first family is not a basis")
-    if rank([list(v) for v in basis_b], spec) != n:
-        raise ValueError("second family is not a basis")
-    for u in basis_b:
-        for v in basis_a:
-            if is_scalar_multiple(u, v, spec):
-                raise ValueError("bases share a direction (scalar multiple)")
-    edges = set()
-    for u in basis_b:
-        coords = solve_coords(basis_a, u, spec)
-        support = [i for i, c in enumerate(coords) if c]
-        if len(support) < 2:
-            raise RuntimeError("support collapsed despite multiple-freeness")
-        edges.add((support[0], support[1]))
-    chosen = independent_set_third(n, sorted(edges))
-    sub = [basis_a[i] for i in chosen]
-    for u in basis_b:
-        if rank([list(v) for v in sub] + [list(u)], spec) != len(sub) + 1:
-            raise RuntimeError("span verification failed")
-    return chosen

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -403,48 +402,3 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
             return last
     assert last is not None
     return last
-
-
-# ---------------------------------------------------------------------------
-# concentration of random slices
-
-
-@dataclass
-class ConcentrationReport:
-    trials: int
-    counts: list
-    mean: float
-    expected: Fraction        # |Y| / q^r
-    failures: int             # trials with 2 * count * q^r <= |Y|
-    failure_bound: Fraction   # 4 q^r / |Y|, capped at 1
-
-
-def concentration_study(var: VarietySpec, num_forms: int, degree: int,
-                        rng: SeededRng, trials: int) -> ConcentrationReport:
-    """Slice the zero set Y of var by random forms and watch the survivor count.
-
-    Each trial draws num_forms fresh degree-`degree` forms from the one
-    stream and counts the points of Y where all vanish, the zero set of
-    var's forms plus the cut.  A trial fails when the count drops to half
-    the expected |Y|/q^r or lower.
-    """
-    if trials < 1 or num_forms < 1:
-        raise ValueError("need trials >= 1 and num_forms >= 1")
-    size = count_points(var)
-    if size == 0:
-        raise ValueError("the sliced set Y has no points")
-    spec, b = var.spec, var.b
-    qr = spec.order**num_forms
-    counts = []
-    failures = 0
-    for _ in range(trials):
-        cut = tuple(random_hom(spec, b, degree, rng) for _ in range(num_forms))
-        cnt = count_points(VarietySpec(spec, b, var.forms + cut))
-        counts.append(cnt)
-        if 2 * cnt * qr <= size:
-            failures += 1
-    mean = sum(counts) / trials
-    return ConcentrationReport(
-        trials, counts, mean, Fraction(size, qr), failures,
-        min(Fraction(1), Fraction(4 * qr, size)),
-    )

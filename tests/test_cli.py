@@ -116,18 +116,24 @@ def test_orders_without_a_field_are_refused(q, message, tmp_path, capsys):
 
 
 def test_zero_truncation_target_is_a_usage_error(tmp_path, capsys):
-    # floor(0 * 7^2) = 0 for every seed: refused once, before any trial
+    # floor(0 * 7^2) = 0 and floor(0 * 8^(3/2)) = 0 for every seed:
+    # refused once, before any trial
     out = tmp_path / "g.json"
     turan = ["turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1",
              "--q", "7", "--c", "0", "--out", str(out)]
-    for argv in (["plan"] + turan,
-                 ["construct"] + turan + ["--seed", "1", "--trials", "3"],
-                 ["sweep"] + turan + ["--seed", "1", "--trials", "3"]):
-        rc, stdout, err = run(argv, capsys)
-        assert rc == 1, argv
-        assert err == ("error: truncation target floor(c * q^s) is zero at "
-                       "c = 0, q = 7; both sides would be empty\n"), argv
-        assert stdout == "" and not out.exists()
+    zar = ["zarankiewicz", "--s", "2", "--T", "3", "--r", "1", "--m", "2",
+           "--q", "8", "--c", "0", "--out", str(out)]
+    for plan, msg in ((turan, "truncation target floor(c * q^s) is zero at "
+                              "c = 0, q = 7; both sides would be empty"),
+                      (zar, "left width floor(c * q^(T/s)) is zero at "
+                            "c = 0, q = 8; the left side would be empty")):
+        for argv in (["plan"] + plan,
+                     ["construct"] + plan + ["--seed", "1", "--trials", "3"],
+                     ["sweep"] + plan + ["--seed", "1", "--trials", "3"]):
+            rc, stdout, err = run(argv, capsys)
+            assert rc == 1, argv
+            assert err == "error: %s\n" % msg, argv
+            assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("sub,flags", [

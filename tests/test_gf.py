@@ -205,7 +205,7 @@ def test_arr_dot_matches_scalar(p, k):
 
 @pytest.mark.parametrize("p,k", [(5, 1), (2, 3), (3, 2)])
 def test_arr_dot_batches_leading_axes(p, k):
-    # graphs._specialize_batch: (N, ny, nx, k) grids times (nx, 1, k) values
+    # acceptance._specialize_batch: (N, ny, nx, k) grids times (nx, 1, k) values
     fs = make_field(p, k)
     rng = random.Random(4)
     N, ny, nx = 3, 4, 6

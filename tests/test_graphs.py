@@ -2,7 +2,7 @@ import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from unittest import mock
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kstfree.graphs
+from kstfree.acceptance import joint_uniformity_test
 from kstfree.gf import make_field
 from kstfree.jsonio import dump_doc
 from kstfree.graphs import (
@@ -23,7 +24,6 @@ from kstfree.graphs import (
     construct_turan,
     construct_zar,
     density_report,
-    joint_uniformity_test,
     judge_graph,
     kst_verdict,
     max_common_neighborhood,
@@ -514,6 +514,44 @@ def test_kst_monotone_in_t():
             prev = v.free
 
 
+def norm_graph(p, s):
+    """The bipartite projective norm graph over F_p with parameter s.
+
+    A vertex is (X, x) with X in F_{p^(s-1)} and x in F_p^*; (X, x) and
+    (Y, y) are adjacent iff N(X+Y) = xy, N the norm down to F_p.  It is
+    K_{s,(s-1)!+1}-free (Kollar-Ronyai-Szabo 1996, Alon-Ronyai-Szabo
+    1999), and each vertex has p^(s-1) - 1 neighbours.
+    """
+    spec = make_field(p, s - 1)
+    q = spec.order
+    norm = np.array([spec.pow(z, (q - 1) // (p - 1)) for z in range(q)])
+    assert (norm < p).all()  # F_p is encoded as the constants 0..p-1
+    plus = np.array([[spec.add(u, w) for w in range(q)] for u in range(q)])
+    big, small = np.divmod(np.arange(q * (p - 1)), p - 1)
+    small = small + 1
+    adj = norm[plus[np.ix_(big, big)]] == np.outer(small, small) % p
+    ids = ["%d:%d" % v for v in zip(big, small)]
+    return SidedGraph(spec, ids, ids, adj)
+
+
+@pytest.mark.parametrize("p,s", [(7, 2), (11, 2), (3, 3), (5, 3), (2, 4),
+                                 (3, 4)])
+def test_norm_graphs_never_exceed_the_known_bound(p, s):
+    g = norm_graph(p, s)
+    n = len(g.left)
+    assert (np.count_nonzero(g.adj, axis=1) == p ** (s - 1) - 1).all()
+    bound = factorial(s - 1)
+    found = searches(g, s, budget=comb(n, s))
+    for mc in found.values():
+        assert mc.mode == "exhaustive" and 1 <= mc.size <= bound
+    v = kst_verdict(g, s, bound + 1, found, "both")
+    assert v.free is True and v.certified
+    # the size found is attained, by a witness of its own
+    size = found["left"].size
+    v = kst_verdict(g, s, size, found, "both")
+    assert v.free is False and verify_witness(g, v)
+
+
 # --- density -----------------------------------------------------------------
 
 
@@ -724,9 +762,16 @@ def test_construct_zar_r0_full_space():
 
 
 def test_construct_zar_empty_left():
-    plan = plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8, c=0)
-    assert plan.a == 0
-    with pytest.raises(CertificationError):
+    # floor(c * 8^(3/2)) is 0 below c = 1/22, whatever the seed
+    for c in (0, Fraction(1, 23)):
+        with pytest.raises(ValueError, match="left width"):
+            plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8, c=c)
+    assert plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8,
+                             c=Fraction(1, 22)).a == 1
+    # construct_zar keeps its own check for a plan edited past the planner
+    plan = replace(plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8),
+                   a=0)
+    with pytest.raises(CertificationError, match="left side is empty"):
         construct_zar(plan, 1)
 
 

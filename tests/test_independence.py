@@ -4,20 +4,22 @@ from math import comb
 
 import pytest
 
+from kstfree.acceptance import (
+    disjoint_span_subset,
+    independent_set_third,
+    power_rank,
+    power_rows,
+    strong_dependence_witness,
+)
 from kstfree.gf import make_field
 from kstfree.independence import (
     DependenceReport,
     dependence_classify,
-    disjoint_span_subset,
     evaluation_rows,
     hilbert_rank,
-    independent_set_third,
     m_cap,
     phi_upper_bound,
-    power_rank,
-    power_rows,
     s_wise_independent,
-    strong_dependence_witness,
     z_condition,
 )
 from kstfree.linalg import rank

@@ -80,6 +80,31 @@ def test_allowlist_names_only_unused_definitions():
     assert set(ALLOWED) <= set(unreferenced())
 
 
+def scipy_importers():
+    """Files of `src/kstfree` that import scipy, at any depth of the file."""
+    out = set()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in mods):
+                out.add(name)
+    return out
+
+
+def test_only_the_check_suite_imports_scipy():
+    # the README promises that scipy serves one selftest check alone
+    assert scipy_importers() == {"acceptance.py"}
+
+
 # ---------------------------------------------------------------------------
 # the benchmark's import surface
 

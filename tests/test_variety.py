@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import kstfree.gf
 import kstfree.variety
+from kstfree.acceptance import ConcentrationReport, concentration_study
 from kstfree.gf import field_for_order, is_prime, make_field
 from kstfree.graphs import construct_turan, plan_construction
 from kstfree.polyrand import HomPoly, SeededRng, eval_hom_many, evaluate, hom_to_json, random_hom
@@ -16,10 +17,8 @@ from kstfree.projgeom import enumerate_multiindices, enumerate_projective, proje
 from kstfree.util import BudgetExceeded
 from kstfree.variety import (
     BuildConfig,
-    ConcentrationReport,
     VarietySpec,
     build_independent_variety,
-    concentration_study,
     count_points,
     count_points_ext,
     dimension_probe,
