@@ -16,8 +16,7 @@ uniformity of anchored specializations (check 4), slice concentration
 (check 5), and strong witnesses with the greedy and two-basis
 selections (check 9).  They call the pipeline's primitives but are not
 part of it, so `graphs`, `variety` and `independence` hold only what
-the construct, verify, sweep and indep commands run.  Check 4 is the
-one place in the package that imports scipy, lazily.
+the construct, verify, sweep and indep commands run.
 """
 
 from __future__ import annotations
@@ -214,45 +213,28 @@ def check_rank_agreement(seed: int):
 
 
 UNIFORMITY_EXHAUSTIVE_CAP = 1 << 20   # coefficient grids enumerated at most
-UNIFORMITY_DRAWS = 10_000             # grids drawn in sampled mode
-UNIFORMITY_QUANTILE = 1e-6            # chi-square rejection level
 
 
 @dataclass
 class JointUniformityResult:
-    mode: str                 # exhaustive | sampled
     ok: bool
-    total: int                # polynomials examined
-    cells: int                # size of the joint space (exhaustive) or q^s
+    total: int                # coefficient grids enumerated
+    cells: int                # size of the joint space, q^(s*ny)
     detail: dict
 
 
-def _specialize_batch(spec: FieldSpec, coeffs: np.ndarray,
-                      vmon_enc: np.ndarray) -> np.ndarray:
-    """Specialize many bihom coefficient grids at one anchor.
-
-    coeffs: (N, nx, ny) encodings; vmon_enc: (nx,) anchor monomial values.
-    Returns (N, ny) encodings of the anchored forms.
-    """
-    swapped = spec.dec_array(coeffs.transpose(0, 2, 1))   # (N, ny, nx, k)
-    v = spec.dec_array(vmon_enc.reshape(-1, 1))           # (nx, 1, k)
-    out = spec.arr_dot(swapped, v)                        # (N, ny, 1, k)
-    return spec.enc_array(out[:, :, 0, :])
-
-
-def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors,
-                          mode: str = "exhaustive", rng=None, *,
+def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors, *,
                           require_independent: bool = True) -> JointUniformityResult:
     """Are the anchored specializations of a random form jointly uniform?
 
-    Exhaustive mode enumerates every coefficient grid, at most
-    UNIFORMITY_EXHAUSTIVE_CAP of them (else BudgetExceeded), and demands
-    the exact product-uniform tally.  Sampled mode draws UNIFORMITY_DRAWS
-    grids and runs one chi-square per specialized coefficient slot on the
-    joint distribution of that slot across anchors (q^s cells), rejecting
-    at UNIFORMITY_QUANTILE.  Anchors must form an independent set at
-    degree m; pass require_independent=False only to study the failure
-    mode.
+    A form of bidegree (m, mp) on P^a x P^b is an nx x ny coefficient
+    grid C, and its specializations at s anchors are the rows of E.C,
+    where E is the anchors' s x nx degree-m evaluation matrix.  This
+    enumerates every grid, at most UNIFORMITY_EXHAUSTIVE_CAP of them (else
+    BudgetExceeded), and is ok iff each of the q^(s*ny) values of E.C
+    occurs equally often; with more values than grids it is not ok, and
+    nothing is tallied.  Anchors must form an independent set at degree
+    m; pass require_independent=False only to study the failure mode.
     """
     anchors = list(anchors)
     if not anchors:
@@ -269,93 +251,70 @@ def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors,
     q = spec.order
     nx = math.comb(a + m, m)
     ny = math.comb(b + mp, mp)
-    vmons = np.array(evaluation_rows(anchors, m), dtype=np.int64)
-    if mode == "exhaustive":
-        ncoef = nx * ny
-        total = q**ncoef
-        if total > UNIFORMITY_EXHAUSTIVE_CAP:
-            raise BudgetExceeded(
-                "q^(nx*ny) = %d exceeds exhaustive cap %d"
-                % (total, UNIFORMITY_EXHAUSTIVE_CAP)
-            )
-        cells = q ** (s * ny)
-        from collections import Counter
-        tally: Counter = Counter()
+    ncoef = nx * ny
+    total = q**ncoef
+    if total > UNIFORMITY_EXHAUSTIVE_CAP:
+        raise BudgetExceeded(
+            "q^(nx*ny) = %d exceeds exhaustive cap %d"
+            % (total, UNIFORMITY_EXHAUSTIVE_CAP)
+        )
+    cells = q ** (s * ny)
+    per = total // cells
+    counts = np.zeros(cells if per else 0, dtype=np.int64)
+    if per:
+        e_t = spec.dec_array(np.array(evaluation_rows(anchors, m)).T)
+        grid_place = q ** np.arange(ncoef, dtype=np.int64)
+        code_place = q ** np.arange(s * ny, dtype=np.int64)
         chunk = 1 << 15
         for start in range(0, total, chunk):
             idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            grid = np.zeros((len(idx), ncoef), dtype=np.int64)
-            for pos in range(ncoef):
-                grid[:, pos] = (idx // q ** (ncoef - 1 - pos)) % q
-            grid = grid.reshape(len(idx), nx, ny)
-            keys = np.concatenate(
-                [_specialize_batch(spec, grid, vm) for vm in vmons], axis=1
-            )
-            keys = np.ascontiguousarray(keys)
-            view = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1])))
-            uniq, cnt = np.unique(view.ravel(), return_counts=True)
-            for u, c in zip(uniq, cnt):
-                tally[u.tobytes()] += int(c)
-        per = total // cells if total >= cells else 0
-        ok = (total % cells == 0 and per > 0 and len(tally) == cells
-              and set(tally.values()) == {per})
-        return JointUniformityResult(
-            "exhaustive", ok, total, cells,
-            {"distinct": len(tally), "expected_multiplicity": per,
-             "independent_anchors": independent},
-        )
-    if mode != "sampled":
-        raise ValueError("mode must be exhaustive or sampled")
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    from scipy.stats import chi2
-    ncoef = nx * ny
-    draws = UNIFORMITY_DRAWS
-    # one block draw is bit-identical to `draws` sequential poly draws
-    grids = rng.residues(draws * ncoef, q).reshape(draws, nx, ny)
-    anchored = [_specialize_batch(spec, grids, vm) for vm in vmons]
-    cells = q**s
-    threshold = float(chi2.isf(UNIFORMITY_QUANTILE, cells - 1))
-    expected = draws / cells
-    stats = []
-    for j in range(ny):
-        code = np.zeros(draws, dtype=np.int64)
-        for t_i in range(s):
-            code = code * q + anchored[t_i][:, j]
-        counts = np.bincount(code, minlength=cells)
-        stats.append(float(((counts - expected) ** 2 / expected).sum()))
-    worst = max(stats)
-    ok = worst <= threshold
+            # each index spells one grid, read directly as its transpose
+            grids = (idx[:, None] // grid_place % q).reshape(-1, ny, nx)
+            anchored = spec.arr_dot(spec.dec_array(grids), e_t)  # (N, ny, s, k)
+            codes = spec.enc_array(anchored).reshape(len(idx), -1) @ code_place
+            counts += np.bincount(codes, minlength=cells)
     return JointUniformityResult(
-        "sampled", ok, draws, cells,
-        {"threshold": dec12(threshold), "worst_stat": dec12(worst),
-         "stats": [dec12(x) for x in stats],
-         "independent_anchors": independent},
+        per > 0 and bool((counts == per).all()), total, cells,
+        {"distinct": int(np.count_nonzero(counts)),
+         "expected_multiplicity": per, "independent_anchors": independent},
     )
 
 
 def check_specialization_uniformity(seed: int):
-    """Specializing a random bilinear-pattern form at independent anchors is
-    jointly uniform: exactly so over all 16 forms at q=2 (1x1, degree 1,1),
-    chi-square clean at q=5 (2x2, degree 2,2) with 10^4 draws at the 1e-6
-    quantile, and a dependent anchor triple must fail the exhaustive test."""
+    """Specializing a random form at independent anchors is jointly uniform.
+
+    Theorem.  Let C be a uniform nx x ny coefficient grid over F_q (a form
+    of bidegree (m, m') on P^a x P^b) and E the s x nx degree-m evaluation
+    matrix of anchors x_1..x_s.  Specializing at the anchors is the
+    F_q-linear map C -> E.C, so E.C is uniform on the image of that map,
+    and each value of the image has q^(nx*ny)/|image| preimages.  The image
+    is {E.C} = (column space of E)^ny, all of F_q^(s x ny) iff rank E = s.
+    So the s specializations are jointly uniform, slot by slot and as whole
+    forms, iff hilbert_rank(anchors, m) == s.
+
+    The q=5 half is that rank, for two anchors of P^2 at degree 2.  The
+    q=2 half enumerates all 16 forms of bidegree (1, 1) on P^1 x P^1 and
+    confirms the tally is exactly uniform at two independent anchors; the
+    negative control, a dependent anchor triple, must fail it.  Nothing
+    is drawn, so the verdict does not depend on the seed.
+    """
     f2 = make_field(2)
     anchors2 = [ProjPoint(f2, (1, 0)), ProjPoint(f2, (0, 1))]
-    exact = joint_uniformity_test(1, 1, 1, 1, anchors2, mode="exhaustive")
+    exact = joint_uniformity_test(1, 1, 1, 1, anchors2)
     f5 = make_field(5)
     anchors5 = [ProjPoint(f5, (1, 0, 0)), ProjPoint(f5, (0, 1, 0))]
-    sampled = joint_uniformity_test(2, 2, 2, 2, anchors5, mode="sampled",
-                                    rng=SeededRng(seed))
+    rank5 = hilbert_rank(anchors5, 2)
     negative = joint_uniformity_test(
         1, 1, 1, 1, anchors2 + [ProjPoint(f2, (1, 1))],
-        mode="exhaustive", require_independent=False)
+        require_independent=False)
     ok = (exact.ok and exact.total == 16 and exact.cells == 16
-          and sampled.ok and not negative.ok)
-    return ok, "exact %s, sampled %s, negative control %s" % (
-        exact.ok, sampled.ok, not negative.ok), {
+          and rank5 == len(anchors5) and not negative.ok)
+    return ok, "exact %s, q=5 anchor rank %d of %d, negative control %s" % (
+        exact.ok, rank5, len(anchors5), not negative.ok), {
         "exhaustive": {"ok": exact.ok, "total": exact.total,
                        "cells": exact.cells},
-        "sampled": {"ok": sampled.ok, "detail": sampled.detail},
+        "rank": {"q": 5, "degree": 2, "anchors": len(anchors5),
+                 "rank": rank5},
         "negative_control_failed": not negative.ok,
     }
 

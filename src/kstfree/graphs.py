@@ -29,6 +29,7 @@ from .polyrand import SeededRng, eval_bihom_grid, random_bihom, random_hom
 from .util import (
     DEFAULT_POINT_BUDGET,
     DEFAULT_SUBSET_BUDGET,
+    BudgetExceeded,
     dec12,
     frac_json,
     floor_scaled_power,
@@ -683,6 +684,24 @@ def _trial_report(graph: SidedGraph, plan: ConstructionPlan,
                        plan.t_threshold, sides_full, builder)
 
 
+def _refuse_oversized_forms(plan: ConstructionPlan, a: int,
+                            point_cap: int) -> None:
+    """BudgetExceeded, before any draw, if a form the plan draws would hold
+    more than point_cap coefficients: C(b+d, d) for a cutting form of
+    degree d, C(a+m, m) * C(b+m, m) for the adjacency form on P^a x P^b.
+    A variety form (degree m on P^b) is never larger than the adjacency
+    form.  The verdict is the same for every seed.
+    """
+    sizes = [("degree-%d cutting form" % d, comb(plan.b + d, d))
+             for d in plan.delta]
+    sizes.append(("adjacency form",
+                  comb(a + plan.m, plan.m) * comb(plan.b + plan.m, plan.m)))
+    for name, size in sizes:
+        if size > point_cap:
+            raise BudgetExceeded("the %s holds %d coefficients, over the "
+                                 "point budget %d" % (name, size, point_cap))
+
+
 def construct_turan(plan: ConstructionPlan, master_seed: int, *,
                     point_cap: int = DEFAULT_POINT_BUDGET,
                     subset_budget: int = DEFAULT_SUBSET_BUDGET):
@@ -703,6 +722,7 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     n_target = floor_scaled_power(plan.c, plan.q, plan.s, 1)
     if n_target == 0:
         raise CertificationError("truncation target is zero; both sides empty")
+    _refuse_oversized_forms(plan, plan.b, point_cap)
     base = SeededRng(master_seed)
     cfg = BuildConfig(b=plan.b, num_forms=plan.Z, degree=plan.m, s=plan.s,
                       point_cap=point_cap, subset_budget=subset_budget)
@@ -762,6 +782,7 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
     a = plan.a
     if a < 1:
         raise CertificationError("left side is empty at this c and q")
+    _refuse_oversized_forms(plan, a, point_cap)
     base = SeededRng(master_seed)
     rng_hp = base.derive(STREAM_RIGHT_CUT)
     hps = [random_hom(spec, plan.b, d, rng_hp) for d in plan.delta]

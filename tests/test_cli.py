@@ -136,6 +136,26 @@ def test_zero_truncation_target_is_a_usage_error(tmp_path, capsys):
             assert stdout == "" and not out.exists()
 
 
+def test_oversized_forms_exit_two_before_any_draw(tmp_path, capsys):
+    # a degree-48 cutting form (C(57, 9) coefficients) and an a = 40,262
+    # adjacency form would not fit in memory; refused for every seed
+    out = tmp_path / "g.json"
+    turan = ["turan", "--s", "7", "--m", "6", "--r", "2", "--Z", "0",
+             "--q", "2"]
+    zar = ["zarankiewicz", "--s", "2", "--T", "10", "--r", "3", "--m", "3",
+           "--q", "11"]
+    for plan in (turan, zar):
+        for sub in ("construct", "sweep"):
+            argv = [sub] + plan + ["--seed", "1", "--trials", "2",
+                                   "--out", str(out)]
+            rc, stdout, err = run(argv, capsys)
+            assert rc == 2, argv
+            assert err.startswith("budget exceeded: the "), argv
+            assert err.endswith(" coefficients, over the point budget "
+                                "3000000\n"), argv
+            assert stdout == "" and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("sub,flags", [
     ("construct", ["--trials", "0"]),
     ("construct", ["--trials", "-3"]),

@@ -205,15 +205,16 @@ def test_arr_dot_matches_scalar(p, k):
 
 @pytest.mark.parametrize("p,k", [(5, 1), (2, 3), (3, 2)])
 def test_arr_dot_batches_leading_axes(p, k):
-    # acceptance._specialize_batch: (N, ny, nx, k) grids times (nx, 1, k) values
+    # acceptance.joint_uniformity_test: (N, ny, nx, k) transposed grids
+    # times the (nx, s, k) transposed evaluation matrix
     fs = make_field(p, k)
     rng = random.Random(4)
-    N, ny, nx = 3, 4, 6
+    N, ny, nx, s = 3, 4, 6, 2
     A = np.array([rng.randrange(fs.order) for _ in range(N * ny * nx)])
     A = A.reshape(N, ny, nx)
-    v = np.array([rng.randrange(fs.order) for _ in range(nx)]).reshape(nx, 1)
+    v = np.array([rng.randrange(fs.order) for _ in range(nx * s)]).reshape(nx, s)
     got = fs.enc_array(fs.arr_dot(fs.dec_array(A), fs.dec_array(v)))
-    assert got.shape == (N, ny, 1)
+    assert got.shape == (N, ny, s)
     for i in range(N):
         assert (got[i] == scalar_dot(fs, A[i], v)).all()
 

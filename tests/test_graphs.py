@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import kstfree.graphs
 from kstfree.acceptance import joint_uniformity_test
 from kstfree.gf import make_field
+from kstfree.independence import hilbert_rank
 from kstfree.jsonio import dump_doc
 from kstfree.graphs import (
     STREAM_LEFT_CUT,
@@ -718,6 +719,29 @@ def test_construct_turan_zero_c():
             construct_turan(plan, 1)
 
 
+def test_oversized_forms_are_refused_before_any_draw():
+    # the degree-48 cutting form has C(57, 9) coefficients, and the
+    # zarankiewicz adjacency form C(40265, 3) * C(8, 3) (a = 40,262, b = 5)
+    turan = plan_construction("turan", 7, m=6, r=2, Z=0, q=2)
+    zar = plan_construction("zarankiewicz", 2, T=10, r=3, m=3, q=11)
+    desk = plan_construction("turan", 2, m=3, r=1, Z=1, q=7)
+    with mock.patch.object(kstfree.graphs, "build_independent_variety",
+                           side_effect=AssertionError("W was built")), \
+            mock.patch.object(kstfree.graphs, "random_hom",
+                              side_effect=AssertionError("a form was drawn")):
+        with pytest.raises(BudgetExceeded, match="the degree-48 cutting form "
+                           "holds %d coefficients" % comb(57, 9)):
+            construct_turan(turan, 1)
+        with pytest.raises(BudgetExceeded, match="the adjacency form holds "
+                           "%d coefficients" % (comb(40265, 3) * comb(8, 3))):
+            construct_zar(zar, 1)
+        # the desk plan's adjacency form, C(7, 3)^2 = 1,225 coefficients,
+        # is the largest it draws
+        with pytest.raises(BudgetExceeded, match="adjacency form holds 1225 "
+                           "coefficients, over the point budget 1224"):
+            construct_turan(desk, 1, point_cap=1224)
+
+
 def test_construct_turan_rejects_wrong_plan():
     plan = plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8)
     with pytest.raises(ValueError):
@@ -785,7 +809,7 @@ def line_points(spec):
 def test_joint_uniformity_disjoint_blocks():
     spec = make_field(2, 1)
     anchors = [ProjPoint(spec, (1, 0)), ProjPoint(spec, (0, 1))]
-    res = joint_uniformity_test(1, 1, 1, 1, anchors, "exhaustive")
+    res = joint_uniformity_test(1, 1, 1, 1, anchors)
     assert res.ok
     assert res.total == 16 and res.cells == 16
     assert res.detail["expected_multiplicity"] == 1
@@ -794,7 +818,7 @@ def test_joint_uniformity_disjoint_blocks():
 def test_joint_uniformity_overlapping_anchors():
     spec = make_field(2, 1)
     anchors = [ProjPoint(spec, (1, 0)), ProjPoint(spec, (1, 1))]
-    res = joint_uniformity_test(1, 1, 1, 1, anchors, "exhaustive")
+    res = joint_uniformity_test(1, 1, 1, 1, anchors)
     assert res.ok
 
 
@@ -802,13 +826,13 @@ def test_joint_uniformity_dependent_rejected():
     spec = make_field(2, 1)
     anchors = line_points(spec)  # three points, dependent at degree 1
     with pytest.raises(ValueError):
-        joint_uniformity_test(1, 1, 1, 1, anchors, "exhaustive")
+        joint_uniformity_test(1, 1, 1, 1, anchors)
 
 
 def test_joint_uniformity_negative_control():
     spec = make_field(2, 1)
     anchors = line_points(spec)
-    res = joint_uniformity_test(1, 1, 1, 1, anchors, "exhaustive",
+    res = joint_uniformity_test(1, 1, 1, 1, anchors,
                                 require_independent=False)
     assert not res.ok
     assert not res.detail["independent_anchors"]
@@ -818,18 +842,7 @@ def test_joint_uniformity_exhaustive_cap():
     spec = make_field(5, 1)
     anchors = [ProjPoint(spec, (1, 0, 0)), ProjPoint(spec, (0, 1, 0))]
     with pytest.raises(BudgetExceeded):
-        joint_uniformity_test(2, 2, 2, 2, anchors, "exhaustive")
-
-
-def test_joint_uniformity_sampled():
-    spec = make_field(5, 1)
-    anchors = [ProjPoint(spec, (1, 0, 3)), ProjPoint(spec, (0, 1, 2))]
-    res = joint_uniformity_test(2, 2, 2, 2, anchors, "sampled",
-                                rng=SeededRng(505))
-    assert res.ok
-    assert res.mode == "sampled"
-    assert res.cells == 25
-    assert float(res.detail["worst_stat"]) <= float(res.detail["threshold"])
+        joint_uniformity_test(2, 2, 2, 2, anchors)
 
 
 def test_joint_uniformity_grid_exhaustive():
@@ -843,6 +856,27 @@ def test_joint_uniformity_grid_exhaustive():
                 if p**ncoef > 1 << 14:
                     continue
                 anchors = pts[: min(2, m + 1)]
-                res = joint_uniformity_test(1, 1, m, mp, anchors,
-                                            "exhaustive")
+                res = joint_uniformity_test(1, 1, m, mp, anchors)
                 assert res.ok, (p, m, mp)
+
+
+def test_joint_uniformity_matches_rank():
+    # the enumerated tally agrees with the rank theorem of selftest check 4:
+    # uniform iff the anchors impose independent conditions at degree m
+    checked = dependent = 0
+    for spec in (make_field(2, 1), make_field(3, 1), make_field(2, 2)):
+        q = spec.order
+        for a in (1, 2):
+            pts = enumerate_projective(spec, a)
+            for m, mp in itertools.product((1, 2), repeat=2):
+                if q ** (comb(a + m, m) * (mp + 1)) > 1 << 10:
+                    continue
+                for size in (1, 2, 3):
+                    for anchors in itertools.combinations(pts, size):
+                        res = joint_uniformity_test(
+                            a, 1, m, mp, anchors, require_independent=False)
+                        independent = hilbert_rank(anchors, m) == size
+                        assert res.ok == independent, (q, a, m, mp, anchors)
+                        checked += 1
+                        dependent += not independent
+    assert (checked, dependent) == (598, 86)
