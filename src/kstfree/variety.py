@@ -6,7 +6,8 @@ of both lists, so `fq_point_array` alone decides where forms vanish.
 Everything is exhaustive over the finite field, so the point cap is
 load-bearing: a zero set costs a few float passes per form over the
 grid of every chart of P^b, in any field, and the builder's F_{q^2}
-probe covers about q^b times the points of its F_q count.  The passes
+probe, which walks one leading coordinate per Frobenius orbit, covers
+about q^b/2 times the points of its F_q count.  The passes
 run in float32 wherever `FieldSpec._dtype` keeps their sums exact in
 it, as for cubics over every field of characteristic up to 2,039 under
 the default order cap, and in float64 otherwise.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import FieldSpec, _mod, _zero_mask, make_field
+from .gf import DEFAULT_ORDER_CAP, FieldSpec, _mod, _zero_mask, make_field
 from .independence import SWiseCheck, s_wise_independent, z_condition
 from .polyrand import HomPoly, SeededRng, hom_to_json, random_hom
 from .projgeom import (ProjPoint, chart_leads, chart_rows, checked_count,
@@ -119,46 +120,43 @@ def _inner_contraction(spec: FieldSpec, t: np.ndarray, inner: np.ndarray,
     return t.reshape(a * k, q ** (n - 1))
 
 
-def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
-                   limit: int | None = None) -> np.ndarray:
-    """Encodings of the rational points, canonical order, shape (N, b+1).
+def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
+    """Yield (lead, i, cells) per slab: where the forms vanish, chart by chart.
 
-    With a `limit` the result is `fq_point_array(var)[:limit]`, and the
-    work stops once the canonical prefix holds that many points.
+    Each chart with n >= 1 free axes is walked along its leading free
+    coordinate x_1 over the distinct, ascending field encodings xs, in
+    slabs; cells (rows, q^(n-1)) is alive at row r and grid index g where
+    every form vanishes at x_1 = xs[i + r] and x_2..x_n = g (C order).
+    Chart b, the one point x_b = 1, yields a (1, 1) cell at i = 0.  The
+    cells are a view into a buffer that the next slab overwrites.
 
     Chart by chart (`projgeom.chart_leads`), each form is evaluated on the
-    grid F_q^n of its restriction by contracting its coefficient tensor
-    one exponent axis at a time against the powers of every x in F_q,
+    grid of its restriction by contracting its coefficient tensor one
+    exponent axis at a time against the powers of the field's elements,
     a = min(m+1, q) exponents per axis, each power the GF(p) matrix
     M_{x^e} of the field's one multiplication table (`_power_matrix`).
     Each contraction is one matmul in the dtype of a*k-term sums
     (`FieldSpec._dtype`): float32 while a*k*(p-1)^2 + p <= 2^24, float64
     while it is <= 2^53, else ValueError.  A form's inner axes are
     contracted at its first use in a chart (`_inner_contraction`), each
-    step followed by % p.  The chart is then walked slab by slab along
-    its leading free axis, in order and at most SLAB cells a slab; a
-    slab's product has axes (digit, x_1, x_2..x_n), and a point stays
-    alive where all its digits are 0 mod p (`gf._zero_mask`, which tests
-    without reducing).  The first form writes the slab's cells, and no
-    form runs once all its points are dead; on a slab of SLAB/4 cells or
-    more (digits counted) a later form sees only the columns x_2..x_n
-    where a point is still alive and ANDs its test into them.  After
-    each slab the points found so far, across charts, are counted; once
-    they reach `limit`, the rest of the chart and the later charts are
-    skipped.  The power matrix over all of F_q holds the largest exponent
-    count, each form takes the prefix of rows it needs, and a slab's
-    powers are its columns at the slab's x_1; it is built once per call,
-    unless b = 1 and F_q does not fit in one slab (a wide field such as
-    GF(2^16)), where each slab builds its own.  A slab's product, its
-    zero tests and its live cells go into buffers allocated once per
-    call, as large as the largest slab needs, and only the grid indices
-    of its points are kept.
+    step followed by % p, against the power matrix over all of F_q.  A
+    slab holds at most SLAB cells, its product has axes (digit, x_1,
+    x_2..x_n), and a point stays alive where all its digits are 0 mod p
+    (`gf._zero_mask`, which tests without reducing).  The first form
+    writes the slab's cells, and no form runs once all its points are
+    dead; on a slab of SLAB/4 cells or more (digits counted) a later form
+    sees only the columns x_2..x_n where a point is still alive and ANDs
+    its test into them.  The power matrix at xs holds the largest
+    exponent count, each form takes the prefix of rows it needs, and a
+    slab's powers are its columns; it is built once per call (and is the
+    inner one when xs is all of F_q), unless b = 1 and xs do not fit in
+    one slab (a wide field such as GF(2^16)), where each slab builds its
+    own.  A slab's product, its zero tests and its cells go into buffers
+    allocated once per call, as large as the largest slab needs.
     """
     spec, b = var.spec, var.b
     p, k, q = spec.p, spec.k, spec.order
     checked_count(q, b, cap)
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be >= 0, got %d" % limit)
     forms = []
     for f in var.forms:
         a = min(f.m + 1, q)
@@ -168,77 +166,112 @@ def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
         expo = multiindex_table(b, f.m)[on]
         forms.append((a, expo, spec.dec_array(coeffs[on])))
     amax = max((a for a, _, _ in forms), default=1)
+    nx = len(xs)
     # x_1 values per slab of the chart with n free axes
     steps = {n: max(1, SLAB // (k * max(q ** (n - 1), amax * k)))
              for n in range(1, b + 1)}
-    inner = None  # power matrix over all of F_q
-    if forms and (b > 1 or steps.get(1, 0) >= q):
+    inner = outer = None  # power matrices over all of F_q and at xs
+    if forms and b > 1:
         inner = _power_matrix(spec, amax, np.arange(q))
+    if forms and (b > 1 or steps.get(1, 0) >= nx):
+        outer = inner if nx == q and inner is not None else \
+            _power_matrix(spec, amax, xs)
     # a slab's cells, alive where every form so far vanishes; the first
     # form writes them
-    most = max((min(steps[n], q) * q ** (n - 1) for n in steps), default=0)
+    most = max((min(steps[n], nx) * q ** (n - 1) for n in steps), default=0)
     alive = np.empty(most, dtype=bool)
     if forms and b > 0:
         # a slab's product, its floor, its digit and its form zero tests
         dt = spec._dtype(amax * k, "zero set")
         bufs = tuple(np.empty(k * most, d) for d in (dt, dt, bool, bool))
-    rows, found = [], 0
     for lead in chart_leads(b):
         n = b - lead
         if n == 0:
             zero = not any(_chart_tensor(spec, expo, digits, lead, a).any()
                            for a, expo, digits in forms)
-            hits = [np.zeros(int(zero), dtype=np.int64)]
-            found += int(zero)
-        else:
-            grid, step = q ** (n - 1), steps[n]
-            ts = [None] * len(forms)  # (a*k, grid), contracted on first use
-            hits = []  # grid indices of the chart's points, slab by slab
-            for x0 in range(0, q, step):
-                x1 = min(x0 + step, q)
-                cells = alive[:(x1 - x0) * grid].reshape(x1 - x0, grid)
-                if not forms:
-                    cells.fill(True)
-                for i, (a, expo, digits) in enumerate(forms):
-                    # w: (digit, x_1, exponent and digit) powers at x0..x1
-                    if i == 0 and inner is None:
-                        w = _power_matrix(spec, amax, np.arange(x0, x1))
-                        w = w.reshape(amax * k, k, x1 - x0).transpose(1, 2, 0)
-                    elif i == 0:
-                        w = inner.reshape(amax * k, k, q)[:, :, x0:x1]
-                        w = w.transpose(1, 2, 0)
-                    elif not cells.any():
-                        break
-                    if ts[i] is None:
-                        ts[i] = _inner_contraction(
-                            spec, _chart_tensor(spec, expo, digits, lead, a),
-                            inner, a)
-                    live = slice(None)
-                    if i > 0 and cells.size * k >= SLAB // 4:
-                        # below this size the gather costs more than it saves
-                        live = np.flatnonzero(cells.any(axis=0))
-                    t = ts[i][:, live]
-                    shape = (k, x1 - x0, t.shape[1])
-                    size = math.prod(shape)
-                    vals, fl, eq, mask = (buf[:size].reshape(shape)
-                                          for buf in bufs)
-                    np.matmul(w[..., :a * k], t, out=vals)
-                    if i == 0:
-                        _zero_mask(vals, p, fl, eq, cells)
-                    else:
-                        cells[:, live] &= _zero_mask(vals, p, fl, eq, mask[0])
-                hits.append(np.flatnonzero(cells) + x0 * grid)
-                found += len(hits[-1])
-                if limit is not None and found >= limit:
+            yield lead, 0, np.full((1, 1), zero)
+            continue
+        grid, step = q ** (n - 1), steps[n]
+        ts = [None] * len(forms)  # (a*k, grid), contracted on first use
+        for x0 in range(0, nx, step):
+            x1 = min(x0 + step, nx)
+            cells = alive[:(x1 - x0) * grid].reshape(x1 - x0, grid)
+            if not forms:
+                cells.fill(True)
+            for i, (a, expo, digits) in enumerate(forms):
+                # w: (digit, x_1, exponent and digit) powers at xs[x0:x1]
+                if i == 0 and outer is None:
+                    w = _power_matrix(spec, amax, xs[x0:x1])
+                    w = w.reshape(amax * k, k, x1 - x0).transpose(1, 2, 0)
+                elif i == 0:
+                    w = outer.reshape(amax * k, k, nx)[:, :, x0:x1]
+                    w = w.transpose(1, 2, 0)
+                elif not cells.any():
                     break
-        rows.append(chart_rows(q, b, lead, np.concatenate(hits)))
+                if ts[i] is None:
+                    ts[i] = _inner_contraction(
+                        spec, _chart_tensor(spec, expo, digits, lead, a),
+                        inner, a)
+                live = slice(None)
+                if i > 0 and cells.size * k >= SLAB // 4:
+                    # below this size the gather costs more than it saves
+                    live = np.flatnonzero(cells.any(axis=0))
+                t = ts[i][:, live]
+                shape = (k, x1 - x0, t.shape[1])
+                size = math.prod(shape)
+                vals, fl, eq, mask = (buf[:size].reshape(shape)
+                                      for buf in bufs)
+                np.matmul(w[..., :a * k], t, out=vals)
+                if i == 0:
+                    _zero_mask(vals, p, fl, eq, cells)
+                else:
+                    cells[:, live] &= _zero_mask(vals, p, fl, eq, mask[0])
+            yield lead, x0, cells
+
+
+def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
+                   limit: int | None = None) -> np.ndarray:
+    """Encodings of the rational points, canonical order, shape (N, b+1).
+
+    With a `limit` the result is `fq_point_array(var)[:limit]`, and the
+    work stops once the canonical prefix holds that many points.
+
+    The zero sets come from `_zero_cells` walking every x_1 in F_q in
+    order; only the grid indices of each slab's points are kept, and once
+    the points found so far, across charts, reach `limit`, the rest of
+    the chart and the later charts are skipped.
+    """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0, got %d" % limit)
+    q, b = var.spec.order, var.b
+    hits, found = {}, 0  # lead -> grid indices of its chart's points
+    for lead, x0, cells in _zero_cells(var, cap, np.arange(q)):
+        hits.setdefault(lead, []).append(
+            np.flatnonzero(cells) + x0 * cells.shape[1])
+        found += len(hits[lead][-1])
         if limit is not None and found >= limit:
             break
-    return np.concatenate(rows)[:limit]
+    return np.concatenate([chart_rows(q, b, lead, np.concatenate(idx))
+                           for lead, idx in hits.items()])[:limit]
+
+
+def _weighted_count(var: VarietySpec, cap: int, xs: np.ndarray,
+                    sizes: np.ndarray) -> int:
+    """Points of `var` if x_1 = xs[i] stands for sizes[i] values of x_1."""
+    total = 0
+    for lead, x0, cells in _zero_cells(var, cap, xs):
+        if lead == var.b:  # the one point x_b = 1
+            total += int(cells[0, 0])
+        else:
+            total += int(np.count_nonzero(cells, axis=1)
+                         @ sizes[x0:x0 + len(cells)])
+    return total
 
 
 def count_points(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> int:
-    return len(fq_point_array(var, cap=cap))
+    """len(fq_point_array(var, cap)), without building the rows."""
+    q = var.spec.order
+    return _weighted_count(var, cap, np.arange(q), np.ones(q, dtype=np.int64))
 
 
 def extend_form(f: HomPoly, ext: FieldSpec) -> HomPoly:
@@ -247,16 +280,52 @@ def extend_form(f: HomPoly, ext: FieldSpec) -> HomPoly:
     return HomPoly(ext, f.b, f.m, tuple(int(table[c]) for c in f.coeffs))
 
 
+def _frobenius_orbits(ext: FieldSpec, q: int) -> tuple:
+    """(representatives, sizes) of the orbits of x -> x^q on ext = F_{q^e}.
+
+    With g the primitive element of the log tables, g^i -> g^(iq), so the
+    orbit of g^i is {g^(i q^j mod (Q-1))}, Q = q^e; its representative is
+    its element of least log, and 0 is an orbit of its own.  Every size
+    divides e, and the size-1 orbits are F_q.  Representatives ascend.
+    """
+    _, log = ext.log_tables()
+    n = ext.order - 1
+    logs = log[1:]  # of the encodings 1..Q-1
+    least, t = logs, q % n
+    while t != 1:
+        least = np.minimum(least, logs * t % n)
+        t = t * q % n
+    rep = least == logs
+    sizes = np.bincount(least, minlength=n)[logs[rep]]
+    return (np.concatenate([[0], np.flatnonzero(rep) + 1]),
+            np.concatenate([[1], sizes]))
+
+
 def count_points_ext(var: VarietySpec, ext_degree: int,
                      cap: int = DEFAULT_POINT_BUDGET) -> int:
-    """Rational point count over the extension of the given degree."""
+    """Rational point count over the extension of the given degree.
+
+    The count walks one x_1 per Frobenius orbit (`_frobenius_orbits`),
+    weighted by the orbit's size.  Lemma: in each chart, the zeros of the
+    lift with x_1 = alpha and those with x_1 = alpha^q are equinumerous.
+    Proof: sigma(x) = x^q is a field automorphism of F_{q^e} that fixes
+    F_q.  It fixes 0 and 1, so applied coordinatewise it maps the chart
+    {x_0..x_{L-1} = 0, x_L = 1} onto itself, bijectively (sigma^e = 1),
+    sending x_1 = alpha to x_1 = alpha^q.  The forms have coefficients in
+    F_q, so f(sigma(x)) = sigma(f(x)), which is 0 iff f(x) is.  Hence the
+    slice at any alpha holds as many zeros as the slice at the orbit's
+    representative, and the count is the sum over orbits of |orbit| times
+    the zeros at its representative: (Q+q)/2 of the Q = q^2 values of x_1
+    for e = 2.
+    """
     if ext_degree < 1:
         raise ValueError("extension degree must be >= 1")
     if ext_degree == 1:
         return count_points(var, cap=cap)
     ext = make_field(var.spec.p, var.spec.k * ext_degree)
     lifted = VarietySpec(ext, var.b, tuple(extend_form(f, ext) for f in var.forms))
-    return count_points(lifted, cap=cap)
+    orbits = _frobenius_orbits(ext, var.spec.order)
+    return _weighted_count(lifted, cap, *orbits)
 
 
 @dataclass
@@ -297,6 +366,7 @@ def dimension_probe(counts: dict, q: int) -> DimensionProbe:
 # certified builder
 
 PROBE_EXTENSION = 2   # besides F_q itself, count over F_{q^2} when it fits
+                      # the field order cap and the point budget
 
 
 @dataclass
@@ -380,8 +450,9 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
     # all rows empty: no s points are ever dependent, by interpolation
     by_theorem = z_rep is None or all(row["kind"] == "empty"
                                       for row in z_rep.rows)
-    probe_ext = projective_count(spec.order**PROBE_EXTENSION,
-                                 cfg.b) <= cfg.point_cap
+    ext_order = spec.order**PROBE_EXTENSION
+    probe_ext = (ext_order <= DEFAULT_ORDER_CAP
+                 and projective_count(ext_order, cfg.b) <= cfg.point_cap)
 
     tally = {"count": 0, "swise": 0, "probe": 0}
     last = None

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kstfree.gf
+import kstfree.projgeom
 import kstfree.variety
 from kstfree.acceptance import ConcentrationReport, concentration_study
 from kstfree.gf import field_for_order, is_prime, make_field
@@ -157,6 +158,43 @@ def test_zero_set_on_a_wide_field_builds_slabs_only():
     assert pts.tolist() == [list(pt.coords) for pt in brute_points(var)]
     assert 1 <= len(pts) <= 3
     assert max(sizes) <= kstfree.variety.SLAB
+
+
+def test_extension_count_on_a_wide_field_builds_slabs_only():
+    # P^1 over GF(2^16) from GF(2^8): the 32,896 orbit representatives do
+    # not fit one slab either, so each slab builds its own powers
+    base, ext = make_field(2, 8), make_field(2, 16)
+    var = VarietySpec(base, 1, (random_hom(base, 1, 3, SeededRng(8)),))
+    lifted = VarietySpec(ext, 1, (extend_form(var.forms[0], ext),))
+    real = kstfree.variety._power_matrix
+    sizes = []
+
+    def spy(*args):
+        out = real(*args)
+        sizes.append(out.size)
+        return out
+
+    with mock.patch.object(kstfree.variety, "_power_matrix", spy):
+        got = count_points_ext(var, 2)
+    assert got == len(fq_point_array(lifted))
+    assert len(sizes) > 1
+    assert max(sizes) <= kstfree.variety.SLAB
+
+
+def test_counts_build_no_rows():
+    spec = make_field(3, 1)
+    rng = SeededRng(31)
+    var = VarietySpec(spec, 3, tuple(random_hom(spec, 3, 2, rng)
+                                     for _ in range(2)))
+    want = {e: len(fq_point_array(VarietySpec(
+        make_field(3, e), 3, tuple(extend_form(f, make_field(3, e))
+                                   for f in var.forms)))) for e in (1, 2)}
+    with mock.patch.object(kstfree.variety, "chart_rows",
+                           side_effect=AssertionError("rows built")), \
+            mock.patch.object(kstfree.projgeom, "chart_rows",
+                              side_effect=AssertionError("rows built")):
+        assert count_points(var) == want[1]
+        assert count_points_ext(var, 2) == want[2]
 
 
 LIMIT_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (5, 2)]
@@ -382,6 +420,52 @@ def test_extension_count_matches_manual_lift():
     assert manual.coeffs == lifted.forms[0].coeffs
 
 
+@pytest.mark.parametrize("p, k, e", [(2, 1, 2), (2, 1, 3), (3, 1, 2),
+                                     (2, 2, 2), (2, 2, 3), (3, 2, 2),
+                                     (2, 3, 2), (11, 1, 2)])
+def test_frobenius_orbits_partition_the_extension(p, k, e):
+    base, ext = make_field(p, k), make_field(p, k * e)
+    q, big = base.order, ext.order
+    reps, sizes = kstfree.variety._frobenius_orbits(ext, q)
+    assert all(e % int(n) == 0 for n in sizes)
+    assert int(sizes.sum()) == big
+    assert sorted(reps[sizes == 1].tolist()) == \
+        sorted(base.embed_table(ext).tolist())
+    # the orbits {x^(q^j)} of the representatives are disjoint and cover
+    seen = set()
+    for x, n in zip(reps.tolist(), sizes.tolist()):
+        orbit = {ext.pow(x, q**j) for j in range(e)}
+        assert len(orbit) == n and not orbit & seen
+        seen |= orbit
+    assert seen == set(range(big))
+
+
+def orbit_count_cases():
+    # prime and non-prime base fields, |P^b(F_{q^e})| <= 300k
+    cases = []
+    for q in (2, 3, 4, 5, 8, 9):
+        for e in (2, 3):
+            for b in (1, 2, 3):
+                if projective_count(q**e, b) > 300_000:
+                    continue
+                cases += [(q, e, b, m, nforms) for m in (1, 2, 3)
+                          for nforms in (1, 2)]
+    return cases
+
+
+def test_orbit_weighted_counts_match_the_full_enumeration():
+    for q, e, b, m, nforms in orbit_count_cases():
+        spec = field_for_order(q)
+        ext = make_field(spec.p, spec.k * e)
+        rng = SeededRng(1000 * q + 100 * e + 10 * b + m)
+        var = VarietySpec(spec, b, tuple(random_hom(spec, b, m, rng)
+                                         for _ in range(nforms)))
+        lifted = VarietySpec(ext, b, tuple(extend_form(f, ext)
+                                           for f in var.forms))
+        assert count_points_ext(var, e) == len(fq_point_array(lifted)), \
+            (q, e, b, m, nforms)
+
+
 def test_variety_json_roundtrip():
     spec = make_field(3, 2)
     rng = SeededRng(99)
@@ -445,6 +529,17 @@ def test_builder_probe_counts_only_what_fits():
     res = build_independent_variety(spec, cfg, SeededRng(5))
     assert res.probe is not None
     assert list(res.probe.counts) == [1]  # only the base field fit the cap
+
+
+def test_builder_probe_keeps_to_the_field_order_cap():
+    # |P^1(F_{1031^2})| fits the point budget, but F_{1031^2} is over the
+    # field order cap, so only the base field is counted
+    res = build_independent_variety(
+        field_for_order(1031), BuildConfig(b=1, num_forms=1, degree=2, s=1),
+        SeededRng(1))
+    assert projective_count(1031**2, 1) <= BuildConfig(1, 1, 2, 1).point_cap
+    assert res.certified
+    assert list(res.probe.counts) == [1]
 
 
 def test_builder_certifies_by_interpolation(monkeypatch):
