@@ -429,32 +429,29 @@ class FieldSpec:
 
         Deterministic choice: the image of the basis root is the root of this
         field's modulus with the smallest encoding in ext.  For k == 1 the
-        embedding is the constant one.
+        embedding is the constant one.  The roots lie in the subfield of
+        order q = p^k, whose nonzero elements are g^(j (Q-1)/(q-1)) for g
+        ext's primitive element and Q its order, so only those q - 1
+        candidates are evaluated, at once, by Horner's rule on the bulk
+        path.  The embedding is GF(p)-linear, so the table is each element's
+        digits times the digits of the root's powers.
         """
         if ext.p != self.p or ext.k % self.k != 0:
             raise ValueError("no embedding of %r into %r" % (self, ext))
         if self.k == 1:
             return np.arange(self.p, dtype=np.int64)
-        root = None
-        for cand in range(ext.order):
-            acc = 0
-            for c in reversed(self.modulus):
-                acc = ext.add(ext.mul(acc, cand), c % ext.p)
-            if acc == 0:
-                root = cand
-                break
-        if root is None:
-            raise RuntimeError("modulus has no root in %r" % ext)
-        table = np.zeros(self.order, dtype=np.int64)
-        powers = [1]
+        exp, _ = ext.log_tables()
+        cand = ext.dec_array(exp[:-1:(ext.order - 1) // (self.order - 1)])
+        acc = np.zeros_like(cand)
+        for c in reversed(self.modulus):
+            acc = ext.arr_mul(acc, cand)
+            acc[:, 0] = (acc[:, 0] + c) % self.p
+        root = ext.dec_array(ext.enc_array(cand[~acc.any(axis=1)]).min())
+        powers = [ext.dec_array(np.int64(1))]
         for _ in range(self.k - 1):
-            powers.append(ext.mul(powers[-1], root))
-        for e in range(self.order):
-            acc = 0
-            for c, z in zip(self.decode(e), powers):
-                acc = ext.add(acc, ext.mul(c, z))
-            table[e] = acc
-        return table
+            powers.append(ext.arr_mul(powers[-1], root))
+        digits = self.dec_array(np.arange(self.order, dtype=np.int64))
+        return ext.enc_array(digits @ np.stack(powers) % self.p)
 
 
 def elem_str(spec: FieldSpec, enc: int) -> str:

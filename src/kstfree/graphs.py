@@ -36,7 +36,8 @@ from .util import (
     iroot,
     parse_frac,
 )
-from .variety import BuildConfig, VarietySpec, build_independent_variety, fq_point_array
+from .variety import (BuildConfig, VarietySpec, build_independent_variety,
+                      fq_point_array, slice_points)
 
 
 class CertificationError(RuntimeError):
@@ -424,7 +425,9 @@ def _exhaustive_max(rows: np.ndarray, s: int):
     product: the first maximum of the strict upper triangle of their
     Gram matrix.  Entries are counts of at most n_opposite, exact in
     float64.  Ties keep the earlier subset, so the answer is the first
-    maximum in itertools.combinations order.
+    maximum in itertools.combinations order.  Masking the diagonal alone
+    finds it: the Gram matrix is symmetric, so a maximum at (i, j), j < i,
+    has its equal (j, i) earlier in row-major order.
     """
     if s == 1:
         sums = np.count_nonzero(rows, axis=1)
@@ -436,7 +439,7 @@ def _exhaustive_max(rows: np.ndarray, s: int):
         start = prefix[-1] + 1 if prefix else 0
         x = (rows[start:] & _common(rows, prefix)).astype(np.float64)
         gram = x @ x.T
-        gram[np.tril_indices(len(x))] = -1
+        np.fill_diagonal(gram, -1)
         u, v = divmod(int(gram.argmax()), len(x))
         size = int(gram[u, v])
         if size > best:
@@ -709,10 +712,10 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
 
     Stream 0 builds the variety W, streams 1 and 2 draw the left and
     right cutting forms H and H', stream 3 the adjacency form.  Each side
-    is a slice of W, the points of W where its cutting forms vanish: the
-    zero set of W's forms plus H (or H'), truncated to its initial
-    segment (canonical point order) of floor(c * q^s) vertices; the
-    zero set is computed only that far (`fq_point_array`'s limit).
+    is a slice of W, the points of W where its cutting forms vanish,
+    truncated to its initial segment (canonical point order) of
+    floor(c * q^s) vertices: W's points, which the builder enumerated,
+    cut only that far (`variety.slice_points`), so no side walks P^b.
     """
     if plan.kind != "turan" or plan.mode != "desk":
         raise ValueError("need a desk-mode turan plan")
@@ -737,11 +740,10 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     rng_hp = base.derive(STREAM_RIGHT_CUT)
     hs = tuple(random_hom(spec, plan.b, d, rng_h) for d in plan.delta)
     hps = tuple(random_hom(spec, plan.b, d, rng_hp) for d in plan.delta)
-    w = built.variety.forms
-    left_enc = fq_point_array(VarietySpec(spec, plan.b, w + hs),
-                              cap=point_cap, limit=n_target)
-    right_enc = fq_point_array(VarietySpec(spec, plan.b, w + hps),
-                               cap=point_cap, limit=n_target)
+    left_enc = slice_points(VarietySpec(spec, plan.b, hs), built.points,
+                            n_target)
+    right_enc = slice_points(VarietySpec(spec, plan.b, hps), built.points,
+                             n_target)
     sides_full = len(left_enc) == n_target and len(right_enc) == n_target
     if len(left_enc) == 0 or len(right_enc) == 0:
         raise CertificationError("a side came out empty")

@@ -2,7 +2,9 @@
 
 A variety here is the common projective zero set of a handful of
 homogeneous forms, and a slice of one by further forms is the zero set
-of both lists, so `fq_point_array` alone decides where forms vanish.
+of both lists.  The forms' chart tensors decide where forms vanish,
+walked over the grid of every chart of P^b (`fq_point_array`, the
+counts) or read at a known zero set's points (`slice_points`).
 Everything is exhaustive over the finite field, so the point cap is
 load-bearing: a zero set costs a few float passes per form over the
 grid of every chart of P^b, in any field, and the builder's F_{q^2}
@@ -120,6 +122,21 @@ def _inner_contraction(spec: FieldSpec, t: np.ndarray, inner: np.ndarray,
     return t.reshape(a * k, q ** (n - 1))
 
 
+def _form_terms(var: VarietySpec) -> list:
+    """(a = min(m+1, q), nonzero terms' exponents, their digits) per form;
+    refuses sums that no float holds (`FieldSpec._dtype`) before work."""
+    spec, k, q = var.spec, var.spec.k, var.spec.order
+    forms = []
+    for f in var.forms:
+        a = min(f.m + 1, q)
+        spec._dtype(a * k, "degree-%d zero set" % f.m)
+        coeffs = np.array(f.coeffs, dtype=np.int64)
+        on = coeffs != 0
+        expo = multiindex_table(var.b, f.m)[on]
+        forms.append((a, expo, spec.dec_array(coeffs[on])))
+    return forms
+
+
 def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
     """Yield (lead, i, cells) per slab: where the forms vanish, chart by chart.
 
@@ -157,14 +174,7 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
     spec, b = var.spec, var.b
     p, k, q = spec.p, spec.k, spec.order
     checked_count(q, b, cap)
-    forms = []
-    for f in var.forms:
-        a = min(f.m + 1, q)
-        spec._dtype(a * k, "degree-%d zero set" % f.m)  # refuses early
-        coeffs = np.array(f.coeffs, dtype=np.int64)
-        on = coeffs != 0
-        expo = multiindex_table(b, f.m)[on]
-        forms.append((a, expo, spec.dec_array(coeffs[on])))
+    forms = _form_terms(var)
     amax = max((a for a, _, _ in forms), default=1)
     nx = len(xs)
     # x_1 values per slab of the chart with n free axes
@@ -229,30 +239,75 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
             yield lead, x0, cells
 
 
-def fq_point_array(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET,
-                   limit: int | None = None) -> np.ndarray:
+def fq_point_array(var: VarietySpec,
+                   cap: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
     """Encodings of the rational points, canonical order, shape (N, b+1).
 
-    With a `limit` the result is `fq_point_array(var)[:limit]`, and the
-    work stops once the canonical prefix holds that many points.
-
     The zero sets come from `_zero_cells` walking every x_1 in F_q in
-    order; only the grid indices of each slab's points are kept, and once
-    the points found so far, across charts, reach `limit`, the rest of
-    the chart and the later charts are skipped.
+    order; only the grid indices of each slab's points are kept.
     """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be >= 0, got %d" % limit)
     q, b = var.spec.order, var.b
-    hits, found = {}, 0  # lead -> grid indices of its chart's points
+    hits = {}  # lead -> grid indices of its chart's points
     for lead, x0, cells in _zero_cells(var, cap, np.arange(q)):
         hits.setdefault(lead, []).append(
             np.flatnonzero(cells) + x0 * cells.shape[1])
-        found += len(hits[lead][-1])
-        if limit is not None and found >= limit:
-            break
     return np.concatenate([chart_rows(q, b, lead, np.concatenate(idx))
-                           for lead, idx in hits.items()])[:limit]
+                           for lead, idx in hits.items()])
+
+
+def slice_points(var: VarietySpec, points: np.ndarray,
+                 limit: int | None = None) -> np.ndarray:
+    """points[every form of var vanishes][:limit], for distinct points in
+    canonical order, such as a built variety's.
+
+    Canonical order is lexicographic, so column L is sorted on the rows
+    with x_0..x_{L-1} = 0, and chart L is its run of 1s.  With T a form's
+    chart tensor, inner axes contracted over F_q as in `_zero_cells`, and
+    P the power matrix over F_q (b = 1: at the slab's x_1), digit j of the
+    form at x_1 and grid index g of x_2..x_n is sum_r P[r, j, x_1] T[r, g]
+    mod p: a*k products.  Chart b reads the tensor's constant.  Later
+    forms run only at survivors; a chart's slabs double from 1/32 of
+    SLAB products, and none starts once `limit` points survive.
+    """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0, got %d" % limit)
+    spec, b = var.spec, var.b
+    p, k, q = spec.p, spec.k, spec.order
+    forms = _form_terms(var)
+    amax = max((a for a, _, _ in forms), default=1)
+    inner = _power_matrix(spec, amax, np.arange(q)) if b > 1 else None
+    runs, stop = {}, len(points)  # lead -> (first row, end)
+    for lead in range(b):
+        start = int(np.searchsorted(points[:stop, lead], 1))
+        runs[lead], stop = (start, stop), start
+    point = not any(_chart_tensor(spec, expo, digits, b, a).any()
+                    for a, expo, digits in forms)
+    kept = [np.arange(stop if point else 0)]  # chart b: at most one row
+    found, most = len(kept[0]), max(1, SLAB // (amax * k * k))
+    for lead in chart_leads(b)[1:]:
+        (r0, stop), size = runs[lead], max(1, most >> 5)
+        ts = [None] * len(forms)  # a chart tensor per form, on first use
+        while r0 < stop and (limit is None or found < limit):
+            r1 = min(r0 + size, stop)
+            live, size = np.arange(r0, r1), min(2 * size, most)
+            x1 = points[r0:r1, lead + 1]
+            grid = points[r0:r1, lead + 2:] @ q ** np.arange(b - lead - 1)[::-1]
+            for i, (a, expo, digits) in enumerate(forms):
+                if ts[i] is None:
+                    ts[i] = _inner_contraction(
+                        spec, _chart_tensor(spec, expo, digits, lead, a),
+                        inner, a)
+                if inner is None:  # b = 1: the powers at these x_1
+                    w = _power_matrix(spec, a, x1).reshape(a * k, k, -1)
+                else:
+                    w = inner.reshape(amax * k, k, q)[:a * k, :, x1]
+                ok = ~_mod(np.einsum("ejr,er->jr", w, ts[i][:, grid]),
+                           p).any(axis=0)
+                live, x1, grid = live[ok], x1[ok], grid[ok]
+            kept.append(live)
+            found += len(live)
+            r0 = r1
+    return points[np.concatenate(kept)][:limit]
 
 
 def _weighted_count(var: VarietySpec, cap: int, xs: np.ndarray,
@@ -262,9 +317,12 @@ def _weighted_count(var: VarietySpec, cap: int, xs: np.ndarray,
     for lead, x0, cells in _zero_cells(var, cap, xs):
         if lead == var.b:  # the one point x_b = 1
             total += int(cells[0, 0])
-        else:
+        elif cells.shape[1] < 1024:  # many short rows: one row-wise count
             total += int(np.count_nonzero(cells, axis=1)
                          @ sizes[x0:x0 + len(cells)])
+        else:  # a flat count per long row takes a fraction of the time
+            total += sum(int(np.count_nonzero(row)) * int(n)
+                         for row, n in zip(cells, sizes[x0:]))
     return total
 
 
@@ -274,10 +332,13 @@ def count_points(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> int:
     return _weighted_count(var, cap, np.arange(q), np.ones(q, dtype=np.int64))
 
 
-def extend_form(f: HomPoly, ext: FieldSpec) -> HomPoly:
-    """The same form with coefficients pushed through the field embedding."""
-    table = f.spec.embed_table(ext)
-    return HomPoly(ext, f.b, f.m, tuple(int(table[c]) for c in f.coeffs))
+def extend_variety(var: VarietySpec, ext: FieldSpec) -> VarietySpec:
+    """The same forms with coefficients pushed through the field embedding,
+    whose table is built once for all of them."""
+    table = var.spec.embed_table(ext)
+    return VarietySpec(ext, var.b, tuple(
+        HomPoly(ext, f.b, f.m, tuple(int(table[c]) for c in f.coeffs))
+        for f in var.forms))
 
 
 def _frobenius_orbits(ext: FieldSpec, q: int) -> tuple:
@@ -323,9 +384,8 @@ def count_points_ext(var: VarietySpec, ext_degree: int,
     if ext_degree == 1:
         return count_points(var, cap=cap)
     ext = make_field(var.spec.p, var.spec.k * ext_degree)
-    lifted = VarietySpec(ext, var.b, tuple(extend_form(f, ext) for f in var.forms))
     orbits = _frobenius_orbits(ext, var.spec.order)
-    return _weighted_count(lifted, cap, *orbits)
+    return _weighted_count(extend_variety(var, ext), cap, *orbits)
 
 
 @dataclass

@@ -2,6 +2,9 @@
 
 Nothing in `src/kstfree` needs these, so they live beside the tests.
 """
+import numpy as np
+
+from kstfree.gf import FieldSpec
 from kstfree.graphs import KstVerdict, SidedGraph, _common, _side_adj
 from kstfree.polyrand import BiHomPoly
 from kstfree.projgeom import enumerate_multiindices, monomial_eval
@@ -23,6 +26,33 @@ def evaluate_bi(g: BiHomPoly, v, w) -> int:
                 inner = spec.add(inner, spec.mul(c, monomial_eval(w, beta)))
         acc = spec.add(acc, spec.mul(xa, inner))
     return acc
+
+
+def embed_table_scalar(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
+    """`FieldSpec.embed_table` by scalar search: the first element of ext,
+    in encoding order, where Horner's rule zeroes base's modulus is the
+    image of the basis root, and each element is its digits times the
+    root's powers, one scalar product at a time."""
+    if base.k == 1:
+        return np.arange(base.p, dtype=np.int64)
+    root = None
+    for cand in range(ext.order):
+        acc = 0
+        for c in reversed(base.modulus):
+            acc = ext.add(ext.mul(acc, cand), c % ext.p)
+        if acc == 0:
+            root = cand
+            break
+    powers = [1]
+    for _ in range(base.k - 1):
+        powers.append(ext.mul(powers[-1], root))
+    table = np.zeros(base.order, dtype=np.int64)
+    for e in range(base.order):
+        acc = 0
+        for c, z in zip(base.decode(e), powers):
+            acc = ext.add(acc, ext.mul(c, z))
+        table[e] = acc
+    return table
 
 
 def verify_witness(g: SidedGraph, verdict: KstVerdict) -> bool:

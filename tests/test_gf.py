@@ -22,6 +22,8 @@ from kstfree.gf import (
 from kstfree.util import floor_scaled_power, iroot
 from fractions import Fraction
 
+from references import embed_table_scalar
+
 
 def oracle_smallest_irreducible_quadratic(p):
     """Enumerate all p^2 monic quadratics in low-degree-first lex order,
@@ -301,6 +303,16 @@ def test_embedding_is_a_field_homomorphism(src, dst):
             assert t[base.add(a, b)] == ext.add(int(t[a]), int(t[b]))
             assert t[base.mul(a, b)] == ext.mul(int(t[a]), int(t[b]))
     assert len(set(int(x) for x in t)) == base.order  # injective
+
+
+@pytest.mark.parametrize("src,dst", [((2, 2), (2, 4)), ((2, 2), (2, 6)),
+                                     ((2, 3), (2, 6)), ((2, 4), (2, 8)),
+                                     ((3, 2), (3, 4)), ((5, 2), (5, 4)),
+                                     ((3, 1), (3, 3))])
+def test_embed_table_matches_the_scalar_search(src, dst):
+    base, ext = make_field(*src), make_field(*dst)
+    assert base.embed_table(ext).tolist() == \
+        embed_table_scalar(base, ext).tolist()
 
 
 def test_field_for_order():

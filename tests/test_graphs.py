@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kstfree.graphs
+import kstfree.variety
 from kstfree.acceptance import joint_uniformity_test
 from kstfree.gf import make_field
 from kstfree.independence import hilbert_rank
@@ -683,6 +684,24 @@ def test_turan_sides_are_slices_of_the_variety(q):
         kept = [point_to_str(pt) for pt in w
                 if all(evaluate(h, pt) == 0 for h in hs)]
         assert list(side) == kept[:n_target]
+
+
+@pytest.mark.parametrize("q, seed", [(7, 1), (11, 2)])
+def test_construct_turan_walks_p_b_once_per_builder_attempt(q, seed):
+    # the builder walks P^b for W once per attempt; each side is cut from
+    # W's points, so neither side walks P^b again
+    plan = plan_construction("turan", 2, m=3, r=1, Z=1, q=q)
+    real = kstfree.variety.fq_point_array
+    calls = []
+
+    def spy(var, *args, **kwargs):
+        calls.append(len(var.forms))
+        return real(var, *args, **kwargs)
+
+    with mock.patch.object(kstfree.variety, "fq_point_array", spy), \
+            mock.patch.object(kstfree.graphs, "fq_point_array", spy):
+        _, report = construct_turan(plan, seed)
+    assert calls == [plan.Z] * report.builder["attempts"]
 
 
 def test_construct_turan_deterministic():

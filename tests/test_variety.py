@@ -23,8 +23,9 @@ from kstfree.variety import (
     count_points,
     count_points_ext,
     dimension_probe,
-    extend_form,
+    extend_variety,
     fq_point_array,
+    slice_points,
     variety_to_json,
 )
 
@@ -165,7 +166,7 @@ def test_extension_count_on_a_wide_field_builds_slabs_only():
     # not fit one slab either, so each slab builds its own powers
     base, ext = make_field(2, 8), make_field(2, 16)
     var = VarietySpec(base, 1, (random_hom(base, 1, 3, SeededRng(8)),))
-    lifted = VarietySpec(ext, 1, (extend_form(var.forms[0], ext),))
+    lifted = extend_variety(var, ext)
     real = kstfree.variety._power_matrix
     sizes = []
 
@@ -186,9 +187,8 @@ def test_counts_build_no_rows():
     rng = SeededRng(31)
     var = VarietySpec(spec, 3, tuple(random_hom(spec, 3, 2, rng)
                                      for _ in range(2)))
-    want = {e: len(fq_point_array(VarietySpec(
-        make_field(3, e), 3, tuple(extend_form(f, make_field(3, e))
-                                   for f in var.forms)))) for e in (1, 2)}
+    want = {e: len(fq_point_array(extend_variety(var, make_field(3, e))))
+            for e in (1, 2)}
     with mock.patch.object(kstfree.variety, "chart_rows",
                            side_effect=AssertionError("rows built")), \
             mock.patch.object(kstfree.projgeom, "chart_rows",
@@ -202,47 +202,73 @@ LIMIT_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (5, 2)]
 
 @pytest.mark.parametrize("p, k", LIMIT_FIELDS)
 def test_limit_returns_the_canonical_prefix(p, k):
+    # a cut of W's points by one or two forms is the zero set of W's forms
+    # and the cut's, up to any limit
     spec = make_field(p, k)
     rng = SeededRng(1000 * p + k)
     for b in range(5):
-        for nforms in (1, 2, 3):
-            degrees = [1 + (b + i) % 3 for i in range(nforms)]
-            var = VarietySpec(spec, b, tuple(random_hom(spec, b, m, rng)
-                                             for m in degrees))
-            full = fq_point_array(var)
+        for nw, ncut in ((1, 1), (1, 2), (2, 1)):
+            w = tuple(random_hom(spec, b, 1 + (b + i) % 3, rng)
+                      for i in range(nw))
+            cut = tuple(random_hom(spec, b, 1 + (b + i + 1) % 3, rng)
+                        for i in range(ncut))
+            full = fq_point_array(VarietySpec(spec, b, w + cut))
             n = len(full)
-            # small slabs put the stop in the middle of a chart
-            slab = (1, 24, kstfree.variety.SLAB)[(b + nforms) % 3]
-            for limit in sorted({0, 1, n // 2, n, n + 3}):
+            # small slabs stop the cut in the middle of a chart
+            slab = (64, 1024, kstfree.variety.SLAB)[(b + nw + ncut) % 3]
+            for limit in sorted({0, 1, n // 2, n, n + 3}) + [None]:
                 with mock.patch.object(kstfree.variety, "SLAB", slab):
-                    pts = fq_point_array(var, limit=limit)
+                    pts = slice_points(VarietySpec(spec, b, cut),
+                                       fq_point_array(VarietySpec(spec, b, w)),
+                                       limit)
                 assert pts.dtype == np.int64
                 assert pts.shape == full[:limit].shape
                 assert (pts == full[:limit]).all()
 
 
+@pytest.mark.parametrize("q", [2, 5, 9])
+def test_cut_of_a_zero_set_with_empty_charts(q):
+    # W = {x_j = 0} has no point in chart j, where x_j = 1, and a second
+    # linear form can empty more charts.  Chart L's run must be found among
+    # the rows with x_0..x_{L-1} = 0, not from column L alone
+    spec = field_for_order(q)
+    b, rng = 3, SeededRng(q)
+    cut = VarietySpec(spec, b, (random_hom(spec, b, 2, rng),))
+    mis = enumerate_multiindices(b, 1)
+    for j in range(b + 1):
+        coeffs = [0] * len(mis)
+        coeffs[mis.index(tuple(int(i == j) for i in range(b + 1)))] = 1
+        hyperplane = HomPoly(spec, b, 1, tuple(coeffs))
+        for w in ((hyperplane,), (hyperplane, random_hom(spec, b, 1, rng))):
+            pts = fq_point_array(VarietySpec(spec, b, w))
+            want = fq_point_array(VarietySpec(spec, b, w + cut.forms))
+            assert (slice_points(cut, pts) == want).all()
+            assert len(slice_points(cut, pts)) == len(want)
+
+
 def test_limit_stops_the_last_chart_before_its_last_slab():
-    # q = 23, b = 4: chart 0 is walked in slabs x_1 in [0, 10), [10, 20),
-    # [20, 23); the other charts span F_q in one slab.  A quarter of the
-    # points lies in the first slab.
+    # q = 23, b = 4: W is one cubic, with about 23^3 points in chart 0,
+    # and the cut is one cubic; chart 0's slabs run 1,024, 2,048, 4,096
+    # and 8,192 rows, and a quarter of the cut lies in the first two
     spec = make_field(23, 1)
     rng = SeededRng(23)
-    var = VarietySpec(spec, 4, tuple(random_hom(spec, 4, 3, rng)
-                                     for _ in range(2)))
-    real = kstfree.variety._zero_mask
-    rows = []  # x_1 values of each zero test in chart 0, one per form
+    w = fq_point_array(VarietySpec(spec, 4, (random_hom(spec, 4, 3, rng),)))
+    cut = VarietySpec(spec, 4, (random_hom(spec, 4, 3, rng),))
+    chart0 = int(np.count_nonzero(w[:, 0]))
+    real = kstfree.variety._mod
+    rows = []  # rows of each zero test of the cut
 
-    def spy(t, p, scratch, eq, out):
-        if t.shape[1] < spec.order:
+    def spy(t, p):
+        if t.shape[0] == spec.k:
             rows.append(t.shape[1])
-        return real(t, p, scratch, eq, out)
+        return real(t, p)
 
-    with mock.patch.object(kstfree.variety, "_zero_mask", spy):
-        full = fq_point_array(var)
-        assert rows == [10, 10, 10, 10, 3, 3]
+    with mock.patch.object(kstfree.variety, "_mod", spy):
+        full = slice_points(cut, w)
+        assert sum(rows[-4:]) == chart0 > 1024 + 2048 + 4096
         rows.clear()
-        pts = fq_point_array(var, limit=23 * 23 // 4)
-        assert rows == [10, 10]
+        pts = slice_points(cut, w, 23 * 23 // 4)
+        assert rows[-2:] == [1024, 2048]
     assert (pts == full[:132]).all()
 
 
@@ -260,8 +286,9 @@ def test_slab_slice_of_the_full_power_matrix_is_the_slab_power_matrix(q):
 
 def test_limit_refuses_negative_values():
     spec = make_field(5, 1)
+    var = VarietySpec(spec, 2, (conic(spec),))
     with pytest.raises(ValueError, match="limit"):
-        fq_point_array(VarietySpec(spec, 2, (conic(spec),)), limit=-1)
+        slice_points(var, fq_point_array(var), limit=-1)
 
 
 def test_zero_set_budget_is_checked_before_any_work():
@@ -269,9 +296,8 @@ def test_zero_set_budget_is_checked_before_any_work():
     var = VarietySpec(spec, 3, (random_hom(spec, 3, 3, SeededRng(8)),))
     with mock.patch.object(kstfree.variety, "_chart_tensor",
                            side_effect=AssertionError("work started")):
-        for limit in (None, 0, 5):
-            with pytest.raises(BudgetExceeded):
-                fq_point_array(var, cap=10**6, limit=limit)
+        with pytest.raises(BudgetExceeded):
+            fq_point_array(var, cap=10**6)
 
 
 def test_zero_set_refuses_inexact_sums():
@@ -413,7 +439,7 @@ def test_extension_count_matches_manual_lift():
     spec = make_field(3, 1)
     ext = make_field(3, 2)
     var = VarietySpec(spec, 2, (conic(spec),))
-    lifted = VarietySpec(ext, 2, (extend_form(conic(spec), ext),))
+    lifted = extend_variety(var, ext)
     assert count_points_ext(var, 2) == count_points(lifted) == 10
     # constants embed as constants
     manual = conic(ext)
@@ -460,10 +486,10 @@ def test_orbit_weighted_counts_match_the_full_enumeration():
         rng = SeededRng(1000 * q + 100 * e + 10 * b + m)
         var = VarietySpec(spec, b, tuple(random_hom(spec, b, m, rng)
                                          for _ in range(nforms)))
-        lifted = VarietySpec(ext, b, tuple(extend_form(f, ext)
-                                           for f in var.forms))
-        assert count_points_ext(var, e) == len(fq_point_array(lifted)), \
-            (q, e, b, m, nforms)
+        lifted = extend_variety(var, ext)
+        got = count_points_ext(var, e)
+        assert type(got) is int  # the report writer takes no numpy ints
+        assert got == len(fq_point_array(lifted)), (q, e, b, m, nforms)
 
 
 def test_variety_json_roundtrip():
