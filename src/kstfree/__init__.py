@@ -5,8 +5,8 @@ points and monomials (projgeom), seeded random forms (polyrand),
 dependence and rank diagnostics (independence), certified variety
 building (variety), graph pipelines and verdicts (graphs), and the CLI
 plus built-in check suite (cli, acceptance).  The lemma experiments
-that only the check suite runs (power-form rank, joint uniformity,
-slice concentration, strong witnesses, two-basis selection) live in
+that only the check suite runs (power-form rows, joint uniformity,
+slice moments, strong witnesses, two-basis selection) live in
 acceptance and are not exported here.
 """
 

@@ -11,8 +11,8 @@ yield); they are measured with a monotonic clock and included in the
 pass condition.
 
 The lemma experiments that only these checks run live here, each just
-above the check that reads it: power-form rank (check 3), joint
-uniformity of anchored specializations (check 4), slice concentration
+above the check that reads it: power-form rows (check 3), joint
+uniformity of anchored specializations (check 4), slice moments
 (check 5), and strong witnesses with the greedy and two-basis
 selections (check 9).  They call the pipeline's primitives but are not
 part of it, so `graphs`, `variety` and `independence` hold only what
@@ -50,7 +50,7 @@ from .independence import (
 )
 from .jsonio import read_doc, report_path_for
 from .linalg import is_scalar_multiple, left_kernel, rank, solve_coords
-from .polyrand import SeededRng, random_hom
+from .polyrand import HomPoly, SeededRng
 from .projgeom import ProjPoint, enumerate_multiindices, enumerate_projective
 from .util import BudgetExceeded, dec12, iroot
 from .variety import (
@@ -166,50 +166,62 @@ def check_interpolation_floor(seed: int):
     }
 
 
+def _power_scales(p: int, b: int, m: int) -> list:
+    """The multinomials m!/beta! mod p over the degree-m multiindex table."""
+    return [math.factorial(m) // math.prod(map(math.factorial, beta)) % p
+            for beta in enumerate_multiindices(b, m)]
+
+
 def power_rows(points, m: int):
     """Coefficient rows of the m-th powers of the attached linear forms.
 
     Valid only when the characteristic strictly exceeds m; otherwise some
-    multinomial coefficient vanishes mod p and the expansion misrepresents
-    the forms, so we refuse.
+    multinomial coefficient may vanish mod p and the expansion
+    misrepresents the forms, so we refuse.
     """
     spec, b = _common_spec(points)
     if spec.p <= m:
         raise ValueError(
             "power form needs characteristic > m (p = %d, m = %d)" % (spec.p, m)
         )
-    multinom = [math.factorial(m) // math.prod(map(math.factorial, beta))
-                % spec.p for beta in enumerate_multiindices(b, m)]
-    return [[spec.mul(mn, v) for mn, v in zip(multinom, row)]
+    scales = _power_scales(spec.p, b, m)
+    return [[spec.mul(d, v) for d, v in zip(scales, row)]
             for row in evaluation_rows(points, m)]
 
 
-def power_rank(points, m: int) -> int:
-    spec, _ = _common_spec(points)
-    return rank(power_rows(points, m), spec)
-
-
 def check_rank_agreement(seed: int):
-    """Monomial-evaluation rank equals power-form rank on 200 random point
-    sets per configuration: plane over F_7 and line over F_11, m in {2, 3}."""
-    rng = SeededRng(seed)
-    total = 0
-    mismatches = 0
+    """Evaluation rank equals power-form rank on every point set, p > m.
+
+    Theorem.  power_rows(S, m) = E_S.D, with E_S the evaluation rows of S
+    and D = diag(m!/beta! mod p) over the multiindex table.  For p > m,
+    m! has no factor p, so D has no zero entry, is invertible, and
+    rank(E_S.D) = rank(E_S) for every S.  Confirmed on the plane over F_7
+    and the line over F_11, m in {2, 3}: D has no zero entry and the
+    ranks agree on all points.  Negative control: F_2 at m = 2 has the
+    entry 2!/(1!.1!) = 0, and power_rows refuses it.  Nothing is drawn.
+    """
+    configs = []
     for b, q in ((2, 7), (1, 11)):
-        pts = enumerate_projective(field_for_order(q), b)
-        n = len(pts)
-        for m in (2, 3):
-            for _ in range(200):
-                size = 2 + rng.randbelow(7)
-                sub = [pts[i] for i in rng.sample_subset(n, size)]
-                total += 1
-                if hilbert_rank(sub, m) != power_rank(sub, m):
-                    mismatches += 1
-    ok = mismatches == 0 and total == 800
-    return ok, "%d sets, %d rank mismatches" % (total, mismatches), {
-        "total": total,
-        "mismatches": mismatches,
-    }
+        spec = field_for_order(q)
+        pts = enumerate_projective(spec, b)
+        configs += [(0 not in _power_scales(spec.p, b, m),
+                     hilbert_rank(pts, m) == rank(power_rows(pts, m), spec))
+                    for m in (2, 3)]
+    f2 = make_field(2)
+    control = 0 in _power_scales(2, 1, 2)
+    try:
+        power_rows([ProjPoint(f2, (1, 0)), ProjPoint(f2, (0, 1))], 2)
+        control = False
+    except ValueError:
+        pass
+    invertible = sum(d for d, _ in configs)
+    agree = sum(r for _, r in configs)
+    ok = len(configs) == invertible == agree == 4 and control
+    return ok, ("D invertible in %d of %d configurations, ranks agree in %d; "
+                "F_2 m=2 control refused %s" % (
+                    invertible, len(configs), agree, control)), {
+        "d_invertible": invertible, "ranks_agree": agree,
+        "control_refused": control}
 
 
 UNIFORMITY_EXHAUSTIVE_CAP = 1 << 20   # coefficient grids enumerated at most
@@ -319,69 +331,56 @@ def check_specialization_uniformity(seed: int):
     }
 
 
-@dataclass
-class ConcentrationReport:
-    trials: int
-    counts: list
-    mean: float
-    expected: Fraction        # |Y| / q^r
-    failures: int             # trials with 2 * count * q^r <= |Y|
-    failure_bound: Fraction   # 4 q^r / |Y|, capped at 1
-
-
-def concentration_study(var: VarietySpec, num_forms: int, degree: int,
-                        rng: SeededRng, trials: int) -> ConcentrationReport:
-    """Slice the zero set Y of var by random forms and watch the survivor count.
-
-    Each trial draws num_forms fresh degree-`degree` forms from the one
-    stream and counts the points of Y where all vanish, the zero set of
-    var's forms plus the cut.  A trial fails when the count drops to half
-    the expected |Y|/q^r or lower.
-    """
-    if trials < 1 or num_forms < 1:
-        raise ValueError("need trials >= 1 and num_forms >= 1")
-    size = count_points(var)
-    if size == 0:
-        raise ValueError("the sliced set Y has no points")
+def slice_moments(var: VarietySpec, degree: int):
+    """(|Y|, mean, variance) of the points of Y left by a cut f, Y the
+    zero set of var, as exact Fractions over all q^C(b+d, d) forms f of
+    degree d; more than UNIFORMITY_EXHAUSTIVE_CAP raise BudgetExceeded."""
     spec, b = var.spec, var.b
-    qr = spec.order**num_forms
-    counts = []
-    failures = 0
-    for _ in range(trials):
-        cut = tuple(random_hom(spec, b, degree, rng) for _ in range(num_forms))
-        cnt = count_points(VarietySpec(spec, b, var.forms + cut))
-        counts.append(cnt)
-        if 2 * cnt * qr <= size:
-            failures += 1
-    mean = sum(counts) / trials
-    return ConcentrationReport(
-        trials, counts, mean, Fraction(size, qr), failures,
-        min(Fraction(1), Fraction(4 * qr, size)),
-    )
+    ncoef = math.comb(b + degree, degree)
+    total = spec.order**ncoef
+    if total > UNIFORMITY_EXHAUSTIVE_CAP:
+        raise BudgetExceeded("q^C(b+d, d) = %d forms exceed exhaustive cap %d"
+                             % (total, UNIFORMITY_EXHAUSTIVE_CAP))
+    counts = [count_points(VarietySpec(
+        spec, b, var.forms + (HomPoly(spec, b, degree, coeffs),)))
+        for coeffs in itertools.product(range(spec.order), repeat=ncoef)]
+    mean = Fraction(sum(counts), total)
+    variance = Fraction(sum(c * c for c in counts), total) - mean * mean
+    return count_points(var), mean, variance
 
 
 def check_slice_concentration(seed: int):
-    """Cutting the 400 points of three-space over F_7 by one random quadric
-    concentrates: over 500 trials the mean survivor count sits within four
-    standard errors of 400/7 and at most 7% of trials drop to half the
-    expectation or below (the a-priori bound 4q/|Y| is exactly 0.07)."""
-    spec = field_for_order(7)
-    rep = concentration_study(VarietySpec(spec, 3, ()), 1, 2, SeededRng(seed),
-                              500)
-    counts = np.asarray(rep.counts, dtype=np.float64)
-    se = float(np.std(counts, ddof=1)) / math.sqrt(rep.trials)
-    deviation = abs(rep.mean - float(rep.expected))
-    mean_ok = deviation <= 4.0 * se
-    freq_ok = rep.failures * 100 <= 7 * rep.trials
-    ok = (mean_ok and freq_ok and rep.expected == Fraction(400, 7)
-          and rep.failure_bound == Fraction(7, 100))
-    return ok, "mean %.2f vs 400/7=%.2f (4se=%.2f), failures %d/%d" % (
-        rep.mean, float(rep.expected), 4 * se, rep.failures, rep.trials), {
-        "mean": dec12(rep.mean),
-        "expected": str(rep.expected),
-        "four_se": dec12(4 * se),
-        "failures": rep.failures,
-        "trials": rep.trials,
+    """A slice of Y by a random form holds about |Y|/q of its points.
+
+    Theorem.  For Y a set of distinct points and f a uniform form of
+    degree d >= 1, each f(x) is uniform (x's evaluation row is nonzero),
+    and for x != y the two rows are independent (check 2), so (f(x), f(y))
+    is uniform on F_q^2.  So the zeros in Y are pairwise independent
+    events of probability 1/q, and their count N has E N = |Y|/q and
+    Var N = |Y|(1/q)(1-1/q) exactly; by Chebyshev, P(N <= E N / 2) <=
+    4(q-1)/|Y| <= 4q/|Y|.  Each side of the construction is such a slice.
+
+    Confirmed on all 729 quadrics of the plane over F_3: mean 13/3 and
+    variance 26/9.  Negative control: at degree 0 pairs are dependent and
+    the variance, 338/9, misses the formula.  At three-space over F_7,
+    |Y| = 400 and the bound is 7/100.  Nothing is drawn.
+    """
+    plane = VarietySpec(field_for_order(3), 2, ())
+    size, mean, variance = slice_moments(plane, 2)
+    formula = Fraction(size * (3 - 1), 3 * 3)
+    control = slice_moments(plane, 0)[2]
+    points7 = count_points(VarietySpec(field_for_order(7), 3, ()))
+    bound = Fraction(4 * 7, points7)
+    ok = (size == 13 and mean == Fraction(size, 3) and variance == formula
+          and control != formula and bound == Fraction(7, 100))
+    return ok, ("%d quadrics on P^2(F_3): mean %s, variance %s (formula %s); "
+                "degree-0 control variance %s; P^3(F_7): |Y| = %d, "
+                "P(count <= mean/2) <= %s" % (
+                    3 ** math.comb(2 + 2, 2), mean, variance, formula,
+                    control, points7, bound)), {
+        "mean": str(mean), "variance": str(variance),
+        "control_variance": str(control), "points": points7,
+        "failure_bound": str(bound),
     }
 
 

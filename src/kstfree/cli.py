@@ -175,16 +175,21 @@ def cmd_verify(args) -> int:
     if graph.plan is None:
         raise ValueError("graph document carries no plan")
     plan = graph.plan
+    stored_path = report_path_for(args.graph)
+    stored = read_doc(stored_path) if os.path.exists(stored_path) else None
+    if stored is not None and not isinstance(stored, dict):
+        raise ValueError("%s is not a JSON object" % stored_path)
+    # the report's own budget, else (no report, or an older one) the default
+    budget = (stored or {}).get("subset_budget", DEFAULT_SUBSET_BUDGET)
+    if type(budget) is not int or budget < 0:
+        raise ValueError("%s: subset_budget = %r is not an integer >= 0"
+                         % (stored_path, budget))
     verdicts = judge_graph(graph, plan.s, plan.t_threshold, plan.orientation,
-                           budget=args.budget_subsets)
+                           budget=budget)
     fresh = verdicts.to_json()
     result = dict(fresh, graph=os.path.basename(args.graph), s=plan.s,
                   t=plan.t_threshold, orientation=plan.orientation)
-    stored_path = report_path_for(args.graph)
-    if os.path.exists(stored_path):
-        stored = read_doc(stored_path)
-        if not isinstance(stored, dict):
-            raise ValueError("%s is not a JSON object" % stored_path)
+    if stored is not None:
         fresh.update(n_edges=graph.num_edges, n_left=len(graph.left),
                      n_right=len(graph.right))
         # kst is compared even where the stored report lacks it, and last
@@ -307,7 +312,6 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("verify", help="re-run verdicts on a graph file")
     sp.add_argument("--graph", required=True)
-    _add_budget_flags(sp, points=False)
     sp.add_argument("--out")
 
     sp = subs.add_parser("indep", help="dependence diagnostics for points")

@@ -19,8 +19,10 @@ Two arithmetic paths exist and must agree bit for bit:
   while they stay within 2^24, float64 within 2^53, refused beyond; and
 * scalar ops on encodings through two O(q) tables per extension field,
   built lazily from the bulk path: antilogs and logs over the primitive
-  element with the smallest encoding.  Only scalar mul/inv/pow read
-  them; prime fields use plain residues.
+  element with the smallest encoding.  Scalar mul/inv/pow read them,
+  and so do `embed_table` (the subfield's nonzero elements are powers
+  of the primitive element) and `variety._frobenius_orbits` (x -> x^q
+  is multiplication of logs by q); prime fields use plain residues.
 
 The log tables change no encoding: every value they give is the one the
 bulk path gives.
@@ -319,7 +321,8 @@ class FieldSpec:
         With g the primitive element of smallest encoding and q the order:
         exp[i] = g^i for i < q-1 and exp[q-1] = 0; log inverts exp, so
         log[0] = q-1 is the zero sentinel and exp[log[a]] == a for every a.
-        Only the scalar mul, inv and pow read them.
+        The scalar mul, inv and pow read them, and so do `embed_table` and
+        `variety._frobenius_orbits`.
         """
         if self.k == 1:
             raise ValueError("log tables are for extension fields")

@@ -253,32 +253,40 @@ class ConstructionPlan:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConstructionPlan":
-        """Load a plan; refuse one that `to_json` would not write back as is."""
+        """Load a desk plan that `plan_construction` derives from its inputs
+        (kind, s, m, r, Z, T, q, c) exactly; else name the first key that
+        differs.  So that a small document cannot ask for a huge power,
+        delta must first have r entries, t_threshold the bits m^(s+Z) < t
+        needs, and a zarankiewicz width a the bits c * q^(T/s) < a+1 needs.
+        """
         doc = _json_typed("plan", doc, dict)
         _json_keys("plan", doc, (f.name for f in fields(cls)))
-        for key, allowed in (("kind", ("turan", "zarankiewicz")),
-                             ("mode", ("desk", "theorem"))):
-            if doc[key] not in allowed:
-                raise ValueError("plan.%s = %r is not one of %s"
-                                 % (key, doc[key], allowed))
-        ints = {key: _json_typed("plan." + key, doc[key])
-                for key in ("s", "m", "r", "b", "t_threshold")}
-        ints.update((key, _json_typed("plan." + key, doc[key], optional=True))
-                    for key in ("Z", "T", "q", "a"))
+        s, m, r = (_json_typed("plan." + key, doc[key])
+                   for key in ("s", "m", "r"))
+        Z, T, q = (_json_typed("plan." + key, doc[key], optional=True)
+                   for key in ("Z", "T", "q"))
+        c = parse_frac(doc["c"])
         delta = _json_typed("plan.delta", doc["delta"], list)
-        plan = cls(
-            kind=doc["kind"], **ints,
-            delta=tuple(_json_typed("plan.delta", d) for d in delta),
-            c=parse_frac(doc["c"]), mode=doc["mode"],
-            headline_log10=_json_typed("plan.headline_log10",
-                                       doc["headline_log10"], str,
-                                       optional=True),
-        )
+        if len(delta) != r:
+            raise ValueError("plan.delta has %d entries, not r = %d"
+                             % (len(delta), r))
+        t_bits = _json_typed("plan.t_threshold", doc["t_threshold"]).bit_length()
+        need = (s + (Z or 0)) * (m.bit_length() - 1)
+        if m >= 2 and t_bits < need:
+            raise ValueError("plan.t_threshold has %d bits, fewer than the %d "
+                             "that m^(s+Z) needs" % (t_bits, need))
+        if doc["kind"] == "zarankiewicz" and q is not None and T is not None:
+            a = _json_typed("plan.a", doc["a"])
+            room = s * ((a + 1).bit_length() + c.denominator.bit_length())
+            if T * (q.bit_length() - 1) >= room:
+                raise ValueError("plan.a = %d is too short for c * q^(T/s)"
+                                 % a)
+        plan = plan_construction(doc["kind"], s, c=c, m=m, r=r, Z=Z, T=T, q=q)
         # compare serialisations, not values: True == 1 and "2/4" -> 1/2
         for key, value in plan.to_json().items():
             if json.dumps(doc[key]) != json.dumps(value):
-                raise ValueError("plan.%s = %r would be written back as %r"
-                                 % (key, doc[key], value))
+                raise ValueError("plan.%s = %r is not %r, which its inputs "
+                                 "derive" % (key, doc[key], value))
         return plan
 
     @property
@@ -642,6 +650,7 @@ class TrialReport(Verdicts):
     t_threshold: int
     sides_full: bool
     builder: dict | None      # variety certification summary
+    subset_budget: int        # the budget the sides were searched at
 
     @property
     def passed(self) -> bool:
@@ -659,6 +668,7 @@ class TrialReport(Verdicts):
             "sides_full": self.sides_full,
             "builder": self.builder,
             "passed": self.passed,
+            "subset_budget": self.subset_budget,
         }
 
 
@@ -684,7 +694,7 @@ def _trial_report(graph: SidedGraph, plan: ConstructionPlan,
                     budget)
     return TrialReport(v.max_common, v.kst, v.density, graph.seed, plan.kind,
                        len(graph.left), len(graph.right), graph.num_edges,
-                       plan.t_threshold, sides_full, builder)
+                       plan.t_threshold, sides_full, builder, budget)
 
 
 def _refuse_oversized_forms(plan: ConstructionPlan, a: int,

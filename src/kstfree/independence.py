@@ -1,10 +1,10 @@
 """Dependence of point sets through degree-m evaluation ranks.
 
 A set of t projective points is m-dependent when the t x C(b+m, m)
-matrix of degree-m monomial values drops rank below t.  Minimality and
-s-wise certification are built on that one matrix; the exact rational
-bookkeeping (m_cap, phi_upper_bound, z_condition) is what the
-construction plans consume.
+matrix of degree-m monomial values drops rank below t.  Minimality (read
+off the matrix's left kernel) and s-wise certification are built on that
+one matrix; the exact rational bookkeeping (m_cap, phi_upper_bound,
+z_condition) is what the construction plans consume.
 """
 from __future__ import annotations
 
@@ -50,38 +50,27 @@ class DependenceReport:
     m: int
     hilbert_rank: int
     dependent: bool
-    minimal: bool | None
+    minimal: bool
     kernel_basis: list
-
-
-MINIMAL_CAP = 64   # largest dependent set whose minimality is decided
 
 
 def dependence_classify(points, m: int) -> DependenceReport:
     """Full dependence diagnosis of one point set.
 
-    minimal is None when t exceeds MINIMAL_CAP (each of the t subsets of
-    size t-1 needs its own rank).
+    A dependent set is minimal iff its left kernel K has dimension 1 and
+    K's basis vector has no zero entry.  Proof: dropping point i leaves a
+    dependent set iff some nonzero v in K has v_i = 0.  If dim K = 1 the
+    nonzero vectors of K are multiples of one vector; if dim K >= 2, a
+    combination of two independent vectors cancels any chosen entry.
     """
     spec, _ = _common_spec(points)
     if len(set(pt.coords for pt in points)) != len(points):
         raise ValueError("duplicate points")
     rows = evaluation_rows(points, m)
-    t = len(points)
-    r = rank(rows, spec)
-    dependent = r < t
-    if not dependent:
-        minimal = False
-    elif t > MINIMAL_CAP:
-        minimal = None
-    else:
-        # dependent, and by monotonicity minimal iff every (t-1)-subset
-        # keeps full rank
-        minimal = all(
-            rank(rows[:i] + rows[i + 1:], spec) == t - 1 for i in range(t)
-        )
     kern = [tuple(v) for v in left_kernel(rows, spec)]
-    return DependenceReport(t, m, r, dependent, minimal, kern)
+    minimal = len(kern) == 1 and all(kern[0])
+    return DependenceReport(len(points), m, len(points) - len(kern),
+                            bool(kern), minimal, kern)
 
 
 @dataclass
@@ -119,9 +108,9 @@ def s_wise_independent(points, s: int, m: int,
         raise BudgetExceeded("C(%d, %d) = %d subsets exceed budget %d"
                              % (n, s, total, budget))
     rows = evaluation_rows(points, m)
-    for combo in itertools.combinations(range(n), s):
+    for checked, combo in enumerate(itertools.combinations(range(n), s), 1):
         if rank([rows[i] for i in combo], spec) < s:
-            return SWiseCheck(combo, 0, total, "exhaustive")
+            return SWiseCheck(combo, checked, total, "exhaustive")
     return SWiseCheck(None, total, total, "exhaustive")
 
 

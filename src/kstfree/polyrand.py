@@ -62,15 +62,6 @@ class SeededRng:
     def randbelow(self, n: int) -> int:
         return self.next_u64() % n
 
-    def sample_subset(self, n: int, s: int) -> tuple:
-        """Sorted s-subset of range(n), drawn from this stream."""
-        if s > n:
-            raise ValueError("cannot sample %d of %d" % (s, n))
-        chosen: set = set()
-        while len(chosen) < s:
-            chosen.add(self.randbelow(n))
-        return tuple(sorted(chosen))
-
     def derive(self, index: int) -> "SeededRng":
         """Independent child stream for a trial or sub-task."""
         return SeededRng(_mix64((self.seed ^ _DERIVE_SALT) + (index + 1) * _GOLDEN))

@@ -6,6 +6,7 @@ import numpy as np
 
 from kstfree.gf import FieldSpec
 from kstfree.graphs import KstVerdict, SidedGraph, _common, _side_adj
+from kstfree.independence import hilbert_rank
 from kstfree.polyrand import BiHomPoly
 from kstfree.projgeom import enumerate_multiindices, monomial_eval
 
@@ -53,6 +54,15 @@ def embed_table_scalar(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
             acc = ext.add(acc, ext.mul(c, z))
         table[e] = acc
     return table
+
+
+def minimal_by_subsets(points, m: int) -> bool:
+    """Minimal dependence by its definition: the set is dependent and each
+    of its t subsets of size t-1 is independent, one rank apiece."""
+    t = len(points)
+    return hilbert_rank(points, m) < t and all(
+        hilbert_rank(points[:i] + points[i + 1:], m) == t - 1
+        for i in range(t))
 
 
 def verify_witness(g: SidedGraph, verdict: KstVerdict) -> bool:

@@ -10,6 +10,7 @@ import tempfile
 
 import pytest
 
+import kstfree.acceptance
 from kstfree.acceptance import CHECKS, run_checks
 
 SEED = 7000
@@ -24,6 +25,17 @@ def test_check(number, name, fn):
                                      summary))
     assert ok, "check %d (%s) failed: %s\ndetail: %r" % (
         number, name, summary, detail)
+
+
+@pytest.mark.parametrize("number", [3, 4, 5])
+def test_theorem_checks_draw_nothing(number, monkeypatch):
+    # checks 3-5 are settled by theorems: no stream, the same verdict at
+    # every seed
+    def no_stream(seed):
+        raise AssertionError("check %d drew from a stream" % number)
+    monkeypatch.setattr(kstfree.acceptance, "SeededRng", no_stream)
+    fn = {num: fn for num, _, fn in CHECKS}[number]
+    assert fn(1) == fn(SEED)
 
 
 def test_reproducibility_check_leaves_no_files(tmp_path, monkeypatch):

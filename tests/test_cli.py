@@ -173,6 +173,8 @@ def test_oversized_forms_exit_two_before_any_draw(tmp_path, capsys):
     ("verify", ["--t", "82"]),
     ("verify", ["--orientation", "both"]),
     ("indep", ["--m", "-1"]),
+    # verify reads the subset budget from the stored report
+    ("verify", ["--budget-subsets", "5"]),
 ])
 def test_bad_counts_and_budgets_are_usage_errors(sub, flags, tmp_path,
                                                  capsys):
@@ -349,17 +351,44 @@ def test_verify_degree_report_roundtrip(tmp_path, capsys):
         "total": 10, "mode": "degree"}}
     assert report["kst"]["sides"] == report["max_common"]
     assert report["kst"]["free"] is None
-    rc, vout, _ = run(["verify", "--graph", out, "--budget-subsets", "5"],
-                      capsys)
+    # verify searches at the report's own budget of 5
+    assert report["subset_budget"] == 5
+    rc, vout, _ = run(["verify", "--graph", out], capsys)
     assert rc == 2
     assert json.loads(vout)["matches_report"] is True
     # the verdicts never read the seed, so a graph without one verifies alike
     doc = dict(read_doc(out), seed=None)
     with open(out, "w") as fh:
         json.dump(doc, fh)
-    rc, vout2, _ = run(["verify", "--graph", out, "--budget-subsets", "5"],
-                       capsys)
+    rc, vout2, _ = run(["verify", "--graph", out], capsys)
     assert (rc, vout2) == (2, vout)
+
+
+def test_verify_judges_at_the_stored_subset_budget(tmp_path, capsys):
+    out = str(tmp_path / "g.json")
+    rc, _, _ = run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
+                    "--Z", "1", "--q", "23", "--c", "1/4", "--seed", "1",
+                    "--budget-subsets", "1000", "--out", out], capsys)
+    assert rc == 0
+    report = read_doc(report_path_for(out))
+    assert report["subset_budget"] == 1000
+    assert {v["mode"] for v in report["max_common"].values()} == {"degree"}
+    rc, vout, _ = run(["verify", "--graph", out], capsys)
+    assert rc == 0 and json.loads(vout)["mismatched_fields"] == []
+    # a report written before the key existed is judged at the default
+    # budget, which searches these sides exhaustively
+    del report["subset_budget"]
+    with open(report_path_for(out), "w") as fh:
+        json.dump(report, fh)
+    rc, vout, _ = run(["verify", "--graph", out], capsys)
+    assert rc == 2
+    assert json.loads(vout)["mismatched_fields"] == ["max_common", "kst"]
+    for bad in (-1, "1000", True, 1.5, None):
+        with open(report_path_for(out), "w") as fh:
+            json.dump(dict(report, subset_budget=bad), fh)
+        rc, stdout, err = run(["verify", "--graph", out], capsys)
+        assert (rc, stdout) == (1, ""), bad
+        assert err.startswith("error: ") and "subset_budget" in err
 
 
 @pytest.mark.parametrize("stored", ["[]", '"x"', "3"])
@@ -424,6 +453,33 @@ def test_indep_budget_paths(tmp_path, capsys):
     sw = json.loads(out)["s_wise"]
     assert (sw["mode"], sw["checked"], sw["certified"]) == (
         "exhaustive", 10, True)
+
+
+def test_indep_witness_counts_the_subsets_it_searched(tmp_path, capsys):
+    # at m = 0 every pair is dependent, so the first pair is the witness
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1:0\n0:1\n")
+    rc, out, _ = run(["indep", "--points", str(pts), "--q", "5", "--m", "0",
+                      "--s", "2"], capsys)
+    assert rc == 2
+    sw = json.loads(out)["s_wise"]
+    assert (sw["witness"], sw["checked"], sw["total"]) == ([0, 1], 1, 1)
+
+
+@pytest.mark.parametrize("m, minimal", [(64, True), (63, False)])
+def test_indep_decides_minimality_past_64_points(m, minimal, tmp_path,
+                                                 capsys):
+    # 66 points of the line over F_67: any m+1 of them are independent, so
+    # at m = 64 the kernel is one all-nonzero vector, at m = 63 it is 2-dim
+    pts = tmp_path / "pts.txt"
+    pts.write_text("".join("%s\n" % point_to_str(pt) for pt in
+                           enumerate_projective(field_for_order(67), 1)[:66]))
+    rc, out, _ = run(["indep", "--points", str(pts), "--q", "67",
+                      "--m", str(m)], capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["dependent"], doc["minimal"]) == (True, minimal)
+    assert doc["kernel_dim"] == 66 - (m + 1)
 
 
 def test_indep_rejects_garbage_points(tmp_path, capsys):

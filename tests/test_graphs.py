@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
@@ -638,12 +639,43 @@ def test_plan_refuses_a_zero_truncation_target():
 
 def test_plan_json_roundtrip():
     for plan in (plan_construction("turan", 2, m=3, r=1, Z=1, q=7),
-                 plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8),
-                 plan_construction("turan", 10, mode="theorem")):
+                 plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8)):
         doc = plan.to_json()
         assert json.loads(json.dumps(doc)) == doc
         back = ConstructionPlan.from_json(doc)
         assert back == plan
+    # a graph is built from a desk plan, so a theorem plan is not loaded
+    theorem = plan_construction("turan", 10, mode="theorem").to_json()
+    with pytest.raises(ValueError, match="plan.mode = 'theorem' is not"):
+        ConstructionPlan.from_json(theorem)
+
+
+ZAR_F8 = plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8)
+
+
+@pytest.mark.parametrize("plan, change, named", [
+    (TURAN_F11, {"b": 5}, "plan.b = 5 is not 4"),
+    (TURAN_F11, {"delta": [99]}, "plan.delta = [99] is not [3]"),
+    (TURAN_F11, {"t_threshold": 83}, "plan.t_threshold = 83 is not 82"),
+    (TURAN_F11, {"a": 1}, "plan.a = 1 is not None"),
+    (TURAN_F11, {"headline_log10": "9"}, "plan.headline_log10 = '9' is not"),
+    (TURAN_F11, {"mode": "theorem"}, "plan.mode = 'theorem' is not 'desk'"),
+    (ZAR_F8, {"a": 6}, "plan.a = 6 is not 5"),
+    (ZAR_F8, {"b": 4}, "plan.b = 4 is not 3"),
+    (ZAR_F8, {"t_threshold": 10}, "plan.t_threshold = 10 is not 9"),
+    # refused before deriving: a delta that is not r long, a threshold
+    # shorter than m^(s+Z), a width shorter than c * q^(T/s)
+    (TURAN_F11, {"delta": [3, 3]}, "plan.delta has 2 entries, not r = 1"),
+    (TURAN_F11, {"t_threshold": 3, "delta": [99]},
+     "plan.t_threshold has 2 bits, fewer than the 3"),
+    (TURAN_F11, {"Z": 10**9}, "fewer than the 1000000002 that m^"),
+    (ZAR_F8, {"T": 10**9}, "plan.a = 5 is too short"),
+])
+def test_plan_loader_refuses_a_derived_field_that_differs(plan, change,
+                                                          named):
+    doc = dict(plan.to_json(), **change)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ConstructionPlan.from_json(doc)
 
 
 # --- pipelines ---------------------------------------------------------------

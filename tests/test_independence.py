@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -7,11 +8,10 @@ import pytest
 from kstfree.acceptance import (
     disjoint_span_subset,
     independent_set_third,
-    power_rank,
     power_rows,
     strong_dependence_witness,
 )
-from kstfree.gf import make_field
+from kstfree.gf import field_for_order, make_field
 from kstfree.independence import (
     DependenceReport,
     dependence_classify,
@@ -26,6 +26,7 @@ from kstfree.linalg import rank
 from kstfree.polyrand import SeededRng
 from kstfree.projgeom import ProjPoint, enumerate_projective
 from kstfree.util import BudgetExceeded
+from references import minimal_by_subsets
 
 
 def pts(spec, *coords):
@@ -83,6 +84,32 @@ def test_independent_triple_not_minimal():
     assert rep.kernel_basis == []
 
 
+SPACES = [(2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (7, 1), (8, 1),
+          (9, 1)]
+
+
+def test_kernel_rule_matches_the_subset_search():
+    # minimality read off the kernel agrees with t more ranks, on random
+    # sets that reach every branch of the rule
+    rng = random.Random(2718)
+    tally = {"independent": 0, "minimal": 0, "zero_entry": 0, "wide": 0}
+    for q, b in SPACES:
+        points = enumerate_projective(field_for_order(q), b)
+        for m in (1, 2, 3):
+            for _ in range(20):
+                sel = rng.sample(points, rng.randint(2, min(10, len(points))))
+                rep = dependence_classify(sel, m)
+                assert rep.minimal is minimal_by_subsets(sel, m)
+                assert rep.hilbert_rank == hilbert_rank(sel, m)
+                if not rep.dependent:
+                    tally["independent"] += 1
+                elif len(rep.kernel_basis) > 1:
+                    tally["wide"] += 1
+                else:
+                    tally["minimal" if rep.minimal else "zero_entry"] += 1
+    assert min(tally.values()) > 0, tally
+
+
 def test_duplicates_rejected():
     with pytest.raises(ValueError):
         hilbert_rank(pts(F7, (1, 0), (1, 0)), 2)
@@ -133,6 +160,7 @@ def test_s_wise_exhaustive_witness():
     assert res.mode == "exhaustive"
     assert not res.certified
     assert res.witness == (0, 1, 2, 3)
+    assert res.checked == 1
     assert res.verdict == "dependent"
 
 
@@ -156,14 +184,13 @@ def test_s_wise_budget_no_rng_raises():
 
 
 def test_power_rank_matches_hilbert_rank():
+    # every 5-subset of the first nine points of the plane over F_7
     spec = make_field(7, 1)
-    points = enumerate_projective(spec, 2)
-    rng = SeededRng(404)
+    points = enumerate_projective(spec, 2)[:9]
     for m in (2, 3):
-        for _ in range(30):
-            idx = rng.sample_subset(len(points), 5)
-            sel = [points[i] for i in idx]
-            assert power_rank(sel, m) == hilbert_rank(sel, m)
+        for sel in itertools.combinations(points, 5):
+            sel = list(sel)
+            assert rank(power_rows(sel, m), spec) == hilbert_rank(sel, m)
 
 
 def test_power_rows_are_column_scaled_evaluations():
@@ -190,9 +217,9 @@ def test_power_rows_need_large_characteristic():
         power_rows(pts(spec, (1, 0), (0, 1)), 2)
     spec3 = make_field(3, 1)
     with pytest.raises(ValueError):
-        power_rank(pts(spec3, (1, 0), (0, 1)), 3)
+        power_rows(pts(spec3, (1, 0), (0, 1)), 3)
     # char 3 > m = 2 is fine
-    assert power_rank(pts(spec3, (1, 0), (0, 1)), 2) == 2
+    assert rank(power_rows(pts(spec3, (1, 0), (0, 1)), 2), spec3) == 2
 
 
 # --- strong witnesses -------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import kstfree.gf
 import kstfree.projgeom
 import kstfree.variety
-from kstfree.acceptance import ConcentrationReport, concentration_study
+from kstfree.acceptance import slice_moments
 from kstfree.gf import field_for_order, is_prime, make_field
 from kstfree.graphs import construct_turan, plan_construction
 from kstfree.polyrand import HomPoly, SeededRng, eval_hom_many, evaluate, hom_to_json, random_hom
@@ -633,27 +633,26 @@ def test_builder_retry_uses_derived_streams():
 
 
 def test_concentration_on_projective_line():
-    spec = make_field(5, 1)
-    line = VarietySpec(spec, 1, ())
-    rep = concentration_study(line, 1, 1, SeededRng(123), trials=200)
-    assert isinstance(rep, ConcentrationReport)
-    assert rep.expected == Fraction(6, 5)
-    # a nonzero linear form has exactly one zero on the line, the zero
-    # form keeps all six points: the count never drops to zero
-    assert rep.failures == 0
-    assert set(rep.counts) <= {1, 6}
-    assert abs(rep.mean - 1.2) < 0.3
-    assert rep.failure_bound == 1  # 20/6 capped
+    # every cut of the six points of the line over F_5: a nonzero linear
+    # form keeps one point, the zero form all six, and at degree >= 1 the
+    # moments are the second-moment theorem's |Y|/q and |Y|(1/q)(1-1/q)
+    line = VarietySpec(make_field(5, 1), 1, ())
+    for degree in (1, 2):
+        assert slice_moments(line, degree) == (6, Fraction(6, 5),
+                                               Fraction(24, 25))
+    # degree 0: the constants keep all or nothing, so pairs are dependent
+    assert slice_moments(line, 0) == (6, Fraction(6, 5), Fraction(144, 25))
+    # Y given by forms: the six points of a conic in the plane, cut by lines
+    assert slice_moments(VarietySpec(make_field(5, 1), 2,
+                                     (conic(make_field(5, 1)),)), 1) == (
+        6, Fraction(6, 5), Fraction(24, 25))
 
 
 def test_concentration_validation():
     spec = make_field(5, 1)
-    line = VarietySpec(spec, 1, ())
-    with pytest.raises(ValueError):
-        concentration_study(line, 0, 1, SeededRng(1), trials=5)
-    with pytest.raises(ValueError):
-        concentration_study(line, 1, 1, SeededRng(1), trials=0)
-    # the constant 1 vanishes nowhere: there is nothing to slice
+    # the constant 1 vanishes nowhere: every cut of the empty set is empty
     empty = VarietySpec(spec, 1, (HomPoly(spec, 1, 0, (1,)),))
-    with pytest.raises(ValueError):
-        concentration_study(empty, 1, 1, SeededRng(1), trials=5)
+    assert slice_moments(empty, 1) == (0, 0, 0)
+    # 7^10 quadrics on P^3(F_7) are past the exhaustive cap
+    with pytest.raises(BudgetExceeded):
+        slice_moments(VarietySpec(make_field(7, 1), 3, ()), 2)
