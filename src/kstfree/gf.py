@@ -181,7 +181,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "k", "order", "modulus",
-        "_table", "_mul_terms", "_ppow", "_exp", "_log",
+        "_table", "_mul_terms", "_exp", "_log",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple):
@@ -189,7 +189,6 @@ class FieldSpec:
         self.k = k
         self.order = p**k
         self.modulus = modulus  # () for k == 1
-        self._ppow = np.array([p**i for i in range(k)], dtype=np.int64)
         # row k*i + j holds the digits of t^(i+j), t the basis root
         pows = [(1,) + (0,) * (k - 1)]
         for _ in range(2 * k - 2):
@@ -354,7 +353,13 @@ class FieldSpec:
         return out
 
     def enc_array(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(coords, dtype=np.int64) @ self._ppow
+        """sum_i coords[..., i] p^i, by Horner's rule over the digit axis."""
+        coords = np.asarray(coords, dtype=np.int64)
+        out = coords[..., -1].copy()
+        for i in range(self.k - 2, -1, -1):
+            out *= self.p
+            out += coords[..., i]
+        return out
 
     def arr_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self.p

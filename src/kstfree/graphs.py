@@ -299,6 +299,20 @@ def _delta_ledger(r: int, target: int) -> tuple:
     return tuple(m_cap(r - i + 1, target) for i in range(1, r + 1))
 
 
+def _refuse_unaddressable(q: int | None, b: int) -> None:
+    """ValueError when q^b >= 2^63: the zero-set walk's int64 grid indices
+    cannot address P^b(F_q), under any point budget.  With L the bit length
+    of q, 2^(L-1) <= q < 2^L, so b(L-1) >= 63 refuses and bL <= 63 accepts
+    without computing q^b, which is computed only for b < 63.
+    """
+    if q is None:
+        return
+    bits = q.bit_length()
+    if b * (bits - 1) >= 63 or (b * bits > 63 and q**b >= 1 << 63):
+        raise ValueError("q^b = %d^%d is at least 2^63, beyond the int64 grid "
+                         "indices that address P^b(F_q)" % (q, b))
+
+
 def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
                       r=None, Z=None, T=None, q=None, c=None) -> ConstructionPlan:
     """Resolve all derived parameters for one construction.
@@ -350,6 +364,7 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
                 % (m + 1 + r, m, comb(m + 1 + r, m), s * s)
             )
         b = r + s + Z
+        _refuse_unaddressable(q, b)
         zrep = z_condition(b, m, Z, s)
         if zrep.verdict == "false":
             bad = [row for row in zrep.rows if row["ok"] is False]
@@ -376,6 +391,7 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
             % (T, r + 1 + m, m, comb(r + 1 + m, m))
         )
     b = r + s
+    _refuse_unaddressable(q, b)
     delta = _delta_ledger(r, T)
     t_threshold = m**s * math.prod(delta) + 1
     a = None if q is None else floor_scaled_power(c, q, T, s)
@@ -424,6 +440,11 @@ def _common(rows: np.ndarray, subset) -> np.ndarray:
     return rows[list(subset)].all(axis=0)
 
 
+def _gram_dtype(width: int):
+    """The narrowest float that holds every integer up to width exactly."""
+    return np.float32 if width <= 1 << 24 else np.float64
+
+
 def _exhaustive_max(rows: np.ndarray, s: int):
     """(size, subset) of the first largest common neighbourhood, s <= n.
 
@@ -431,21 +452,24 @@ def _exhaustive_max(rows: np.ndarray, s: int):
     P, in canonical order, is extended by the pair u < v after it whose
     rows, masked by P's common neighbourhood, have the largest inner
     product: the first maximum of the strict upper triangle of their
-    Gram matrix.  Entries are counts of at most n_opposite, exact in
-    float64.  Ties keep the earlier subset, so the answer is the first
-    maximum in itertools.combinations order.  Masking the diagonal alone
-    finds it: the Gram matrix is symmetric, so a maximum at (i, j), j < i,
-    has its equal (j, i) earlier in row-major order.
+    Gram matrix.  Its entries count common neighbours, and every partial
+    sum of one is an integer between 0 and the row length, so the product
+    is exact in any float that holds those integers: float32 for rows of
+    at most 2^24 entries (`_gram_dtype`), float64 above that.  Ties keep
+    the earlier subset, so the answer is the first maximum in
+    itertools.combinations order.  Masking the diagonal alone finds it:
+    the Gram matrix is symmetric, so a maximum at (i, j), j < i, has its
+    equal (j, i) earlier in row-major order.
     """
     if s == 1:
         sums = np.count_nonzero(rows, axis=1)
         i = int(sums.argmax())
         return int(sums[i]), (i,)
-    n = len(rows)
+    n, dt = len(rows), _gram_dtype(rows.shape[1])
     best, best_sub = -1, None
     for prefix in itertools.combinations(range(n - 2), s - 2):
         start = prefix[-1] + 1 if prefix else 0
-        x = (rows[start:] & _common(rows, prefix)).astype(np.float64)
+        x = (rows[start:] & _common(rows, prefix)).astype(dt)
         gram = x @ x.T
         np.fill_diagonal(gram, -1)
         u, v = divmod(int(gram.argmax()), len(x))
@@ -724,8 +748,10 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     right cutting forms H and H', stream 3 the adjacency form.  Each side
     is a slice of W, the points of W where its cutting forms vanish,
     truncated to its initial segment (canonical point order) of
-    floor(c * q^s) vertices: W's points, which the builder enumerated,
-    cut only that far (`variety.slice_points`), so no side walks P^b.
+    floor(c * q^s) vertices.  The builder holds W as its walk's chart
+    masks, and both sides are cut from them in one pass that stops as
+    each side fills (`variety.slice_points`): no side walks P^b, and rows
+    are built only for the kept vertices.
     """
     if plan.kind != "turan" or plan.mode != "desk":
         raise ValueError("need a desk-mode turan plan")
@@ -750,10 +776,9 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     rng_hp = base.derive(STREAM_RIGHT_CUT)
     hs = tuple(random_hom(spec, plan.b, d, rng_h) for d in plan.delta)
     hps = tuple(random_hom(spec, plan.b, d, rng_hp) for d in plan.delta)
-    left_enc = slice_points(VarietySpec(spec, plan.b, hs), built.points,
-                            n_target)
-    right_enc = slice_points(VarietySpec(spec, plan.b, hps), built.points,
-                             n_target)
+    left_enc, right_enc = slice_points(
+        (VarietySpec(spec, plan.b, hs), VarietySpec(spec, plan.b, hps)),
+        built.masks, n_target)
     sides_full = len(left_enc) == n_target and len(right_enc) == n_target
     if len(left_enc) == 0 or len(right_enc) == 0:
         raise CertificationError("a side came out empty")

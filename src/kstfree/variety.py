@@ -3,8 +3,12 @@
 A variety here is the common projective zero set of a handful of
 homogeneous forms, and a slice of one by further forms is the zero set
 of both lists.  The forms' chart tensors decide where forms vanish,
-walked over the grid of every chart of P^b (`fq_point_array`, the
-counts) or read at a known zero set's points (`slice_points`).
+walked over the grid of every chart of P^b (`zero_masks`, whose chart
+masks hold a zero set in the walk's own layout, one byte per point of
+P^b, and the counts) or read at a zero set's points (`slice_points`,
+which cuts several slices from one set of masks in one pass).  Rows of
+point encodings are built only where they are asked for
+(`fq_point_array`, `BuildResult.points`, a slice's kept points).
 Everything is exhaustive over the finite field, so the point cap is
 load-bearing: a zero set costs a few float passes per form over the
 grid of every chart of P^b, in any field, and the builder's F_{q^2}
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -239,75 +244,115 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
             yield lead, x0, cells
 
 
-def fq_point_array(var: VarietySpec,
-                   cap: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
-    """Encodings of the rational points, canonical order, shape (N, b+1).
+def zero_masks(var: VarietySpec, cap: int = DEFAULT_POINT_BUDGET) -> dict:
+    """{lead: bool mask} of the rational points, one mask per chart, in
+    canonical chart order (`projgeom.chart_leads`).
 
-    The zero sets come from `_zero_cells` walking every x_1 in F_q in
-    order; only the grid indices of each slab's points are kept.
+    Chart L with n >= 1 free axes is a (q, q^(n-1)) mask, alive at row x_1
+    and grid index g of x_2..x_n (C order) where every form vanishes;
+    chart b, the one point x_b = 1, is (1, 1).  Read flat in C order, a
+    mask's cells are its chart's grid indices (`chart_rows`), so the masks
+    hold the zero set in canonical order, in |P^b| bytes.  Each slab of
+    `_zero_cells` is copied in.
     """
     q, b = var.spec.order, var.b
-    hits = {}  # lead -> grid indices of its chart's points
+    masks = {}
     for lead, x0, cells in _zero_cells(var, cap, np.arange(q)):
-        hits.setdefault(lead, []).append(
-            np.flatnonzero(cells) + x0 * cells.shape[1])
-    return np.concatenate([chart_rows(q, b, lead, np.concatenate(idx))
-                           for lead, idx in hits.items()])
+        if lead not in masks:
+            masks[lead] = np.empty((q if lead < b else 1, cells.shape[1]),
+                                   dtype=bool)
+        masks[lead][x0:x0 + len(cells)] = cells
+    return masks
 
 
-def slice_points(var: VarietySpec, points: np.ndarray,
-                 limit: int | None = None) -> np.ndarray:
-    """points[every form of var vanishes][:limit], for distinct points in
-    canonical order, such as a built variety's.
+def _mask_rows(q: int, b: int, masks: dict) -> np.ndarray:
+    """Encodings of the points alive in chart masks, canonical order."""
+    return np.concatenate([chart_rows(q, b, lead, np.flatnonzero(mask))
+                           for lead, mask in masks.items()])
 
-    Canonical order is lexicographic, so column L is sorted on the rows
-    with x_0..x_{L-1} = 0, and chart L is its run of 1s.  With T a form's
-    chart tensor, inner axes contracted over F_q as in `_zero_cells`, and
-    P the power matrix over F_q (b = 1: at the slab's x_1), digit j of the
-    form at x_1 and grid index g of x_2..x_n is sum_r P[r, j, x_1] T[r, g]
-    mod p: a*k products.  Chart b reads the tensor's constant.  Later
-    forms run only at survivors; a chart's slabs double from 1/32 of
-    SLAB products, and none starts once `limit` points survive.
+
+def fq_point_array(var: VarietySpec,
+                   cap: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
+    """Encodings of the rational points, canonical order, shape (N, b+1):
+    the rows of `zero_masks`."""
+    return _mask_rows(var.spec.order, var.b, zero_masks(var, cap))
+
+
+def slice_points(cuts, masks: dict, limit: int | None = None) -> list:
+    """For each cut, the rows of W's points where every form of the cut
+    vanishes, canonical order, cut to the first `limit`; W is given by its
+    `zero_masks`, and all cuts share one pass over them.
+
+    The charts' masks are read in canonical order, in chunks of cells that
+    double from SLAB/32 to SLAB over the whole pass; a chunk ends early at
+    the end of its chart, or once it holds SLAB/(a k^2) of W's points.
+    One flatnonzero per chunk gives W's points there, as row x_1 and grid
+    index g of x_2..x_n.  With T a form's chart tensor, inner axes
+    contracted over F_q as in `_zero_cells`, and P the power matrix over
+    F_q (b = 1: at the chunk's x_1), digit j of the form at (x_1, g) is
+    sum_r P[r, j, x_1] T[r, g] mod p: a*k products.  Every cut reads the
+    one gather of P at the chunk's x_1, and a cut's later forms run only
+    at its survivors.  Chart b reads the tensors' constant.  A cut whose
+    `limit` points survive reads no further chunk, and its survivors are
+    trimmed to `limit` before their rows are built.  The masks passed the
+    point budget when they were walked, so the cut does not check it.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0, got %d" % limit)
-    spec, b = var.spec, var.b
+    spec, b = cuts[0].spec, cuts[0].b
     p, k, q = spec.p, spec.k, spec.order
-    forms = _form_terms(var)
-    amax = max((a for a, _, _ in forms), default=1)
+    terms = [_form_terms(cut) for cut in cuts]
+    amax = max((a for forms in terms for a, _, _ in forms), default=1)
     inner = _power_matrix(spec, amax, np.arange(q)) if b > 1 else None
-    runs, stop = {}, len(points)  # lead -> (first row, end)
-    for lead in range(b):
-        start = int(np.searchsorted(points[:stop, lead], 1))
-        runs[lead], stop = (start, stop), start
-    point = not any(_chart_tensor(spec, expo, digits, b, a).any()
-                    for a, expo, digits in forms)
-    kept = [np.arange(stop if point else 0)]  # chart b: at most one row
-    found, most = len(kept[0]), max(1, SLAB // (amax * k * k))
-    for lead in chart_leads(b)[1:]:
-        (r0, stop), size = runs[lead], max(1, most >> 5)
-        ts = [None] * len(forms)  # a chart tensor per form, on first use
-        while r0 < stop and (limit is None or found < limit):
-            r1 = min(r0 + size, stop)
-            live, size = np.arange(r0, r1), min(2 * size, most)
-            x1 = points[r0:r1, lead + 1]
-            grid = points[r0:r1, lead + 2:] @ q ** np.arange(b - lead - 1)[::-1]
-            for i, (a, expo, digits) in enumerate(forms):
-                if ts[i] is None:
-                    ts[i] = _inner_contraction(
-                        spec, _chart_tensor(spec, expo, digits, lead, a),
-                        inner, a)
-                if inner is None:  # b = 1: the powers at these x_1
-                    w = _power_matrix(spec, a, x1).reshape(a * k, k, -1)
-                else:
-                    w = inner.reshape(amax * k, k, q)[:a * k, :, x1]
-                ok = ~_mod(np.einsum("ejr,er->jr", w, ts[i][:, grid]),
-                           p).any(axis=0)
-                live, x1, grid = live[ok], x1[ok], grid[ok]
-            kept.append(live)
-            found += len(live)
-            r0 = r1
-    return points[np.concatenate(kept)][:limit]
+    most = max(1, SLAB // (amax * k * k))  # W's points in one chunk
+    want = [math.inf if limit is None else limit] * len(cuts)
+    kept = [[] for _ in cuts]  # per cut: its rows, chart by chart
+    size = max(1, SLAB >> 5)  # cells in the next chunk
+    for lead, mask in masks.items():
+        active = [c for c in range(len(cuts)) if want[c] > 0]
+        if not active:
+            break
+        if lead == b:
+            for c in active:
+                if mask[0, 0] and not any(
+                        _chart_tensor(spec, expo, digits, b, a).any()
+                        for a, expo, digits in terms[c]):
+                    kept[c].append(chart_rows(q, b, b, np.zeros(1, np.int64)))
+                    want[c] -= 1
+            continue
+        cells, grid = mask.reshape(-1), mask.shape[1]
+        ts = [[None] * len(forms) for forms in terms]  # on first use
+        c0 = 0
+        while c0 < len(cells) and active:
+            idx = np.flatnonzero(cells[c0:c0 + size]) + c0
+            c0, size = min(c0 + size, len(cells)), min(2 * size, SLAB)
+            if len(idx) > most:
+                idx, c0 = idx[:most], int(idx[most])
+            x1, g = np.divmod(idx, grid)
+            if inner is None:  # b = 1: the powers at these x_1
+                w = _power_matrix(spec, amax, x1).reshape(amax * k, k, -1)
+            else:
+                w = inner.reshape(amax * k, k, q)[:, :, x1]
+            for c in active:
+                live = None  # positions in idx that the cut keeps; None: all
+                for i, (a, expo, digits) in enumerate(terms[c]):
+                    if ts[c][i] is None:
+                        ts[c][i] = _inner_contraction(
+                            spec, _chart_tensor(spec, expo, digits, lead, a),
+                            inner, a)
+                    wl, gl = (w, g) if live is None else (w[:, :, live],
+                                                          g[live])
+                    ok = ~_mod(np.einsum("ejr,er->jr", wl[:a * k],
+                                         ts[c][i][:, gl]), p).any(axis=0)
+                    live = np.flatnonzero(ok) if live is None else live[ok]
+                hits = idx if live is None else idx[live]
+                if len(hits) > want[c]:
+                    hits = hits[:want[c]]
+                kept[c].append(chart_rows(q, b, lead, hits))
+                want[c] -= len(hits)
+            active = [c for c in active if want[c] > 0]
+    return [np.concatenate(rows) if rows else np.zeros((0, b + 1), np.int64)
+            for rows in kept]
 
 
 def _weighted_count(var: VarietySpec, cap: int, xs: np.ndarray,
@@ -445,12 +490,18 @@ class BuildResult:
     certified: bool
     attempts: int
     variety: VarietySpec | None
-    points: np.ndarray | None
+    masks: dict | None        # the variety's `zero_masks`
     n_points: int
     target_dim: int
     swise: SWiseCheck | None
     probe: DimensionProbe | None
     failure_tally: dict = field(default_factory=dict)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The variety's rows in canonical order, built on first read."""
+        return _mask_rows(self.variety.spec.order, self.variety.b,
+                          self.masks)
 
 
 def _count_ok(n_points: int, q: int, target_dim: int) -> bool:
@@ -458,15 +509,16 @@ def _count_ok(n_points: int, q: int, target_dim: int) -> bool:
     return 2 * n_points >= q**target_dim
 
 
-def _check_draw(var: VarietySpec, pts: np.ndarray, cfg: BuildConfig,
+def _check_draw(var: VarietySpec, masks: dict, n: int, cfg: BuildConfig,
                 target_dim: int, by_theorem: bool, probe_ext: bool):
-    """(first failed check or None, s-wise certificate, probe) of one draw.
+    """(first failed check or None, s-wise certificate, probe) of one draw
+    of n points, held as chart masks.
 
     Without the theorem the s-subsets are searched only within the subset
-    budget; a draw with more of them is rejected unsearched, as it could
-    not be certified.
+    budget, on the points' rows; a draw with more of them is rejected
+    unsearched, as it could not be certified.
     """
-    n, q = len(pts), var.spec.order
+    q = var.spec.order
     if not _count_ok(n, q, target_dim):
         return "count", None, None
     if by_theorem:
@@ -474,7 +526,8 @@ def _check_draw(var: VarietySpec, pts: np.ndarray, cfg: BuildConfig,
     elif math.comb(n, cfg.s) > cfg.subset_budget:
         return "swise", None, None
     else:
-        proj = [ProjPoint(var.spec, tuple(int(c) for c in row)) for row in pts]
+        proj = [ProjPoint(var.spec, tuple(int(c) for c in row))
+                for row in _mask_rows(q, var.b, masks)]
         sw = s_wise_independent(proj, cfg.s, cfg.degree,
                                 budget=cfg.subset_budget)
     if not sw.certified:
@@ -522,12 +575,13 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
             random_hom(spec, cfg.b, cfg.degree, sub) for _ in range(cfg.num_forms)
         )
         var = VarietySpec(spec, cfg.b, forms)
-        pts = fq_point_array(var, cap=cfg.point_cap)
-        failed, sw, probe = _check_draw(var, pts, cfg, target_dim, by_theorem,
-                                        probe_ext)
+        masks = zero_masks(var, cap=cfg.point_cap)
+        n = sum(int(np.count_nonzero(m)) for m in masks.values())
+        failed, sw, probe = _check_draw(var, masks, n, cfg, target_dim,
+                                        by_theorem, probe_ext)
         if failed:
             tally[failed] += 1
-        last = BuildResult(failed is None, attempt + 1, var, pts, len(pts),
+        last = BuildResult(failed is None, attempt + 1, var, masks, n,
                            target_dim, sw, probe, dict(tally))
         if failed is None:
             return last

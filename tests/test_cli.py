@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -134,6 +135,34 @@ def test_zero_truncation_target_is_a_usage_error(tmp_path, capsys):
             assert rc == 1, argv
             assert err == "error: %s\n" % msg, argv
             assert stdout == "" and not out.exists()
+
+
+def test_spaces_past_int64_grid_indices_exit_one_at_once(tmp_path, capsys):
+    # b = 6,400,000: deriving the plan used to take seconds; q^b >= 2^63
+    # is now refused from q's bit length, before anything else is derived
+    huge = ["zarankiewicz", "--s", "6400000", "--T", "1", "--r", "0",
+            "--m", "1", "--q", "8", "--c", "5/4"]
+    out = str(tmp_path / "g.json")
+    run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1",
+         "--q", "7", "--seed", "1", "--out", out], capsys)
+    doc = read_doc(out)
+    doc["plan"] = {"kind": "zarankiewicz", "s": 6400000, "m": 1, "r": 0,
+                   "Z": None, "T": 1, "b": 6400000, "q": 8, "a": 1,
+                   "delta": [], "t_threshold": 2, "c": "5/4", "mode": "desk",
+                   "headline_log10": None}
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    fresh = str(tmp_path / "h.json")
+    for argv in (["plan"] + huge,
+                 ["construct"] + huge + ["--seed", "1", "--out", fresh],
+                 ["verify", "--graph", out]):
+        start = time.perf_counter()
+        rc, stdout, err = run(argv, capsys)
+        assert time.perf_counter() - start < 0.5, argv
+        assert rc == 1 and stdout == "", argv
+        assert err == ("error: q^b = 8^6400000 is at least 2^63, beyond the "
+                       "int64 grid indices that address P^b(F_q)\n"), argv
+    assert not os.path.exists(fresh)
 
 
 def test_oversized_forms_exit_two_before_any_draw(tmp_path, capsys):

@@ -417,6 +417,29 @@ def test_max_common_matches_set_oracle():
     assert seen == {1, 2, 3, "empty"}
 
 
+def test_gram_float32_agrees_with_float64():
+    # random 0/1 rows with repeated rows and columns, so pairs tie
+    gen = np.random.default_rng(5)
+    for n, width in ((6, 40), (12, 7), (30, 240), (5, 1)):
+        for density in (0.2, 0.5, 0.9):
+            rows = gen.random((n, width)) < density
+            rows[-1] = rows[0]
+            rows[:, -1] = rows[:, 0]
+            for s in (2, 3):
+                got = kstfree.graphs._exhaustive_max(rows, s)
+                with mock.patch.object(kstfree.graphs, "_gram_dtype",
+                                       return_value=np.float64):
+                    assert kstfree.graphs._exhaustive_max(rows, s) == got
+                assert got == brute_max_common(rows, s, "left")
+
+
+def test_gram_dtype_holds_the_row_length_exactly():
+    assert kstfree.graphs._gram_dtype(1 << 24) is np.float32
+    assert kstfree.graphs._gram_dtype((1 << 24) + 1) is np.float64
+    # float32 stops holding every integer just past 2^24
+    assert np.float32(1 << 24) + np.float32(1) == np.float32(1 << 24)
+
+
 def test_max_common_degree_bound_matches_set_oracle():
     strict = set()
     for g in oracle_graphs():
@@ -637,6 +660,24 @@ def test_plan_refuses_a_zero_truncation_target():
     assert plan_construction("turan", 2, m=3, r=1, Z=1, c=0).q is None
 
 
+def test_plan_refuses_a_space_past_int64_grid_indices():
+    # 3^39 < 2^63 < 3^40: q^b is computed only near the boundary, and
+    # 8^b is refused from q's bit length alone, however large b is
+    def zar(s, q):
+        return plan_construction("zarankiewicz", s, T=6, r=2, m=2, q=q, c=2)
+
+    assert zar(37, 3).b == 39
+    assert plan_construction("turan", 2, m=3, r=1, Z=36, q=3).b == 39
+    for plan in (lambda: zar(38, 3),
+                 lambda: plan_construction("turan", 2, m=3, r=1, Z=37, q=3),
+                 lambda: plan_construction("zarankiewicz", 6_400_000, T=1,
+                                           r=0, m=1, q=8, c=Fraction(5, 4))):
+        with pytest.raises(ValueError, match="at least 2\\^63"):
+            plan()
+    # without a field order nothing is walked yet
+    assert plan_construction("turan", 2, m=3, r=1, Z=37).b == 40
+
+
 def test_plan_json_roundtrip():
     for plan in (plan_construction("turan", 2, m=3, r=1, Z=1, q=7),
                  plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8)):
@@ -720,20 +761,51 @@ def test_turan_sides_are_slices_of_the_variety(q):
 
 @pytest.mark.parametrize("q, seed", [(7, 1), (11, 2)])
 def test_construct_turan_walks_p_b_once_per_builder_attempt(q, seed):
-    # the builder walks P^b for W once per attempt; each side is cut from
-    # W's points, so neither side walks P^b again
+    # the builder walks P^b for W's chart masks once per attempt; both
+    # sides are cut from those masks, so neither side walks P^b again
     plan = plan_construction("turan", 2, m=3, r=1, Z=1, q=q)
-    real = kstfree.variety.fq_point_array
+    real = kstfree.variety.zero_masks
     calls = []
 
     def spy(var, *args, **kwargs):
         calls.append(len(var.forms))
         return real(var, *args, **kwargs)
 
-    with mock.patch.object(kstfree.variety, "fq_point_array", spy), \
-            mock.patch.object(kstfree.graphs, "fq_point_array", spy):
+    with mock.patch.object(kstfree.variety, "zero_masks", spy):
         _, report = construct_turan(plan, seed)
     assert calls == [plan.Z] * report.builder["attempts"]
+
+
+@pytest.mark.parametrize("q, seed", [(7, 1), (11, 2), (23, 1)])
+def test_construct_turan_builds_rows_only_for_its_vertices(q, seed):
+    plan = plan_construction("turan", 2, m=3, r=1, Z=1, q=q)
+    real = kstfree.variety.chart_rows
+    rows = []
+
+    def spy(q, b, lead, idx):
+        rows.append(len(idx))
+        return real(q, b, lead, idx)
+
+    with mock.patch.object(kstfree.variety, "chart_rows", spy):
+        graph, report = construct_turan(plan, seed)
+    assert sum(rows) == len(graph.left) + len(graph.right)
+    assert report.builder["n_points"] > 2 * sum(rows)
+
+
+def test_build_result_points_are_the_varietys_rows_built_once():
+    spec = make_field(11, 1)
+    res = build_independent_variety(spec, BuildConfig(b=3, num_forms=1,
+                                                      degree=3, s=3),
+                                    SeededRng(4))
+    real = kstfree.variety.chart_rows
+    with mock.patch.object(kstfree.variety, "chart_rows",
+                           side_effect=real) as spy:
+        pts = res.points
+        assert spy.call_count == len(res.masks)
+        assert res.points is pts and spy.call_count == len(res.masks)
+    want = kstfree.variety.fq_point_array(res.variety)
+    assert pts.shape == want.shape == (res.n_points, 4)
+    assert (pts == want).all()
 
 
 def test_construct_turan_deterministic():

@@ -27,6 +27,7 @@ from kstfree.variety import (
     fq_point_array,
     slice_points,
     variety_to_json,
+    zero_masks,
 )
 
 
@@ -202,7 +203,7 @@ LIMIT_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (5, 2)]
 
 @pytest.mark.parametrize("p, k", LIMIT_FIELDS)
 def test_limit_returns_the_canonical_prefix(p, k):
-    # a cut of W's points by one or two forms is the zero set of W's forms
+    # a cut of W's masks by one or two forms is the zero set of W's forms
     # and the cut's, up to any limit
     spec = make_field(p, k)
     rng = SeededRng(1000 * p + k)
@@ -212,25 +213,63 @@ def test_limit_returns_the_canonical_prefix(p, k):
                       for i in range(nw))
             cut = tuple(random_hom(spec, b, 1 + (b + i + 1) % 3, rng)
                         for i in range(ncut))
-            zeros = fq_point_array(VarietySpec(spec, b, w))
+            masks = zero_masks(VarietySpec(spec, b, w))
             full = fq_point_array(VarietySpec(spec, b, w + cut))
             n = len(full)
             # small slabs stop the cut in the middle of a chart
             slab = (64, 1024, kstfree.variety.SLAB)[(b + nw + ncut) % 3]
             for limit in sorted({0, 1, n // 2, n, n + 3}) + [None]:
                 with mock.patch.object(kstfree.variety, "SLAB", slab):
-                    pts = slice_points(VarietySpec(spec, b, cut), zeros,
-                                       limit)
+                    [pts] = slice_points([VarietySpec(spec, b, cut)], masks,
+                                         limit)
                 assert pts.dtype == np.int64
                 assert pts.shape == full[:limit].shape
                 assert (pts == full[:limit]).all()
 
 
+def _lead(row) -> int:
+    """The chart of an encoded point: its first coordinate that is 1."""
+    return int(np.flatnonzero(row)[0])
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_two_cuts_in_one_pass_are_two_one_cut_passes(q):
+    # both cuts read the same chunks; each stops at its own limit, and the
+    # cut by the zero form (all of W) fills before the other one
+    spec = field_for_order(q)
+    b, rng = 3, SeededRng(70 + q)
+    zero = HomPoly(spec, b, 1, (0,) * (b + 1))
+    split = 0
+    for _ in range(4):
+        w = (random_hom(spec, b, 2, rng),)
+        masks = zero_masks(VarietySpec(spec, b, w))
+        cuts = [VarietySpec(spec, b, (random_hom(spec, b, 1, rng),)),
+                VarietySpec(spec, b, (zero,)),
+                VarietySpec(spec, b, (random_hom(spec, b, 2, rng),
+                                      random_hom(spec, b, 1, rng)))]
+        for slab in (64, kstfree.variety.SLAB):
+            for limit in (0, 1, q, q * q, None):
+                with mock.patch.object(kstfree.variety, "SLAB", slab):
+                    got = slice_points(cuts, masks, limit)
+                    alone = [slice_points([cut], masks, limit)[0]
+                             for cut in cuts]
+                assert len(got) == len(cuts)
+                for cut, pts, one in zip(cuts, got, alone):
+                    want = fq_point_array(
+                        VarietySpec(spec, b, w + cut.forms))[:limit]
+                    assert pts.shape == one.shape == want.shape
+                    assert (pts == want).all() and (one == want).all()
+                first, everything = got[0], got[1]
+                if (limit and len(first) == len(everything) == limit
+                        and _lead(everything[-1]) > _lead(first[-1])):
+                    split += 1
+    assert split  # the zero-form cut stopped in an earlier chart
+
+
 @pytest.mark.parametrize("q", [2, 5, 9])
 def test_cut_of_a_zero_set_with_empty_charts(q):
     # W = {x_j = 0} has no point in chart j, where x_j = 1, and a second
-    # linear form can empty more charts.  Chart L's run must be found among
-    # the rows with x_0..x_{L-1} = 0, not from column L alone
+    # linear form can empty more charts; an empty chart mask is read past
     spec = field_for_order(q)
     b, rng = 3, SeededRng(q)
     cut = VarietySpec(spec, b, (random_hom(spec, b, 2, rng),))
@@ -240,23 +279,32 @@ def test_cut_of_a_zero_set_with_empty_charts(q):
         coeffs[mis.index(tuple(int(i == j) for i in range(b + 1)))] = 1
         hyperplane = HomPoly(spec, b, 1, tuple(coeffs))
         for w in ((hyperplane,), (hyperplane, random_hom(spec, b, 1, rng))):
-            pts = fq_point_array(VarietySpec(spec, b, w))
+            masks = zero_masks(VarietySpec(spec, b, w))
             want = fq_point_array(VarietySpec(spec, b, w + cut.forms))
-            got = slice_points(cut, pts)
+            [got] = slice_points([cut], masks)
             assert got.shape == want.shape and (got == want).all()
 
 
 def test_limit_stops_the_last_chart_before_its_last_slab():
     # q = 23, b = 4: W is one cubic, with about 23^3 points in chart 0,
-    # and the cut is one cubic; chart 0's slabs run 1,024, 2,048, 4,096
-    # and 8,192 rows, and a quarter of the cut lies in the first two
+    # and the cut is one cubic.  The chunks double from SLAB/32 cells to
+    # SLAB over the whole pass, and a quarter of the cut lies in the first
+    # few of chart 0
     spec = make_field(23, 1)
     rng = SeededRng(23)
-    w = fq_point_array(VarietySpec(spec, 4, (random_hom(spec, 4, 3, rng),)))
+    masks = zero_masks(VarietySpec(spec, 4, (random_hom(spec, 4, 3, rng),)))
     cut = VarietySpec(spec, 4, (random_hom(spec, 4, 3, rng),))
-    chart0 = int(np.count_nonzero(w[:, 0]))
+    slab, size, chunks = kstfree.variety.SLAB, kstfree.variety.SLAB >> 5, []
+    for lead in (3, 2, 1, 0):  # chart 4, the one point, reads no chunk
+        cells, c0 = masks[lead].reshape(-1), 0
+        while c0 < len(cells):
+            chunks.append(int(np.count_nonzero(cells[c0:c0 + size])))
+            c0, size = c0 + size, min(2 * size, slab)
+        if lead == 1:
+            before = len(chunks)  # the chunks of charts 3 to 1
+    assert max(chunks) <= slab // 4 and sum(chunks[before:]) > 23**3 // 2
     real = kstfree.variety._mod
-    rows = []  # rows of each zero test of the cut
+    rows = []  # points of each zero test of the cut
 
     def spy(t, p):
         if t.shape[0] == spec.k:
@@ -264,11 +312,11 @@ def test_limit_stops_the_last_chart_before_its_last_slab():
         return real(t, p)
 
     with mock.patch.object(kstfree.variety, "_mod", spy):
-        full = slice_points(cut, w)
-        assert sum(rows[-4:]) == chart0 > 1024 + 2048 + 4096
-        rows.clear()
-        pts = slice_points(cut, w, 23 * 23 // 4)
-        assert rows[-2:] == [1024, 2048]
+        [full] = slice_points([cut], masks)
+        whole, rows[:] = rows[:], []
+        [pts] = slice_points([cut], masks, 23 * 23 // 4)
+    assert whole == chunks
+    assert rows == chunks[:len(rows)] and before < len(rows) < len(chunks)
     assert (pts == full[:132]).all()
 
 
@@ -288,7 +336,7 @@ def test_limit_refuses_negative_values():
     spec = make_field(5, 1)
     var = VarietySpec(spec, 2, (conic(spec),))
     with pytest.raises(ValueError, match="limit"):
-        slice_points(var, fq_point_array(var), limit=-1)
+        slice_points([var], zero_masks(var), limit=-1)
 
 
 def test_zero_set_budget_is_checked_before_any_work():
