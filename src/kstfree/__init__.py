@@ -31,13 +31,7 @@ from .independence import (
     z_condition,
 )
 from .polyrand import BiHomPoly, HomPoly, SeededRng, random_bihom, random_hom
-from .projgeom import (
-    ProjPoint,
-    enumerate_multiindices,
-    enumerate_projective,
-    point_from_str,
-    point_to_str,
-)
+from .projgeom import ProjPoint, enumerate_multiindices, enumerate_projective
 from .util import BudgetExceeded
 from .variety import (
     BuildConfig,
@@ -80,8 +74,6 @@ __all__ = [
     "max_common_neighborhood",
     "phi_upper_bound",
     "plan_construction",
-    "point_from_str",
-    "point_to_str",
     "random_bihom",
     "random_hom",
     "s_wise_independent",

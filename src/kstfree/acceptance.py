@@ -576,20 +576,24 @@ def disjoint_span_subset(spec: FieldSpec, basis_a, basis_b) -> list:
     return chosen
 
 
-def _random_basis(spec, n: int, rng: SeededRng):
-    while True:
-        rows = [tuple(rng.randbelow(spec.order) for _ in range(n))
-                for _ in range(n)]
-        if rank([list(r) for r in rows], spec) == n:
-            return rows
+def _bases(spec, n: int, ordered: bool) -> list:
+    """Every basis of F_q^n, ordered or unordered, in encoding order."""
+    vecs = [v for v in itertools.product(range(spec.order), repeat=n)
+            if any(v)]
+    pick = itertools.permutations if ordered else itertools.combinations
+    return [b for b in pick(vecs, n) if rank([list(v) for v in b], spec) == n]
 
 
 def check_constructive_floors(seed: int):
-    """Three constructive floors: no spanning subset of the F_5 projective
-    line with fewer than 4 points has a strong degree-2 dependence witness;
-    the greedy independent set meets ceil(n/3) on 100 random sparse graphs;
-    the two-basis span-avoiding subset meets ceil(n/3) and misses every
-    target vector on 100 random basis pairs over F_5."""
+    """Three constructive floors, each on every case of its size, so the
+    seed draws nothing: no spanning subset of the F_5 projective line with
+    fewer than 4 points has a strong degree-2 dependence witness; the
+    greedy independent set meets ceil(n/3) on every graph of n <= 6
+    vertices and at most n edges; the two-basis span-avoiding subset meets
+    ceil(n/3) and misses every target vector for every ordered basis
+    against every unordered basis with no vector a multiple of one of its
+    vectors, over F_2 at n=3 and F_3 at n=2 (F_2 at n=2 has no such pair).
+    The order of the second basis cannot matter: its edges are sorted."""
     spec = field_for_order(5)
     pts = enumerate_projective(spec, 1)
     witnesses = 0
@@ -602,48 +606,45 @@ def check_constructive_floors(seed: int):
             if strong_dependence_witness(list(sub), 2) is not None:
                 witnesses += 1
 
-    rng_g = SeededRng(seed).derive(1)
-    bad_greedy = 0
-    for _ in range(100):
-        n = 1 + rng_g.randbelow(12)
-        edges = set()
-        if n >= 2:
-            for _ in range(rng_g.randbelow(n + 1)):
-                u = rng_g.randbelow(n)
-                v = rng_g.randbelow(n)
-                while v == u:
-                    v = rng_g.randbelow(n)
-                edges.add((min(u, v), max(u, v)))
-        chosen = independent_set_third(n, sorted(edges))
-        inside = set(chosen)
-        independent = all(not (u in inside and v in inside)
-                          for u, v in edges)
-        if len(chosen) < -(-n // 3) or not independent:
-            bad_greedy += 1
+    graphs = bad_greedy = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for size in range(n + 1):
+            for edges in itertools.combinations(pairs, size):
+                graphs += 1
+                chosen = independent_set_third(n, list(edges))
+                inside = set(chosen)
+                independent = all(not (u in inside and v in inside)
+                                  for u, v in edges)
+                if len(chosen) < -(-n // 3) or not independent:
+                    bad_greedy += 1
 
-    rng_b = SeededRng(seed).derive(2)
-    bad_span = 0
-    for _ in range(100):
-        n = 2 + rng_b.randbelow(7)
-        basis_a = _random_basis(spec, n, rng_b)
-        while True:
-            basis_b = _random_basis(spec, n, rng_b)
-            if not any(is_scalar_multiple(u, v, spec)
+    basis_pairs = bad_span = 0
+    for q, n in ((2, 3), (3, 2)):
+        field = field_for_order(q)
+        targets = _bases(field, n, ordered=False)
+        for basis_a in _bases(field, n, ordered=True):
+            for basis_b in targets:
+                if any(is_scalar_multiple(u, v, field)
                        for u in basis_b for v in basis_a):
-                break
-        chosen = disjoint_span_subset(spec, basis_a, basis_b)
-        sub = [list(basis_a[i]) for i in chosen]
-        misses_all = all(rank(sub + [list(u)], spec) == len(sub) + 1
-                         for u in basis_b)
-        if len(chosen) < -(-n // 3) or not misses_all:
-            bad_span += 1
+                    continue
+                basis_pairs += 1
+                chosen = disjoint_span_subset(field, basis_a, basis_b)
+                sub = [list(basis_a[i]) for i in chosen]
+                misses_all = all(rank(sub + [list(u)], field) == len(sub) + 1
+                                 for u in basis_b)
+                if len(chosen) < -(-n // 3) or not misses_all:
+                    bad_span += 1
 
     ok = witnesses == 0 and bad_greedy == 0 and bad_span == 0
-    return ok, ("%d spanning subsets witness-free, greedy bad %d/100, "
-                "two-basis bad %d/100" % (spanning, bad_greedy, bad_span)), {
+    return ok, ("%d spanning subsets witness-free, greedy bad %d/%d, "
+                "two-basis bad %d/%d" % (spanning, bad_greedy, graphs,
+                                         bad_span, basis_pairs)), {
         "spanning_checked": spanning,
         "strong_witnesses": witnesses,
+        "graphs": graphs,
         "bad_greedy": bad_greedy,
+        "basis_pairs": basis_pairs,
         "bad_span": bad_span,
     }
 

@@ -462,33 +462,15 @@ class FieldSpec:
         return ext.enc_array(digits @ np.stack(powers) % self.p)
 
 
-def elem_str(spec: FieldSpec, enc: int) -> str:
-    """Residue for prime fields, comma-joined basis vector otherwise."""
-    if spec.k == 1:
-        return str(enc)
-    return ",".join(str(d) for d in spec.decode(enc))
-
-
-def elem_parse(spec: FieldSpec, s: str) -> int:
-    if spec.k == 1:
-        v = int(s)
-    else:
-        digits = [int(d) for d in s.split(",")]
-        if len(digits) != spec.k or any(not 0 <= d < spec.p for d in digits):
-            raise ValueError("bad element %r for %r" % (s, spec))
-        v = spec.encode(digits)
-    if not 0 <= v < spec.order:
-        raise ValueError("element %r out of range for %r" % (s, spec))
-    return v
-
-
-def make_field(p: int, k: int = 1, order_cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
-    """Construct (or fetch) GF(p^k) with the deterministic modulus choice."""
+def make_field(p: int, k: int = 1) -> FieldSpec:
+    """Construct (or fetch) GF(p^k) with the deterministic modulus choice;
+    its order must be at most DEFAULT_ORDER_CAP."""
     if k < 1:
         raise ValueError("k must be >= 1")
     # the cap goes first: p^k >= 2^k, and is_prime divides up to sqrt(p)
-    if k >= order_cap.bit_length() or p**k > order_cap:
-        raise ValueError("field order %d^%d exceeds cap %d" % (p, k, order_cap))
+    cap = DEFAULT_ORDER_CAP
+    if k >= cap.bit_length() or p**k > cap:
+        raise ValueError("field order %d^%d exceeds cap %d" % (p, k, cap))
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
     key = (p, k)
@@ -500,13 +482,14 @@ def make_field(p: int, k: int = 1, order_cap: int = DEFAULT_ORDER_CAP) -> FieldS
     return spec
 
 
-def field_for_order(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
+def field_for_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q, factoring q deterministically."""
     if q < 2:
         raise ValueError("order must be >= 2")
     # the cap goes first: the trial division below runs up to sqrt(q)
-    if q > order_cap:
-        raise ValueError("field order %d exceeds cap %d" % (q, order_cap))
+    if q > DEFAULT_ORDER_CAP:
+        raise ValueError("field order %d exceeds cap %d"
+                         % (q, DEFAULT_ORDER_CAP))
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -521,4 +504,4 @@ def field_for_order(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
         k += 1
     if v != 1:
         raise ValueError("%d is not a prime power" % q)
-    return make_field(p, k, order_cap)
+    return make_field(p, k)

@@ -26,6 +26,7 @@ import numpy as np
 from .gf import FieldSpec, field_for_order, make_field
 from .independence import m_cap, z_condition
 from .polyrand import SeededRng, eval_bihom_grid, random_bihom, random_hom
+from .projgeom import parse_ids, point_ids
 from .util import (
     DEFAULT_POINT_BUDGET,
     DEFAULT_SUBSET_BUDGET,
@@ -76,47 +77,16 @@ def _json_keys(name: str, doc: dict, keys) -> None:
 
 
 def _check_vertex_ids(spec: FieldSpec, side: str, ids, dim: int | None):
-    """Ids are strings; under a plan (dim given), canonical points of P^dim.
-
-    Canonical means: each id holds dim+1 coordinates of k digits, every
-    digit is a decimal below p, the first nonzero coordinate is 1, and
-    `_ids_of` writes the parsed row back as the same text.  That last
-    comparison refuses what `int` takes but would not write: padding,
-    signs, "_" separators, non-ASCII digits and leading zeros.  The error
-    names the first id that fails.
-
-    All ids are split at once and cut into rows of (dim+1)*k digits.  An
-    id with another digit count never equals its row written back, and
-    the rows before the first such id are exactly their ids' digits.
-    """
+    """Ids are strings; under a plan (dim given), canonical points of P^dim
+    (`projgeom.parse_ids`).  The error names the first id that fails."""
     if not isinstance(ids, list) or any(type(v) is not str for v in ids):
         raise ValueError("%s vertex ids are not a list of strings" % side)
     if dim is None:
         return
-    width = (dim + 1) * spec.k
-    digits = ":".join(ids).replace(",", ":").split(":")
-    n = min(len(ids), len(digits) // width)
-    del digits[n * width:]
-    # only short decimal text reaches int(), so it cannot fail or overflow
-    ok = (np.fromiter(map(str.isdecimal, digits), bool, len(digits))
-          & (np.fromiter(map(len, digits), np.int64, len(digits))
-             <= len(str(spec.p))))
-    hits = np.flatnonzero(~ok.reshape(n, width).all(axis=1))
-    first_bad = n = int(hits[0]) if hits.size else n
-    if n:
-        dig = np.array(list(map(int, digits[:n * width])), dtype=np.int64)
-        dig = dig.reshape(n, dim + 1, spec.k)
-        enc = spec.enc_array(dig)
-        lead = enc[np.arange(n), np.argmax(enc != 0, axis=1)]
-        bad = ((dig >= spec.p).any(axis=(1, 2)) | (lead != 1)
-               | np.array([a != b for a, b in zip(_ids_of(spec, enc), ids)]))
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            first_bad = int(hits[0])
-    if first_bad < len(ids):
+    _, n = parse_ids(spec, ids, dim)
+    if n < len(ids):
         raise ValueError("%s vertex id %r is not a canonical point of "
-                         "P^%s(F_%d)"
-                         % (side, ids[first_bad], dim, spec.order))
+                         "P^%s(F_%d)" % (side, ids[n], dim, spec.order))
 
 
 def _edge_matrix(edges: list, n_left: int, n_right: int) -> np.ndarray:
@@ -696,21 +666,6 @@ class TrialReport(Verdicts):
         }
 
 
-def _ids_of(spec: FieldSpec, enc: np.ndarray) -> list:
-    """Point ids of encoded rows, as `point_to_str` writes canonical ones.
-
-    One format of a repeated template over the decoded digits: "%d:%d:..."
-    over a prime field; over an extension field each coordinate is
-    "%d,%d,..." (its basis digits, lowest first).
-    """
-    n, width = enc.shape
-    if n == 0:
-        return []
-    row = ":".join([",".join(["%d"] * spec.k)] * width)
-    digits = spec.dec_array(enc).ravel().tolist()
-    return ("\n".join([row] * n) % tuple(digits)).split("\n")
-
-
 def _trial_report(graph: SidedGraph, plan: ConstructionPlan,
                   sides_full: bool, builder: dict | None,
                   budget: int) -> TrialReport:
@@ -785,8 +740,8 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     g = random_bihom(spec, plan.b, plan.b, plan.m, plan.m,
                      base.derive(STREAM_ADJACENCY))
     adj = eval_bihom_grid(g, left_enc, right_enc) == 0
-    graph = SidedGraph(spec, _ids_of(spec, left_enc),
-                       _ids_of(spec, right_enc), adj, plan=plan,
+    graph = SidedGraph(spec, point_ids(spec, left_enc),
+                       point_ids(spec, right_enc), adj, plan=plan,
                        seed=master_seed)
     builder_info = {
         "attempts": built.attempts,
@@ -833,8 +788,8 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
     g = random_bihom(spec, a, plan.b, plan.m, plan.m,
                      base.derive(STREAM_ADJACENCY))
     adj = eval_bihom_grid(g, left_enc, right_enc) == 0
-    graph = SidedGraph(spec, _ids_of(spec, left_enc),
-                       _ids_of(spec, right_enc), adj, plan=plan,
+    graph = SidedGraph(spec, point_ids(spec, left_enc),
+                       point_ids(spec, right_enc), adj, plan=plan,
                        seed=master_seed)
     sides_full = 2 * len(right_enc) * spec.order**plan.r >= spec.order**plan.b
     report = _trial_report(graph, plan, sides_full, None, subset_budget)

@@ -14,6 +14,8 @@ import json
 import os
 import tempfile
 
+from .projgeom import ProjPoint, parse_ids
+
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 
@@ -165,17 +167,19 @@ def report_path_for(graph_path: str) -> str:
 
 
 def read_points_file(spec, path: str):
-    """One canonical point per line; blank lines and # comments skipped."""
-    from .projgeom import point_from_str
+    """One canonical point per line; blank lines and # comments skipped.
 
-    pts = []
+    The first point sets the dimension; a refusal names the first line
+    that is not a canonical point of that space (`projgeom.parse_ids`).
+    """
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                pts.append(point_from_str(spec, line))
-            except ValueError as e:
-                raise ValueError("%s:%d: %s" % (path, lineno, e)) from None
-    return pts
+        kept = [(lineno, line) for lineno, line in
+                enumerate(map(str.strip, fh), 1)
+                if line and not line.startswith("#")]
+    ids = [line for _, line in kept]
+    dim = ids[0].count(":") if ids else 0
+    rows, n = parse_ids(spec, ids, dim)
+    if n < len(ids):
+        raise ValueError("%s:%d: %r is not a canonical point of P^%d(F_%d)"
+                         % (path, kept[n][0], ids[n], dim, spec.order))
+    return [ProjPoint(spec, row) for row in rows.tolist()]

@@ -18,8 +18,9 @@ from math import comb
 
 import numpy as np
 
-from .gf import FieldSpec, elem_str
-from .projgeom import enumerate_multiindices, monomial_eval, monomial_matrix
+from .gf import FieldSpec
+from .projgeom import (enumerate_multiindices, monomial_eval, monomial_matrix,
+                       point_ids)
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -175,9 +176,10 @@ def eval_bihom_grid(g: BiHomPoly, left_enc: np.ndarray, right_enc: np.ndarray) -
 
 
 def hom_to_json(f: HomPoly) -> dict:
-    entries = [
-        [list(beta), elem_str(f.spec, c)]
-        for c, beta in zip(f.coeffs, f.multiindices())
-        if c
-    ]
+    """Each nonzero coefficient beside its multiindex, as element text."""
+    coeffs = np.array(f.coeffs, dtype=np.int64)
+    on = np.flatnonzero(coeffs)
+    mis = f.multiindices()
+    entries = [[list(mis[i]), c] for i, c in
+               zip(on.tolist(), point_ids(f.spec, coeffs[on, None]))]
     return {"kind": "hom", "b": f.b, "m": f.m, "coeffs": entries}

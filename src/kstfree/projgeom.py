@@ -7,7 +7,9 @@ of "first points" or "initial segment" refers to this order.  Degree-m
 multiindices are the rows of one read-only array per (b, m),
 `multiindex_table`, in graded-lex order with the first exponent
 descending; every coefficient vector and every monomial matrix column
-in the package is aligned to it.
+in the package is aligned to it.  A point's id, its text in every
+artifact and points file, is written by `point_ids` and read by
+`parse_ids` alone.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import FieldSpec, elem_parse, elem_str
+from .gf import FieldSpec
 from .util import DEFAULT_POINT_BUDGET, BudgetExceeded
 
 
@@ -32,7 +34,7 @@ class ProjPoint:
             raise ValueError("the zero vector is not projective")
         lead = next(c for c in self.coords if c != 0)
         if lead != spec.one:
-            raise ValueError("coords are not canonical; use canonicalize()")
+            raise ValueError("coords are not canonical")
 
     @property
     def dim(self) -> int:
@@ -49,17 +51,8 @@ class ProjPoint:
         return hash((self.spec.p, self.spec.k, self.coords))
 
     def __repr__(self):
-        return "ProjPoint(%s)" % point_to_str(self)
-
-
-def canonicalize(spec: FieldSpec, raw) -> ProjPoint:
-    """Scale a nonzero coordinate vector so its first nonzero entry is 1."""
-    raw = [int(c) for c in raw]
-    lead = next((c for c in raw if c != 0), None)
-    if lead is None:
-        raise ValueError("cannot canonicalize the zero vector")
-    inv = spec.inv(lead)
-    return ProjPoint(spec, [spec.mul(inv, c) for c in raw])
+        (text,) = point_ids(self.spec, np.array([self.coords]))
+        return "ProjPoint(%s)" % text
 
 
 def projective_count(q: int, b: int) -> int:
@@ -101,13 +94,14 @@ CHUNK = 1 << 17  # most points in one projective_chunks block, and most
                  # digit products in one monomial_matrix arr_mul
 
 
-def projective_chunks(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET):
+def projective_chunks(spec: FieldSpec, b: int):
     """Yield (rows, b+1) encoding arrays covering P^b(F_q) in canonical order.
 
-    Each array holds at most CHUNK points of one chart.
+    Each array holds at most CHUNK points of one chart; a space of more
+    than DEFAULT_POINT_BUDGET points is refused.
     """
     q = spec.order
-    checked_count(q, b, cap)
+    checked_count(q, b, DEFAULT_POINT_BUDGET)
     for lead in chart_leads(b):
         cnt = q ** (b - lead)
         for start in range(0, cnt, CHUNK):
@@ -115,13 +109,13 @@ def projective_chunks(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET):
             yield chart_rows(q, b, lead, idx)
 
 
-def projective_array(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
-    return np.concatenate(list(projective_chunks(spec, b, cap)))
+def projective_array(spec: FieldSpec, b: int) -> np.ndarray:
+    return np.concatenate(list(projective_chunks(spec, b)))
 
 
-def enumerate_projective(spec: FieldSpec, b: int, cap: int = DEFAULT_POINT_BUDGET):
+def enumerate_projective(spec: FieldSpec, b: int):
     """All points of P^b(F_q) as ProjPoint objects, canonical order."""
-    arr = projective_array(spec, b, cap)
+    arr = projective_array(spec, b)
     return [ProjPoint(spec, row) for row in arr.tolist()]
 
 
@@ -173,24 +167,61 @@ def monomial_eval(point: ProjPoint, beta) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serialization: "1:2:0" for prime fields, "1,0:0,1" for extension fields
+# point ids: "1:2:0" for prime fields, "1,0:0,1" for extension fields
 
 
-def point_to_str(point: ProjPoint) -> str:
-    return ":".join(elem_str(point.spec, c) for c in point.coords)
+def point_ids(spec: FieldSpec, rows: np.ndarray) -> list:
+    """Ids of encoded rows: the package's one writer of point text.
 
-
-def point_from_str(spec: FieldSpec, s: str) -> ProjPoint:
-    """Inverse of point_to_str; refuses text it would not write back as is.
-
-    So a scaled point ("2:1" over F_5), padding, signs or leading zeros
-    are errors, not silent rewrites.
+    One format of a repeated template over the decoded digits: "%d:%d:..."
+    over a prime field; over an extension field each coordinate is
+    "%d,%d,..." (its basis digits, lowest first).  A one-coordinate row
+    is the text of one field element.
     """
-    pt = canonicalize(spec, [elem_parse(spec, part) for part in s.split(":")])
-    if point_to_str(pt) != s:
-        raise ValueError("%r is not a canonical point of %r; its canonical "
-                         "form is %r" % (s, spec, point_to_str(pt)))
-    return pt
+    n, width = rows.shape
+    if n == 0:
+        return []
+    row = ":".join([",".join(["%d"] * spec.k)] * width)
+    digits = spec.dec_array(rows).ravel().tolist()
+    return ("\n".join([row] * n) % tuple(digits)).split("\n")
+
+
+def parse_ids(spec: FieldSpec, ids: list, dim: int):
+    """(rows, n): the encoded rows of ids[:n], the longest prefix of
+    canonical points of P^dim; n < len(ids) names ids[n] as the first
+    that is not one.  The package's one reader of point text.
+
+    Canonical means: each id holds dim+1 coordinates of k digits, every
+    digit is a decimal below p, the first nonzero coordinate is 1, and
+    `point_ids` writes the parsed row back as the same text.  That last
+    comparison refuses what `int` takes but would not write: padding,
+    signs, "_" separators, non-ASCII digits and leading zeros.
+
+    All ids are split at once and cut into rows of (dim+1)*k digits.  An
+    id with another digit count never equals its row written back, and
+    the rows before the first such id are exactly their ids' digits.
+    """
+    width = (dim + 1) * spec.k
+    digits = ":".join(ids).replace(",", ":").split(":")
+    n = min(len(ids), len(digits) // width)
+    del digits[n * width:]
+    # only short decimal text reaches int(), so it cannot fail or overflow
+    ok = (np.fromiter(map(str.isdecimal, digits), bool, len(digits))
+          & (np.fromiter(map(len, digits), np.int64, len(digits))
+             <= len(str(spec.p))))
+    hits = np.flatnonzero(~ok.reshape(n, width).all(axis=1))
+    n = int(hits[0]) if hits.size else n
+    if n == 0:
+        return np.zeros((0, dim + 1), dtype=np.int64), 0
+    dig = np.array(list(map(int, digits[:n * width])), dtype=np.int64)
+    dig = dig.reshape(n, dim + 1, spec.k)
+    enc = spec.enc_array(dig)
+    lead = enc[np.arange(n), np.argmax(enc != 0, axis=1)]
+    bad = ((dig >= spec.p).any(axis=(1, 2)) | (lead != 1)
+           | np.array([a != b for a, b in zip(point_ids(spec, enc), ids)]))
+    hits = np.flatnonzero(bad)
+    n = int(hits[0]) if hits.size else n
+    return enc[:n], n
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,7 @@ def dimension_probe(counts: dict, q: int) -> DimensionProbe:
 
 PROBE_EXTENSION = 2   # besides F_q itself, count over F_{q^2} when it fits
                       # the field order cap and the point budget
+MAX_ATTEMPTS = 10     # draws the builder tries before it gives up
 
 
 @dataclass
@@ -480,7 +481,6 @@ class BuildConfig:
     num_forms: int            # how many forms to draw
     degree: int               # their common degree
     s: int                    # independence arity to certify
-    max_attempts: int = 10
     point_cap: int = DEFAULT_POINT_BUDGET
     subset_budget: int = DEFAULT_SUBSET_BUDGET
 
@@ -569,7 +569,7 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
 
     tally = {"count": 0, "swise": 0, "probe": 0}
     last = None
-    for attempt in range(cfg.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         sub = rng.derive(attempt)
         forms = tuple(
             random_hom(spec, cfg.b, cfg.degree, sub) for _ in range(cfg.num_forms)

@@ -1,6 +1,10 @@
 """Scalar references that tests hold the package's bulk code to.
 
 Nothing in `src/kstfree` needs these, so they live beside the tests.
+Among them is the scalar point-id path, one element and one point at a
+time (`elem_str`, `elem_parse`, `canonicalize`, `point_to_str`,
+`point_from_str`), which `projgeom.point_ids` and `parse_ids` must
+agree with.
 """
 import numpy as np
 
@@ -8,7 +12,51 @@ from kstfree.gf import FieldSpec
 from kstfree.graphs import KstVerdict, SidedGraph, _common, _side_adj
 from kstfree.independence import hilbert_rank
 from kstfree.polyrand import BiHomPoly
-from kstfree.projgeom import enumerate_multiindices, monomial_eval
+from kstfree.projgeom import ProjPoint, enumerate_multiindices, monomial_eval
+
+
+def elem_str(spec: FieldSpec, enc: int) -> str:
+    """Residue for prime fields, comma-joined basis vector otherwise."""
+    if spec.k == 1:
+        return str(enc)
+    return ",".join(str(d) for d in spec.decode(enc))
+
+
+def elem_parse(spec: FieldSpec, s: str) -> int:
+    if spec.k == 1:
+        v = int(s)
+    else:
+        digits = [int(d) for d in s.split(",")]
+        if len(digits) != spec.k or any(not 0 <= d < spec.p for d in digits):
+            raise ValueError("bad element %r for %r" % (s, spec))
+        v = spec.encode(digits)
+    if not 0 <= v < spec.order:
+        raise ValueError("element %r out of range for %r" % (s, spec))
+    return v
+
+
+def canonicalize(spec: FieldSpec, raw) -> ProjPoint:
+    """Scale a nonzero coordinate vector so its first nonzero entry is 1."""
+    raw = [int(c) for c in raw]
+    lead = next((c for c in raw if c != 0), None)
+    if lead is None:
+        raise ValueError("cannot canonicalize the zero vector")
+    inv = spec.inv(lead)
+    return ProjPoint(spec, [spec.mul(inv, c) for c in raw])
+
+
+def point_to_str(point: ProjPoint) -> str:
+    return ":".join(elem_str(point.spec, c) for c in point.coords)
+
+
+def point_from_str(spec: FieldSpec, s: str) -> ProjPoint:
+    """Inverse of point_to_str; refuses text it would not write back as is,
+    so a scaled point ("2:1" over F_5), padding, signs or leading zeros
+    are errors, not silent rewrites."""
+    pt = canonicalize(spec, [elem_parse(spec, part) for part in s.split(":")])
+    if point_to_str(pt) != s:
+        raise ValueError("%r is not a canonical point of %r" % (s, spec))
+    return pt
 
 
 def evaluate_bi(g: BiHomPoly, v, w) -> int:

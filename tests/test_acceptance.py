@@ -27,10 +27,10 @@ def test_check(number, name, fn):
         number, name, summary, detail)
 
 
-@pytest.mark.parametrize("number", [3, 4, 5])
+@pytest.mark.parametrize("number", [3, 4, 5, 9])
 def test_theorem_checks_draw_nothing(number, monkeypatch):
-    # checks 3-5 are settled by theorems: no stream, the same verdict at
-    # every seed
+    # checks 3-5 are settled by theorems and check 9 runs every case of
+    # its sizes: no stream, the same verdict at every seed
     def no_stream(seed):
         raise AssertionError("check %d drew from a stream" % number)
     monkeypatch.setattr(kstfree.acceptance, "SeededRng", no_stream)

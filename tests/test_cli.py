@@ -14,7 +14,8 @@ import kstfree
 from kstfree.cli import main
 from kstfree.gf import field_for_order
 from kstfree.jsonio import read_doc, report_path_for
-from kstfree.projgeom import enumerate_projective, point_to_str
+from kstfree.projgeom import enumerate_projective
+from references import point_to_str
 
 
 def run(argv, capsys):
@@ -518,6 +519,18 @@ def test_indep_rejects_garbage_points(tmp_path, capsys):
                      capsys)
     assert rc == 1
     assert "pts.txt:2" in err
+
+
+def test_indep_names_the_first_point_of_another_space(tmp_path, capsys):
+    # the first point sets the space, P^1 here; line numbers count the
+    # comment and the blank line
+    pts = tmp_path / "pts.txt"
+    pts.write_text("# two spaces\n1:0\n\n1:0:0\n")
+    rc, stdout, err = run(["indep", "--points", str(pts), "--q", "5",
+                           "--m", "2"], capsys)
+    assert rc == 1 and stdout == ""
+    assert err.startswith("error: %s:4: '1:0:0' is not a canonical point "
+                          "of P^1(F_5)" % pts)
 
 
 @pytest.mark.parametrize("line", ["2:1", "1: 1", "01:1", "1:+1"])

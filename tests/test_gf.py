@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+import kstfree.gf
 from kstfree.gf import (
     _MOD_BLOCK,
     _mod,
@@ -221,9 +222,10 @@ def test_arr_dot_batches_leading_axes(p, k):
         assert (got[i] == scalar_dot(fs, A[i], v)).all()
 
 
-def test_arr_dot_refuses_inexact_sums():
+def test_arr_dot_refuses_inexact_sums(monkeypatch):
     p = next(n for n in range((1 << 26) + 1, 1 << 27) if is_prime(n))
-    fs = make_field(p, 1, order_cap=p)
+    monkeypatch.setattr(kstfree.gf, "DEFAULT_ORDER_CAP", p)
+    fs = make_field(p, 1)
     assert 2 * (p - 1) ** 2 + p > 1 << 53 >= (p - 1) ** 2 + p
     top = np.full((1, 2, 1), p - 1)
     with pytest.raises(ValueError, match="overflow"):
@@ -278,7 +280,7 @@ def test_blockwise_mod_matches_the_single_pass():
         assert (got.astype(np.int64) == view(t) % 7).all()
 
 
-def test_dtype_rule_keeps_every_benchmark_field_in_float32():
+def test_dtype_rule_keeps_every_benchmark_field_in_float32(monkeypatch):
     # degree-3 zero sets sum 4*k terms; arr_mul sums _mul_terms, and
     # eval_hom_many's arr_dot on P^4 sums one term per monomial
     for q in (7, 11, 23, 29, 31, 121):
@@ -288,7 +290,8 @@ def test_dtype_rule_keeps_every_benchmark_field_in_float32():
     fs = make_field(2, 16)
     for terms in (16, 4 * 16, fs._mul_terms):
         assert fs._dtype(terms, "test") is np.float32
-    fs = make_field((1 << 26) + 15, 1, order_cap=1 << 27)
+    monkeypatch.setattr(kstfree.gf, "DEFAULT_ORDER_CAP", 1 << 27)
+    fs = make_field((1 << 26) + 15, 1)
     assert fs._dtype(1, "test") is np.float64
 
 
@@ -315,7 +318,7 @@ def test_embed_table_matches_the_scalar_search(src, dst):
         embed_table_scalar(base, ext).tolist()
 
 
-def test_field_for_order():
+def test_field_for_order(monkeypatch):
     assert field_for_order(8) is make_field(2, 3)
     assert field_for_order(121) is make_field(11, 2)
     assert field_for_order(7) is make_field(7)
@@ -324,15 +327,17 @@ def test_field_for_order():
     # the cap is checked before the trial division, which would hang here
     with pytest.raises(ValueError, match="exceeds cap"):
         field_for_order((1 << 61) - 1)
+    monkeypatch.setattr(kstfree.gf, "DEFAULT_ORDER_CAP", 127)
     with pytest.raises(ValueError, match="exceeds cap"):
-        field_for_order(128, order_cap=127)
+        field_for_order(128)
 
 
-def test_make_field_validation():
+def test_make_field_validation(monkeypatch):
     with pytest.raises(ValueError):
         make_field(6)
+    monkeypatch.setattr(kstfree.gf, "DEFAULT_ORDER_CAP", 1)
     with pytest.raises(ValueError):
-        make_field(2, 1, order_cap=1)
+        make_field(2, 1)
 
 
 def test_iroot_and_scaled_power():

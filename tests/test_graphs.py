@@ -33,10 +33,10 @@ from kstfree.graphs import (
     plan_construction,
 )
 from kstfree.polyrand import SeededRng, evaluate, random_hom
-from kstfree.projgeom import ProjPoint, enumerate_projective, point_from_str, point_to_str
+from kstfree.projgeom import ProjPoint, enumerate_projective
 from kstfree.util import BudgetExceeded, floor_scaled_power
 from kstfree.variety import BuildConfig, build_independent_variety
-from references import verify_witness
+from references import point_from_str, point_to_str, verify_witness
 
 
 def fano_graph():

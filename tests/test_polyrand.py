@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstfree.gf import elem_parse, make_field
+from kstfree.gf import make_field
 from kstfree.polyrand import (
     BiHomPoly,
     HomPoly,
@@ -17,8 +17,8 @@ from kstfree.polyrand import (
     random_bihom,
     random_hom,
 )
-from kstfree.projgeom import canonicalize, enumerate_projective
-from references import evaluate_bi
+from kstfree.projgeom import enumerate_projective
+from references import canonicalize, elem_parse, evaluate_bi
 
 
 def test_rng_determinism_and_vector_agreement():

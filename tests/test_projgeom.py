@@ -1,4 +1,5 @@
-"""Projective enumeration, canonicalization, multiindex and monomial tests."""
+"""Projective enumeration, canonicalization, point ids, multiindex and
+monomial tests."""
 import itertools
 import random
 from math import comb
@@ -6,24 +7,26 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstfree.gf import FieldSpec, make_field
 from kstfree.projgeom import (
     CHUNK,
     ProjPoint,
     _level_links,
-    canonicalize,
     enumerate_multiindices,
     enumerate_projective,
     monomial_eval,
     monomial_matrix,
     multiindex_table,
-    point_from_str,
-    point_to_str,
+    parse_ids,
+    point_ids,
     projective_array,
     projective_count,
 )
 from kstfree.util import BudgetExceeded
+from references import canonicalize, point_from_str, point_to_str
 
 
 def oracle_projective_points(spec, b):
@@ -164,27 +167,34 @@ def test_monomial_eval():
     assert monomial_eval(pt0, (1, 0, 2)) == 0
 
 
-@pytest.mark.parametrize("p,k", [(5, 1), (2, 2)])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2), (2, 5)])
 def test_point_serialization_roundtrip(p, k):
+    # every point of P^2 over the fields of order <= 9, of P^1 over GF(32)
     spec = make_field(p, k)
-    for pt in enumerate_projective(spec, 2):
-        s = point_to_str(pt)
-        assert point_from_str(spec, s) == pt
-    if k == 1:
-        assert point_to_str(enumerate_projective(spec, 2)[0]) == "0:0:1"
-    else:
-        # extension coordinates serialize their basis vectors
-        assert "," in point_to_str(enumerate_projective(spec, 2)[-1]) or spec.k == 1
+    b = 2 if spec.order <= 9 else 1
+    pts = enumerate_projective(spec, b)
+    rows = np.array([pt.coords for pt in pts], dtype=np.int64)
+    ids = point_ids(spec, rows)
+    assert ids == [point_to_str(pt) for pt in pts]
+    back, n = parse_ids(spec, ids, b)
+    assert n == len(ids) and back.tolist() == rows.tolist()
+    zero, one = ",".join("0" * k), ",".join("1" + "0" * (k - 1))
+    assert ids[0] == ":".join([zero] * b + [one])
 
 
 def test_point_serialization_examples():
     f5 = make_field(5)
-    pt = canonicalize(f5, (1, 2, 0))
-    assert point_to_str(pt) == "1:2:0"
+    assert point_ids(f5, np.array([[1, 2, 0]])) == ["1:2:0"]
+    assert repr(canonicalize(f5, (2, 4, 0))) == "ProjPoint(1:2:0)"
     f4 = make_field(2, 2)
-    pt = canonicalize(f4, (1, 2))  # second coord is the basis root x
-    assert point_to_str(pt) == "1,0:0,1"
-    assert point_from_str(f4, "1,0:0,1") == pt
+    # the second coordinate is the basis root x
+    assert point_ids(f4, np.array([[1, 2]])) == ["1,0:0,1"]
+    rows, n = parse_ids(f4, ["1,0:0,1"], 1)
+    assert (rows.tolist(), n) == ([[1, 2]], 1)
+    assert point_from_str(f4, "1,0:0,1") == canonicalize(f4, (1, 2))
+    # an element's text is its one-coordinate id
+    assert point_ids(f4, np.array([[0], [3]])) == ["0,0", "1,1"]
 
 
 @pytest.mark.parametrize("k,text", [
@@ -192,8 +202,51 @@ def test_point_serialization_examples():
     (2, "1,0:0,01"),
 ])
 def test_point_from_str_refuses_non_canonical_text(k, text):
+    # parse_ids refuses each text in every space, as the reference does
+    spec = make_field(5, k)
     with pytest.raises(ValueError):
-        point_from_str(make_field(5, k), text)
+        point_from_str(spec, text)
+    for dim in range(3):
+        rows, n = parse_ids(spec, [text], dim)
+        assert (n, len(rows)) == (0, 0)
+
+
+ID_FIELDS = [make_field(p, k) for p, k in
+             [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2)]]
+CANONICAL_IDS = {(spec, dim): [point_to_str(pt) for pt in
+                               enumerate_projective(spec, dim)]
+                 for spec in ID_FIELDS for dim in range(3)}
+ID_CHARS = "0123456789,:-+ _x\u0663"
+
+
+@st.composite
+def mutated_ids(draw):
+    """(spec, dim, text): a canonical id of P^dim with up to three
+    characters inserted, deleted or replaced."""
+    spec = draw(st.sampled_from(ID_FIELDS))
+    dim = draw(st.integers(0, 2))
+    text = draw(st.sampled_from(CANONICAL_IDS[spec, dim]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(["insert", "delete", "replace"]))
+        ch = draw(st.sampled_from(ID_CHARS))
+        cut = at + 1 if how != "insert" else at
+        text = text[:at] + ("" if how == "delete" else ch) + text[cut:]
+    return spec, draw(st.integers(max(0, dim - 1), dim + 1)), text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=mutated_ids())
+def test_parse_ids_refuses_what_the_reference_refuses(case):
+    spec, dim, text = case
+    try:
+        ref_ok = point_from_str(spec, text).dim == dim
+    except ValueError:
+        ref_ok = False
+    rows, n = parse_ids(spec, [text], dim)
+    assert n == int(ref_ok)
+    if ref_ok:
+        assert rows.tolist() == [list(point_from_str(spec, text).coords)]
 
 
 def test_zero_set_invariant_under_rescaling():
@@ -275,6 +328,7 @@ def test_monomial_matrix_blocks_stay_within_chunk():
 
 
 def test_projective_budget():
-    spec = make_field(11)
+    # |P^4(F_43)| = 3,500,201 is past the default point budget, and the
+    # count is refused before anything is allocated
     with pytest.raises(BudgetExceeded):
-        projective_array(spec, 4, cap=100)
+        projective_array(make_field(43), 4)

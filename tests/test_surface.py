@@ -80,6 +80,14 @@ def test_allowlist_names_only_unused_definitions():
     assert set(ALLOWED) <= set(unreferenced())
 
 
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone breaks
+    # `from kstfree import *`
+    missing = [name for name in kstfree.__all__ if not hasattr(kstfree, name)]
+    assert missing == []
+    assert len(set(kstfree.__all__)) == len(kstfree.__all__)
+
+
 def scipy_importers():
     """Files of `src/kstfree` that import scipy, at any depth of the file."""
     out = set()

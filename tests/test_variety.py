@@ -79,9 +79,9 @@ def test_form_space_mismatch_rejected():
         VarietySpec(spec, 3, (conic(spec),))
 
 
-def reference_points(var, cap=10**6):
+def reference_points(var):
     """The zero set by evaluating every form at every point of P^b."""
-    pts = projective_array(var.spec, var.b, cap)
+    pts = projective_array(var.spec, var.b)
     if not var.forms:
         return pts
     return pts[np.all(eval_hom_many(var.forms, pts) == 0, axis=1)]
@@ -348,10 +348,11 @@ def test_zero_set_budget_is_checked_before_any_work():
             fq_point_array(var, cap=10**6)
 
 
-def test_zero_set_refuses_inexact_sums():
+def test_zero_set_refuses_inexact_sums(monkeypatch):
     # a linear form has two exponents per axis: 2 (p-1)^2 >= 2^53
     p = next(n for n in range((1 << 26) + 1, 1 << 27) if is_prime(n))
-    spec = make_field(p, 1, order_cap=p)
+    monkeypatch.setattr(kstfree.gf, "DEFAULT_ORDER_CAP", p)
+    spec = make_field(p, 1)
     assert 2 * (p - 1) ** 2 >= 1 << 53 > (p - 1) ** 2 + p
     line = VarietySpec(spec, 1, (HomPoly(spec, 1, 1, (1, 1)),))
     with pytest.raises(ValueError, match="overflow"):
@@ -640,7 +641,8 @@ def test_builder_sampled_swise_does_not_certify(seed, monkeypatch):
 
     monkeypatch.setattr(kstfree.variety, "s_wise_independent", no_search)
     spec = make_field(2, 1)
-    cfg = BuildConfig(b=10, num_forms=6, degree=3, s=5, max_attempts=1)
+    monkeypatch.setattr(kstfree.variety, "MAX_ATTEMPTS", 1)
+    cfg = BuildConfig(b=10, num_forms=6, degree=3, s=5)
     res = build_independent_variety(spec, cfg, SeededRng(seed))
     assert comb(res.n_points, 5) > cfg.subset_budget
     assert res.swise is None
@@ -648,9 +650,10 @@ def test_builder_sampled_swise_does_not_certify(seed, monkeypatch):
     assert res.failure_tally == {"count": 0, "swise": 1, "probe": 0}
 
 
-def test_builder_failure_tally_bookkeeping():
+def test_builder_failure_tally_bookkeeping(monkeypatch):
+    monkeypatch.setattr(kstfree.variety, "MAX_ATTEMPTS", 1)
     spec = make_field(3, 1)
-    cfg = BuildConfig(b=2, num_forms=2, degree=2, s=2, max_attempts=1)
+    cfg = BuildConfig(b=2, num_forms=2, degree=2, s=2)
     saw_fail = saw_pass = False
     for seed in range(60):
         res = build_independent_variety(spec, cfg, SeededRng(seed))
@@ -666,10 +669,11 @@ def test_builder_failure_tally_bookkeeping():
     assert saw_fail and saw_pass
 
 
-def test_builder_retry_uses_derived_streams():
+def test_builder_retry_uses_derived_streams(monkeypatch):
     # a build that needed j attempts reproduces attempt j from derive(j)
+    monkeypatch.setattr(kstfree.variety, "MAX_ATTEMPTS", 8)
     spec = make_field(3, 1)
-    cfg = BuildConfig(b=2, num_forms=2, degree=2, s=2, max_attempts=8)
+    cfg = BuildConfig(b=2, num_forms=2, degree=2, s=2)
     for seed in range(40):
         res = build_independent_variety(spec, cfg, SeededRng(seed))
         if res.certified and res.attempts > 1:
