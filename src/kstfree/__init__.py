@@ -4,10 +4,12 @@ The stack, bottom up: exact finite-field arithmetic (gf), projective
 points and monomials (projgeom), seeded random forms (polyrand),
 dependence and rank diagnostics (independence), certified variety
 building (variety), graph pipelines and verdicts (graphs), and the CLI
-plus built-in check suite (cli, acceptance).  The lemma experiments
-that only the check suite runs (power-form rows, joint uniformity,
-slice moments, strong witnesses, two-basis selection) live in
-acceptance and are not exported here.
+plus built-in check suite (cli, acceptance).  A point set is an
+(n, b+1) int64 array of canonical encodings throughout; `ProjPoint` is
+one point, for scalar evaluation.  The lemma experiments that only the
+check suite runs (power-form rows, joint uniformity, slice moments,
+strong witnesses, two-basis selection) live in acceptance and are not
+exported here.
 """
 
 from .gf import FieldSpec, field_for_order, make_field
@@ -31,7 +33,7 @@ from .independence import (
     z_condition,
 )
 from .polyrand import BiHomPoly, HomPoly, SeededRng, random_bihom, random_hom
-from .projgeom import ProjPoint, enumerate_multiindices, enumerate_projective
+from .projgeom import ProjPoint, enumerate_multiindices
 from .util import BudgetExceeded
 from .variety import (
     BuildConfig,
@@ -64,7 +66,6 @@ __all__ = [
     "dependence_classify",
     "dimension_probe",
     "enumerate_multiindices",
-    "enumerate_projective",
     "field_for_order",
     "fq_point_array",
     "hilbert_rank",

@@ -41,7 +41,6 @@ from .graphs import (
     plan_construction,
 )
 from .independence import (
-    _common_spec,
     evaluation_rows,
     hilbert_rank,
     m_cap,
@@ -49,9 +48,9 @@ from .independence import (
     z_condition,
 )
 from .jsonio import read_doc, report_path_for
-from .linalg import is_scalar_multiple, left_kernel, rank, solve_coords
+from .linalg import left_kernel, rank
 from .polyrand import HomPoly, SeededRng
-from .projgeom import ProjPoint, enumerate_multiindices, enumerate_projective
+from .projgeom import enumerate_multiindices, projective_array
 from .util import BudgetExceeded, dec12, iroot
 from .variety import (
     BuildConfig,
@@ -149,12 +148,13 @@ def check_interpolation_floor(seed: int):
     checked = 0
     dependent = 0
     for b, q in ((1, 5), (2, 3)):
-        pts = enumerate_projective(field_for_order(q), b)
+        spec = field_for_order(q)
+        pts = projective_array(spec, b)
         for m in (2, 3):
             for size in range(1, m + 2):
-                for sub in itertools.combinations(pts, size):
+                for sub in itertools.combinations(range(len(pts)), size):
                     checked += 1
-                    if hilbert_rank(list(sub), m) != size:
+                    if hilbert_rank(spec, pts[list(sub)], m) != size:
                         dependent += 1
     elapsed = time.monotonic() - t0
     ok = dependent == 0 and elapsed < 60.0
@@ -172,21 +172,20 @@ def _power_scales(p: int, b: int, m: int) -> list:
             for beta in enumerate_multiindices(b, m)]
 
 
-def power_rows(points, m: int):
-    """Coefficient rows of the m-th powers of the attached linear forms.
+def power_rows(spec: FieldSpec, rows, m: int):
+    """Coefficient rows of the m-th powers of the points' linear forms.
 
     Valid only when the characteristic strictly exceeds m; otherwise some
     multinomial coefficient may vanish mod p and the expansion
     misrepresents the forms, so we refuse.
     """
-    spec, b = _common_spec(points)
     if spec.p <= m:
         raise ValueError(
             "power form needs characteristic > m (p = %d, m = %d)" % (spec.p, m)
         )
-    scales = _power_scales(spec.p, b, m)
-    return [[spec.mul(d, v) for d, v in zip(scales, row)]
-            for row in evaluation_rows(points, m)]
+    ev = evaluation_rows(spec, rows, m)
+    scales = _power_scales(spec.p, np.shape(rows)[1] - 1, m)
+    return [[spec.mul(d, v) for d, v in zip(scales, row)] for row in ev]
 
 
 def check_rank_agreement(seed: int):
@@ -203,14 +202,14 @@ def check_rank_agreement(seed: int):
     configs = []
     for b, q in ((2, 7), (1, 11)):
         spec = field_for_order(q)
-        pts = enumerate_projective(spec, b)
+        pts = projective_array(spec, b)
         configs += [(0 not in _power_scales(spec.p, b, m),
-                     hilbert_rank(pts, m) == rank(power_rows(pts, m), spec))
+                     hilbert_rank(spec, pts, m)
+                     == rank(power_rows(spec, pts, m), spec))
                     for m in (2, 3)]
-    f2 = make_field(2)
     control = 0 in _power_scales(2, 1, 2)
     try:
-        power_rows([ProjPoint(f2, (1, 0)), ProjPoint(f2, (0, 1))], 2)
+        power_rows(make_field(2), [(1, 0), (0, 1)], 2)
         control = False
     except ValueError:
         pass
@@ -235,33 +234,25 @@ class JointUniformityResult:
     detail: dict
 
 
-def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors, *,
-                          require_independent: bool = True) -> JointUniformityResult:
+def joint_uniformity_test(spec: FieldSpec, anchors, b: int, m: int,
+                          mp: int) -> JointUniformityResult:
     """Are the anchored specializations of a random form jointly uniform?
 
     A form of bidegree (m, mp) on P^a x P^b is an nx x ny coefficient
-    grid C, and its specializations at s anchors are the rows of E.C,
-    where E is the anchors' s x nx degree-m evaluation matrix.  This
-    enumerates every grid, at most UNIFORMITY_EXHAUSTIVE_CAP of them (else
-    BudgetExceeded), and is ok iff each of the q^(s*ny) values of E.C
-    occurs equally often; with more values than grids it is not ok, and
-    nothing is tallied.  Anchors must form an independent set at degree
-    m; pass require_independent=False only to study the failure mode.
+    grid C, and its specializations at s anchors, the rows of an (s, a+1)
+    point set, are the rows of E.C, where E is the anchors' s x nx
+    degree-m evaluation matrix.  This enumerates every grid, at most
+    UNIFORMITY_EXHAUSTIVE_CAP of them (else BudgetExceeded), and is ok iff
+    each of the q^(s*ny) values of E.C occurs equally often; with more
+    values than grids it is not ok, and nothing is tallied.  By the
+    theorem of check 4, dependent anchors are not ok, and
+    detail["independent_anchors"] says whether they were.
     """
-    anchors = list(anchors)
-    if not anchors:
-        raise ValueError("need at least one anchor")
-    spec = anchors[0].spec
-    s = len(anchors)
-    if any(pt.dim != a for pt in anchors):
-        raise ValueError("anchors do not live in P^a")
-    if len(set(pt.coords for pt in anchors)) != s:
-        raise ValueError("anchors must be distinct")
-    independent = hilbert_rank(anchors, m) == s
-    if require_independent and not independent:
-        raise ValueError("anchors are dependent at degree %d" % m)
+    e = evaluation_rows(spec, anchors, m)
+    s = len(e)
+    independent = rank(e, spec) == s
     q = spec.order
-    nx = math.comb(a + m, m)
+    nx = len(e[0])
     ny = math.comb(b + mp, mp)
     ncoef = nx * ny
     total = q**ncoef
@@ -274,7 +265,7 @@ def joint_uniformity_test(a: int, b: int, m: int, mp: int, anchors, *,
     per = total // cells
     counts = np.zeros(cells if per else 0, dtype=np.int64)
     if per:
-        e_t = spec.dec_array(np.array(evaluation_rows(anchors, m)).T)
+        e_t = spec.dec_array(np.array(e).T)
         grid_place = q ** np.arange(ncoef, dtype=np.int64)
         code_place = q ** np.arange(s * ny, dtype=np.int64)
         chunk = 1 << 15
@@ -311,14 +302,11 @@ def check_specialization_uniformity(seed: int):
     is drawn, so the verdict does not depend on the seed.
     """
     f2 = make_field(2)
-    anchors2 = [ProjPoint(f2, (1, 0)), ProjPoint(f2, (0, 1))]
-    exact = joint_uniformity_test(1, 1, 1, 1, anchors2)
-    f5 = make_field(5)
-    anchors5 = [ProjPoint(f5, (1, 0, 0)), ProjPoint(f5, (0, 1, 0))]
-    rank5 = hilbert_rank(anchors5, 2)
-    negative = joint_uniformity_test(
-        1, 1, 1, 1, anchors2 + [ProjPoint(f2, (1, 1))],
-        require_independent=False)
+    anchors2 = [(1, 0), (0, 1)]
+    exact = joint_uniformity_test(f2, anchors2, 1, 1, 1)
+    anchors5 = [(1, 0, 0), (0, 1, 0)]
+    rank5 = hilbert_rank(make_field(5), anchors5, 2)
+    negative = joint_uniformity_test(f2, anchors2 + [(1, 1)], 1, 1, 1)
     ok = (exact.ok and exact.total == 16 and exact.cells == 16
           and rank5 == len(anchors5) and not negative.ok)
     return ok, "exact %s, q=5 anchor rank %d of %d, negative control %s" % (
@@ -407,68 +395,64 @@ def check_builder_yield(seed: int):
     }
 
 
+def _pipeline_passes(plans, seed: int):
+    """(ok, summary, detail) of 20 master seeds from seed for each plan.
+
+    A seed passes when its graph is built, certified free and dense, and
+    every side was searched exhaustively; ok iff each plan has a pass.
+    """
+    per_q = {}
+    for plan in plans:
+        construct = construct_turan if plan.kind == "turan" else construct_zar
+        hits = built = 0
+        for i in range(20):
+            try:
+                _, rep = construct(plan, seed + i)
+            except CertificationError:
+                continue
+            built += 1
+            if rep.free_and_dense(plan.kind) and all(
+                    v.mode == "exhaustive" for v in rep.kst.sides.values()):
+                hits += 1
+        per_q[str(plan.q)] = {"built": built, "hits": hits}
+    return (all(v["hits"] for v in per_q.values()),
+            ", ".join("q=%s: %d/20 full passes" % (q, v["hits"])
+                      for q, v in per_q.items()), per_q)
+
+
 def check_turan_pipeline(seed: int):
     """Dense two-sided pipeline at s=2, m=3, r=1, one cut, c=1/4: for each
     of q=7 and q=11, among 20 master seeds at least one graph passes both
     the edge floor 2|E| >= c^2 q^3 and the exhaustive pair/82-common-
     neighbor freeness check on both sides."""
-    per_q = {}
-    ok = True
-    for q in (7, 11):
-        plan = plan_construction("turan", 2, m=3, r=1, Z=1,
-                                 c=Fraction(1, 4), q=q)
+    plans = [plan_construction("turan", 2, m=3, r=1, Z=1, c=Fraction(1, 4),
+                               q=q) for q in (7, 11)]
+    for plan in plans:
         if plan.t_threshold != 82:
             return False, "unexpected t threshold %d" % plan.t_threshold, {}
-        hits = built = 0
-        for i in range(20):
-            try:
-                _, rep = construct_turan(plan, seed + i)
-            except CertificationError:
-                continue
-            built += 1
-            exhaustive = all(v.mode == "exhaustive"
-                             for v in rep.kst.sides.values())
-            if (rep.kst.free is True and rep.kst.certified and exhaustive
-                    and rep.density.turan_ok):
-                hits += 1
-        per_q[str(q)] = {"built": built, "hits": hits}
-        ok = ok and hits >= 1
-    return ok, ", ".join("q=%s: %d/20 full passes" % (q, v["hits"])
-                         for q, v in per_q.items()), per_q
+    return _pipeline_passes(plans, seed)
 
 
 def check_zarankiewicz_pipeline(seed: int):
     """Left-anchored pipeline at s=2, T=3, r=1, m=2, c=1/4: for each of
     q=8 and q=11, among 20 master seeds at least one graph is left-(2,9)-
     free by exhaustive search and meets the edge floor
-    (4|E|)^2 >= q^(T+2) / c^2-scaled equivalent."""
-    per_q = {}
-    ok = True
+    (4|E|)^2 >= q^(T+2) / c^2-scaled equivalent.  The left side has at
+    most 9 vertices, so its C(9, 2) pairs are always searched in full."""
+    plans = []
     for q, want_a in ((8, 5), (11, 9)):
         plan = plan_construction("zarankiewicz", 2, T=3, r=1, m=2,
                                  c=Fraction(1, 4), q=q)
         if plan.t_threshold != 9 or plan.a != want_a:
             return False, "unexpected plan at q=%d" % q, {}
-        hits = built = 0
-        for i in range(20):
-            try:
-                _, rep = construct_zar(plan, seed + i)
-            except CertificationError:
-                continue
-            built += 1
-            if (rep.kst.free is True and rep.kst.certified
-                    and rep.density.zar_ok):
-                hits += 1
-        per_q[str(q)] = {"built": built, "hits": hits}
-        ok = ok and hits >= 1
-    return ok, ", ".join("q=%s: %d/20 full passes" % (q, v["hits"])
-                         for q, v in per_q.items()), per_q
+        plans.append(plan)
+    return _pipeline_passes(plans, seed)
 
 
 KERNEL_CAP = 4     # largest kernel dimension the strong witness searches
 
 
-def strong_dependence_witness(points, m: int):
+def strong_dependence_witness(spec: FieldSpec, rows, m: int):
     """All-nonzero left-kernel vector of the evaluation matrix, or None.
 
     Such a vector certifies a product relation among the attached linear
@@ -478,21 +462,20 @@ def strong_dependence_witness(points, m: int):
     dimension stays within KERNEL_CAP (the search is projective over F_q;
     else BudgetExceeded).
     """
-    spec, b = _common_spec(points)
-    coord_rows = [list(pt.coords) for pt in points]
-    if rank(coord_rows, spec) != b + 1:
+    ev = evaluation_rows(spec, rows, m)
+    coords = np.asarray(rows).tolist()
+    if rank(coords, spec) != len(coords[0]):
         raise ValueError("points do not span the ambient space")
-    rows = evaluation_rows(points, m)
-    kern = left_kernel(rows, spec)
+    kern = left_kernel(ev, spec)
     d = len(kern)
     if d == 0:
         return None
     if d > KERNEL_CAP:
         raise BudgetExceeded("kernel dimension %d exceeds cap %d" % (d, KERNEL_CAP))
-    t = len(points)
-    for combo in enumerate_projective(spec, d - 1):
+    t = len(ev)
+    for combo in projective_array(spec, d - 1).tolist():
         cand = [0] * t
-        for lam, kv in zip(combo.coords, kern):
+        for lam, kv in zip(combo, kern):
             if lam:
                 for i in range(t):
                     cand[i] = spec.add(cand[i], spec.mul(lam, kv[i]))
@@ -553,25 +536,25 @@ def disjoint_span_subset(spec: FieldSpec, basis_a, basis_b) -> list:
         raise ValueError("need two bases of the same dimension n >= 2")
     if any(len(v) != n for v in basis_a) or any(len(v) != n for v in basis_b):
         raise ValueError("vectors must have length n")
-    if rank([list(v) for v in basis_a], spec) != n:
+    if rank(basis_a, spec) != n:
         raise ValueError("first family is not a basis")
-    if rank([list(v) for v in basis_b], spec) != n:
+    if rank(basis_b, spec) != n:
         raise ValueError("second family is not a basis")
-    for u in basis_b:
-        for v in basis_a:
-            if is_scalar_multiple(u, v, spec):
-                raise ValueError("bases share a direction (scalar multiple)")
+    if any(rank([u, v], spec) == 1 for u in basis_b for v in basis_a):
+        raise ValueError("bases share a direction (scalar multiple)")
     edges = set()
     for u in basis_b:
-        coords = solve_coords(basis_a, u, spec)
-        support = [i for i, c in enumerate(coords) if c]
+        # (basis_a; u) has a one-dimensional left kernel c, and u is
+        # -sum(c_i a_i) / c_u: its support in basis_a is that of c[:n]
+        (c,) = left_kernel(list(basis_a) + [u], spec)
+        support = [i for i in range(n) if c[i]]
         if len(support) < 2:
             raise RuntimeError("support collapsed despite multiple-freeness")
         edges.add((support[0], support[1]))
     chosen = independent_set_third(n, sorted(edges))
     sub = [basis_a[i] for i in chosen]
     for u in basis_b:
-        if rank([list(v) for v in sub] + [list(u)], spec) != len(sub) + 1:
+        if rank(sub + [u], spec) != len(sub) + 1:
             raise RuntimeError("span verification failed")
     return chosen
 
@@ -595,15 +578,15 @@ def check_constructive_floors(seed: int):
     vectors, over F_2 at n=3 and F_3 at n=2 (F_2 at n=2 has no such pair).
     The order of the second basis cannot matter: its edges are sorted."""
     spec = field_for_order(5)
-    pts = enumerate_projective(spec, 1)
+    pts = projective_array(spec, 1).tolist()
     witnesses = 0
     spanning = 0
     for size in (2, 3):
         for sub in itertools.combinations(pts, size):
-            if rank([list(p.coords) for p in sub], spec) < 2:
+            if rank(sub, spec) < 2:
                 continue
             spanning += 1
-            if strong_dependence_witness(list(sub), 2) is not None:
+            if strong_dependence_witness(spec, sub, 2) is not None:
                 witnesses += 1
 
     graphs = bad_greedy = 0
@@ -625,7 +608,7 @@ def check_constructive_floors(seed: int):
         targets = _bases(field, n, ordered=False)
         for basis_a in _bases(field, n, ordered=True):
             for basis_b in targets:
-                if any(is_scalar_multiple(u, v, field)
+                if any(rank([u, v], field) == 1
                        for u in basis_b for v in basis_a):
                     continue
                 basis_pairs += 1

@@ -208,8 +208,8 @@ def cmd_verify(args) -> int:
 
 def cmd_indep(args) -> int:
     spec = field_for_order(args.q)
-    points = read_points_file(spec, args.points)
-    rep = dependence_classify(points, args.m)
+    rows = read_points_file(spec, args.points)
+    rep = dependence_classify(spec, rows, args.m)
     doc = {
         "n_points": rep.t,
         "m": rep.m,
@@ -220,7 +220,7 @@ def cmd_indep(args) -> int:
     }
     sw = None
     if args.s is not None:
-        sw = s_wise_independent(points, args.s, args.m,
+        sw = s_wise_independent(spec, rows, args.s, args.m,
                                 budget=args.budget_subsets)
         doc["s_wise"] = {
             "s": args.s,
@@ -351,6 +351,10 @@ def main(argv=None) -> int:
         return 1
     except BudgetExceeded as e:
         sys.stderr.write("budget exceeded: %s\n" % e)
+        return 2
+    except MemoryError as e:
+        # an allocation within every budget that the machine cannot hold
+        sys.stderr.write("budget exceeded: out of memory: %s\n" % e)
         return 2
     except CertificationError as e:
         sys.stderr.write("certification failed: %s\n" % e)

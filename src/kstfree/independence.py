@@ -1,9 +1,11 @@
 """Dependence of point sets through degree-m evaluation ranks.
 
-A set of t projective points is m-dependent when the t x C(b+m, m)
-matrix of degree-m monomial values drops rank below t.  Minimality (read
-off the matrix's left kernel) and s-wise certification are built on that
-one matrix; the exact rational bookkeeping (m_cap, phi_upper_bound,
+A point set is an (n, b+1) int64 array of canonical encodings, one row
+per point, as zero sets, slices and `projgeom.parse_ids` give it.  A set
+of t projective points is m-dependent when the t x C(b+m, m) matrix of
+degree-m monomial values drops rank below t.  Minimality (read off the
+matrix's left kernel) and s-wise certification are built on that one
+matrix; the exact rational bookkeeping (m_cap, phi_upper_bound,
 z_condition) is what the construction plans consume.
 """
 from __future__ import annotations
@@ -13,35 +15,47 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
+from .gf import FieldSpec
 from .linalg import left_kernel, rank
 from .projgeom import monomial_matrix
-from .util import DEFAULT_SUBSET_BUDGET, BudgetExceeded
+from .util import DEFAULT_POINT_BUDGET, DEFAULT_SUBSET_BUDGET, BudgetExceeded
 
 
-def _common_spec(points):
-    if not points:
+def _points(spec: FieldSpec, rows) -> np.ndarray:
+    """rows as int64, refused unless they are distinct canonical points."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
         raise ValueError("need at least one point")
-    spec = points[0].spec
-    dim = points[0].dim
-    for pt in points:
-        if pt.spec != spec or pt.dim != dim:
-            raise ValueError("points live in different spaces")
-    return spec, dim
-
-
-def evaluation_rows(points, m: int):
-    """Degree-m monomial values, one row per point, canonical column order."""
-    spec, _ = _common_spec(points)
-    mat = monomial_matrix(spec, [pt.coords for pt in points], m)
-    return spec.enc_array(mat).tolist()
-
-
-def hilbert_rank(points, m: int) -> int:
-    """Rank of the evaluation matrix; duplicates are rejected."""
-    spec, _ = _common_spec(points)
-    if len(set(pt.coords for pt in points)) != len(points):
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    bad = ((rows < 0) | (rows >= spec.order)).any(axis=1) | (lead != 1)
+    if bad.any():
+        raise ValueError("row %d is not a canonical point"
+                         % np.flatnonzero(bad)[0])
+    if len(set(map(tuple, rows.tolist()))) != len(rows):
         raise ValueError("duplicate points")
-    return rank(evaluation_rows(points, m), spec)
+    return rows
+
+
+def evaluation_rows(spec: FieldSpec, rows, m: int) -> list:
+    """Degree-m monomial values, one row per point, canonical column order.
+
+    A matrix of more than DEFAULT_POINT_BUDGET entries is refused before
+    anything is built.
+    """
+    rows = _points(spec, rows)
+    entries = len(rows) * comb(rows.shape[1] - 1 + m, m)
+    if entries > DEFAULT_POINT_BUDGET:
+        raise BudgetExceeded("the degree-%d evaluation matrix holds %d "
+                             "entries, over the point budget %d"
+                             % (m, entries, DEFAULT_POINT_BUDGET))
+    return spec.enc_array(monomial_matrix(spec, rows, m)).tolist()
+
+
+def hilbert_rank(spec: FieldSpec, rows, m: int) -> int:
+    """Rank of the evaluation matrix; duplicates are rejected."""
+    return rank(evaluation_rows(spec, rows, m), spec)
 
 
 @dataclass
@@ -54,7 +68,7 @@ class DependenceReport:
     kernel_basis: list
 
 
-def dependence_classify(points, m: int) -> DependenceReport:
+def dependence_classify(spec: FieldSpec, rows, m: int) -> DependenceReport:
     """Full dependence diagnosis of one point set.
 
     A dependent set is minimal iff its left kernel K has dimension 1 and
@@ -63,13 +77,10 @@ def dependence_classify(points, m: int) -> DependenceReport:
     nonzero vectors of K are multiples of one vector; if dim K >= 2, a
     combination of two independent vectors cancels any chosen entry.
     """
-    spec, _ = _common_spec(points)
-    if len(set(pt.coords for pt in points)) != len(points):
-        raise ValueError("duplicate points")
-    rows = evaluation_rows(points, m)
-    kern = [tuple(v) for v in left_kernel(rows, spec)]
+    ev = evaluation_rows(spec, rows, m)
+    kern = [tuple(v) for v in left_kernel(ev, spec)]
     minimal = len(kern) == 1 and all(kern[0])
-    return DependenceReport(len(points), m, len(points) - len(kern),
+    return DependenceReport(len(ev), m, len(ev) - len(kern),
                             bool(kern), minimal, kern)
 
 
@@ -90,26 +101,26 @@ class SWiseCheck:
         return "independent" if self.certified else "dependent"
 
 
-def s_wise_independent(points, s: int, m: int,
+def s_wise_independent(spec: FieldSpec, rows, s: int, m: int,
                        budget: int = DEFAULT_SUBSET_BUDGET) -> SWiseCheck:
-    """No s distinct points are m-dependent.
+    """No s of the points are m-dependent; repeated rows are refused.
 
     Searches every s-subset, so a pass is a certificate; when C(n, s)
     exceeds the budget it raises BudgetExceeded instead of searching.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    spec, _ = _common_spec(points)
-    n = len(points)
+    rows = _points(spec, rows)
+    n = len(rows)
     if n < s:
         return SWiseCheck(None, 0, 0, "vacuous")
     total = comb(n, s)
     if total > budget:
         raise BudgetExceeded("C(%d, %d) = %d subsets exceed budget %d"
                              % (n, s, total, budget))
-    rows = evaluation_rows(points, m)
+    ev = evaluation_rows(spec, rows, m)
     for checked, combo in enumerate(itertools.combinations(range(n), s), 1):
-        if rank([rows[i] for i in combo], spec) < s:
+        if rank([ev[i] for i in combo], spec) < s:
             return SWiseCheck(combo, checked, total, "exhaustive")
     return SWiseCheck(None, total, total, "exhaustive")
 

@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 
-from .projgeom import ProjPoint, parse_ids
+from .projgeom import parse_ids
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -167,7 +167,8 @@ def report_path_for(graph_path: str) -> str:
 
 
 def read_points_file(spec, path: str):
-    """One canonical point per line; blank lines and # comments skipped.
+    """Rows of the canonical points, one per line; blank lines and #
+    comments skipped.
 
     The first point sets the dimension; a refusal names the first line
     that is not a canonical point of that space (`projgeom.parse_ids`).
@@ -182,4 +183,4 @@ def read_points_file(spec, path: str):
     if n < len(ids):
         raise ValueError("%s:%d: %r is not a canonical point of P^%d(F_%d)"
                          % (path, kept[n][0], ids[n], dim, spec.order))
-    return [ProjPoint(spec, row) for row in rows.tolist()]
+    return rows

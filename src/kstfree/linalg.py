@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination over a FieldSpec.
+"""Exact Gaussian elimination over a FieldSpec: reduced form, rank, kernels.
 
 Matrices are lists of rows of integer encodings.  Pivoting is fixed
 (first nonzero column, lowest row) so reduced forms and kernel bases are
@@ -68,41 +68,3 @@ def left_kernel(rows, spec: FieldSpec):
         return []
     t = [[row[j] for row in rows] for j in range(len(rows[0]))]
     return right_kernel(t, spec, len(rows))
-
-
-def solve_coords(basis_rows, target, spec: FieldSpec):
-    """Coordinates of target in the span of basis_rows, or None.
-
-    basis_rows need not be square; uniqueness holds when they are
-    linearly independent, which is the only way this is used.
-    """
-    n = len(basis_rows)
-    if n == 0:
-        return None
-    width = len(target)
-    aug = [[basis_rows[i][j] for i in range(n)] + [target[j]] for j in range(width)]
-    r, pivots, red = rref(aug, spec)
-    if n in pivots:  # target column is a pivot: inconsistent
-        return None
-    coords = [0] * n
-    for i, pc in enumerate(pivots):
-        coords[pc] = red[i][n]
-    # confirm exactly (defensive; basis_rows independent makes this pass)
-    for j in range(width):
-        acc = 0
-        for i in range(n):
-            acc = spec.add(acc, spec.mul(coords[i], basis_rows[i][j]))
-        if acc != target[j]:
-            return None
-    return tuple(coords)
-
-
-def is_scalar_multiple(u, v, spec: FieldSpec) -> bool:
-    """True iff u = c v for some nonzero c (both vectors nonzero)."""
-    lead = next((i for i, x in enumerate(v) if x != 0), None)
-    if lead is None:
-        return all(x == 0 for x in u)
-    if u[lead] == 0:
-        return False
-    c = spec.mul(u[lead], spec.inv(v[lead]))
-    return all(u[i] == spec.mul(c, v[i]) for i in range(len(u)))

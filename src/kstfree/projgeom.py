@@ -1,6 +1,8 @@
 """Projective spaces over finite fields: canonical points and monomials.
 
-Canonical representatives scale the first nonzero coordinate to 1.  The
+Canonical representatives scale the first nonzero coordinate to 1.  A
+point set is an (n, b+1) int64 array of their encodings, one row per
+point; `ProjPoint` is one point for the scalar evaluators.  The
 enumeration order is lexicographic on the canonical coordinate vector,
 coordinates compared by their integer encodings; every downstream notion
 of "first points" or "initial segment" refers to this order.  Degree-m
@@ -23,7 +25,7 @@ from .util import DEFAULT_POINT_BUDGET, BudgetExceeded
 
 
 class ProjPoint:
-    """Canonical projective point; coords are integer encodings."""
+    """One canonical point for the scalar evaluators; coords are encodings."""
 
     __slots__ = ("spec", "coords")
 
@@ -111,12 +113,6 @@ def projective_chunks(spec: FieldSpec, b: int):
 
 def projective_array(spec: FieldSpec, b: int) -> np.ndarray:
     return np.concatenate(list(projective_chunks(spec, b)))
-
-
-def enumerate_projective(spec: FieldSpec, b: int):
-    """All points of P^b(F_q) as ProjPoint objects, canonical order."""
-    arr = projective_array(spec, b)
-    return [ProjPoint(spec, row) for row in arr.tolist()]
 
 
 def enumerate_multiindices(b: int, m: int):

@@ -38,7 +38,7 @@ import numpy as np
 from .gf import DEFAULT_ORDER_CAP, FieldSpec, _mod, _zero_mask, make_field
 from .independence import SWiseCheck, s_wise_independent, z_condition
 from .polyrand import HomPoly, SeededRng, hom_to_json, random_hom
-from .projgeom import (ProjPoint, chart_leads, chart_rows, checked_count,
+from .projgeom import (chart_leads, chart_rows, checked_count,
                        multiindex_table, projective_count)
 from .util import DEFAULT_POINT_BUDGET, DEFAULT_SUBSET_BUDGET
 
@@ -526,10 +526,8 @@ def _check_draw(var: VarietySpec, masks: dict, n: int, cfg: BuildConfig,
     elif math.comb(n, cfg.s) > cfg.subset_budget:
         return "swise", None, None
     else:
-        proj = [ProjPoint(var.spec, tuple(int(c) for c in row))
-                for row in _mask_rows(q, var.b, masks)]
-        sw = s_wise_independent(proj, cfg.s, cfg.degree,
-                                budget=cfg.subset_budget)
+        sw = s_wise_independent(var.spec, _mask_rows(q, var.b, masks),
+                                cfg.s, cfg.degree, budget=cfg.subset_budget)
     if not sw.certified:
         return "swise", sw, None
     counts = {1: n}

@@ -4,7 +4,9 @@ Nothing in `src/kstfree` needs these, so they live beside the tests.
 Among them is the scalar point-id path, one element and one point at a
 time (`elem_str`, `elem_parse`, `canonicalize`, `point_to_str`,
 `point_from_str`), which `projgeom.point_ids` and `parse_ids` must
-agree with.
+agree with, and `enumerate_projective`, a space's points as `ProjPoint`
+objects for the scalar evaluators; the package itself holds point sets
+only as rows.
 """
 import numpy as np
 
@@ -12,7 +14,8 @@ from kstfree.gf import FieldSpec
 from kstfree.graphs import KstVerdict, SidedGraph, _common, _side_adj
 from kstfree.independence import hilbert_rank
 from kstfree.polyrand import BiHomPoly
-from kstfree.projgeom import ProjPoint, enumerate_multiindices, monomial_eval
+from kstfree.projgeom import (ProjPoint, enumerate_multiindices, monomial_eval,
+                              projective_array)
 
 
 def elem_str(spec: FieldSpec, enc: int) -> str:
@@ -33,6 +36,11 @@ def elem_parse(spec: FieldSpec, s: str) -> int:
     if not 0 <= v < spec.order:
         raise ValueError("element %r out of range for %r" % (s, spec))
     return v
+
+
+def enumerate_projective(spec: FieldSpec, b: int):
+    """All points of P^b(F_q) as ProjPoint objects, canonical order."""
+    return [ProjPoint(spec, row) for row in projective_array(spec, b).tolist()]
 
 
 def canonicalize(spec: FieldSpec, raw) -> ProjPoint:
@@ -104,12 +112,12 @@ def embed_table_scalar(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
     return table
 
 
-def minimal_by_subsets(points, m: int) -> bool:
+def minimal_by_subsets(spec: FieldSpec, rows: np.ndarray, m: int) -> bool:
     """Minimal dependence by its definition: the set is dependent and each
     of its t subsets of size t-1 is independent, one rank apiece."""
-    t = len(points)
-    return hilbert_rank(points, m) < t and all(
-        hilbert_rank(points[:i] + points[i + 1:], m) == t - 1
+    t = len(rows)
+    return hilbert_rank(spec, rows, m) < t and all(
+        hilbert_rank(spec, np.delete(rows, i, axis=0), m) == t - 1
         for i in range(t))
 
 

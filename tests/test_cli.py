@@ -11,11 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kstfree
+import kstfree.cli
 from kstfree.cli import main
 from kstfree.gf import field_for_order
 from kstfree.jsonio import read_doc, report_path_for
-from kstfree.projgeom import enumerate_projective
-from references import point_to_str
+from references import enumerate_projective, point_to_str
 
 
 def run(argv, capsys):
@@ -510,6 +510,34 @@ def test_indep_decides_minimality_past_64_points(m, minimal, tmp_path,
     doc = json.loads(out)
     assert (doc["dependent"], doc["minimal"]) == (True, minimal)
     assert doc["kernel_dim"] == 66 - (m + 1)
+
+
+def test_indep_refuses_an_evaluation_matrix_past_the_point_budget(tmp_path,
+                                                                  capsys):
+    # 2 * C(100003, 3) entries: refused before the matrix is allocated
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1:0:0:0\n0:1:0:0\n")
+    rc, stdout, err = run(["indep", "--points", str(pts), "--q", "5",
+                           "--m", "100000"], capsys)
+    assert (rc, stdout) == (2, "")
+    assert err == ("budget exceeded: the degree-100000 evaluation matrix "
+                   "holds 333353333700002 entries, over the point budget "
+                   "3000000\n")
+
+
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # an allocation every budget admits but the machine cannot hold
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.96 GiB")
+
+    monkeypatch.setattr(kstfree.cli, "construct_turan", no_memory)
+    rc, stdout, err = run(["construct", "turan", "--s", "2", "--m", "3",
+                           "--r", "1", "--Z", "1", "--q", "7", "--seed", "1",
+                           "--out", str(tmp_path / "g.json")], capsys)
+    assert (rc, stdout) == (2, "")
+    assert err == ("budget exceeded: out of memory: "
+                   "Unable to allocate 3.96 GiB\n")
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_indep_rejects_garbage_points(tmp_path, capsys):

@@ -33,10 +33,11 @@ from kstfree.graphs import (
     plan_construction,
 )
 from kstfree.polyrand import SeededRng, evaluate, random_hom
-from kstfree.projgeom import ProjPoint, enumerate_projective
+from kstfree.projgeom import ProjPoint, projective_array
 from kstfree.util import BudgetExceeded, floor_scaled_power
 from kstfree.variety import BuildConfig, build_independent_variety
-from references import point_from_str, point_to_str, verify_witness
+from references import (enumerate_projective, point_from_str, point_to_str,
+                        verify_witness)
 
 
 def fano_graph():
@@ -925,14 +926,9 @@ def test_construct_zar_empty_left():
 # --- joint uniformity ----------------------------------------------------------
 
 
-def line_points(spec):
-    return enumerate_projective(spec, 1)
-
-
 def test_joint_uniformity_disjoint_blocks():
     spec = make_field(2, 1)
-    anchors = [ProjPoint(spec, (1, 0)), ProjPoint(spec, (0, 1))]
-    res = joint_uniformity_test(1, 1, 1, 1, anchors)
+    res = joint_uniformity_test(spec, [(1, 0), (0, 1)], 1, 1, 1)
     assert res.ok
     assert res.total == 16 and res.cells == 16
     assert res.detail["expected_multiplicity"] == 1
@@ -940,46 +936,36 @@ def test_joint_uniformity_disjoint_blocks():
 
 def test_joint_uniformity_overlapping_anchors():
     spec = make_field(2, 1)
-    anchors = [ProjPoint(spec, (1, 0)), ProjPoint(spec, (1, 1))]
-    res = joint_uniformity_test(1, 1, 1, 1, anchors)
+    res = joint_uniformity_test(spec, [(1, 0), (1, 1)], 1, 1, 1)
     assert res.ok
-
-
-def test_joint_uniformity_dependent_rejected():
-    spec = make_field(2, 1)
-    anchors = line_points(spec)  # three points, dependent at degree 1
-    with pytest.raises(ValueError):
-        joint_uniformity_test(1, 1, 1, 1, anchors)
 
 
 def test_joint_uniformity_negative_control():
     spec = make_field(2, 1)
-    anchors = line_points(spec)
-    res = joint_uniformity_test(1, 1, 1, 1, anchors,
-                                require_independent=False)
+    # the three points of the line, dependent at degree 1
+    res = joint_uniformity_test(spec, projective_array(spec, 1), 1, 1, 1)
     assert not res.ok
     assert not res.detail["independent_anchors"]
 
 
 def test_joint_uniformity_exhaustive_cap():
     spec = make_field(5, 1)
-    anchors = [ProjPoint(spec, (1, 0, 0)), ProjPoint(spec, (0, 1, 0))]
     with pytest.raises(BudgetExceeded):
-        joint_uniformity_test(2, 2, 2, 2, anchors)
+        joint_uniformity_test(spec, [(1, 0, 0), (0, 1, 0)], 2, 2, 2)
 
 
 def test_joint_uniformity_grid_exhaustive():
     # every feasible small case is exactly uniform for independent anchors
     for p in (2, 3):
         spec = make_field(p, 1)
-        pts = enumerate_projective(spec, 1)
+        pts = projective_array(spec, 1)
         for m in (1, 2):
             for mp in (1, 2):
                 ncoef = (m + 1) * (mp + 1)
                 if p**ncoef > 1 << 14:
                     continue
                 anchors = pts[: min(2, m + 1)]
-                res = joint_uniformity_test(1, 1, m, mp, anchors)
+                res = joint_uniformity_test(spec, anchors, 1, m, mp)
                 assert res.ok, (p, m, mp)
 
 
@@ -990,15 +976,14 @@ def test_joint_uniformity_matches_rank():
     for spec in (make_field(2, 1), make_field(3, 1), make_field(2, 2)):
         q = spec.order
         for a in (1, 2):
-            pts = enumerate_projective(spec, a)
+            pts = projective_array(spec, a).tolist()
             for m, mp in itertools.product((1, 2), repeat=2):
                 if q ** (comb(a + m, m) * (mp + 1)) > 1 << 10:
                     continue
                 for size in (1, 2, 3):
                     for anchors in itertools.combinations(pts, size):
-                        res = joint_uniformity_test(
-                            a, 1, m, mp, anchors, require_independent=False)
-                        independent = hilbert_rank(anchors, m) == size
+                        res = joint_uniformity_test(spec, anchors, 1, m, mp)
+                        independent = hilbert_rank(spec, anchors, m) == size
                         assert res.ok == independent, (q, a, m, mp, anchors)
                         checked += 1
                         dependent += not independent

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
+import kstfree.independence
 from kstfree.acceptance import (
     disjoint_span_subset,
     independent_set_third,
@@ -24,13 +26,13 @@ from kstfree.independence import (
 )
 from kstfree.linalg import rank
 from kstfree.polyrand import SeededRng
-from kstfree.projgeom import ProjPoint, enumerate_projective
+from kstfree.projgeom import projective_array
 from kstfree.util import BudgetExceeded
 from references import minimal_by_subsets
 
 
-def pts(spec, *coords):
-    return [ProjPoint(spec, c) for c in coords]
+def pts(*coords):
+    return np.array(coords, dtype=np.int64)
 
 
 # --- hilbert rank and classification ---------------------------------------
@@ -39,16 +41,16 @@ def pts(spec, *coords):
 # Rows are (a^2, ab, b^2); solving v * M = 0 by hand gives the one
 # dimensional kernel spanned by (1, 5, 5, 1).
 F7 = make_field(7, 1)
-FOUR_PTS = pts(F7, (1, 0), (0, 1), (1, 1), (1, 2))
+FOUR_PTS = pts((1, 0), (0, 1), (1, 1), (1, 2))
 KNOWN_KERNEL = (1, 5, 5, 1)
 
 
 def test_four_points_on_line_rank():
-    assert hilbert_rank(FOUR_PTS, 2) == 3
+    assert hilbert_rank(F7, FOUR_PTS, 2) == 3
 
 
 def test_four_points_classification():
-    rep = dependence_classify(FOUR_PTS, 2)
+    rep = dependence_classify(F7, FOUR_PTS, 2)
     assert isinstance(rep, DependenceReport)
     assert rep.t == 4 and rep.m == 2
     assert rep.hilbert_rank == 3
@@ -67,8 +69,8 @@ def test_four_points_classification():
 
 
 def test_kernel_annihilates_rows():
-    rep = dependence_classify(FOUR_PTS, 2)
-    rows = evaluation_rows(FOUR_PTS, 2)
+    rep = dependence_classify(F7, FOUR_PTS, 2)
+    rows = evaluation_rows(F7, FOUR_PTS, 2)
     for v in rep.kernel_basis:
         for j in range(len(rows[0])):
             acc = 0
@@ -78,7 +80,7 @@ def test_kernel_annihilates_rows():
 
 
 def test_independent_triple_not_minimal():
-    rep = dependence_classify(FOUR_PTS[:3], 2)
+    rep = dependence_classify(F7, FOUR_PTS[:3], 2)
     assert rep.dependent is False
     assert rep.minimal is False
     assert rep.kernel_basis == []
@@ -94,13 +96,15 @@ def test_kernel_rule_matches_the_subset_search():
     rng = random.Random(2718)
     tally = {"independent": 0, "minimal": 0, "zero_entry": 0, "wide": 0}
     for q, b in SPACES:
-        points = enumerate_projective(field_for_order(q), b)
+        spec = field_for_order(q)
+        points = projective_array(spec, b)
+        n = len(points)
         for m in (1, 2, 3):
             for _ in range(20):
-                sel = rng.sample(points, rng.randint(2, min(10, len(points))))
-                rep = dependence_classify(sel, m)
-                assert rep.minimal is minimal_by_subsets(sel, m)
-                assert rep.hilbert_rank == hilbert_rank(sel, m)
+                sel = points[rng.sample(range(n), rng.randint(2, min(10, n)))]
+                rep = dependence_classify(spec, sel, m)
+                assert rep.minimal is minimal_by_subsets(spec, sel, m)
+                assert rep.hilbert_rank == hilbert_rank(spec, sel, m)
                 if not rep.dependent:
                     tally["independent"] += 1
                 elif len(rep.kernel_basis) > 1:
@@ -111,42 +115,73 @@ def test_kernel_rule_matches_the_subset_search():
 
 
 def test_duplicates_rejected():
-    with pytest.raises(ValueError):
-        hilbert_rank(pts(F7, (1, 0), (1, 0)), 2)
+    with pytest.raises(ValueError, match="duplicate points"):
+        hilbert_rank(F7, pts((1, 0), (1, 0)), 2)
+    # s_wise_independent refuses them too, before its vacuous case
+    with pytest.raises(ValueError, match="duplicate points"):
+        s_wise_independent(F7, pts((1, 0), (1, 0)), 3, 2)
 
 
 def test_mixed_spaces_rejected():
-    f5 = make_field(5, 1)
-    with pytest.raises(ValueError):
-        hilbert_rank([ProjPoint(F7, (1, 0)), ProjPoint(f5, (1, 0))], 2)
+    # a point of P^1(F_7) is no point of P^1(F_5)
+    with pytest.raises(ValueError, match="row 1 is not a canonical point"):
+        hilbert_rank(make_field(5, 1), pts((1, 0), (1, 6)), 2)
+
+
+@pytest.mark.parametrize("row", [(0, 0), (2, 1), (0, 3), (1, -1), (1, 7)])
+def test_non_canonical_rows_rejected(row):
+    # what ProjPoint refuses: a zero row, a first nonzero entry other
+    # than 1, an entry outside [0, q)
+    for call in (lambda r: evaluation_rows(F7, r, 2),
+                 lambda r: dependence_classify(F7, r, 2),
+                 lambda r: s_wise_independent(F7, r, 2, 2)):
+        with pytest.raises(ValueError, match="row 1 is not a canonical"):
+            call(pts((1, 0), row))
+
+
+def test_empty_set_rejected():
+    with pytest.raises(ValueError, match="need at least one point"):
+        dependence_classify(F7, np.zeros((0, 2), dtype=np.int64), 2)
+
+
+def test_evaluation_matrix_over_the_point_budget_is_refused(monkeypatch):
+    # n * C(b+m, m) entries are counted before anything is built
+    monkeypatch.setattr(kstfree.independence, "DEFAULT_POINT_BUDGET", 12)
+    four = projective_array(make_field(3, 1), 2)[:4]
+    assert len(evaluation_rows(F7, four, 1)) == 4  # 4 * C(3, 1) = 12
+    with pytest.raises(BudgetExceeded, match="the degree-12 evaluation "
+                       "matrix holds 13 entries, over the point budget 12"):
+        evaluation_rows(F7, pts((1, 0)), 12)  # 1 * C(13, 12) = 13
+    with pytest.raises(BudgetExceeded):
+        s_wise_independent(F7, four[:3], 3, 2)  # 3 * C(4, 2) = 18
 
 
 @pytest.mark.parametrize("p,b,m", [(5, 1, 2), (5, 1, 3), (3, 2, 2), (3, 2, 3)])
 def test_small_sets_always_independent(p, b, m):
     # no set of at most m+1 distinct points is ever degree-m dependent
     spec = make_field(p, 1)
-    points = enumerate_projective(spec, b)
+    points = projective_array(spec, b)
     for size in range(1, m + 2):
-        for combo in itertools.combinations(points, size):
-            assert hilbert_rank(list(combo), m) == size
+        for combo in itertools.combinations(range(len(points)), size):
+            assert hilbert_rank(spec, points[list(combo)], m) == size
 
 
 def test_rank_monotone_under_supersets():
     # a dependent set stays dependent when points are added
     spec = make_field(7, 1)
-    points = enumerate_projective(spec, 1)
+    points = projective_array(spec, 1)
     base = FOUR_PTS
-    assert hilbert_rank(base, 2) < 4
-    extra = [pt for pt in points if pt.coords not in {q.coords for q in base}]
-    bigger = base + extra[:2]
-    assert hilbert_rank(bigger, 2) < len(bigger)
+    assert hilbert_rank(spec, base, 2) < 4
+    extra = [pt for pt in points.tolist() if pt not in base.tolist()]
+    bigger = np.concatenate([base, extra[:2]])
+    assert hilbert_rank(spec, bigger, 2) < len(bigger)
 
 
 # --- s-wise checks ----------------------------------------------------------
 
 
 def test_s_wise_vacuous():
-    res = s_wise_independent(FOUR_PTS[:2], 3, 2)
+    res = s_wise_independent(F7, FOUR_PTS[:2], 3, 2)
     assert res.certified and res.mode == "vacuous"
     assert res.verdict == "independent"
     assert res.total == 0
@@ -155,8 +190,8 @@ def test_s_wise_vacuous():
 def test_s_wise_exhaustive_witness():
     # on the line every 4-subset is 2-dependent; first combo wins
     spec = make_field(7, 1)
-    points = enumerate_projective(spec, 1)[:5]
-    res = s_wise_independent(points, 4, 2)
+    points = projective_array(spec, 1)[:5]
+    res = s_wise_independent(spec, points, 4, 2)
     assert res.mode == "exhaustive"
     assert not res.certified
     assert res.witness == (0, 1, 2, 3)
@@ -166,8 +201,8 @@ def test_s_wise_exhaustive_witness():
 
 def test_s_wise_exhaustive_clean():
     spec = make_field(7, 1)
-    points = enumerate_projective(spec, 1)[:5]
-    res = s_wise_independent(points, 3, 2)
+    points = projective_array(spec, 1)[:5]
+    res = s_wise_independent(spec, points, 3, 2)
     assert res.certified
     assert res.checked == res.total == comb(5, 3)
     assert res.verdict == "independent"
@@ -175,9 +210,9 @@ def test_s_wise_exhaustive_clean():
 
 def test_s_wise_budget_no_rng_raises():
     spec = make_field(7, 1)
-    points = enumerate_projective(spec, 1)[:6]
+    points = projective_array(spec, 1)[:6]
     with pytest.raises(BudgetExceeded):
-        s_wise_independent(points, 3, 2, budget=3)
+        s_wise_independent(spec, points, 3, 2, budget=3)
 
 
 # --- power form cross-check -------------------------------------------------
@@ -186,18 +221,19 @@ def test_s_wise_budget_no_rng_raises():
 def test_power_rank_matches_hilbert_rank():
     # every 5-subset of the first nine points of the plane over F_7
     spec = make_field(7, 1)
-    points = enumerate_projective(spec, 2)[:9]
+    points = projective_array(spec, 2)[:9]
     for m in (2, 3):
-        for sel in itertools.combinations(points, 5):
-            sel = list(sel)
-            assert rank(power_rows(sel, m), spec) == hilbert_rank(sel, m)
+        for sel in itertools.combinations(range(9), 5):
+            sel = points[list(sel)]
+            assert (rank(power_rows(spec, sel, m), spec)
+                    == hilbert_rank(spec, sel, m))
 
 
 def test_power_rows_are_column_scaled_evaluations():
     spec = make_field(7, 1)
-    sel = pts(spec, (1, 0, 2), (0, 1, 3), (1, 1, 1))
-    ev = evaluation_rows(sel, 2)
-    pw = power_rows(sel, 2)
+    sel = pts((1, 0, 2), (0, 1, 3), (1, 1, 1))
+    ev = evaluation_rows(spec, sel, 2)
+    pw = power_rows(spec, sel, 2)
     ncols = len(ev[0])
     for j in range(ncols):
         ratio = None
@@ -214,22 +250,22 @@ def test_power_rows_are_column_scaled_evaluations():
 def test_power_rows_need_large_characteristic():
     spec = make_field(2, 1)
     with pytest.raises(ValueError):
-        power_rows(pts(spec, (1, 0), (0, 1)), 2)
+        power_rows(spec, pts((1, 0), (0, 1)), 2)
     spec3 = make_field(3, 1)
     with pytest.raises(ValueError):
-        power_rows(pts(spec3, (1, 0), (0, 1)), 3)
+        power_rows(spec3, pts((1, 0), (0, 1)), 3)
     # char 3 > m = 2 is fine
-    assert rank(power_rows(pts(spec3, (1, 0), (0, 1)), 2), spec3) == 2
+    assert rank(power_rows(spec3, pts((1, 0), (0, 1)), 2), spec3) == 2
 
 
 # --- strong witnesses -------------------------------------------------------
 
 
 def test_strong_witness_on_minimal_set():
-    w = strong_dependence_witness(FOUR_PTS, 2)
+    w = strong_dependence_witness(F7, FOUR_PTS, 2)
     assert w is not None
     assert all(w)
-    rows = evaluation_rows(FOUR_PTS, 2)
+    rows = evaluation_rows(F7, FOUR_PTS, 2)
     for j in range(len(rows[0])):
         acc = 0
         for i in range(len(rows)):
@@ -239,30 +275,30 @@ def test_strong_witness_on_minimal_set():
 
 def test_strong_witness_none_for_independent():
     spec = make_field(5, 1)
-    sel = pts(spec, (1, 0), (0, 1), (1, 1))
-    assert strong_dependence_witness(sel, 2) is None
+    sel = pts((1, 0), (0, 1), (1, 1))
+    assert strong_dependence_witness(spec, sel, 2) is None
 
 
 def test_strong_witness_requires_spanning():
     spec = make_field(5, 1)
-    sel = pts(spec, (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0))
+    sel = pts((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0))
     with pytest.raises(ValueError):
-        strong_dependence_witness(sel, 2)
+        strong_dependence_witness(spec, sel, 2)
 
 
 def test_strong_witness_char2():
     # characteristic 2, all seven points of the plane, m = 2: the
     # evaluation matrix has 6 columns, kernel dimension 1
     spec = make_field(2, 1)
-    sel = enumerate_projective(spec, 2)
-    rep = dependence_classify(sel, 2)
+    sel = projective_array(spec, 2)
+    rep = dependence_classify(spec, sel, 2)
     assert rep.dependent
     d = len(rep.kernel_basis)
     assert d >= 1
     if d <= 4:
-        w = strong_dependence_witness(sel, 2)
+        w = strong_dependence_witness(spec, sel, 2)
         if w is not None:
-            rows = evaluation_rows(sel, 2)
+            rows = evaluation_rows(spec, sel, 2)
             assert all(w)
             for j in range(len(rows[0])):
                 acc = 0
@@ -273,9 +309,9 @@ def test_strong_witness_char2():
 
 def test_strong_witness_kernel_cap():
     spec = make_field(3, 1)
-    sel = enumerate_projective(spec, 2)  # 13 points, m = 1: kernel dim 10
+    sel = projective_array(spec, 2)  # 13 points, m = 1: kernel dim 10
     with pytest.raises(BudgetExceeded):
-        strong_dependence_witness(sel, 1)  # above KERNEL_CAP = 4
+        strong_dependence_witness(spec, sel, 1)  # above KERNEL_CAP = 4
 
 
 # --- caps, bounds, conditions ----------------------------------------------
@@ -447,10 +483,7 @@ def test_disjoint_span_random_pairs():
         a = _random_invertible(spec, n, rng)
         while True:
             b = _random_invertible(spec, n, rng)
-            from kstfree.linalg import is_scalar_multiple
-            if not any(
-                is_scalar_multiple(u, v, spec) for u in b for v in a
-            ):
+            if not any(rank([u, v], spec) == 1 for u in b for v in a):
                 break
         chosen = disjoint_span_subset(spec, a, b)
         assert len(chosen) >= -(-n // 3)

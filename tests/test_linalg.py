@@ -5,7 +5,7 @@ import random
 import pytest
 
 from kstfree.gf import make_field
-from kstfree.linalg import is_scalar_multiple, left_kernel, rank, right_kernel, rref, solve_coords
+from kstfree.linalg import left_kernel, rank, right_kernel, rref
 
 
 def brute_rank(rows, spec):
@@ -78,18 +78,3 @@ def test_kernels_annihilate():
                 for i in range(n):
                     acc = spec.add(acc, spec.mul(c[i], rows[i][j]))
                 assert acc == 0
-
-
-def test_solve_coords():
-    spec = make_field(11)
-    basis = [(1, 0, 2), (0, 1, 5)]
-    t = (3, 4, (3 * 2 + 4 * 5) % 11)
-    assert solve_coords(basis, t, spec) == (3, 4)
-    assert solve_coords(basis, (0, 0, 1), spec) is None
-
-
-def test_is_scalar_multiple():
-    spec = make_field(5)
-    assert is_scalar_multiple((2, 4), (1, 2), spec)
-    assert not is_scalar_multiple((2, 3), (1, 2), spec)
-    assert is_scalar_multiple((0, 0), (0, 0), spec)

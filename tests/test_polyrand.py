@@ -17,8 +17,8 @@ from kstfree.polyrand import (
     random_bihom,
     random_hom,
 )
-from kstfree.projgeom import enumerate_projective
-from references import canonicalize, elem_parse, evaluate_bi
+from references import (canonicalize, elem_parse, enumerate_projective,
+                        evaluate_bi)
 
 
 def test_rng_determinism_and_vector_agreement():

@@ -16,7 +16,6 @@ from kstfree.projgeom import (
     ProjPoint,
     _level_links,
     enumerate_multiindices,
-    enumerate_projective,
     monomial_eval,
     monomial_matrix,
     multiindex_table,
@@ -26,7 +25,8 @@ from kstfree.projgeom import (
     projective_count,
 )
 from kstfree.util import BudgetExceeded
-from references import canonicalize, point_from_str, point_to_str
+from references import (canonicalize, enumerate_projective, point_from_str,
+                        point_to_str)
 
 
 def oracle_projective_points(spec, b):
@@ -50,9 +50,8 @@ def oracle_projective_points(spec, b):
 @pytest.mark.parametrize("p,k,b", [(2, 1, 1), (3, 1, 2), (5, 1, 1), (2, 2, 1), (2, 2, 2)])
 def test_enumeration_matches_orbit_oracle(p, k, b):
     spec = make_field(p, k)
-    pts = enumerate_projective(spec, b)
-    assert len(pts) == projective_count(spec.order, b)
-    coords = [pt.coords for pt in pts]
+    coords = list(map(tuple, projective_array(spec, b).tolist()))
+    assert len(coords) == projective_count(spec.order, b)
     assert coords == sorted(coords)  # lexicographic canonical order
     assert len(set(coords)) == len(coords)
     assert sorted(coords) == oracle_projective_points(spec, b)
@@ -60,8 +59,7 @@ def test_enumeration_matches_orbit_oracle(p, k, b):
 
 def test_enumeration_order_f2_line():
     spec = make_field(2)
-    pts = enumerate_projective(spec, 1)
-    assert [pt.coords for pt in pts] == [(0, 1), (1, 0), (1, 1)]
+    assert projective_array(spec, 1).tolist() == [[0, 1], [1, 0], [1, 1]]
 
 
 def test_canonicalize_examples():

@@ -1,4 +1,5 @@
-"""Public surface: every public module-level function or class is used in src/.
+"""Public surface: every public module-level function or class is used in
+src/, and no src/ definition builds a ProjPoint.
 
 A name counts as used when some line of another definition in
 `src/kstfree` names it (a call, an annotation, an attribute or a base
@@ -86,6 +87,20 @@ def test_every_export_resolves():
     missing = [name for name in kstfree.__all__ if not hasattr(kstfree, name)]
     assert missing == []
     assert len(set(kstfree.__all__)) == len(kstfree.__all__)
+
+
+def projpoint_calls():
+    """"file:line" of each call that builds a ProjPoint in `src/kstfree`."""
+    return ["%s:%d" % (fname, node.lineno)
+            for fname, tree in _modules() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (_dotted(node.func) or "").split(".")[-1] == "ProjPoint"]
+
+
+def test_src_builds_no_projpoint():
+    # a point set is an (n, b+1) array of encodings everywhere in src/;
+    # ProjPoint is only what the scalar evaluators take
+    assert projpoint_calls() == []
 
 
 def scipy_importers():

@@ -14,7 +14,7 @@ from kstfree.acceptance import slice_moments
 from kstfree.gf import field_for_order, is_prime, make_field
 from kstfree.graphs import construct_turan, plan_construction
 from kstfree.polyrand import HomPoly, SeededRng, eval_hom_many, evaluate, hom_to_json, random_hom
-from kstfree.projgeom import enumerate_multiindices, enumerate_projective, projective_array, projective_count
+from kstfree.projgeom import enumerate_multiindices, projective_array, projective_count
 from kstfree.util import BudgetExceeded
 from kstfree.variety import (
     BuildConfig,
@@ -29,6 +29,7 @@ from kstfree.variety import (
     variety_to_json,
     zero_masks,
 )
+from references import enumerate_projective
 
 
 def conic(spec):
