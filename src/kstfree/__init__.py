@@ -33,7 +33,7 @@ from .independence import (
     z_condition,
 )
 from .polyrand import BiHomPoly, HomPoly, SeededRng, random_bihom, random_hom
-from .projgeom import ProjPoint, enumerate_multiindices
+from .projgeom import ProjPoint
 from .util import BudgetExceeded
 from .variety import (
     BuildConfig,
@@ -65,7 +65,6 @@ __all__ = [
     "density_report",
     "dependence_classify",
     "dimension_probe",
-    "enumerate_multiindices",
     "field_for_order",
     "fq_point_array",
     "hilbert_rank",

@@ -50,7 +50,7 @@ from .independence import (
 from .jsonio import read_doc, report_path_for
 from .linalg import left_kernel, rank
 from .polyrand import HomPoly, SeededRng
-from .projgeom import enumerate_multiindices, projective_array
+from .projgeom import multiindex_table, projective_array
 from .util import BudgetExceeded, dec12, iroot
 from .variety import (
     BuildConfig,
@@ -166,14 +166,16 @@ def check_interpolation_floor(seed: int):
     }
 
 
-def _power_scales(p: int, b: int, m: int) -> list:
+def _power_scales(p: int, b: int, m: int) -> np.ndarray:
     """The multinomials m!/beta! mod p over the degree-m multiindex table."""
-    return [math.factorial(m) // math.prod(map(math.factorial, beta)) % p
-            for beta in enumerate_multiindices(b, m)]
+    return np.array([math.factorial(m) // math.prod(map(math.factorial, beta))
+                     % p for beta in multiindex_table(b, m).tolist()],
+                    dtype=np.int64)
 
 
-def power_rows(spec: FieldSpec, rows, m: int):
-    """Coefficient rows of the m-th powers of the points' linear forms.
+def power_rows(spec: FieldSpec, rows, m: int) -> np.ndarray:
+    """Coefficient rows of the m-th powers of the points' linear forms:
+    the evaluation rows, column beta scaled digitwise by m!/beta! in F_p.
 
     Valid only when the characteristic strictly exceeds m; otherwise some
     multinomial coefficient may vanish mod p and the expansion
@@ -185,7 +187,7 @@ def power_rows(spec: FieldSpec, rows, m: int):
         )
     ev = evaluation_rows(spec, rows, m)
     scales = _power_scales(spec.p, np.shape(rows)[1] - 1, m)
-    return [[spec.mul(d, v) for d, v in zip(scales, row)] for row in ev]
+    return spec.enc_array(spec.dec_array(ev) * scales[:, None] % spec.p)
 
 
 def check_rank_agreement(seed: int):
@@ -249,10 +251,9 @@ def joint_uniformity_test(spec: FieldSpec, anchors, b: int, m: int,
     detail["independent_anchors"] says whether they were.
     """
     e = evaluation_rows(spec, anchors, m)
-    s = len(e)
+    s, nx = e.shape
     independent = rank(e, spec) == s
     q = spec.order
-    nx = len(e[0])
     ny = math.comb(b + mp, mp)
     ncoef = nx * ny
     total = q**ncoef
@@ -265,7 +266,7 @@ def joint_uniformity_test(spec: FieldSpec, anchors, b: int, m: int,
     per = total // cells
     counts = np.zeros(cells if per else 0, dtype=np.int64)
     if per:
-        e_t = spec.dec_array(np.array(e).T)
+        e_t = spec.dec_array(e.T)
         grid_place = q ** np.arange(ncoef, dtype=np.int64)
         code_place = q ** np.arange(s * ny, dtype=np.int64)
         chunk = 1 << 15
@@ -455,7 +456,9 @@ KERNEL_CAP = 4     # largest kernel dimension the strong witness searches
 def strong_dependence_witness(spec: FieldSpec, rows, m: int):
     """All-nonzero left-kernel vector of the evaluation matrix, or None.
 
-    Such a vector certifies a product relation among the attached linear
+    The first, as a (t,) int64 array, of the basis combinations whose
+    coefficients run over `projective_array(spec, d-1)` in order.  Such a
+    vector certifies a product relation among the attached linear
     forms in any characteristic; when char > m it is equally a kernel
     vector of the power matrix (the two differ by nonzero column scalings).
     Preconditions: the points span the ambient space, and the kernel
@@ -463,8 +466,7 @@ def strong_dependence_witness(spec: FieldSpec, rows, m: int):
     else BudgetExceeded).
     """
     ev = evaluation_rows(spec, rows, m)
-    coords = np.asarray(rows).tolist()
-    if rank(coords, spec) != len(coords[0]):
+    if rank(rows, spec) != np.shape(rows)[1]:
         raise ValueError("points do not span the ambient space")
     kern = left_kernel(ev, spec)
     d = len(kern)
@@ -472,16 +474,10 @@ def strong_dependence_witness(spec: FieldSpec, rows, m: int):
         return None
     if d > KERNEL_CAP:
         raise BudgetExceeded("kernel dimension %d exceeds cap %d" % (d, KERNEL_CAP))
-    t = len(ev)
-    for combo in projective_array(spec, d - 1).tolist():
-        cand = [0] * t
-        for lam, kv in zip(combo, kern):
-            if lam:
-                for i in range(t):
-                    cand[i] = spec.add(cand[i], spec.mul(lam, kv[i]))
-        if all(cand):
-            return tuple(cand)
-    return None
+    lams = spec.dec_array(projective_array(spec, d - 1))
+    cands = spec.enc_array(spec.arr_dot(lams, spec.dec_array(kern)))
+    hits = np.flatnonzero(cands.all(axis=1))
+    return cands[hits[0]] if hits.size else None
 
 
 def independent_set_third(n: int, edges) -> list:
@@ -564,7 +560,7 @@ def _bases(spec, n: int, ordered: bool) -> list:
     vecs = [v for v in itertools.product(range(spec.order), repeat=n)
             if any(v)]
     pick = itertools.permutations if ordered else itertools.combinations
-    return [b for b in pick(vecs, n) if rank([list(v) for v in b], spec) == n]
+    return [b for b in pick(vecs, n) if rank(b, spec) == n]
 
 
 def check_constructive_floors(seed: int):
@@ -613,8 +609,8 @@ def check_constructive_floors(seed: int):
                     continue
                 basis_pairs += 1
                 chosen = disjoint_span_subset(field, basis_a, basis_b)
-                sub = [list(basis_a[i]) for i in chosen]
-                misses_all = all(rank(sub + [list(u)], field) == len(sub) + 1
+                sub = [basis_a[i] for i in chosen]
+                misses_all = all(rank(sub + [u], field) == len(sub) + 1
                                  for u in basis_b)
                 if len(chosen) < -(-n // 3) or not misses_all:
                     bad_span += 1

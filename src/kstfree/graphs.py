@@ -605,8 +605,7 @@ def density_report(g: SidedGraph, plan: ConstructionPlan | None) -> DensityRepor
 
 @dataclass
 class Verdicts:
-    max_common: dict          # side -> CommonNbhd
-    kst: KstVerdict
+    kst: KstVerdict           # its `sides` hold each side's one search
     density: DensityReport
 
     def free_and_dense(self, kind: str) -> bool:
@@ -618,7 +617,6 @@ class Verdicts:
         return {
             "kst": self.kst.to_json(),
             "density": self.density.to_json(),
-            "max_common": {k: v.to_json() for k, v in self.max_common.items()},
         }
 
 
@@ -630,7 +628,7 @@ def judge_graph(g: SidedGraph, s: int, t: int, orientation: str,
     """
     mc = {side: max_common_neighborhood(g, s, side, budget=budget)
           for side in _anchored_sides(orientation)}
-    return Verdicts(mc, kst_verdict(g, s, t, mc, orientation),
+    return Verdicts(kst_verdict(g, s, t, mc, orientation),
                     density_report(g, g.plan))
 
 
@@ -671,7 +669,7 @@ def _trial_report(graph: SidedGraph, plan: ConstructionPlan,
                   budget: int) -> TrialReport:
     v = judge_graph(graph, plan.s, plan.t_threshold, plan.orientation,
                     budget)
-    return TrialReport(v.max_common, v.kst, v.density, graph.seed, plan.kind,
+    return TrialReport(v.kst, v.density, graph.seed, plan.kind,
                        len(graph.left), len(graph.right), graph.num_edges,
                        plan.t_threshold, sides_full, builder, budget)
 

@@ -38,8 +38,9 @@ def _points(spec: FieldSpec, rows) -> np.ndarray:
     return rows
 
 
-def evaluation_rows(spec: FieldSpec, rows, m: int) -> list:
-    """Degree-m monomial values, one row per point, canonical column order.
+def evaluation_rows(spec: FieldSpec, rows, m: int) -> np.ndarray:
+    """Degree-m monomial values, one row per point, canonical column order:
+    a (t, C(b+m, m)) int64 array of encodings.
 
     A matrix of more than DEFAULT_POINT_BUDGET entries is refused before
     anything is built.
@@ -50,7 +51,7 @@ def evaluation_rows(spec: FieldSpec, rows, m: int) -> list:
         raise BudgetExceeded("the degree-%d evaluation matrix holds %d "
                              "entries, over the point budget %d"
                              % (m, entries, DEFAULT_POINT_BUDGET))
-    return spec.enc_array(monomial_matrix(spec, rows, m)).tolist()
+    return spec.enc_array(monomial_matrix(spec, rows, m))
 
 
 def hilbert_rank(spec: FieldSpec, rows, m: int) -> int:
@@ -65,7 +66,7 @@ class DependenceReport:
     hilbert_rank: int
     dependent: bool
     minimal: bool
-    kernel_basis: list
+    kernel_basis: np.ndarray  # (t - hilbert_rank, t), `linalg.left_kernel`
 
 
 def dependence_classify(spec: FieldSpec, rows, m: int) -> DependenceReport:
@@ -76,12 +77,20 @@ def dependence_classify(spec: FieldSpec, rows, m: int) -> DependenceReport:
     dependent set iff some nonzero v in K has v_i = 0.  If dim K = 1 the
     nonzero vectors of K are multiples of one vector; if dim K >= 2, a
     combination of two independent vectors cancels any chosen entry.
+
+    Eliminating t points' C = C(b+m, m) columns takes about t*C*min(t, C)
+    field operations; past DEFAULT_POINT_BUDGET, BudgetExceeded instead.
     """
     ev = evaluation_rows(spec, rows, m)
-    kern = [tuple(v) for v in left_kernel(ev, spec)]
-    minimal = len(kern) == 1 and all(kern[0])
-    return DependenceReport(len(ev), m, len(ev) - len(kern),
-                            bool(kern), minimal, kern)
+    t, c = ev.shape
+    work = t * c * min(t, c)
+    if work > DEFAULT_POINT_BUDGET:
+        raise BudgetExceeded("eliminating the %d x %d evaluation matrix takes "
+                             "about %d field operations, over the point "
+                             "budget %d" % (t, c, work, DEFAULT_POINT_BUDGET))
+    kern = left_kernel(ev, spec)
+    minimal = len(kern) == 1 and bool(kern[0].all())
+    return DependenceReport(t, m, t - len(kern), len(kern) > 0, minimal, kern)
 
 
 @dataclass
@@ -120,7 +129,7 @@ def s_wise_independent(spec: FieldSpec, rows, s: int, m: int,
                              % (n, s, total, budget))
     ev = evaluation_rows(spec, rows, m)
     for checked, combo in enumerate(itertools.combinations(range(n), s), 1):
-        if rank([ev[i] for i in combo], spec) < s:
+        if rank(ev[list(combo)], spec) < s:
             return SWiseCheck(combo, checked, total, "exhaustive")
     return SWiseCheck(None, total, total, "exhaustive")
 

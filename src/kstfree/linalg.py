@@ -1,11 +1,13 @@
 """Exact Gaussian elimination over a FieldSpec: reduced form, rank, kernels.
 
-Matrices are lists of rows of integer encodings.  Pivoting is fixed
-(first nonzero column, lowest row) so reduced forms and kernel bases are
-deterministic and reports stay reproducible.  Sizes here are small by
-construction; the bulk numpy kernels never need elimination.
+`rank` and `left_kernel` take any array_like of integer encodings and
+make it lists of rows once, for `rref`, whose scalar elimination beats
+numpy on the small matrices ranked here.  Pivoting is fixed (first
+nonzero column, lowest row), so kernel bases are deterministic.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .gf import FieldSpec
 
@@ -44,27 +46,22 @@ def rref(rows, spec: FieldSpec):
 
 
 def rank(rows, spec: FieldSpec) -> int:
-    return rref(rows, spec)[0]
+    """Rank of an array_like matrix of encodings."""
+    return rref(np.asarray(rows, dtype=np.int64).tolist(), spec)[0]
 
 
-def right_kernel(rows, spec: FieldSpec, ncols: int):
-    """Basis of {x : M x = 0}, one vector per free column, deterministic."""
-    r, pivots, red = rref(rows, spec)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = spec.neg(red[i][fc])
-        basis.append(tuple(v))
+def left_kernel(rows, spec: FieldSpec) -> np.ndarray:
+    """Basis of {c : c M = 0} for an array_like M with n rows: (d, n) int64.
+
+    One vector per free column of the transpose's reduced form, in column
+    order: 1 at its free column f, minus the reduced entry of column f at
+    each pivot, 0 elsewhere.
+    """
+    n = len(rows)
+    r, pivots, red = rref(np.asarray(rows, dtype=np.int64).T.tolist(), spec)
+    free = sorted(set(range(n)).difference(pivots))
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    at_free = np.array(red[:r], dtype=np.int64).reshape(r, n)[:, free]
+    basis[:, pivots] = spec.enc_array(-spec.dec_array(at_free.T) % spec.p)
     return basis
-
-
-def left_kernel(rows, spec: FieldSpec):
-    """Basis of {c : c M = 0} via the transpose."""
-    if not rows:
-        return []
-    t = [[row[j] for row in rows] for j in range(len(rows[0]))]
-    return right_kernel(t, spec, len(rows))

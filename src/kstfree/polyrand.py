@@ -9,7 +9,9 @@ was consumed.
 
 Coefficients are drawn one residue per multiindex in canonical order
 (graded-lex; bihomogeneous row-major, x-multiindex outer), which pins the
-seed -> polynomial map exactly.
+seed -> polynomial map exactly.  A form holds them as a read-only int64
+array, the one form they take in the package, and forms compare by
+identity.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .gf import FieldSpec
-from .projgeom import (enumerate_multiindices, monomial_eval, monomial_matrix,
+from .projgeom import (monomial_eval, monomial_matrix, multiindex_table,
                        point_ids)
 
 _M64 = (1 << 64) - 1
@@ -68,29 +70,36 @@ class SeededRng:
         return SeededRng(_mix64((self.seed ^ _DERIVE_SALT) + (index + 1) * _GOLDEN))
 
 
-@dataclass(frozen=True)
+def _coeff_array(values, shape: tuple, refusal: str) -> np.ndarray:
+    """A read-only int64 copy of values, refused unless of the given shape."""
+    coeffs = np.array(values, dtype=np.int64)
+    if coeffs.shape != shape:
+        raise ValueError(refusal)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+@dataclass(frozen=True, eq=False)
 class HomPoly:
-    """Homogeneous polynomial on P^b; coeffs follow the canonical multiindex order."""
+    """Homogeneous polynomial on P^b; coeffs follow `multiindex_table(b, m)`."""
 
     spec: FieldSpec
     b: int
     m: int
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) != comb(self.b + self.m, self.m):
-            raise ValueError("coefficient count does not match (b, m)")
-
-    def multiindices(self):
-        return enumerate_multiindices(self.b, self.m)
+        object.__setattr__(self, "coeffs", _coeff_array(
+            self.coeffs, (comb(self.b + self.m, self.m),),
+            "coefficient count does not match (b, m)"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiHomPoly:
     """Bihomogeneous polynomial on P^a x P^b of bidegree (m, mp).
 
-    coeffs is a tuple of rows, one per x-multiindex, each row one entry
-    per y-multiindex.
+    coeffs is an (nx, ny) array: one row per x-multiindex, one column per
+    y-multiindex.
     """
 
     spec: FieldSpec
@@ -98,33 +107,31 @@ class BiHomPoly:
     b: int
     m: int
     mp: int
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        nx = comb(self.a + self.m, self.m)
-        ny = comb(self.b + self.mp, self.mp)
-        if len(self.coeffs) != nx or any(len(r) != ny for r in self.coeffs):
-            raise ValueError("coefficient grid does not match (a, b, m, mp)")
+        object.__setattr__(self, "coeffs", _coeff_array(
+            self.coeffs, (comb(self.a + self.m, self.m),
+                          comb(self.b + self.mp, self.mp)),
+            "coefficient grid does not match (a, b, m, mp)"))
 
 
 def random_hom(spec: FieldSpec, b: int, m: int, rng: SeededRng) -> HomPoly:
-    n = comb(b + m, m)
-    return HomPoly(spec, b, m, tuple(rng.residues(n, spec.order).tolist()))
+    return HomPoly(spec, b, m, rng.residues(comb(b + m, m), spec.order))
 
 
 def random_bihom(spec: FieldSpec, a: int, b: int, m: int, mp: int,
                  rng: SeededRng) -> BiHomPoly:
-    nx = comb(a + m, m)
-    ny = comb(b + mp, mp)
+    nx, ny = comb(a + m, m), comb(b + mp, mp)
     grid = rng.residues(nx * ny, spec.order).reshape(nx, ny)
-    return BiHomPoly(spec, a, b, m, mp, tuple(map(tuple, grid.tolist())))
+    return BiHomPoly(spec, a, b, m, mp, grid)
 
 
 def evaluate(f: HomPoly, point) -> int:
     """f at a canonical point (well defined up to the usual scaling)."""
     spec = f.spec
     acc = 0
-    for c, beta in zip(f.coeffs, f.multiindices()):
+    for c, beta in zip(f.coeffs.tolist(), multiindex_table(f.b, f.m).tolist()):
         if c:
             acc = spec.add(acc, spec.mul(c, monomial_eval(point, beta)))
     return acc
@@ -154,8 +161,8 @@ def eval_hom_many(fs, pts_enc: np.ndarray) -> np.ndarray:
         by_deg.setdefault(f.m, []).append(i)
     for m, idxs in by_deg.items():
         mat = monomial_matrix(spec, pts_enc, m)
-        coeffs = np.array([fs[i].coeffs for i in idxs], dtype=np.int64)
-        vals = spec.arr_dot(mat, spec.dec_array(coeffs.T))  # (N, F, k)
+        coeffs = np.stack([fs[i].coeffs for i in idxs], axis=1)  # (C, F)
+        vals = spec.arr_dot(mat, spec.dec_array(coeffs))  # (N, F, k)
         out[:, idxs] = spec.enc_array(vals)
     return out
 
@@ -165,7 +172,7 @@ def eval_bihom_grid(g: BiHomPoly, left_enc: np.ndarray, right_enc: np.ndarray) -
     spec = g.spec
     mon_l = monomial_matrix(spec, left_enc, g.m)
     mon_r = monomial_matrix(spec, right_enc, g.mp)
-    coeff = spec.dec_array(np.array(g.coeffs, dtype=np.int64))  # (nx, ny, k)
+    coeff = spec.dec_array(g.coeffs)  # (nx, ny, k)
     mid = spec.arr_dot(mon_l, coeff)  # (NL, ny, k)
     vals = spec.arr_dot(mid, mon_r.transpose(1, 0, 2))  # (NL, NR, k)
     return spec.enc_array(vals)
@@ -177,9 +184,8 @@ def eval_bihom_grid(g: BiHomPoly, left_enc: np.ndarray, right_enc: np.ndarray) -
 
 def hom_to_json(f: HomPoly) -> dict:
     """Each nonzero coefficient beside its multiindex, as element text."""
-    coeffs = np.array(f.coeffs, dtype=np.int64)
-    on = np.flatnonzero(coeffs)
-    mis = f.multiindices()
-    entries = [[list(mis[i]), c] for i, c in
-               zip(on.tolist(), point_ids(f.spec, coeffs[on, None]))]
+    on = np.flatnonzero(f.coeffs)
+    betas = multiindex_table(f.b, f.m)[on].tolist()
+    ids = point_ids(f.spec, f.coeffs[on, None])
+    entries = [[beta, c] for beta, c in zip(betas, ids)]
     return {"kind": "hom", "b": f.b, "m": f.m, "coeffs": entries}

@@ -115,14 +115,6 @@ def projective_array(spec: FieldSpec, b: int) -> np.ndarray:
     return np.concatenate(list(projective_chunks(spec, b)))
 
 
-def enumerate_multiindices(b: int, m: int):
-    """`multiindex_table(b, m)` as a fresh list of tuples of Python ints.
-
-    For the scalar and JSON readers, which need Python ints.
-    """
-    return list(map(tuple, multiindex_table(b, m).tolist()))
-
-
 @functools.cache
 def multiindex_table(b: int, m: int) -> np.ndarray:
     """Exponent vectors of degree m in b+1 variables: read-only (C(b+m, m), b+1).

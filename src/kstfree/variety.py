@@ -135,10 +135,9 @@ def _form_terms(var: VarietySpec) -> list:
     for f in var.forms:
         a = min(f.m + 1, q)
         spec._dtype(a * k, "degree-%d zero set" % f.m)
-        coeffs = np.array(f.coeffs, dtype=np.int64)
-        on = coeffs != 0
+        on = f.coeffs != 0
         expo = multiindex_table(var.b, f.m)[on]
-        forms.append((a, expo, spec.dec_array(coeffs[on])))
+        forms.append((a, expo, spec.dec_array(f.coeffs[on])))
     return forms
 
 
@@ -381,9 +380,8 @@ def extend_variety(var: VarietySpec, ext: FieldSpec) -> VarietySpec:
     """The same forms with coefficients pushed through the field embedding,
     whose table is built once for all of them."""
     table = var.spec.embed_table(ext)
-    return VarietySpec(ext, var.b, tuple(
-        HomPoly(ext, f.b, f.m, tuple(int(table[c]) for c in f.coeffs))
-        for f in var.forms))
+    forms = [HomPoly(ext, f.b, f.m, table[f.coeffs]) for f in var.forms]
+    return VarietySpec(ext, var.b, tuple(forms))
 
 
 def _frobenius_orbits(ext: FieldSpec, q: int) -> tuple:

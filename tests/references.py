@@ -12,9 +12,10 @@ import numpy as np
 
 from kstfree.gf import FieldSpec
 from kstfree.graphs import KstVerdict, SidedGraph, _common, _side_adj
-from kstfree.independence import hilbert_rank
+from kstfree.independence import evaluation_rows, hilbert_rank
+from kstfree.linalg import left_kernel
 from kstfree.polyrand import BiHomPoly
-from kstfree.projgeom import (ProjPoint, enumerate_multiindices, monomial_eval,
+from kstfree.projgeom import (ProjPoint, monomial_eval, multiindex_table,
                               projective_array)
 
 
@@ -67,13 +68,18 @@ def point_from_str(spec: FieldSpec, s: str) -> ProjPoint:
     return pt
 
 
+def enumerate_multiindices(b: int, m: int) -> list:
+    """`multiindex_table(b, m)` as a fresh list of tuples of Python ints."""
+    return list(map(tuple, multiindex_table(b, m).tolist()))
+
+
 def evaluate_bi(g: BiHomPoly, v, w) -> int:
     """g at a pair of canonical points, one monomial at a time."""
     spec = g.spec
     mis_x = enumerate_multiindices(g.a, g.m)
     mis_y = enumerate_multiindices(g.b, g.mp)
     acc = 0
-    for row, alpha in zip(g.coeffs, mis_x):
+    for row, alpha in zip(g.coeffs.tolist(), mis_x):
         xa = monomial_eval(v, alpha)
         if xa == 0:
             continue
@@ -110,6 +116,26 @@ def embed_table_scalar(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
             acc = ext.add(acc, ext.mul(c, z))
         table[e] = acc
     return table
+
+
+def strong_witness_scalar(spec: FieldSpec, rows, m: int):
+    """`acceptance.strong_dependence_witness`'s search, one scalar at a
+    time: each combination of the left-kernel basis of the evaluation
+    rows, its coefficients read from `projective_array(spec, d - 1)` in
+    order, until one has no zero entry; that one as a tuple, else None."""
+    kern = left_kernel(evaluation_rows(spec, rows, m), spec).tolist()
+    if not kern:
+        return None
+    t = len(rows)
+    for combo in projective_array(spec, len(kern) - 1).tolist():
+        cand = [0] * t
+        for lam, kv in zip(combo, kern):
+            if lam:
+                for i in range(t):
+                    cand[i] = spec.add(cand[i], spec.mul(lam, kv[i]))
+        if all(cand):
+            return tuple(cand)
+    return None
 
 
 def minimal_by_subsets(spec: FieldSpec, rows: np.ndarray, m: int) -> bool:

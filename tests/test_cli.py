@@ -376,10 +376,10 @@ def test_verify_degree_report_roundtrip(tmp_path, capsys):
     report = read_doc(report_path_for(out))
     # left_only: only the left side is searched, and over budget it is
     # bounded by its degrees; a bound of t = 9 leaves it undetermined
-    assert report["max_common"] == {"left": {
+    assert report["kst"]["sides"] == {"left": {
         "size": 9, "subset": None, "certified": True, "checked": 0,
         "total": 10, "mode": "degree"}}
-    assert report["kst"]["sides"] == report["max_common"]
+    assert "max_common" not in report
     assert report["kst"]["free"] is None
     # verify searches at the report's own budget of 5
     assert report["subset_budget"] == 5
@@ -392,6 +392,12 @@ def test_verify_degree_report_roundtrip(tmp_path, capsys):
         json.dump(doc, fh)
     rc, vout2, _ = run(["verify", "--graph", out], capsys)
     assert (rc, vout2) == (2, vout)
+    # a report that still holds the dropped top-level max_common key, as
+    # older reports do, verifies alike: only the fresh report's keys count
+    with open(report_path_for(out), "w") as fh:
+        json.dump(dict(report, max_common=report["kst"]["sides"]), fh)
+    rc, vout3, _ = run(["verify", "--graph", out], capsys)
+    assert (rc, vout3) == (2, vout)
 
 
 def test_verify_judges_at_the_stored_subset_budget(tmp_path, capsys):
@@ -402,7 +408,7 @@ def test_verify_judges_at_the_stored_subset_budget(tmp_path, capsys):
     assert rc == 0
     report = read_doc(report_path_for(out))
     assert report["subset_budget"] == 1000
-    assert {v["mode"] for v in report["max_common"].values()} == {"degree"}
+    assert {v["mode"] for v in report["kst"]["sides"].values()} == {"degree"}
     rc, vout, _ = run(["verify", "--graph", out], capsys)
     assert rc == 0 and json.loads(vout)["mismatched_fields"] == []
     # a report written before the key existed is judged at the default
@@ -412,7 +418,7 @@ def test_verify_judges_at_the_stored_subset_budget(tmp_path, capsys):
         json.dump(report, fh)
     rc, vout, _ = run(["verify", "--graph", out], capsys)
     assert rc == 2
-    assert json.loads(vout)["mismatched_fields"] == ["max_common", "kst"]
+    assert json.loads(vout)["mismatched_fields"] == ["kst"]
     for bad in (-1, "1000", True, 1.5, None):
         with open(report_path_for(out), "w") as fh:
             json.dump(dict(report, subset_budget=bad), fh)
@@ -523,6 +529,22 @@ def test_indep_refuses_an_evaluation_matrix_past_the_point_budget(tmp_path,
     assert err == ("budget exceeded: the degree-100000 evaluation matrix "
                    "holds 333353333700002 entries, over the point budget "
                    "3000000\n")
+
+
+def test_indep_refuses_an_elimination_past_the_point_budget(tmp_path,
+                                                           capsys):
+    # 200 * 200 entries fit the budget, but eliminating them takes about
+    # 200^3 = 8,000,000 field operations: refused before any is done
+    pts = tmp_path / "pts.txt"
+    pts.write_text("".join("1:%d\n" % i for i in range(200)))
+    t0 = time.monotonic()
+    rc, stdout, err = run(["indep", "--points", str(pts), "--q", "1021",
+                           "--m", "199"], capsys)
+    assert (rc, stdout) == (2, "")
+    assert time.monotonic() - t0 < 1.0
+    assert err == ("budget exceeded: eliminating the 200 x 200 evaluation "
+                   "matrix takes about 8000000 field operations, over the "
+                   "point budget 3000000\n")
 
 
 def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):

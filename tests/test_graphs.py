@@ -513,12 +513,12 @@ def test_verdict_depends_on_the_adjacency_alone():
         g = SidedGraph(F2, ["u%d" % i for i in range(9)],
                        ["v%d" % j for j in range(4)], adj, seed=seed)
         v = judge_graph(g, 2, 3, "both", budget=10)
-        assert [v.max_common[side].mode
+        assert [v.kst.sides[side].mode
                 for side in ("left", "right")] == ["degree", "exhaustive"]
         docs.append(v.to_json())
     assert docs[0] == docs[1]
     # a left_only verdict searches only the side it anchors
-    assert list(judge_graph(g, 2, 3, "left_only").max_common) == ["left"]
+    assert list(judge_graph(g, 2, 3, "left_only").kst.sides) == ["left"]
 
 
 def test_kst_monotone_in_t():

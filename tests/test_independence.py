@@ -28,7 +28,7 @@ from kstfree.linalg import rank
 from kstfree.polyrand import SeededRng
 from kstfree.projgeom import projective_array
 from kstfree.util import BudgetExceeded
-from references import minimal_by_subsets
+from references import minimal_by_subsets, strong_witness_scalar
 
 
 def pts(*coords):
@@ -83,7 +83,7 @@ def test_independent_triple_not_minimal():
     rep = dependence_classify(F7, FOUR_PTS[:3], 2)
     assert rep.dependent is False
     assert rep.minimal is False
-    assert rep.kernel_basis == []
+    assert rep.kernel_basis.shape == (0, 3)
 
 
 SPACES = [(2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (7, 1), (8, 1),
@@ -154,6 +154,19 @@ def test_evaluation_matrix_over_the_point_budget_is_refused(monkeypatch):
         evaluation_rows(F7, pts((1, 0)), 12)  # 1 * C(13, 12) = 13
     with pytest.raises(BudgetExceeded):
         s_wise_independent(F7, four[:3], 3, 2)  # 3 * C(4, 2) = 18
+
+
+def test_elimination_over_the_point_budget_is_refused(monkeypatch):
+    # t * C * min(t, C) field operations are counted before eliminating:
+    # four points of P^2 at m = 1 take 4 * 3 * 3 = 36
+    four = pts((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+    monkeypatch.setattr(kstfree.independence, "DEFAULT_POINT_BUDGET", 36)
+    assert dependence_classify(F7, four, 1).hilbert_rank == 3
+    monkeypatch.setattr(kstfree.independence, "DEFAULT_POINT_BUDGET", 35)
+    with pytest.raises(BudgetExceeded, match="eliminating the 4 x 3 "
+                       "evaluation matrix takes about 36 field operations, "
+                       "over the point budget 35"):
+        dependence_classify(F7, four, 1)
 
 
 @pytest.mark.parametrize("p,b,m", [(5, 1, 2), (5, 1, 3), (3, 2, 2), (3, 2, 3)])
@@ -232,8 +245,8 @@ def test_power_rank_matches_hilbert_rank():
 def test_power_rows_are_column_scaled_evaluations():
     spec = make_field(7, 1)
     sel = pts((1, 0, 2), (0, 1, 3), (1, 1, 1))
-    ev = evaluation_rows(spec, sel, 2)
-    pw = power_rows(spec, sel, 2)
+    ev = evaluation_rows(spec, sel, 2).tolist()
+    pw = power_rows(spec, sel, 2).tolist()
     ncols = len(ev[0])
     for j in range(ncols):
         ratio = None
@@ -305,6 +318,29 @@ def test_strong_witness_char2():
                 for i in range(len(rows)):
                     acc = spec.add(acc, spec.mul(w[i], rows[i][j]))
                 assert acc == 0
+
+
+def test_strong_witness_matches_the_scalar_search():
+    # every spanning 2- and 3-subset of P^1(F_5) at m = 2 (none has a
+    # witness), and every dependent set of 4 or more points of P^1(F_4)
+    # and P^1(F_5), whose kernels reach dimension 1 to 3
+    found = 0
+    for q, sizes in ((5, (2, 3, 4, 5, 6)), (4, (4, 5))):
+        spec = field_for_order(q)
+        line = projective_array(spec, 1)
+        for size in sizes:
+            for sub in itertools.combinations(range(len(line)), size):
+                sel = line[list(sub)]
+                if rank(sel, spec) < 2:
+                    continue
+                w = strong_dependence_witness(spec, sel, 2)
+                ref = strong_witness_scalar(spec, sel, 2)
+                if ref is None:
+                    assert w is None
+                else:
+                    assert w.dtype == np.int64 and tuple(w.tolist()) == ref
+                    found += 1
+    assert found > 0
 
 
 def test_strong_witness_kernel_cap():

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from kstfree.gf import make_field
-from kstfree.linalg import left_kernel, rank, right_kernel, rref
+import numpy as np
+
+from kstfree.linalg import left_kernel, rank, rref
 
 
 def brute_rank(rows, spec):
@@ -62,8 +64,9 @@ def test_kernels_annihilate():
         w = rng.randrange(1, 6)
         rows = [[rng.randrange(7) for _ in range(w)] for _ in range(n)]
         rk = rank(rows, spec)
-        rkern = right_kernel(rows, spec, w)
-        assert len(rkern) == w - rk
+        # the right kernel of M is the left kernel of its transpose
+        rkern = left_kernel(np.array(rows).T, spec)
+        assert rkern.shape == (w - rk, w) and rkern.dtype == np.int64
         for v in rkern:
             for row in rows:
                 acc = 0
@@ -71,10 +74,22 @@ def test_kernels_annihilate():
                     acc = spec.add(acc, spec.mul(x, y))
                 assert acc == 0
         lkern = left_kernel(rows, spec)
-        assert len(lkern) == n - rk
+        assert lkern.shape == (n - rk, n) and lkern.dtype == np.int64
         for c in lkern:
             for j in range(w):
                 acc = 0
                 for i in range(n):
                     acc = spec.add(acc, spec.mul(c[i], rows[i][j]))
                 assert acc == 0
+
+
+def test_left_kernel_basis_is_pinned_by_the_free_columns():
+    # one vector per free column of the transpose's reduced form: 1 there,
+    # 0 at the other free columns, minus the reduced entries at the pivots
+    spec = make_field(5)
+    rows = [[1, 2], [2, 4], [0, 1], [3, 2]]   # transpose pivots at 0 and 2
+    basis = left_kernel(rows, spec)
+    assert basis.tolist() == [[3, 1, 0, 0], [2, 0, 4, 1]]
+    assert left_kernel([[1, 0], [0, 1]], spec).shape == (0, 2)
+    ext = make_field(2, 2)
+    assert left_kernel([[1, 2], [1, 2]], ext).tolist() == [[1, 1]]

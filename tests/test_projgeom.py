@@ -15,7 +15,6 @@ from kstfree.projgeom import (
     CHUNK,
     ProjPoint,
     _level_links,
-    enumerate_multiindices,
     monomial_eval,
     monomial_matrix,
     multiindex_table,
@@ -25,8 +24,8 @@ from kstfree.projgeom import (
     projective_count,
 )
 from kstfree.util import BudgetExceeded
-from references import (canonicalize, enumerate_projective, point_from_str,
-                        point_to_str)
+from references import (canonicalize, enumerate_multiindices,
+                        enumerate_projective, point_from_str, point_to_str)
 
 
 def oracle_projective_points(spec, b):

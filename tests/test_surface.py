@@ -1,5 +1,6 @@
 """Public surface: every public module-level function or class is used in
-src/, and no src/ definition builds a ProjPoint.
+src/, no src/ definition builds a ProjPoint, and none converts a form's
+coefficient array back into another container.
 
 A name counts as used when some line of another definition in
 `src/kstfree` names it (a call, an annotation, an attribute or a base
@@ -101,6 +102,31 @@ def test_src_builds_no_projpoint():
     # a point set is an (n, b+1) array of encodings everywhere in src/;
     # ProjPoint is only what the scalar evaluators take
     assert projpoint_calls() == []
+
+
+CONVERTERS = {"tuple", "list", "np.array", "np.asarray"}
+
+
+def coeffs_conversions():
+    """"file:line" of each `src/kstfree` call of a CONVERTERS name with a
+    `.coeffs` attribute anywhere in its arguments."""
+    out = []
+    for fname, tree in _modules():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and _dotted(node.func) in CONVERTERS):
+                continue
+            args = node.args + [kw.value for kw in node.keywords]
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "coeffs"
+                   for arg in args for sub in ast.walk(arg)):
+                out.append("%s:%d" % (fname, node.lineno))
+    return out
+
+
+def test_src_keeps_coefficients_as_arrays():
+    # a form's coeffs is already a read-only int64 array; field data
+    # crosses module boundaries in that one form
+    assert coeffs_conversions() == []
 
 
 def scipy_importers():

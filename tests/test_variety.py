@@ -14,7 +14,7 @@ from kstfree.acceptance import slice_moments
 from kstfree.gf import field_for_order, is_prime, make_field
 from kstfree.graphs import construct_turan, plan_construction
 from kstfree.polyrand import HomPoly, SeededRng, eval_hom_many, evaluate, hom_to_json, random_hom
-from kstfree.projgeom import enumerate_multiindices, projective_array, projective_count
+from kstfree.projgeom import projective_array, projective_count
 from kstfree.util import BudgetExceeded
 from kstfree.variety import (
     BuildConfig,
@@ -29,7 +29,7 @@ from kstfree.variety import (
     variety_to_json,
     zero_masks,
 )
-from references import enumerate_projective
+from references import enumerate_multiindices, enumerate_projective
 
 
 def conic(spec):
@@ -493,7 +493,7 @@ def test_extension_count_matches_manual_lift():
     assert count_points_ext(var, 2) == count_points(lifted) == 10
     # constants embed as constants
     manual = conic(ext)
-    assert manual.coeffs == lifted.forms[0].coeffs
+    assert manual.coeffs.tolist() == lifted.forms[0].coeffs.tolist()
 
 
 @pytest.mark.parametrize("p, k, e", [(2, 1, 2), (2, 1, 3), (3, 1, 2),
@@ -680,7 +680,8 @@ def test_builder_retry_uses_derived_streams(monkeypatch):
         if res.certified and res.attempts > 1:
             sub = SeededRng(seed).derive(res.attempts - 1)
             forms = tuple(random_hom(spec, 2, 2, sub) for _ in range(2))
-            assert forms == res.variety.forms
+            assert ([f.coeffs.tolist() for f in forms]
+                    == [f.coeffs.tolist() for f in res.variety.forms])
             return
     pytest.skip("no multi-attempt certified build in seed range")
 
