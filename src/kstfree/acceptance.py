@@ -399,8 +399,9 @@ def check_builder_yield(seed: int):
 def _pipeline_passes(plans, seed: int):
     """(ok, summary, detail) of 20 master seeds from seed for each plan.
 
-    A seed passes when its graph is built, certified free and dense, and
-    every side was searched exhaustively; ok iff each plan has a pass.
+    A seed passes when its graph is built, its report passes (full sides,
+    certified free, dense), and every side was searched exhaustively; ok
+    iff each plan has a pass.
     """
     per_q = {}
     for plan in plans:
@@ -412,8 +413,8 @@ def _pipeline_passes(plans, seed: int):
             except CertificationError:
                 continue
             built += 1
-            if rep.free_and_dense(plan.kind) and all(
-                    v.mode == "exhaustive" for v in rep.kst.sides.values()):
+            if rep.passed and all(v.mode == "exhaustive"
+                                  for v in rep.kst.sides.values()):
                 hits += 1
         per_q[str(plan.q)] = {"built": built, "hits": hits}
     return (all(v["hits"] for v in per_q.values()),

@@ -3,7 +3,7 @@
 Subcommands:
     plan        print a construction plan as JSON
     construct   build a graph, retrying master seeds until a trial passes
-    verify      re-run the verdicts on an emitted graph file
+    verify      rebuild the report of an emitted graph file and compare it
     indep       dependence diagnostics for a point file
     sweep       run many master seeds, one after another, and aggregate
     selftest    run the built-in check suite
@@ -31,8 +31,8 @@ from .graphs import (
     SidedGraph,
     construct_turan,
     construct_zar,
-    judge_graph,
     plan_construction,
+    trial_report,
 )
 from .independence import dependence_classify, s_wise_independent
 from .jsonio import dump_doc, read_doc, read_points_file, report_path_for, write_doc
@@ -174,7 +174,6 @@ def cmd_verify(args) -> int:
     graph = SidedGraph.from_json(read_doc(args.graph))
     if graph.plan is None:
         raise ValueError("graph document carries no plan")
-    plan = graph.plan
     stored_path = report_path_for(args.graph)
     stored = read_doc(stored_path) if os.path.exists(stored_path) else None
     if stored is not None and not isinstance(stored, dict):
@@ -184,26 +183,20 @@ def cmd_verify(args) -> int:
     if type(budget) is not int or budget < 0:
         raise ValueError("%s: subset_budget = %r is not an integer >= 0"
                          % (stored_path, budget))
-    verdicts = judge_graph(graph, plan.s, plan.t_threshold, plan.orientation,
-                           budget=budget)
-    fresh = verdicts.to_json()
-    result = dict(fresh, graph=os.path.basename(args.graph), s=plan.s,
-                  t=plan.t_threshold, orientation=plan.orientation)
+    fresh = trial_report(graph, budget)
+    report = fresh.to_json()
+    # only construct knows the builder's summary and which seed it tried
+    del report["builder"], report["seed"]
+    result = dict(report, graph=os.path.basename(args.graph))
     if stored is not None:
-        fresh.update(n_edges=graph.num_edges, n_left=len(graph.left),
-                     n_right=len(graph.right))
         # kst is compared even where the stored report lacks it, and last
-        kst = fresh.pop("kst")
-        mismatches = [key for key, value in fresh.items()
-                      if key in stored and stored[key] != value]
-        if stored.get("kst") != kst:
-            mismatches.append("kst")
+        keys = [key for key in report if key in stored and key != "kst"]
+        mismatches = [key for key in keys + ["kst"]
+                      if stored.get(key) != report[key]]
         result["matches_report"] = not mismatches
         result["mismatched_fields"] = mismatches
     _emit(result, args.out)
-    if verdicts.free_and_dense(plan.kind) and result.get("matches_report", True):
-        return 0
-    return 2
+    return 0 if fresh.passed and result.get("matches_report", True) else 2
 
 
 def cmd_indep(args) -> int:
@@ -310,7 +303,7 @@ def build_parser() -> _Parser:
                     help="master seeds to try before giving up")
     sp.add_argument("--out", required=True)
 
-    sp = subs.add_parser("verify", help="re-run verdicts on a graph file")
+    sp = subs.add_parser("verify", help="rebuild and compare a graph's report")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--out")
 

@@ -600,41 +600,14 @@ def density_report(g: SidedGraph, plan: ConstructionPlan | None) -> DensityRepor
 
 
 # ---------------------------------------------------------------------------
-# the shared verdict pass and trial reports
+# trial reports
 
 
 @dataclass
-class Verdicts:
+class TrialReport:
     kst: KstVerdict           # its `sides` hold each side's one search
     density: DensityReport
-
-    def free_and_dense(self, kind: str) -> bool:
-        """Certified K_{s,t}-free and at the density target of the kind."""
-        dense = self.density.turan_ok if kind == "turan" else self.density.zar_ok
-        return bool(dense and self.kst.free is True and self.kst.certified)
-
-    def to_json(self) -> dict:
-        return {
-            "kst": self.kst.to_json(),
-            "density": self.density.to_json(),
-        }
-
-
-def judge_graph(g: SidedGraph, s: int, t: int, orientation: str,
-                budget: int = DEFAULT_SUBSET_BUDGET) -> Verdicts:
-    """Search each anchored side once, then judge K_{s,t} and density.
-
-    The verdicts read the adjacency and the plan alone, never the seed.
-    """
-    mc = {side: max_common_neighborhood(g, s, side, budget=budget)
-          for side in _anchored_sides(orientation)}
-    return Verdicts(kst_verdict(g, s, t, mc, orientation),
-                    density_report(g, g.plan))
-
-
-@dataclass
-class TrialReport(Verdicts):
-    seed: int
+    seed: int | None
     kind: str
     n_left: int
     n_right: int
@@ -646,11 +619,16 @@ class TrialReport(Verdicts):
 
     @property
     def passed(self) -> bool:
-        return bool(self.sides_full) and self.free_and_dense(self.kind)
+        """Full sides, certified K_{s,t}-free, and at the density target."""
+        dense = (self.density.turan_ok if self.kind == "turan"
+                 else self.density.zar_ok)
+        return bool(self.sides_full and dense and self.kst.free is True
+                    and self.kst.certified)
 
     def to_json(self) -> dict:
         return {
-            **super().to_json(),
+            "kst": self.kst.to_json(),
+            "density": self.density.to_json(),
             "seed": self.seed,
             "kind": self.kind,
             "n_left": self.n_left,
@@ -664,14 +642,29 @@ class TrialReport(Verdicts):
         }
 
 
-def _trial_report(graph: SidedGraph, plan: ConstructionPlan,
-                  sides_full: bool, builder: dict | None,
-                  budget: int) -> TrialReport:
-    v = judge_graph(graph, plan.s, plan.t_threshold, plan.orientation,
-                    budget)
-    return TrialReport(v.kst, v.density, graph.seed, plan.kind,
-                       len(graph.left), len(graph.right), graph.num_edges,
-                       plan.t_threshold, sides_full, builder, budget)
+def trial_report(graph: SidedGraph, budget: int = DEFAULT_SUBSET_BUDGET,
+                 builder: dict | None = None) -> TrialReport:
+    """The whole report of a planned graph, from its adjacency and plan.
+
+    Each anchored side is searched once at the subset budget; the seed is
+    copied, never read.  The sides are full when each turan side holds
+    floor(c * q^s) points, or when the zarankiewicz right side holds at
+    least half the q^(b-r) that its r cutting forms leave of P^b.
+    """
+    plan = graph.plan
+    mc = {side: max_common_neighborhood(graph, plan.s, side, budget=budget)
+          for side in _anchored_sides(plan.orientation)}
+    n_left, n_right = len(graph.left), len(graph.right)
+    if plan.kind == "turan":
+        n_target = floor_scaled_power(plan.c, plan.q, plan.s, 1)
+        sides_full = n_left == n_target and n_right == n_target
+    else:
+        sides_full = 2 * n_right * plan.q**plan.r >= plan.q**plan.b
+    return TrialReport(kst_verdict(graph, plan.s, plan.t_threshold, mc,
+                                   plan.orientation),
+                       density_report(graph, plan), graph.seed, plan.kind,
+                       n_left, n_right, graph.num_edges, plan.t_threshold,
+                       sides_full, builder, budget)
 
 
 def _refuse_oversized_forms(plan: ConstructionPlan, a: int,
@@ -732,7 +725,6 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     left_enc, right_enc = slice_points(
         (VarietySpec(spec, plan.b, hs), VarietySpec(spec, plan.b, hps)),
         built.masks, n_target)
-    sides_full = len(left_enc) == n_target and len(right_enc) == n_target
     if len(left_enc) == 0 or len(right_enc) == 0:
         raise CertificationError("a side came out empty")
     g = random_bihom(spec, plan.b, plan.b, plan.m, plan.m,
@@ -750,9 +742,7 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
                          else {str(e): c for e, c in built.probe.counts.items()}),
         "swise_mode": built.swise.mode if built.swise else None,
     }
-    report = _trial_report(graph, plan, sides_full, builder_info,
-                           subset_budget)
-    return graph, report
+    return graph, trial_report(graph, subset_budget, builder_info)
 
 
 def construct_zar(plan: ConstructionPlan, master_seed: int, *,
@@ -789,6 +779,4 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
     graph = SidedGraph(spec, point_ids(spec, left_enc),
                        point_ids(spec, right_enc), adj, plan=plan,
                        seed=master_seed)
-    sides_full = 2 * len(right_enc) * spec.order**plan.r >= spec.order**plan.b
-    report = _trial_report(graph, plan, sides_full, None, subset_budget)
-    return graph, report
+    return graph, trial_report(graph, subset_budget)

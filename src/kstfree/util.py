@@ -37,21 +37,13 @@ def iroot(n: int, k: int) -> int:
 def floor_scaled_power(c: Fraction, q: int, num: int, den: int) -> int:
     """Exact floor(c * q**(num/den)) for c >= 0, q >= 1, den >= 1.
 
-    Works entirely in integers: x is admissible iff
-    (x * c.denominator)**den <= c.numerator**den * q**num.
+    With R = c.numerator**den * q**num, an integer x >= 0 is at most
+    c * q**(num/den) iff (x * c.denominator)**den <= R, iff
+    x * c.denominator <= iroot(R, den).
     """
     if c < 0 or q < 1 or den < 1 or num < 0:
         raise ValueError("floor_scaled_power out of domain")
-    rhs = c.numerator**den * q**num
-    cd = c.denominator
-    lo, hi = 0, 1 << (rhs.bit_length() // den + 2)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if (mid * cd) ** den <= rhs:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return iroot(c.numerator**den * q**num, den) // c.denominator
 
 
 def frac_json(x) -> object:

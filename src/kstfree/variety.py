@@ -356,12 +356,11 @@ def slice_points(cuts, masks: dict, limit: int | None = None) -> list:
 
 def _weighted_count(var: VarietySpec, cap: int, xs: np.ndarray,
                     sizes: np.ndarray) -> int:
-    """Points of `var` if x_1 = xs[i] stands for sizes[i] values of x_1."""
+    """Points of `var` if x_1 = xs[i] stands for sizes[i] values of x_1;
+    chart b's one point is a cell at index 0, where sizes[0] is 1."""
     total = 0
-    for lead, x0, cells in _zero_cells(var, cap, xs):
-        if lead == var.b:  # the one point x_b = 1
-            total += int(cells[0, 0])
-        elif cells.shape[1] < 1024:  # many short rows: one row-wise count
+    for _, x0, cells in _zero_cells(var, cap, xs):
+        if cells.shape[1] < 1024:  # many short rows: one row-wise count
             total += int(np.count_nonzero(cells, axis=1)
                          @ sizes[x0:x0 + len(cells)])
         else:  # a flat count per long row takes a fraction of the time
@@ -556,9 +555,10 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
             "at degree %d in dimension %d" % (cfg.num_forms, cfg.s,
                                               cfg.degree, cfg.b)
         )
-    # all rows empty: no s points are ever dependent, by interpolation
-    by_theorem = z_rep is None or all(row["kind"] == "empty"
-                                      for row in z_rep.rows)
+    # interpolation: at most degree+1 points are never degree-dependent, so
+    # no s-subset is dependent when s <= degree + 1 (every z_condition row
+    # is then empty)
+    by_theorem = cfg.s <= cfg.degree + 1
     ext_order = spec.order**PROBE_EXTENSION
     probe_ext = (ext_order <= DEFAULT_ORDER_CAP
                  and projective_count(ext_order, cfg.b) <= cfg.point_cap)

@@ -8,6 +8,8 @@ agree with, and `enumerate_projective`, a space's points as `ProjPoint`
 objects for the scalar evaluators; the package itself holds point sets
 only as rows.
 """
+from fractions import Fraction
+
 import numpy as np
 
 from kstfree.gf import FieldSpec
@@ -156,3 +158,18 @@ def verify_witness(g: SidedGraph, verdict: KstVerdict) -> bool:
     return (len(w["anchors"]) == verdict.s
             and len(set(w["neighbors"])) == verdict.t
             and all(common[j] for j in w["neighbors"]))
+
+
+def floor_scaled_power_bisect(c: Fraction, q: int, num: int, den: int) -> int:
+    """floor(c * q**(num/den)) by bisection on
+    (x * c.denominator)**den <= c.numerator**den * q**num."""
+    rhs = c.numerator**den * q**num
+    cd = c.denominator
+    lo, hi = 0, 1 << (rhs.bit_length() // den + 2)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (mid * cd) ** den <= rhs:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

@@ -266,6 +266,68 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert json.loads(vout)["mismatched_fields"] == ["n_edges", "kst"]
 
 
+@pytest.mark.parametrize("c, seed, sizes", [("3/2", "1", (66, 68)),
+                                             ("5/4", "2", (55, 54))])
+def test_short_sides_fail_construct_and_verify_alike(c, seed, sizes, tmp_path,
+                                                     capsys):
+    # floor(c * 7^2) is 73 and 61: the slices of these seeds fall short
+    out = str(tmp_path / "g.json")
+    rc, _, _ = run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
+                    "--Z", "1", "--q", "7", "--c", c, "--seed", seed,
+                    "--trials", "1", "--out", out], capsys)
+    assert rc == 2
+    report = read_doc(report_path_for(out))
+    assert (report["n_left"], report["n_right"]) == sizes
+    assert report["sides_full"] is False and report["passed"] is False
+    rc, vout, _ = run(["verify", "--graph", out], capsys)
+    vdoc = json.loads(vout)
+    assert rc == 2
+    assert vdoc["sides_full"] is False and vdoc["passed"] is False
+    assert vdoc["matches_report"] is True
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("passed", lambda v: not v),
+    ("sides_full", lambda v: not v),
+    ("t_threshold", lambda v: v + 1),
+])
+def test_verify_names_an_edited_report_key(key, edit, tmp_path, capsys):
+    out = str(tmp_path / "g.json")
+    rc, _, _ = run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
+                    "--Z", "1", "--q", "7", "--seed", "1", "--out", out],
+                   capsys)
+    assert rc == 0
+    report = read_doc(report_path_for(out))
+    with open(report_path_for(out), "w") as fh:
+        json.dump(dict(report, **{key: edit(report[key])}), fh)
+    rc, vout, _ = run(["verify", "--graph", out], capsys)
+    vdoc = json.loads(vout)
+    assert rc == 2
+    assert vdoc["mismatched_fields"] == [key]
+    assert vdoc["matches_report"] is False
+
+
+@pytest.mark.parametrize("plan", [
+    ["turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1", "--q", "7"],
+    ["zarankiewicz", "--s", "2", "--T", "3", "--r", "1", "--m", "2",
+     "--q", "8"],
+])
+def test_verify_reports_every_key_but_the_builder_and_seed(plan, tmp_path,
+                                                           capsys):
+    # a key added to the report is either checked by verify or named here
+    # as one that only construct knows
+    out = str(tmp_path / "g.json")
+    rc, _, _ = run(["construct"] + plan + ["--seed", "1", "--out", out],
+                   capsys)
+    assert rc in (0, 2)
+    report = read_doc(report_path_for(out))
+    vrc, vout, _ = run(["verify", "--graph", out], capsys)
+    vdoc = json.loads(vout)
+    assert vrc == rc and vdoc["mismatched_fields"] == []
+    assert set(vdoc) == (set(report) - {"builder", "seed"}
+                         | {"graph", "matches_report", "mismatched_fields"})
+
+
 def test_construct_is_reproducible(tmp_path, capsys):
     args = ["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
             "--Z", "1", "--q", "7", "--seed", "42", "--trials", "3"]

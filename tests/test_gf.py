@@ -23,7 +23,7 @@ from kstfree.gf import (
 from kstfree.util import floor_scaled_power, iroot
 from fractions import Fraction
 
-from references import embed_table_scalar
+from references import embed_table_scalar, floor_scaled_power_bisect
 
 
 def oracle_smallest_irreducible_quadratic(p):
@@ -352,3 +352,18 @@ def test_iroot_and_scaled_power():
     assert floor_scaled_power(Fraction(1, 4), 8, 3, 2) == 5
     assert floor_scaled_power(Fraction(1, 4), 7, 2, 1) == 12
     assert floor_scaled_power(Fraction(1, 4), 11, 2, 1) == 30
+
+
+def test_scaled_power_agrees_with_a_bisection():
+    cs = {Fraction(n, d) for n in range(12) for d in range(1, 9)}
+    for c in sorted(cs):
+        for q in (1, 2, 3, 7, 8, 11, 64, 121, 1021):
+            for num in range(6):
+                for den in range(1, 5):
+                    assert (floor_scaled_power(c, q, num, den)
+                            == floor_scaled_power_bisect(c, q, num, den)), \
+                        (c, q, num, den)
+    for bad in ((Fraction(-1), 2, 1, 1), (Fraction(1), 0, 1, 1),
+                (Fraction(1), 2, 1, 0), (Fraction(1), 2, -1, 1)):
+        with pytest.raises(ValueError):
+            floor_scaled_power(*bad)

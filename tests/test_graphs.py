@@ -27,10 +27,10 @@ from kstfree.graphs import (
     construct_turan,
     construct_zar,
     density_report,
-    judge_graph,
     kst_verdict,
     max_common_neighborhood,
     plan_construction,
+    trial_report,
 )
 from kstfree.polyrand import SeededRng, evaluate, random_hom
 from kstfree.projgeom import ProjPoint, projective_array
@@ -512,13 +512,26 @@ def test_verdict_depends_on_the_adjacency_alone():
     for seed in (1, 2):
         g = SidedGraph(F2, ["u%d" % i for i in range(9)],
                        ["v%d" % j for j in range(4)], adj, seed=seed)
-        v = judge_graph(g, 2, 3, "both", budget=10)
-        assert [v.kst.sides[side].mode
+        found = searches(g, 2, budget=10)
+        assert [found[side].mode
                 for side in ("left", "right")] == ["degree", "exhaustive"]
-        docs.append(v.to_json())
+        docs.append(kst_verdict(g, 2, 3, found, "both").to_json())
     assert docs[0] == docs[1]
-    # a left_only verdict searches only the side it anchors
-    assert list(judge_graph(g, 2, 3, "left_only").kst.sides) == ["left"]
+    # a left_only verdict reads only the side it anchors
+    assert list(kst_verdict(g, 2, 3, found, "left_only").sides) == ["left"]
+
+
+def test_trial_report_copies_the_seed_and_reads_only_the_plan():
+    plan = plan_construction("zarankiewicz", 2, T=3, r=1, m=2, q=8,
+                             c=Fraction(1, 4))
+    graph, report = construct_zar(plan, 4, subset_budget=5)
+    assert report.builder is None and report.seed == 4
+    # left_only: the report searches the left side alone
+    assert list(report.kst.sides) == ["left"]
+    unseeded = SidedGraph(graph.spec, graph.left, graph.right, graph.adj,
+                          plan=plan)
+    assert trial_report(unseeded, 5).to_json() == dict(report.to_json(),
+                                                       seed=None)
 
 
 def test_kst_monotone_in_t():
