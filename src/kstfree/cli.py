@@ -189,10 +189,12 @@ def cmd_verify(args) -> int:
     del report["builder"], report["seed"]
     result = dict(report, graph=os.path.basename(args.graph))
     if stored is not None:
-        # kst is compared even where the stored report lacks it, and last
+        # kst is compared even where the stored report lacks it, and last;
+        # values compare as JSON, where 1, 1.0 and true differ
         keys = [key for key in report if key in stored and key != "kst"]
         mismatches = [key for key in keys + ["kst"]
-                      if stored.get(key) != report[key]]
+                      if json.dumps(stored.get(key), sort_keys=True)
+                      != json.dumps(report[key], sort_keys=True)]
         result["matches_report"] = not mismatches
         result["mismatched_fields"] = mismatches
     _emit(result, args.out)

@@ -16,7 +16,9 @@ Two arithmetic paths exist and must agree bit for bit:
   reads that table in floats with an exact `_mod` (or `_zero_mask`,
   where a zero set only asks which values are 0), in the dtype that one
   rule (`FieldSpec._dtype`) gives for the width of its sums: float32
-  while they stay within 2^24, float64 within 2^53, refused beyond; and
+  while they stay within 2^24, float64 within 2^53, refused beyond.
+  The zero sets' power matrix over the whole field is built once per
+  exponent count and held read-only (`FieldSpec.power_matrix`); and
 * scalar ops on encodings through two O(q) tables per extension field,
   built lazily from the bulk path: antilogs and logs over the primitive
   element with the smallest encoding.  Scalar mul/inv/pow read them,
@@ -172,6 +174,25 @@ def _zero_mask(t: np.ndarray, p: int, scratch: np.ndarray, eq: np.ndarray,
     return np.logical_and.reduce(eq, axis=0, out=out)
 
 
+def _power_matrix(spec: "FieldSpec", a: int, xs: np.ndarray) -> np.ndarray:
+    """(a*k, k*len(xs)) matrix of c_0..c_{a-1} -> sum_e c_e x^e at xs.
+
+    Each x acts on coordinates as `FieldSpec.mul_matrix` M_x, and
+    M_{x^e} = M_{x^(e-1)} M_x.  Rows are (exponent, input digit), columns
+    (output digit, point), so a product puts its digits just before the
+    new point axis, beside the exponent axis that is contracted next.
+    The matrix feeds a*k-term sums, and comes in their dtype.
+    """
+    k, p = spec.k, spec.p
+    dt = spec._dtype(a * k, "zero set")
+    mx = spec.mul_matrix(spec.dec_array(xs)).astype(dt, copy=False)
+    by = [np.broadcast_to(np.eye(k, dtype=dt), mx.shape)]
+    for _ in range(1, a):
+        by.append(_mod(by[-1] @ mx, p))
+    by = np.stack(by).transpose(0, 2, 3, 1)  # (e, j, l, x)
+    return by.reshape(a * k, k * len(xs))
+
+
 class FieldSpec:
     """A concrete finite field GF(p^k) with deterministic representation.
 
@@ -181,7 +202,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "k", "order", "modulus",
-        "_table", "_mul_terms", "_exp", "_log",
+        "_table", "_mul_terms", "_exp", "_log", "_powers",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple):
@@ -199,6 +220,7 @@ class FieldSpec:
         # arr_mul's widest sum, in digit products of at most (p-1)^2
         self._mul_terms = int(self._table.sum(axis=0).max())
         self._exp = self._log = None
+        self._powers = {}  # a -> power_matrix(a)
 
     # -- identity ----------------------------------------------------------
 
@@ -340,6 +362,21 @@ class FieldSpec:
             log[exp] = np.arange(q, dtype=np.int64)
             self._exp, self._log = exp, log
         return self._exp, self._log
+
+    def power_matrix(self, a: int) -> np.ndarray:
+        """`_power_matrix` at every element of the field, in encoding
+        order: (a*k, k*q), built once per a and read-only.
+
+        Zero sets read it (`variety`): the walk contracts chart tensors
+        against it and gathers its columns at the x_1 values it walks, and
+        the side cut gathers them at the points it reads.
+        """
+        pm = self._powers.get(a)
+        if pm is None:
+            pm = _power_matrix(self, a, np.arange(self.order))
+            pm.flags.writeable = False
+            self._powers[a] = pm
+        return pm
 
     # -- bulk numpy arithmetic on coordinate arrays (..., k) -----------------
 

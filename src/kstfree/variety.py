@@ -3,6 +3,8 @@
 A variety here is the common projective zero set of a handful of
 homogeneous forms, and a slice of one by further forms is the zero set
 of both lists.  The forms' chart tensors decide where forms vanish,
+two scatters per form for all of its charts (`_Form.chart`) and one
+power matrix per field for all of its walks (`FieldSpec.power_matrix`),
 walked over the grid of every chart of P^b (`zero_masks`, whose chart
 masks hold a zero set in the walk's own layout, one byte per point of
 P^b, and the counts) or read at a zero set's points (`slice_points`,
@@ -35,7 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import DEFAULT_ORDER_CAP, FieldSpec, _mod, _zero_mask, make_field
+from .gf import (DEFAULT_ORDER_CAP, FieldSpec, _mod, _power_matrix,
+                 _zero_mask, make_field)
 from .independence import SWiseCheck, s_wise_independent, z_condition
 from .polyrand import HomPoly, SeededRng, hom_to_json, random_hom
 from .projgeom import (chart_leads, chart_rows, checked_count,
@@ -66,44 +69,72 @@ def variety_to_json(var: VarietySpec) -> dict:
 SLAB = 1 << 17  # cells in one slab of a chart's leading free axis
 
 
-def _power_matrix(spec: FieldSpec, a: int, xs: np.ndarray) -> np.ndarray:
-    """(a*k, k*len(xs)) matrix of c_0..c_{a-1} -> sum_e c_e x^e at xs.
+def _scatter(spec: FieldSpec, a: int, expo: np.ndarray,
+             digits: np.ndarray) -> np.ndarray:
+    """Digits of the terms of a form, exponents expo (M, b) of x_1..x_b and
+    digits (M, k), as a tensor of shape (a,)*b + (k,), mod p.
 
-    Each x acts on coordinates as `FieldSpec.mul_matrix` M_x, and
-    M_{x^e} = M_{x^(e-1)} M_x.  Rows are (exponent, input digit), columns
-    (output digit, point), so a product puts its digits just before the
-    new point axis, beside the exponent axis that is contracted next.
-    The matrix feeds a*k-term sums, and comes in their dtype.
-    """
-    k, p = spec.k, spec.p
-    dt = spec._dtype(a * k, "zero set")
-    mx = spec.mul_matrix(spec.dec_array(xs)).astype(dt, copy=False)
-    by = [np.broadcast_to(np.eye(k, dtype=dt), mx.shape)]
-    for _ in range(1, a):
-        by.append(_mod(by[-1] @ mx, p))
-    by = np.stack(by).transpose(0, 2, 3, 1)  # (e, j, l, x)
-    return by.reshape(a * k, k * len(xs))
-
-
-def _chart_tensor(spec: FieldSpec, expo: np.ndarray, digits: np.ndarray,
-                  lead: int, a: int) -> np.ndarray:
-    """Digits of a form's restriction to chart `lead`: shape (a,)*n + (k,).
-
-    expo (M, b+1) and digits (M, k) are the form's nonzero terms.  A term
-    survives when it has no x_0..x_{lead-1}; x_lead = 1 drops out, and an
-    exponent e >= q on a free axis folds to ((e-1) mod (q-1)) + 1, because
-    x^q = x on F_q.  Terms that fold together add up.  The tensor feeds
+    An exponent e >= q folds to ((e-1) mod (q-1)) + 1, because x^q = x on
+    F_q; 0 stays 0 and every other exponent stays above 0.  Terms that
+    fold together add up (`np.add.at`).  Where none folds, no two terms of
+    a homogeneous form share a cell, since its exponents of x_1..x_b fix
+    the one of x_0, and the digits are assigned.  The tensor feeds
     a*k-term sums, and comes in their dtype.
     """
-    q, n = spec.order, expo.shape[1] - 1 - lead
-    on = ~expo[:, :lead].any(axis=1)
-    e = expo[on, lead + 1:]
-    e = np.where(e >= q, (e - 1) % (q - 1) + 1, e)
-    flat = e @ (a ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    t = np.zeros((a**n, spec.k), dtype=np.int64)
-    np.add.at(t, flat, digits[on])
-    dt = spec._dtype(a * spec.k, "zero set")
-    return (t % spec.p).reshape((a,) * n + (spec.k,)).astype(dt)
+    q, k, p, b = spec.order, spec.k, spec.p, expo.shape[1]
+    dt = spec._dtype(a * k, "zero set")
+    fold = expo >= q
+    folds = fold.any()
+    if folds:
+        expo = np.where(fold, (expo - 1) % (q - 1) + 1, expo)
+    flat = expo @ (a ** np.arange(b - 1, -1, -1, dtype=np.int64))
+    if folds:
+        t = np.zeros((a**b, k), dtype=np.int64)
+        np.add.at(t, flat, digits)
+        t = np.remainder(t, p, out=t).astype(dt)
+    else:
+        t = np.zeros((a**b, k), dtype=dt)
+        t[flat] = digits
+    return t.reshape((a,) * b + (k,))
+
+
+class _Form:
+    """A form as a zero-set walk reads it: a = min(m+1, q) exponents per
+    free axis, its nonzero terms (exponents expo (M, b+1), digits (M, k)),
+    and its chart tensors, handed out once each by `chart`."""
+
+    def __init__(self, spec: FieldSpec, a: int, expo: np.ndarray,
+                 digits: np.ndarray):
+        self.spec, self.a, self.expo, self.digits = spec, a, expo, digits
+        self._tail = None  # [None, chart 1, .., chart b], on first read
+
+    def chart(self, lead: int) -> np.ndarray:
+        """Digits of the form's restriction to chart `lead`, x_lead = 1:
+        shape (a,)*(b-lead) + (k,), over x_{lead+1}..x_b.
+
+        Chart 0 keeps every term, and x_0 = 1 drops out: it is the scatter
+        of all terms over x_1..x_b (`_scatter`).  Chart L >= 1 keeps the
+        terms with no x_0..x_{L-1}, which are the x_0-free terms at
+        exponent 0 on x_1..x_{L-1}, and x_L = 1 sums their x_L axis out.
+        With D the scatter of the x_0-free terms it is
+        D[(0,)*(L-1)].sum(0) mod p, and the first read of any chart
+        L >= 1 builds them all from one D, which is then dropped.  Chart
+        0, the largest, is built at its read, so no more than one tensor of
+        its size is held at a time.  A chart is handed out once, as each
+        walk reads it once.
+        """
+        spec, expo = self.spec, self.expo
+        if lead == 0:
+            return _scatter(spec, self.a, expo[:, 1:], self.digits)
+        if self._tail is None:
+            free = expo[:, 0] == 0
+            d = _scatter(spec, self.a, expo[free, 1:], self.digits[free])
+            self._tail = [None]
+            for _ in range(expo.shape[1] - 1):
+                self._tail.append(d.sum(axis=0) % spec.p)
+                d = d[0]
+        t, self._tail[lead] = self._tail[lead], None
+        return t
 
 
 def _inner_contraction(spec: FieldSpec, t: np.ndarray, inner: np.ndarray,
@@ -128,8 +159,8 @@ def _inner_contraction(spec: FieldSpec, t: np.ndarray, inner: np.ndarray,
 
 
 def _form_terms(var: VarietySpec) -> list:
-    """(a = min(m+1, q), nonzero terms' exponents, their digits) per form;
-    refuses sums that no float holds (`FieldSpec._dtype`) before work."""
+    """A `_Form` per form, a = min(m+1, q); refuses sums that no float
+    holds (`FieldSpec._dtype`) before work."""
     spec, k, q = var.spec, var.spec.k, var.spec.order
     forms = []
     for f in var.forms:
@@ -137,8 +168,19 @@ def _form_terms(var: VarietySpec) -> list:
         spec._dtype(a * k, "degree-%d zero set" % f.m)
         on = f.coeffs != 0
         expo = multiindex_table(var.b, f.m)[on]
-        forms.append((a, expo, spec.dec_array(f.coeffs[on])))
+        forms.append(_Form(spec, a, expo, spec.dec_array(f.coeffs[on])))
     return forms
+
+
+def _field_powers(spec: FieldSpec, b: int, a: int):
+    """`FieldSpec.power_matrix(a)` where a walk of P^b reads the powers of
+    all of F_q: b > 1, where they contract the inner axes, or b = 1 and
+    they fit one slab.  None otherwise (a wide field at b = 1, such as
+    GF(2^16)), where each slab builds its own."""
+    k = spec.k
+    if b > 1 or (b == 1 and SLAB // (a * k * k) >= spec.order):
+        return spec.power_matrix(a)
+    return None
 
 
 def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
@@ -152,44 +194,50 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
     cells are a view into a buffer that the next slab overwrites.
 
     Chart by chart (`projgeom.chart_leads`), each form is evaluated on the
-    grid of its restriction by contracting its coefficient tensor one
-    exponent axis at a time against the powers of the field's elements,
-    a = min(m+1, q) exponents per axis, each power the GF(p) matrix
-    M_{x^e} of the field's one multiplication table (`_power_matrix`).
-    Each contraction is one matmul in the dtype of a*k-term sums
-    (`FieldSpec._dtype`): float32 while a*k*(p-1)^2 + p <= 2^24, float64
-    while it is <= 2^53, else ValueError.  A form's inner axes are
-    contracted at its first use in a chart (`_inner_contraction`), each
-    step followed by % p, against the power matrix over all of F_q.  A
-    slab holds at most SLAB cells, its product has axes (digit, x_1,
-    x_2..x_n), and a point stays alive where all its digits are 0 mod p
-    (`gf._zero_mask`, which tests without reducing).  The first form
-    writes the slab's cells, and no form runs once all its points are
-    dead; on a slab of SLAB/4 cells or more (digits counted) a later form
-    sees only the columns x_2..x_n where a point is still alive and ANDs
-    its test into them.  The power matrix at xs holds the largest
-    exponent count, each form takes the prefix of rows it needs, and a
-    slab's powers are its columns; it is built once per call (and is the
-    inner one when xs is all of F_q), unless b = 1 and xs do not fit in
-    one slab (a wide field such as GF(2^16)), where each slab builds its
-    own.  A slab's product, its zero tests and its cells go into buffers
-    allocated once per call, as large as the largest slab needs.
+    grid of its restriction (`_Form.chart`) by contracting its
+    coefficient tensor one exponent axis at a time against the powers of
+    the field's elements, a = min(m+1, q) exponents per axis, each power
+    the GF(p) matrix M_{x^e} of the field's one multiplication table
+    (`gf._power_matrix`).  Each contraction is one matmul in the dtype of
+    a*k-term sums (`FieldSpec._dtype`): float32 while
+    a*k*(p-1)^2 + p <= 2^24, float64 while it is <= 2^53, else
+    ValueError.  A form's inner axes are contracted at its first use in a
+    chart (`_inner_contraction`), each step followed by % p, against the
+    power matrix over all of F_q.  A slab holds at most SLAB cells, its
+    product has axes (digit, x_1, x_2..x_n), and a point stays alive where
+    all its digits are 0 mod p (`gf._zero_mask`, which tests without
+    reducing).  The first form writes the slab's cells, and no form runs
+    once all its points are dead; on a slab of SLAB/4 cells or more
+    (digits counted) a later form sees only the columns x_2..x_n where a
+    point is still alive, gathered with one `np.take`, and ANDs its test
+    into them.  Power matrices hold the largest exponent count, each form
+    takes the prefix of rows it needs, and a slab's powers are its
+    columns.  The one over all of F_q is the field's own, built once per
+    exponent count (`FieldSpec.power_matrix`, where `_field_powers` reads
+    it), and the powers at xs are its columns, gathered once per call
+    unless xs is all of F_q.  Without it (b = 1 on a field too wide for
+    one slab, such as GF(2^16)) the powers at xs are built once per call
+    if they fit one slab, and else each slab builds its own.  A slab's
+    product, its zero tests and its cells go into buffers allocated once
+    per call, as large as the largest slab needs.
     """
     spec, b = var.spec, var.b
     p, k, q = spec.p, spec.k, spec.order
     checked_count(q, b, cap)
     forms = _form_terms(var)
-    amax = max((a for a, _, _ in forms), default=1)
+    amax = max((f.a for f in forms), default=1)
     nx = len(xs)
     # x_1 values per slab of the chart with n free axes
     steps = {n: max(1, SLAB // (k * max(q ** (n - 1), amax * k)))
              for n in range(1, b + 1)}
-    inner = outer = None  # power matrices over all of F_q and at xs
-    if forms and b > 1:
-        inner = _power_matrix(spec, amax, np.arange(q))
-    if forms and (b > 1 or steps.get(1, 0) >= nx):
-        outer = inner if nx == q and inner is not None else \
-            _power_matrix(spec, amax, xs)
+    inner = _field_powers(spec, b, amax) if forms else None
+    outer = None  # powers at xs, (a*k, k, nx), where one matrix holds them
+    if inner is not None:
+        outer = inner.reshape(amax * k, k, q)
+        if nx != q:
+            outer = outer.take(xs, axis=2)
+    elif forms and steps.get(1, 0) >= nx:
+        outer = _power_matrix(spec, amax, xs).reshape(amax * k, k, nx)
     # a slab's cells, alive where every form so far vanishes; the first
     # form writes them
     most = max((min(steps[n], nx) * q ** (n - 1) for n in steps), default=0)
@@ -201,8 +249,7 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
     for lead in chart_leads(b):
         n = b - lead
         if n == 0:
-            zero = not any(_chart_tensor(spec, expo, digits, lead, a).any()
-                           for a, expo, digits in forms)
+            zero = not any(f.chart(lead).any() for f in forms)
             yield lead, 0, np.full((1, 1), zero)
             continue
         grid, step = q ** (n - 1), steps[n]
@@ -212,30 +259,28 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
             cells = alive[:(x1 - x0) * grid].reshape(x1 - x0, grid)
             if not forms:
                 cells.fill(True)
-            for i, (a, expo, digits) in enumerate(forms):
+            for i, f in enumerate(forms):
                 # w: (digit, x_1, exponent and digit) powers at xs[x0:x1]
                 if i == 0 and outer is None:
                     w = _power_matrix(spec, amax, xs[x0:x1])
                     w = w.reshape(amax * k, k, x1 - x0).transpose(1, 2, 0)
                 elif i == 0:
-                    w = outer.reshape(amax * k, k, nx)[:, :, x0:x1]
-                    w = w.transpose(1, 2, 0)
+                    w = outer[:, :, x0:x1].transpose(1, 2, 0)
                 elif not cells.any():
                     break
                 if ts[i] is None:
-                    ts[i] = _inner_contraction(
-                        spec, _chart_tensor(spec, expo, digits, lead, a),
-                        inner, a)
-                live = slice(None)
+                    ts[i] = _inner_contraction(spec, f.chart(lead), inner,
+                                               f.a)
+                live, t = slice(None), ts[i]
                 if i > 0 and cells.size * k >= SLAB // 4:
                     # below this size the gather costs more than it saves
                     live = np.flatnonzero(cells.any(axis=0))
-                t = ts[i][:, live]
+                    t = t.take(live, axis=1)
                 shape = (k, x1 - x0, t.shape[1])
                 size = math.prod(shape)
                 vals, fl, eq, mask = (buf[:size].reshape(shape)
                                       for buf in bufs)
-                np.matmul(w[..., :a * k], t, out=vals)
+                np.matmul(w[..., :f.a * k], t, out=vals)
                 if i == 0:
                     _zero_mask(vals, p, fl, eq, cells)
                 else:
@@ -286,23 +331,26 @@ def slice_points(cuts, masks: dict, limit: int | None = None) -> list:
     double from SLAB/32 to SLAB over the whole pass; a chunk ends early at
     the end of its chart, or once it holds SLAB/(a k^2) of W's points.
     One flatnonzero per chunk gives W's points there, as row x_1 and grid
-    index g of x_2..x_n.  With T a form's chart tensor, inner axes
-    contracted over F_q as in `_zero_cells`, and P the power matrix over
-    F_q (b = 1: at the chunk's x_1), digit j of the form at (x_1, g) is
+    index g of x_2..x_n.  With T a form's chart tensor (`_Form.chart`),
+    inner axes contracted over F_q as in `_zero_cells`, and P the power
+    matrix over F_q, the field's own where `_field_powers` gives it and
+    else built at the chunk's x_1, digit j of the form at (x_1, g) is
     sum_r P[r, j, x_1] T[r, g] mod p: a*k products.  Every cut reads the
-    one gather of P at the chunk's x_1, and a cut's later forms run only
-    at its survivors.  Chart b reads the tensors' constant.  A cut whose
-    `limit` points survive reads no further chunk, and its survivors are
-    trimmed to `limit` before their rows are built.  The masks passed the
-    point budget when they were walked, so the cut does not check it.
+    one gather (`np.take`) of P at the chunk's x_1, and a cut's later
+    forms run only at its survivors, whose columns of P and T are
+    gathered the same way.  Chart b reads the tensors' constant.  A cut
+    whose `limit` points survive reads no further chunk, and its
+    survivors are trimmed to `limit` before their rows are built.  The
+    masks passed the point budget when they were walked, so the cut does
+    not check it.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0, got %d" % limit)
     spec, b = cuts[0].spec, cuts[0].b
     p, k, q = spec.p, spec.k, spec.order
     terms = [_form_terms(cut) for cut in cuts]
-    amax = max((a for forms in terms for a, _, _ in forms), default=1)
-    inner = _power_matrix(spec, amax, np.arange(q)) if b > 1 else None
+    amax = max((f.a for forms in terms for f in forms), default=1)
+    inner = _field_powers(spec, b, amax)
     most = max(1, SLAB // (amax * k * k))  # W's points in one chunk
     want = [math.inf if limit is None else limit] * len(cuts)
     kept = [[] for _ in cuts]  # per cut: its rows, chart by chart
@@ -313,9 +361,8 @@ def slice_points(cuts, masks: dict, limit: int | None = None) -> list:
             break
         if lead == b:
             for c in active:
-                if mask[0, 0] and not any(
-                        _chart_tensor(spec, expo, digits, b, a).any()
-                        for a, expo, digits in terms[c]):
+                if mask[0, 0] and not any(f.chart(b).any()
+                                          for f in terms[c]):
                     kept[c].append(chart_rows(q, b, b, np.zeros(1, np.int64)))
                     want[c] -= 1
             continue
@@ -328,23 +375,23 @@ def slice_points(cuts, masks: dict, limit: int | None = None) -> list:
             if len(idx) > most:
                 idx, c0 = idx[:most], int(idx[most])
             x1, g = np.divmod(idx, grid)
-            if inner is None:  # b = 1: the powers at these x_1
+            if inner is None:  # the powers at these x_1
                 w = _power_matrix(spec, amax, x1).reshape(amax * k, k, -1)
             else:
-                w = inner.reshape(amax * k, k, q)[:, :, x1]
+                w = inner.reshape(amax * k, k, q).take(x1, axis=2)
             for c in active:
                 live = None  # positions in idx that the cut keeps; None: all
-                for i, (a, expo, digits) in enumerate(terms[c]):
+                for i, f in enumerate(terms[c]):
                     if ts[c][i] is None:
-                        ts[c][i] = _inner_contraction(
-                            spec, _chart_tensor(spec, expo, digits, lead, a),
-                            inner, a)
-                    wl, gl = (w, g) if live is None else (w[:, :, live],
-                                                          g[live])
-                    ok = ~_mod(np.einsum("ejr,er->jr", wl[:a * k],
-                                         ts[c][i][:, gl]), p).any(axis=0)
+                        ts[c][i] = _inner_contraction(spec, f.chart(lead),
+                                                      inner, f.a)
+                    wl, gl = (w, g) if live is None else (
+                        w.take(live, axis=2), g.take(live))
+                    vals = np.einsum("ejr,er->jr", wl[:f.a * k],
+                                     ts[c][i].take(gl, axis=1))
+                    ok = ~_mod(vals, p).any(axis=0)
                     live = np.flatnonzero(ok) if live is None else live[ok]
-                hits = idx if live is None else idx[live]
+                hits = idx if live is None else idx.take(live)
                 if len(hits) > want[c]:
                     hits = hits[:want[c]]
                 kept[c].append(chart_rows(q, b, lead, hits))
@@ -540,7 +587,9 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
     """Draw forms until the zero set passes count, s-wise, and probe checks.
 
     Attempt j always uses rng.derive(j), so retries are reproducible and
-    independent of how earlier attempts consumed their stream.
+    independent of how earlier attempts consumed their stream.  With no
+    forms to draw every attempt would see the same W, so the first one
+    is the only one.
     """
     if cfg.num_forms < 0 or cfg.degree < 1 or cfg.b < 1 or cfg.s < 1:
         raise ValueError("bad builder configuration")
@@ -579,7 +628,7 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
             tally[failed] += 1
         last = BuildResult(failed is None, attempt + 1, var, masks, n,
                            target_dim, sw, probe, dict(tally))
-        if failed is None:
+        if failed is None or not forms:
             return last
     assert last is not None
     return last

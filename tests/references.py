@@ -6,7 +6,9 @@ time (`elem_str`, `elem_parse`, `canonicalize`, `point_to_str`,
 `point_from_str`), which `projgeom.point_ids` and `parse_ids` must
 agree with, and `enumerate_projective`, a space's points as `ProjPoint`
 objects for the scalar evaluators; the package itself holds point sets
-only as rows.
+only as rows.  `chart_tensor` builds a form's restriction to one chart
+by filtering its terms for that chart, as the zero-set walk's per-form
+chart tensors must agree.
 """
 from fractions import Fraction
 
@@ -68,6 +70,28 @@ def point_from_str(spec: FieldSpec, s: str) -> ProjPoint:
     if point_to_str(pt) != s:
         raise ValueError("%r is not a canonical point of %r" % (s, spec))
     return pt
+
+
+def chart_tensor(spec: FieldSpec, expo: np.ndarray, digits: np.ndarray,
+                 lead: int, a: int) -> np.ndarray:
+    """Digits of a form's restriction to chart `lead`, built for that chart
+    alone: shape (a,)*n + (k,), n = b - lead.
+
+    expo (M, b+1) and digits (M, k) are the form's nonzero terms.  A term
+    survives when it has no x_0..x_{lead-1}; x_lead = 1 drops out, and an
+    exponent e >= q on a free axis folds to ((e-1) mod (q-1)) + 1, because
+    x^q = x on F_q.  Terms that fold together add up.  The tensor comes
+    in the dtype of a*k-term sums, as the walk's own chart tensors do.
+    """
+    q, n = spec.order, expo.shape[1] - 1 - lead
+    on = ~expo[:, :lead].any(axis=1)
+    e = expo[on, lead + 1:]
+    e = np.where(e >= q, (e - 1) % (q - 1) + 1, e)
+    flat = e @ (a ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    t = np.zeros((a**n, spec.k), dtype=np.int64)
+    np.add.at(t, flat, digits[on])
+    dt = spec._dtype(a * spec.k, "zero set")
+    return (t % spec.p).reshape((a,) * n + (spec.k,)).astype(dt)
 
 
 def enumerate_multiindices(b: int, m: int) -> list:

@@ -307,6 +307,26 @@ def test_verify_names_an_edited_report_key(key, edit, tmp_path, capsys):
     assert vdoc["matches_report"] is False
 
 
+def test_verify_compares_report_values_as_json(tmp_path, capsys):
+    # 1 == True and 1.0 == 1 in Python, but not in the stored document
+    out = str(tmp_path / "g.json")
+    rc, _, _ = run(["construct", "turan", "--s", "2", "--m", "3", "--r", "1",
+                    "--Z", "1", "--q", "7", "--seed", "2", "--out", out],
+                   capsys)
+    assert rc == 0
+    report = read_doc(report_path_for(out))
+    assert report["passed"] is True and report["sides_full"] is True
+    with open(report_path_for(out), "w") as fh:
+        json.dump(dict(report, passed=1, sides_full=1,
+                       n_edges=float(report["n_edges"])), fh)
+    rc, vout, _ = run(["verify", "--graph", out], capsys)
+    vdoc = json.loads(vout)
+    assert rc == 2
+    assert sorted(vdoc["mismatched_fields"]) == ["n_edges", "passed",
+                                                 "sides_full"]
+    assert vdoc["matches_report"] is False
+
+
 @pytest.mark.parametrize("plan", [
     ["turan", "--s", "2", "--m", "3", "--r", "1", "--Z", "1", "--q", "7"],
     ["zarankiewicz", "--s", "2", "--T", "3", "--r", "1", "--m", "2",
@@ -731,3 +751,18 @@ def test_console_script_installed():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["t_threshold"] == 82
+
+
+def test_package_runs_as_a_module():
+    # `python -m kstfree` is the same command line as `kstfree.cli`
+    src = os.path.dirname(os.path.dirname(kstfree.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kstfree", "selftest", "10", "--seed", "7000"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
+    assert "PASS  check 10  arithmetic-ledgers" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "kstfree", "selftest", "99", "--seed", "3"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1 and "unknown check" in proc.stderr

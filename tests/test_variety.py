@@ -14,7 +14,7 @@ from kstfree.acceptance import slice_moments
 from kstfree.gf import field_for_order, is_prime, make_field
 from kstfree.graphs import construct_turan, plan_construction
 from kstfree.polyrand import HomPoly, SeededRng, eval_hom_many, evaluate, hom_to_json, random_hom
-from kstfree.projgeom import projective_array, projective_count
+from kstfree.projgeom import chart_leads, projective_array, projective_count
 from kstfree.util import BudgetExceeded
 from kstfree.variety import (
     BuildConfig,
@@ -29,7 +29,7 @@ from kstfree.variety import (
     variety_to_json,
     zero_masks,
 )
-from references import enumerate_multiindices, enumerate_projective
+from references import chart_tensor, enumerate_multiindices, enumerate_projective
 
 
 def conic(spec):
@@ -161,6 +161,7 @@ def test_zero_set_on_a_wide_field_builds_slabs_only():
     assert pts.tolist() == [list(pt.coords) for pt in brute_points(var)]
     assert 1 <= len(pts) <= 3
     assert max(sizes) <= kstfree.variety.SLAB
+    assert not spec._powers  # nor is the field's own matrix built
 
 
 def test_extension_count_on_a_wide_field_builds_slabs_only():
@@ -182,6 +183,7 @@ def test_extension_count_on_a_wide_field_builds_slabs_only():
     assert got == len(fq_point_array(lifted))
     assert len(sizes) > 1
     assert max(sizes) <= kstfree.variety.SLAB
+    assert not ext._powers
 
 
 def test_counts_build_no_rows():
@@ -333,6 +335,39 @@ def test_slab_slice_of_the_full_power_matrix_is_the_slab_power_matrix(q):
         assert (got == power_matrix(spec, a, np.arange(x0, x1))).all()
 
 
+@pytest.mark.parametrize("q, m, b", [
+    (2, 3, 3), (3, 3, 3), (4, 5, 2), (8, 9, 2),  # exponents fold: q <= m
+    (4, 3, 3), (7, 3, 3), (8, 2, 4), (9, 3, 2),  # they do not
+    (5, 1, 1), (4, 5, 0), (11, 3, 1),
+])
+def test_chart_tensors_match_the_per_chart_filter(q, m, b):
+    spec = field_for_order(q)
+    rng = SeededRng(q * 100 + m * 10 + b)
+    forms = [random_hom(spec, b, m, rng) for _ in range(3)]
+    forms.append(HomPoly(spec, b, m, np.zeros_like(forms[0].coeffs)))
+    for form in kstfree.variety._form_terms(VarietySpec(spec, b,
+                                                        tuple(forms))):
+        assert form.a == min(m + 1, q)
+        for lead in chart_leads(b):
+            want = chart_tensor(spec, form.expo, form.digits, lead, form.a)
+            got = form.chart(lead)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got == want).all()
+
+
+@pytest.mark.parametrize("q", [2, 8, 9, 23, 121])
+def test_field_power_matrix_is_the_power_matrix_at_every_element(q):
+    spec = field_for_order(q)
+    for a in (1, 2, 4):
+        pm = spec.power_matrix(a)
+        want = kstfree.variety._power_matrix(spec, a, np.arange(q))
+        assert pm.dtype == want.dtype and (pm == want).all()
+        assert spec.power_matrix(a) is pm
+        assert not pm.flags.writeable
+        with pytest.raises(ValueError):
+            pm[0, 0] = 1
+
+
 def test_limit_refuses_negative_values():
     spec = make_field(5, 1)
     var = VarietySpec(spec, 2, (conic(spec),))
@@ -343,7 +378,7 @@ def test_limit_refuses_negative_values():
 def test_zero_set_budget_is_checked_before_any_work():
     spec = make_field(2, 16)
     var = VarietySpec(spec, 3, (random_hom(spec, 3, 3, SeededRng(8)),))
-    with mock.patch.object(kstfree.variety, "_chart_tensor",
+    with mock.patch.object(kstfree.variety, "_form_terms",
                            side_effect=AssertionError("work started")):
         with pytest.raises(BudgetExceeded):
             fq_point_array(var, cap=10**6)
@@ -576,6 +611,17 @@ def test_builder_no_forms_trivial():
     assert res.swise.certified
     assert res.probe is not None and res.probe.estimate == 1
     assert res.failure_tally == {"count": 0, "swise": 0, "probe": 0}
+
+
+def test_builder_without_forms_draws_once():
+    # all of P^8 over F_2 is 4-wise dependent at degree 2, and with no form
+    # to draw a retry would only see the same 511 points again
+    spec = make_field(2, 1)
+    cfg = BuildConfig(b=8, num_forms=0, degree=2, s=4)
+    res = build_independent_variety(spec, cfg, SeededRng(1))
+    assert res.certified is False
+    assert res.attempts == 1 and res.n_points == 511
+    assert res.failure_tally == {"count": 0, "swise": 1, "probe": 0}
 
 
 def test_builder_cubic_surface_certifies():
