@@ -13,10 +13,13 @@ Two arithmetic paths exist and must agree bit for bit:
   multiplication by the regular representation: M_x, the k x k GF(p)
   matrix of y -> y*x (`mul_matrix`), read off one table of the digits of
   t^(i+j), t the basis root.  Every bulk product, zero sets included,
-  reads that table in floats with an exact `_mod` (or `_zero_mask`,
-  where a zero set only asks which values are 0), in the dtype that one
-  rule (`FieldSpec._dtype`) gives for the width of its sums: float32
-  while they stay within 2^24, float64 within 2^53, refused beyond.
+  reads that table in floats, in the dtype that one rule
+  (`FieldSpec._dtype`) gives for the width of its sums: float32 while
+  they stay within 2^24, float64 within 2^53, refused beyond.  Sums
+  whose remainders are used are reduced by an exact `_mod`; where a zero
+  set only asks which sums are 0, `_zero_mask` tests them by one exact
+  unsigned divisibility check, in the narrowest of 16, 32 and 64 bits
+  that holds them (`_unsigned`).
   The zero sets' power matrix over the whole field is built once per
   exponent count and held read-only (`FieldSpec.power_matrix`); and
 * scalar ops on encodings through two O(q) tables per extension field,
@@ -157,21 +160,40 @@ def _mod(t: np.ndarray, p: int) -> np.ndarray:
     return t
 
 
-def _zero_mask(t: np.ndarray, p: int, scratch: np.ndarray, eq: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """out = (t % p == 0).all(axis=0), for t (k, ...) of integers held as
-    in `_mod`; t is overwritten.  scratch (floats) and eq (bools) are
-    buffers of t's shape.
+_UNSIGNED = ((16, np.uint16), (32, np.uint32), (64, np.uint64))
 
-    p divides t exactly when the rounded t / p is an integer: a multiple
-    of p divides exactly, and otherwise t / p lies 1/p or more from every
-    integer, farther than its rounding error (the bound in `_mod`).  So a
-    zero test needs the quotient and its floor, not the remainder.
+
+def _unsigned(top: int):
+    """The narrowest of uint16, uint32 and uint64 that holds 0..top, for
+    top <= 2^53 (`FieldSpec._dtype`): the width of `_zero_mask`'s test on
+    sums of at most top."""
+    return next(dt for w, dt in _UNSIGNED if top >> w == 0)
+
+
+def _zero_mask(t: np.ndarray, p: int, work: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """out = (t % p == 0).all(axis=0), for t (k, ...) of integers
+    0 <= t < 2^w held exactly (floats or integers), w the width of the
+    unsigned buffer work of t's shape (`_unsigned`), which is overwritten.
+
+    The test is exact divisibility by one wrapping product (Granlund and
+    Montgomery, 1994).  For odd p, c = p^-1 mod 2^w, and v -> v*c mod 2^w
+    is a bijection of Z/2^w that sends each multiple p*j of 0..2^w-1 to j,
+    so to 0..lim, lim = floor((2^w-1)/p).  Those lim + 1 multiples fill
+    0..lim, so no other v lands there, and p | v iff v*c mod 2^w <= lim.
+    For p = 2, c = 2^(w-1) sends v to 0 when v is even and to 2^(w-1)
+    when it is odd, and lim = 0.  Every digit is at most lim exactly when
+    the largest is, so the digits' images are folded by max into the
+    first and compared once, straight into out.
     """
-    np.divide(t, p, out=t)
-    np.floor(t, out=scratch)
-    np.equal(t, scratch, out=eq)
-    return np.logical_and.reduce(eq, axis=0, out=out)
+    w = 8 * work.itemsize
+    c, lim = (1 << (w - 1), 0) if p == 2 else (pow(p, -1, 1 << w),
+                                                ((1 << w) - 1) // p)
+    work[...] = t
+    work *= c
+    for d in range(1, len(work)):
+        np.maximum(work[0], work[d], out=work[0])
+    return np.less_equal(work[0], lim, out=out)
 
 
 def _power_matrix(spec: "FieldSpec", a: int, xs: np.ndarray) -> np.ndarray:

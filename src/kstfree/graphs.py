@@ -42,7 +42,13 @@ from .variety import (BuildConfig, VarietySpec, build_independent_variety,
 
 
 class CertificationError(RuntimeError):
-    """A pipeline stage failed its certificate; retrying may succeed."""
+    """A pipeline stage failed its certificate.  Retrying with another
+    seed may succeed unless `seeded` is False: the failure follows from
+    the plan alone, and every seed fails alike."""
+
+    def __init__(self, message: str, seeded: bool = True):
+        super().__init__(message)
+        self.seeded = seeded
 
 
 # Sub-streams of the master stream SeededRng(seed); each has one consumer.
@@ -706,7 +712,8 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     spec = field_for_order(plan.q)
     n_target = floor_scaled_power(plan.c, plan.q, plan.s, 1)
     if n_target == 0:
-        raise CertificationError("truncation target is zero; both sides empty")
+        raise CertificationError("truncation target is zero; both sides empty",
+                                 seeded=False)
     _refuse_oversized_forms(plan, plan.b, point_cap)
     base = SeededRng(master_seed)
     cfg = BuildConfig(b=plan.b, num_forms=plan.Z, degree=plan.m, s=plan.s,
@@ -714,10 +721,11 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     built = build_independent_variety(spec, cfg,
                                       base.derive(STREAM_VARIETY))
     if not built.certified:
+        # with no forms drawn, every seed's builder walks the same W
         raise CertificationError(
             "variety certification failed after %d attempts (rejections: %r)"
-            % (built.attempts, built.failure_tally)
-        )
+            % (built.attempts, built.failure_tally),
+            seeded=bool(built.variety.forms))
     rng_h = base.derive(STREAM_LEFT_CUT)
     rng_hp = base.derive(STREAM_RIGHT_CUT)
     hs = tuple(random_hom(spec, plan.b, d, rng_h) for d in plan.delta)
@@ -761,7 +769,8 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
     spec = field_for_order(plan.q)
     a = plan.a
     if a < 1:
-        raise CertificationError("left side is empty at this c and q")
+        raise CertificationError("left side is empty at this c and q",
+                                 seeded=False)
     _refuse_oversized_forms(plan, a, point_cap)
     base = SeededRng(master_seed)
     rng_hp = base.derive(STREAM_RIGHT_CUT)

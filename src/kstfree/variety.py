@@ -12,13 +12,16 @@ which cuts several slices from one set of masks in one pass).  Rows of
 point encodings are built only where they are asked for
 (`fq_point_array`, `BuildResult.points`, a slice's kept points).
 Everything is exhaustive over the finite field, so the point cap is
-load-bearing: a zero set costs a few float passes per form over the
-grid of every chart of P^b, in any field, and the builder's F_{q^2}
+load-bearing: a zero set costs a matmul and a zero test per form over
+the grid of every chart of P^b, in any field, and the builder's F_{q^2}
 probe, which walks one leading coordinate per Frobenius orbit, covers
-about q^b/2 times the points of its F_q count.  The passes
-run in float32 wherever `FieldSpec._dtype` keeps their sums exact in
-it, as for cubics over every field of characteristic up to 2,039 under
-the default order cap, and in float64 otherwise.
+about q^b/2 times the points of its F_q count.  The matmuls run in
+float32 wherever `FieldSpec._dtype` keeps their sums exact in it, as
+for cubics over every field of characteristic up to 2,039 under the
+default order cap, and in float64 otherwise.  Every question of whether
+a form vanishes at a point, in a walk or a cut, is one exact unsigned
+divisibility test of its digit sums (`gf._zero_mask`), in 16 bits for
+cubics while 4k(p-1)^2 < 2^16, as for every benchmark field.
 
 The certified builder draws fresh forms until the zero set passes three
 checks: it is large enough (at least half the first-order prediction),
@@ -38,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf import (DEFAULT_ORDER_CAP, FieldSpec, _mod, _power_matrix,
-                 _zero_mask, make_field)
+                 _unsigned, _zero_mask, make_field)
 from .independence import SWiseCheck, s_wise_independent, z_condition
 from .polyrand import HomPoly, SeededRng, hom_to_json, random_hom
 from .projgeom import (chart_leads, chart_rows, checked_count,
@@ -205,8 +208,10 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
     chart (`_inner_contraction`), each step followed by % p, against the
     power matrix over all of F_q.  A slab holds at most SLAB cells, its
     product has axes (digit, x_1, x_2..x_n), and a point stays alive where
-    all its digits are 0 mod p (`gf._zero_mask`, which tests without
-    reducing).  The first form writes the slab's cells, and no form runs
+    all its digits are 0 mod p (`gf._zero_mask`: one wrapping product per
+    digit in the narrowest unsigned width that holds a*k*(p-1)^2,
+    `gf._unsigned`, and one comparison, which the first form writes into
+    the cells).  The first form writes the slab's cells, and no form runs
     once all its points are dead; on a slab of SLAB/4 cells or more
     (digits counted) a later form sees only the columns x_2..x_n where a
     point is still alive, gathered with one `np.take`, and ANDs its test
@@ -243,9 +248,11 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
     most = max((min(steps[n], nx) * q ** (n - 1) for n in steps), default=0)
     alive = np.empty(most, dtype=bool)
     if forms and b > 0:
-        # a slab's product, its floor, its digit and its form zero tests
-        dt = spec._dtype(amax * k, "zero set")
-        bufs = tuple(np.empty(k * most, d) for d in (dt, dt, bool, bool))
+        # a slab's product, its sums in the test's width, and a later
+        # form's zero test
+        bufs = (np.empty(k * most, spec._dtype(amax * k, "zero set")),
+                np.empty(k * most, _unsigned(amax * k * (p - 1) ** 2)),
+                np.empty(most, bool))
     for lead in chart_leads(b):
         n = b - lead
         if n == 0:
@@ -278,13 +285,13 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
                     t = t.take(live, axis=1)
                 shape = (k, x1 - x0, t.shape[1])
                 size = math.prod(shape)
-                vals, fl, eq, mask = (buf[:size].reshape(shape)
-                                      for buf in bufs)
+                vals, work = (buf[:size].reshape(shape) for buf in bufs[:2])
                 np.matmul(w[..., :f.a * k], t, out=vals)
                 if i == 0:
-                    _zero_mask(vals, p, fl, eq, cells)
+                    _zero_mask(vals, p, work, cells)
                 else:
-                    cells[:, live] &= _zero_mask(vals, p, fl, eq, mask[0])
+                    mask = bufs[2][:size // k].reshape(shape[1:])
+                    cells[:, live] &= _zero_mask(vals, p, work, mask)
             yield lead, x0, cells
 
 
@@ -335,14 +342,15 @@ def slice_points(cuts, masks: dict, limit: int | None = None) -> list:
     inner axes contracted over F_q as in `_zero_cells`, and P the power
     matrix over F_q, the field's own where `_field_powers` gives it and
     else built at the chunk's x_1, digit j of the form at (x_1, g) is
-    sum_r P[r, j, x_1] T[r, g] mod p: a*k products.  Every cut reads the
-    one gather (`np.take`) of P at the chunk's x_1, and a cut's later
-    forms run only at its survivors, whose columns of P and T are
-    gathered the same way.  Chart b reads the tensors' constant.  A cut
-    whose `limit` points survive reads no further chunk, and its
-    survivors are trimmed to `limit` before their rows are built.  The
-    masks passed the point budget when they were walked, so the cut does
-    not check it.
+    sum_r P[r, j, x_1] T[r, g] mod p: a*k products, which the walk's zero
+    test reads without reducing them (`gf._zero_mask`, into buffers
+    allocated once per call).  Every cut reads the one gather (`np.take`)
+    of P at the chunk's x_1, and a cut's later forms run only at its
+    survivors, whose columns of P and T are gathered the same way.
+    Chart b reads the tensors' constant.  A cut whose `limit` points
+    survive reads no further chunk, and its survivors are trimmed to
+    `limit` before their rows are built.  The masks passed the point
+    budget when they were walked, so the cut does not check it.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0, got %d" % limit)
@@ -352,6 +360,9 @@ def slice_points(cuts, masks: dict, limit: int | None = None) -> list:
     amax = max((f.a for forms in terms for f in forms), default=1)
     inner = _field_powers(spec, b, amax)
     most = max(1, SLAB // (amax * k * k))  # W's points in one chunk
+    # a chunk's sums in the zero test's width, and a form's zero test
+    work = np.empty((k, most), _unsigned(amax * k * (p - 1) ** 2))
+    tested = np.empty(most, bool)
     want = [math.inf if limit is None else limit] * len(cuts)
     kept = [[] for _ in cuts]  # per cut: its rows, chart by chart
     size = max(1, SLAB >> 5)  # cells in the next chunk
@@ -389,7 +400,8 @@ def slice_points(cuts, masks: dict, limit: int | None = None) -> list:
                         w.take(live, axis=2), g.take(live))
                     vals = np.einsum("ejr,er->jr", wl[:f.a * k],
                                      ts[c][i].take(gl, axis=1))
-                    ok = ~_mod(vals, p).any(axis=0)
+                    ok = _zero_mask(vals, p, work[:, :len(gl)],
+                                    tested[:len(gl)])
                     live = np.flatnonzero(ok) if live is None else live[ok]
                 hits = idx if live is None else idx.take(live)
                 if len(hits) > want[c]:

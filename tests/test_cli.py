@@ -138,6 +138,39 @@ def test_zero_truncation_target_is_a_usage_error(tmp_path, capsys):
             assert stdout == "" and not out.exists()
 
 
+def test_a_rejection_that_no_seed_changes_stops_the_seed_loop(tmp_path,
+                                                              capsys):
+    # with Z = 0 the builder draws no forms, so every seed walks the same W
+    # and is rejected alike: one seed is tried, not ten
+    out = tmp_path / "g.json"
+    rc, stdout, err = run(["construct", "turan", "--s", "4", "--m", "2",
+                           "--r", "4", "--Z", "0", "--q", "2", "--seed", "1",
+                           "--out", str(out)], capsys)
+    assert rc == 2 and stdout == "" and not out.exists()
+    head, *rows = err.splitlines()
+    assert head == ("no graph built: the plan alone decides seed 1's "
+                    "rejection, so no later seed was tried")
+    assert rows == ["  seed 1: variety certification failed after 1 "
+                    "attempts (rejections: {'count': 0, 'swise': 1, "
+                    "'probe': 0})"]
+
+
+def test_rejections_that_a_seed_can_change_are_retried(tmp_path, capsys,
+                                                       monkeypatch):
+    # an empty side depends on the seed's cutting forms: every trial runs
+    def reject(plan, seed, subset_budget, point_cap):
+        raise kstfree.CertificationError("a side came out empty")
+
+    monkeypatch.setattr(kstfree.cli, "_construct_once", reject)
+    rc, stdout, err = run(["construct", "turan", "--s", "2", "--m", "3",
+                           "--r", "1", "--Z", "1", "--q", "7", "--seed", "4",
+                           "--trials", "3", "--out",
+                           str(tmp_path / "g.json")], capsys)
+    assert rc == 2 and stdout == ""
+    assert err.splitlines() == ["no graph built in 3 trials"] + [
+        "  seed %d: a side came out empty" % s for s in (4, 5, 6)]
+
+
 def test_spaces_past_int64_grid_indices_exit_one_at_once(tmp_path, capsys):
     # b = 6,400,000: deriving the plan used to take seconds; q^b >= 2^63
     # is now refused from q's bit length, before anything else is derived

@@ -14,6 +14,7 @@ from kstfree.gf import (
     _MOD_BLOCK,
     _mod,
     _poly_mod,
+    _unsigned,
     _zero_mask,
     field_for_order,
     is_prime,
@@ -244,6 +245,30 @@ def test_float32_mod_matches_integer_mod_up_to_its_bound(p):
     assert (got.astype(np.int64) == t % p).all()
 
 
+def _check_zero_mask(t, p, sums, width):
+    # t's values as sums in the float dtype `sums`, as two digits whose
+    # cell is zero only when both are, and as one digit
+    digits = np.stack([t, t[::-1]])
+    work = digits.astype(sums)
+    assert (work == digits).all()
+    out = np.empty(t.size, dtype=bool)
+    got = _zero_mask(work, p, np.empty(work.shape, width), out)
+    assert got is out
+    assert (got == (digits % p == 0).all(axis=0)).all()
+    one = _zero_mask(t[None].astype(sums), p, np.empty((1, t.size), width),
+                     out)
+    assert one is out
+    assert (one == (t % p == 0)).all()
+
+
+def test_zero_mask_is_exact_at_16_bits_for_every_prime_below_256():
+    # every value a uint16 test can see, for every small prime
+    t = np.arange(1 << 16, dtype=np.int64)
+    assert _unsigned((1 << 16) - 1) is np.uint16
+    for p in filter(is_prime, range(256)):
+        _check_zero_mask(t, p, np.float32, np.uint16)
+
+
 @pytest.mark.parametrize("p, dtype, top", [
     (2, np.float32, (1 << 24) - 2),
     (3, np.float32, (1 << 24) - 3),
@@ -252,20 +277,12 @@ def test_float32_mod_matches_integer_mod_up_to_its_bound(p):
     ((1 << 26) + 15, np.float64, (1 << 53) - (1 << 26) - 15),
 ])
 def test_zero_mask_matches_integer_divisibility_up_to_its_bound(p, dtype, top):
-    # the 2^20 values just below each dtype's bound, as two digits whose
-    # cell is zero only when both are
+    # the 2^20 values just below each float dtype's bound, in the width
+    # that holds them: 32 bits for float32 sums, 64 for float64
+    width = _unsigned(top)
+    assert width is (np.uint32 if dtype is np.float32 else np.uint64)
     t = np.arange(top - (1 << 20), top + 1, dtype=np.int64)
-    digits = np.stack([t, t[::-1]])
-    work = digits.astype(dtype)
-    assert (work == digits).all()
-    out = np.empty(t.size, dtype=bool)
-    got = _zero_mask(work, p, np.empty_like(work),
-                     np.empty(work.shape, dtype=bool), out)
-    assert got is out
-    assert (got == (digits % p == 0).all(axis=0)).all()
-    one = _zero_mask(t[None].astype(dtype), p, np.empty((1, t.size), dtype),
-                     np.empty((1, t.size), dtype=bool), out)
-    assert (one == (t % p == 0)).all()
+    _check_zero_mask(t, p, dtype, width)
 
 
 def test_blockwise_mod_matches_the_single_pass():

@@ -306,15 +306,14 @@ def test_limit_stops_the_last_chart_before_its_last_slab():
         if lead == 1:
             before = len(chunks)  # the chunks of charts 3 to 1
     assert max(chunks) <= slab // 4 and sum(chunks[before:]) > 23**3 // 2
-    real = kstfree.variety._mod
+    real = kstfree.variety._zero_mask
     rows = []  # points of each zero test of the cut
 
-    def spy(t, p):
-        if t.shape[0] == spec.k:
-            rows.append(t.shape[1])
-        return real(t, p)
+    def spy(t, p, work, out):
+        rows.append(t.shape[1])
+        return real(t, p, work, out)
 
-    with mock.patch.object(kstfree.variety, "_mod", spy):
+    with mock.patch.object(kstfree.variety, "_zero_mask", spy):
         [full] = slice_points([cut], masks)
         whole, rows[:] = rows[:], []
         [pts] = slice_points([cut], masks, 23 * 23 // 4)
@@ -421,17 +420,18 @@ def test_zero_sets_on_both_sides_of_the_float32_bound(p, degree, dtype):
 
 def test_benchmark_zero_sets_and_constructs_run_in_float32():
     # every exact reduction and zero test of a builder-ext op and a q=31
-    # turan construct
-    seen = set()
+    # turan construct sums in float32, and every zero test runs in 16 bits
+    seen, widths = set(), set()
     real, real_zero = kstfree.gf._mod, kstfree.variety._zero_mask
 
     def spy(t, p):
         seen.add(t.dtype)
         return real(t, p)
 
-    def zero_spy(t, p, scratch, eq, out):
+    def zero_spy(t, p, work, out):
         seen.add(t.dtype)
-        return real_zero(t, p, scratch, eq, out)
+        widths.add(work.dtype)
+        return real_zero(t, p, work, out)
 
     plan = plan_construction("turan", 2, m=3, r=1, Z=1, c=Fraction(1, 4),
                              q=31)
@@ -444,6 +444,7 @@ def test_benchmark_zero_sets_and_constructs_run_in_float32():
         construct_turan(plan, 1)
     assert built.certified
     assert seen == {np.dtype(np.float32)}
+    assert widths == {np.dtype(np.uint16)}
 
 
 def probe_counts(var, exts):
