@@ -1,7 +1,7 @@
 """Seeded random-variety constructions of K_{s,t}-free bipartite graphs.
 
 The stack, bottom up: exact finite-field arithmetic (gf), projective
-points and monomials (projgeom), seeded random forms (polyrand),
+points and monomials (projgeom), random forms from a seed (polyrand),
 dependence and rank diagnostics (independence), certified variety
 building (variety), graph pipelines and verdicts (graphs), and the CLI
 plus built-in check suite (cli, acceptance).  A point set is an

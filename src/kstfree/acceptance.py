@@ -45,6 +45,7 @@ from .independence import (
     hilbert_rank,
     m_cap,
     phi_upper_bound,
+    swise_theorem,
     z_condition,
 )
 from .jsonio import read_doc, report_path_for
@@ -140,28 +141,38 @@ def check_field_exactness(seed: int):
     }
 
 
-def check_interpolation_floor(seed: int):
-    """No point set of size <= m+1 is degree-m dependent: exhaustive over
-    the projective line over F_5 and the plane over F_3, m in {2, 3}.
+def check_independence_floors(seed: int):
+    """Every set of distinct points that `swise_theorem` covers is
+    independent at degree m: every such set on the projective line over
+    F_5 and the plane over F_3 at m in {2, 3} (interpolation, up to m+1
+    points), and on P^3(F_2) at m = 2 (interpolation up to 3 points,
+    Reed-Muller up to 6).  Negative control: the 7 points of the plane
+    x_3 = 0 of P^3(F_2), one past the Reed-Muller bound, have rank 6.
     Must finish in under a minute."""
     t0 = time.monotonic()
-    checked = 0
+    checked = {"interpolation": 0, "reed-muller": 0}
     dependent = 0
-    for b, q in ((1, 5), (2, 3)):
+    for b, q, ms in ((1, 5, (2, 3)), (2, 3, (2, 3)), (3, 2, (2,))):
         spec = field_for_order(q)
         pts = projective_array(spec, b)
-        for m in (2, 3):
-            for size in range(1, m + 2):
+        for m in ms:
+            ev = evaluation_rows(spec, pts, m)
+            size = 1
+            while (mode := swise_theorem(q, m, size)) is not None:
                 for sub in itertools.combinations(range(len(pts)), size):
-                    checked += 1
-                    if hilbert_rank(spec, pts[list(sub)], m) != size:
-                        dependent += 1
+                    checked[mode] += 1
+                    dependent += rank(ev[list(sub)], spec) != size
+                size += 1
+    control = hilbert_rank(spec, pts[pts[:, 3] == 0], 2)  # pts: P^3(F_2)
     elapsed = time.monotonic() - t0
-    ok = dependent == 0 and elapsed < 60.0
-    return ok, "%d subsets, %d dependent, %.1fs" % (
-        checked, dependent, elapsed), {
+    ok = dependent == 0 and control == 6 and elapsed < 60.0
+    return ok, ("%d subsets by interpolation, %d by Reed-Muller, %d "
+                "dependent; plane x_3 = 0 rank %d of 7, %.1fs" % (
+                    checked["interpolation"], checked["reed-muller"],
+                    dependent, control, elapsed)), {
         "checked": checked,
         "dependent": dependent,
+        "control_rank": control,
         "elapsed": dec12(elapsed),
     }
 
@@ -708,7 +719,7 @@ def check_reproducibility(seed: int):
 
 CHECKS = (
     (1, "field-exactness", check_field_exactness),
-    (2, "interpolation-floor", check_interpolation_floor),
+    (2, "independence-floors", check_independence_floors),
     (3, "rank-agreement", check_rank_agreement),
     (4, "specialization-uniformity", check_specialization_uniformity),
     (5, "slice-concentration", check_slice_concentration),

@@ -145,20 +145,13 @@ def cmd_construct(args) -> int:
                                             args.budget_points)
         except CertificationError as e:
             errors.append({"seed": seed, "error": str(e)})
-            if not e.seeded:  # every later seed would fail alike
-                break
             continue
         best = (graph, report)
         used = seed
         if report.passed:
             break
     if best is None:
-        if len(errors) < args.trials:
-            sys.stderr.write("no graph built: the plan alone decides seed "
-                             "%d's rejection, so no later seed was tried\n"
-                             % errors[-1]["seed"])
-        else:
-            sys.stderr.write("no graph built in %d trials\n" % args.trials)
+        sys.stderr.write("no graph built in %d trials\n" % args.trials)
         for row in errors:
             sys.stderr.write("  seed %d: %s\n" % (row["seed"], row["error"]))
         return 2

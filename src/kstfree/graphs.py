@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .gf import FieldSpec, field_for_order, make_field
-from .independence import m_cap, z_condition
+from .independence import m_cap, swise_theorem, z_condition
 from .polyrand import SeededRng, eval_bihom_grid, random_bihom, random_hom
 from .projgeom import parse_ids, point_ids
 from .util import (
@@ -42,13 +42,9 @@ from .variety import (BuildConfig, VarietySpec, build_independent_variety,
 
 
 class CertificationError(RuntimeError):
-    """A pipeline stage failed its certificate.  Retrying with another
-    seed may succeed unless `seeded` is False: the failure follows from
-    the plan alone, and every seed fails alike."""
-
-    def __init__(self, message: str, seeded: bool = True):
-        super().__init__(message)
-        self.seeded = seeded
+    """A pipeline stage failed its certificate for this seed; another seed
+    may pass.  A failure that the plan alone decides is refused earlier,
+    by `plan_construction`, with ValueError."""
 
 
 # Sub-streams of the master stream SeededRng(seed); each has one consumer.
@@ -348,6 +344,10 @@ def plan_construction(kind: str, s: int, mode: str = "desk", *, m=None,
                 "violated: Z > bound/(t-1) at t = %d (needs Z > %s, have %d)"
                 % (bad[0]["t"], bad[0]["required"], Z)
             )
+        if q is not None and swise_theorem(q, m, s) is None:
+            # the builder would refuse it, at every seed
+            raise ValueError("no theorem certifies %d-wise independence at "
+                             "degree %d over F_%d" % (s, m, q))
         if q is not None and floor_scaled_power(c, q, s, 1) == 0:
             # the same for every seed: each side keeps floor(c q^s) points
             raise ValueError("truncation target floor(c * q^s) is zero at "
@@ -712,20 +712,18 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
     spec = field_for_order(plan.q)
     n_target = floor_scaled_power(plan.c, plan.q, plan.s, 1)
     if n_target == 0:
-        raise CertificationError("truncation target is zero; both sides empty",
-                                 seeded=False)
+        raise CertificationError("truncation target is zero; both sides empty")
     _refuse_oversized_forms(plan, plan.b, point_cap)
     base = SeededRng(master_seed)
     cfg = BuildConfig(b=plan.b, num_forms=plan.Z, degree=plan.m, s=plan.s,
-                      point_cap=point_cap, subset_budget=subset_budget)
+                      point_cap=point_cap)
     built = build_independent_variety(spec, cfg,
                                       base.derive(STREAM_VARIETY))
     if not built.certified:
-        # with no forms drawn, every seed's builder walks the same W
+        # every draw failed the count or the probe (all of P^b passes both)
         raise CertificationError(
             "variety certification failed after %d attempts (rejections: %r)"
-            % (built.attempts, built.failure_tally),
-            seeded=bool(built.variety.forms))
+            % (built.attempts, built.failure_tally))
     rng_h = base.derive(STREAM_LEFT_CUT)
     rng_hp = base.derive(STREAM_RIGHT_CUT)
     hs = tuple(random_hom(spec, plan.b, d, rng_h) for d in plan.delta)
@@ -748,7 +746,7 @@ def construct_turan(plan: ConstructionPlan, master_seed: int, *,
         "target_dim": built.target_dim,
         "probe_counts": (None if built.probe is None
                          else {str(e): c for e, c in built.probe.counts.items()}),
-        "swise_mode": built.swise.mode if built.swise else None,
+        "swise_mode": built.swise_mode,
     }
     return graph, trial_report(graph, subset_budget, builder_info)
 
@@ -769,8 +767,7 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
     spec = field_for_order(plan.q)
     a = plan.a
     if a < 1:
-        raise CertificationError("left side is empty at this c and q",
-                                 seeded=False)
+        raise CertificationError("left side is empty at this c and q")
     _refuse_oversized_forms(plan, a, point_cap)
     base = SeededRng(master_seed)
     rng_hp = base.derive(STREAM_RIGHT_CUT)

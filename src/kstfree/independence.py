@@ -4,8 +4,9 @@ A point set is an (n, b+1) int64 array of canonical encodings, one row
 per point, as zero sets, slices and `projgeom.parse_ids` give it.  A set
 of t projective points is m-dependent when the t x C(b+m, m) matrix of
 degree-m monomial values drops rank below t.  Minimality (read off the
-matrix's left kernel) and s-wise certification are built on that one
-matrix; the exact rational bookkeeping (m_cap, phi_upper_bound,
+matrix's left kernel) and the s-wise search are built on that one
+matrix, and `swise_theorem` names the sizes at which no search is
+needed; the exact rational bookkeeping (m_cap, phi_upper_bound,
 z_condition) is what the construction plans consume.
 """
 from __future__ import annotations
@@ -93,12 +94,40 @@ def dependence_classify(spec: FieldSpec, rows, m: int) -> DependenceReport:
     return DependenceReport(t, m, t - len(kern), len(kern) > 0, minimal, kern)
 
 
+def swise_theorem(q: int, m: int, s: int) -> str | None:
+    """The theorem by which any s distinct points of P^b(F_q), for every
+    b, are independent at degree m: "interpolation", "reed-muller", or
+    None when neither covers (q, m, s).
+
+    Interpolation (s <= m+1): for distinct p_1..p_s and each i, take
+    linear forms l_j (j != i) with l_j(p_j) = 0 != l_j(p_i), and l with
+    l(p_i) != 0.  l^(m-s+1) prod_j l_j has degree m and vanishes at every
+    p_j but p_i, so the evaluation matrix has rank s.
+
+    Reed-Muller (q = 2, s <= 2^(m+1) - 2): on F_2^(b+1), where x^2 = x,
+    the degree-m monomials take exactly the values of the x_S with
+    1 <= |S| <= m.  A dependence v among points of P^b (nonzero vectors),
+    given the weight v_0 = sum_p v_p at the zero vector, where every x_S
+    is 0, is orthogonal to those x_S and to the constant 1: a nonzero
+    word of the dual of RM(m, b+1), whose minimum weight is 2^(m+1)
+    (MacWilliams and Sloane, The Theory of Error-Correcting Codes, 1977,
+    ch. 13; the dual is {0} when m > b).  Its support less the zero vector
+    lies in the set, so a dependent set holds at least 2^(m+1) - 1 points;
+    a projective m-flat holds that many and is dependent.
+    """
+    if s <= m + 1:
+        return "interpolation"
+    if q == 2 and s <= 2 ** (m + 1) - 2:
+        return "reed-muller"
+    return None
+
+
 @dataclass
 class SWiseCheck:
     witness: tuple | None    # indices of a dependent s-subset, if found
     checked: int
     total: int
-    mode: str                # exhaustive | vacuous | interpolation (builder)
+    mode: str                # exhaustive | vacuous
 
     @property
     def certified(self) -> bool:

@@ -23,14 +23,15 @@ a form vanishes at a point, in a walk or a cut, is one exact unsigned
 divisibility test of its digit sums (`gf._zero_mask`), in 16 bits for
 cubics while 4k(p-1)^2 < 2^16, as for every benchmark field.
 
-The certified builder draws fresh forms until the zero set passes three
+The certified builder draws fresh forms until the zero set passes two
 checks: it is large enough (at least half the first-order prediction),
-it is s-wise independent at the forms' degree m (by the interpolation
-theorem when s <= m+1, else only by an exhaustive search within the
-subset budget), and a point-count probe over F_q and, within the point
-cap, F_{q^2} lands on the expected dimension.  Each check can fail for
-an unlucky draw; the builder retries with derived streams and keeps a
-tally of which check rejected how many attempts.
+and a point-count probe over F_q and, within the point cap, F_{q^2}
+lands on the expected dimension.  Its s-wise independence at the forms'
+degree m is a theorem for every draw (`independence.swise_theorem`), so
+a configuration that no theorem covers is refused before any draw.
+Each check can fail for an unlucky draw; the builder retries with
+derived streams and keeps a tally of which check rejected how many
+attempts.
 """
 from __future__ import annotations
 
@@ -42,11 +43,11 @@ import numpy as np
 
 from .gf import (DEFAULT_ORDER_CAP, FieldSpec, _mod, _power_matrix,
                  _unsigned, _zero_mask, make_field)
-from .independence import SWiseCheck, s_wise_independent, z_condition
+from .independence import swise_theorem
 from .polyrand import HomPoly, SeededRng, hom_to_json, random_hom
 from .projgeom import (chart_leads, chart_rows, checked_count,
                        multiindex_table, projective_count)
-from .util import DEFAULT_POINT_BUDGET, DEFAULT_SUBSET_BUDGET
+from .util import DEFAULT_POINT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -538,7 +539,6 @@ class BuildConfig:
     degree: int               # their common degree
     s: int                    # independence arity to certify
     point_cap: int = DEFAULT_POINT_BUDGET
-    subset_budget: int = DEFAULT_SUBSET_BUDGET
 
 
 @dataclass
@@ -549,7 +549,7 @@ class BuildResult:
     masks: dict | None        # the variety's `zero_masks`
     n_points: int
     target_dim: int
-    swise: SWiseCheck | None
+    swise_mode: str           # the `swise_theorem` that certifies s-wise
     probe: DimensionProbe | None
     failure_tally: dict = field(default_factory=dict)
 
@@ -560,72 +560,32 @@ class BuildResult:
                           self.masks)
 
 
-def _count_ok(n_points: int, q: int, target_dim: int) -> bool:
-    # at least half the first-order prediction q^dim, exactly compared
-    return 2 * n_points >= q**target_dim
-
-
-def _check_draw(var: VarietySpec, masks: dict, n: int, cfg: BuildConfig,
-                target_dim: int, by_theorem: bool, probe_ext: bool):
-    """(first failed check or None, s-wise certificate, probe) of one draw
-    of n points, held as chart masks.
-
-    Without the theorem the s-subsets are searched only within the subset
-    budget, on the points' rows; a draw with more of them is rejected
-    unsearched, as it could not be certified.
-    """
-    q = var.spec.order
-    if not _count_ok(n, q, target_dim):
-        return "count", None, None
-    if by_theorem:
-        sw = SWiseCheck(None, 0, math.comb(n, cfg.s), "interpolation")
-    elif math.comb(n, cfg.s) > cfg.subset_budget:
-        return "swise", None, None
-    else:
-        sw = s_wise_independent(var.spec, _mask_rows(q, var.b, masks),
-                                cfg.s, cfg.degree, budget=cfg.subset_budget)
-    if not sw.certified:
-        return "swise", sw, None
-    counts = {1: n}
-    if probe_ext:
-        counts[PROBE_EXTENSION] = count_points_ext(var, PROBE_EXTENSION,
-                                                   cap=cfg.point_cap)
-    probe = dimension_probe(counts, q)
-    return (None if probe.estimate == target_dim else "probe"), sw, probe
-
-
 def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
                               rng: SeededRng) -> BuildResult:
-    """Draw forms until the zero set passes count, s-wise, and probe checks.
+    """Draw forms until the zero set passes the count and probe checks.
 
+    The s-wise certificate is `swise_theorem(q, degree, s)`, settled once
+    before the first draw, since it holds for any distinct points; a
+    configuration that no theorem covers is refused with ValueError.
     Attempt j always uses rng.derive(j), so retries are reproducible and
-    independent of how earlier attempts consumed their stream.  With no
-    forms to draw every attempt would see the same W, so the first one
-    is the only one.
+    independent of how earlier attempts consumed their stream.
     """
     if cfg.num_forms < 0 or cfg.degree < 1 or cfg.b < 1 or cfg.s < 1:
         raise ValueError("bad builder configuration")
     target_dim = cfg.b - cfg.num_forms
     if target_dim < 0:
         raise ValueError("more forms than dimensions available")
-
-    z_rep = z_condition(cfg.b, cfg.degree, cfg.num_forms, cfg.s) if cfg.s >= 2 else None
-    if z_rep is not None and z_rep.verdict == "false":
-        raise ValueError(
-            "form count %d is too small for certified %d-wise independence "
-            "at degree %d in dimension %d" % (cfg.num_forms, cfg.s,
-                                              cfg.degree, cfg.b)
-        )
-    # interpolation: at most degree+1 points are never degree-dependent, so
-    # no s-subset is dependent when s <= degree + 1 (every z_condition row
-    # is then empty)
-    by_theorem = cfg.s <= cfg.degree + 1
+    swise_mode = swise_theorem(spec.order, cfg.degree, cfg.s)
+    if swise_mode is None:
+        raise ValueError("no theorem certifies %d-wise independence at "
+                         "degree %d over F_%d"
+                         % (cfg.s, cfg.degree, spec.order))
     ext_order = spec.order**PROBE_EXTENSION
     probe_ext = (ext_order <= DEFAULT_ORDER_CAP
                  and projective_count(ext_order, cfg.b) <= cfg.point_cap)
 
+    # "swise" is never incremented; the key stays for the report's bytes
     tally = {"count": 0, "swise": 0, "probe": 0}
-    last = None
     for attempt in range(MAX_ATTEMPTS):
         sub = rng.derive(attempt)
         forms = tuple(
@@ -634,13 +594,18 @@ def build_independent_variety(spec: FieldSpec, cfg: BuildConfig,
         var = VarietySpec(spec, cfg.b, forms)
         masks = zero_masks(var, cap=cfg.point_cap)
         n = sum(int(np.count_nonzero(m)) for m in masks.values())
-        failed, sw, probe = _check_draw(var, masks, n, cfg, target_dim,
-                                        by_theorem, probe_ext)
-        if failed:
-            tally[failed] += 1
-        last = BuildResult(failed is None, attempt + 1, var, masks, n,
-                           target_dim, sw, probe, dict(tally))
-        if failed is None or not forms:
-            return last
-    assert last is not None
-    return last
+        probe = None
+        if 2 * n < spec.order**target_dim:  # half the first-order prediction
+            failed = "count"
+        else:
+            counts = {1: n}
+            if probe_ext:
+                counts[PROBE_EXTENSION] = count_points_ext(
+                    var, PROBE_EXTENSION, cap=cfg.point_cap)
+            probe = dimension_probe(counts, spec.order)
+            failed = None if probe.estimate == target_dim else "probe"
+        if failed is None:
+            break
+        tally[failed] += 1
+    return BuildResult(failed is None, attempt + 1, var, masks, n,
+                       target_dim, swise_mode, probe, tally)

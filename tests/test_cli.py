@@ -138,21 +138,49 @@ def test_zero_truncation_target_is_a_usage_error(tmp_path, capsys):
             assert stdout == "" and not out.exists()
 
 
-def test_a_rejection_that_no_seed_changes_stops_the_seed_loop(tmp_path,
-                                                              capsys):
-    # with Z = 0 the builder draws no forms, so every seed walks the same W
-    # and is rejected alike: one seed is tried, not ten
+S4_PLAN = ["turan", "--s", "4", "--m", "2", "--r", "4", "--Z", "0"]
+
+
+def test_a_plan_no_theorem_certifies_is_refused(tmp_path, capsys):
+    # s = 4 > m + 1 over F_3: the builder could certify no draw at any seed,
+    # so the plan is refused with exit 1 before anything is drawn
     out = tmp_path / "g.json"
-    rc, stdout, err = run(["construct", "turan", "--s", "4", "--m", "2",
-                           "--r", "4", "--Z", "0", "--q", "2", "--seed", "1",
-                           "--out", str(out)], capsys)
-    assert rc == 2 and stdout == "" and not out.exists()
-    head, *rows = err.splitlines()
-    assert head == ("no graph built: the plan alone decides seed 1's "
-                    "rejection, so no later seed was tried")
-    assert rows == ["  seed 1: variety certification failed after 1 "
-                    "attempts (rejections: {'count': 0, 'swise': 1, "
-                    "'probe': 0})"]
+    msg = ("error: no theorem certifies 4-wise independence at degree 2 "
+           "over F_3\n")
+    q3 = S4_PLAN + ["--q", "3"]
+    for argv in (["plan"] + q3 + ["--out", str(out)],
+                 ["construct"] + q3 + ["--seed", "1", "--out", str(out)],
+                 ["sweep"] + q3 + ["--seed", "1", "--trials", "3",
+                                   "--out", str(out)]):
+        rc, stdout, err = run(argv, capsys)
+        assert (rc, stdout, err) == (1, "", msg), argv
+        assert not out.exists()
+    # verify refuses a graph that carries such a plan the same way
+    plan = json.loads(run(["plan"] + S4_PLAN + ["--q", "2"], capsys)[1])
+    with open(out, "w") as fh:
+        json.dump({"kind": "sided", "field": {"p": 3, "k": 1},
+                   "plan": dict(plan, q=3), "seed": 1, "left": [],
+                   "right": [], "edges": []}, fh)
+    assert run(["verify", "--graph", str(out)], capsys) == (1, "", msg)
+    # without a field order there is nothing to certify yet
+    rc, stdout, _ = run(["plan"] + S4_PLAN, capsys)
+    assert rc == 0 and json.loads(stdout)["q"] is None
+
+
+@pytest.mark.parametrize("c", ["1/4", "1"])
+def test_a_reed_muller_plan_builds_and_verifies(c, tmp_path, capsys):
+    # over F_2 any 6 points are independent at degree 2, so s = 4 is
+    # certified by the Reed-Muller lemma, on the first seed
+    out = str(tmp_path / "g.json")
+    rc, stdout, _ = run(["construct"] + S4_PLAN + ["--q", "2", "--c", c,
+                                                   "--seed", "1", "--out",
+                                                   out], capsys)
+    assert rc == 0 and json.loads(stdout)["seeds_tried"] == 1
+    builder = read_doc(report_path_for(out))["builder"]
+    assert builder["swise_mode"] == "reed-muller"
+    assert builder["attempts"] == 1
+    rc, vout, _ = run(["verify", "--graph", out], capsys)
+    assert rc == 0 and json.loads(vout)["matches_report"] is True
 
 
 def test_rejections_that_a_seed_can_change_are_retried(tmp_path, capsys,

@@ -655,6 +655,12 @@ def test_plan_validation_errors():
         plan_construction("zarankiewicz", 2, T=7, r=1, m=2)
     with pytest.raises(ValueError, match="Z >"):
         plan_construction("turan", 5, m=3, r=3, Z=4)
+    with pytest.raises(ValueError, match="no theorem certifies 4-wise "
+                                         "independence at degree 2 over F_3"):
+        plan_construction("turan", 4, m=2, r=4, Z=0, q=3)
+    # the same plan without a field order, or over F_2, is accepted
+    assert plan_construction("turan", 4, m=2, r=4, Z=0).q is None
+    assert plan_construction("turan", 4, m=2, r=4, Z=0, q=2).b == 8
     with pytest.raises(ValueError):
         plan_construction("turan", 2)  # desk needs m, r, Z
     with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from kstfree.independence import (
     m_cap,
     phi_upper_bound,
     s_wise_independent,
+    swise_theorem,
     z_condition,
 )
 from kstfree.linalg import rank
@@ -177,6 +178,36 @@ def test_small_sets_always_independent(p, b, m):
     for size in range(1, m + 2):
         for combo in itertools.combinations(range(len(points)), size):
             assert hilbert_rank(spec, points[list(combo)], m) == size
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_swise_theorem_interpolation_edge(m):
+    # at q = 3 only interpolation applies: up to m+1 points, not one more
+    assert swise_theorem(3, m, m + 1) == "interpolation"
+    assert swise_theorem(3, m, m + 2) is None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_swise_theorem_reed_muller_edge(m):
+    # over F_2 up to 2^(m+1) - 2 points, not one more; at m = 1 that is
+    # m + 1, so interpolation names it; F_4 is not F_2
+    top = 2 ** (m + 1) - 2
+    assert swise_theorem(2, m, top) == ("interpolation" if m == 1
+                                        else "reed-muller")
+    assert swise_theorem(2, m, top + 1) is None
+    assert swise_theorem(4, m, m + 2) is None
+
+
+def test_reed_muller_bound_is_tight_on_the_fano_plane():
+    # at m = 1 the dependent 3-sets of P^2(F_2) are exactly its 7 lines,
+    # the projective 1-flats of 2^(m+1) - 1 = 3 points
+    spec = make_field(2, 1)
+    points = projective_array(spec, 2)
+    dependent = [c for c in itertools.combinations(range(7), 3)
+                 if hilbert_rank(spec, points[list(c)], 1) < 3]
+    lines = [c for c in itertools.combinations(range(7), 3)
+             if not np.bitwise_xor.reduce(points[list(c)]).any()]
+    assert dependent == lines and len(lines) == 7
 
 
 def test_rank_monotone_under_supersets():

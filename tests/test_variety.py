@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kstfree.gf
+import kstfree.independence
 import kstfree.projgeom
 import kstfree.variety
 from kstfree.acceptance import slice_moments
@@ -609,20 +610,26 @@ def test_builder_no_forms_trivial():
     assert res.attempts == 1
     assert res.n_points == 6
     assert res.target_dim == 1
-    assert res.swise.certified
+    assert res.swise_mode == "interpolation"
     assert res.probe is not None and res.probe.estimate == 1
     assert res.failure_tally == {"count": 0, "swise": 0, "probe": 0}
 
 
-def test_builder_without_forms_draws_once():
-    # all of P^8 over F_2 is 4-wise dependent at degree 2, and with no form
-    # to draw a retry would only see the same 511 points again
+def test_builder_without_forms_draws_once(monkeypatch):
+    # s = 4 > m + 1, but over F_2 any 2^(m+1) - 2 = 6 points are independent
+    # at degree m = 2 (Reed-Muller), so all 511 points of P^8 are certified
+    # 4-wise independent without a search, on the first draw
+    def no_search(*args, **kwargs):
+        raise AssertionError("s-wise search ran")
+
+    monkeypatch.setattr(kstfree.independence, "s_wise_independent", no_search)
     spec = make_field(2, 1)
     cfg = BuildConfig(b=8, num_forms=0, degree=2, s=4)
     res = build_independent_variety(spec, cfg, SeededRng(1))
-    assert res.certified is False
+    assert res.certified
+    assert res.swise_mode == "reed-muller"
     assert res.attempts == 1 and res.n_points == 511
-    assert res.failure_tally == {"count": 0, "swise": 1, "probe": 0}
+    assert res.failure_tally == {"count": 0, "swise": 0, "probe": 0}
 
 
 def test_builder_cubic_surface_certifies():
@@ -632,17 +639,9 @@ def test_builder_cubic_surface_certifies():
     assert res.certified
     assert res.target_dim == 2
     assert 2 * res.n_points >= 11**2
-    assert res.swise.witness is None
+    assert res.swise_mode == "interpolation"
     assert res.probe.estimate == 2
     assert sorted(res.probe.counts) == [1, 2]
-
-
-def test_builder_rejects_insufficient_forms():
-    # 5 forms fall short of the 164/28 requirement at arity 5, degree 3
-    spec = make_field(2, 1)
-    cfg = BuildConfig(b=10, num_forms=5, degree=3, s=5)
-    with pytest.raises(ValueError):
-        build_independent_variety(spec, cfg, SeededRng(1))
 
 
 def test_builder_probe_counts_only_what_fits():
@@ -670,32 +669,27 @@ def test_builder_certifies_by_interpolation(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("s-wise search ran")
 
-    monkeypatch.setattr(kstfree.variety, "s_wise_independent", no_search)
+    monkeypatch.setattr(kstfree.independence, "s_wise_independent", no_search)
     spec = make_field(11, 1)
     cfg = BuildConfig(b=3, num_forms=1, degree=3, s=3)
     res = build_independent_variety(spec, cfg, SeededRng(2026))
     assert res.certified
-    assert res.swise.mode == "interpolation"
-    assert res.swise.certified and res.swise.checked == 0
+    assert res.swise_mode == "interpolation"
     assert res.probe.counts[1] == res.n_points
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_builder_sampled_swise_does_not_certify(seed, monkeypatch):
-    # s = 5 > m + 1: C(n, 5) subsets exceed the budget, so the draw could
-    # not be certified and is rejected without a search
-    def no_search(*args, **kwargs):
-        raise AssertionError("s-wise search ran")
+    # s = 4 > m + 1 over F_3: no theorem covers the draws and no search or
+    # sample may certify them, so the builder refuses before reading a stream
+    def no_stream(self, index):
+        raise AssertionError("a stream was read")
 
-    monkeypatch.setattr(kstfree.variety, "s_wise_independent", no_search)
-    spec = make_field(2, 1)
-    monkeypatch.setattr(kstfree.variety, "MAX_ATTEMPTS", 1)
-    cfg = BuildConfig(b=10, num_forms=6, degree=3, s=5)
-    res = build_independent_variety(spec, cfg, SeededRng(seed))
-    assert comb(res.n_points, 5) > cfg.subset_budget
-    assert res.swise is None
-    assert res.certified is False
-    assert res.failure_tally == {"count": 0, "swise": 1, "probe": 0}
+    monkeypatch.setattr(SeededRng, "derive", no_stream)
+    cfg = BuildConfig(b=6, num_forms=2, degree=2, s=4)
+    with pytest.raises(ValueError, match="no theorem certifies 4-wise "
+                                         "independence at degree 2 over F_3"):
+        build_independent_variety(make_field(3, 1), cfg, SeededRng(seed))
 
 
 def test_builder_failure_tally_bookkeeping(monkeypatch):
