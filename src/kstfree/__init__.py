@@ -8,8 +8,8 @@ plus built-in check suite (cli, acceptance).  A point set is an
 (n, b+1) int64 array of canonical encodings throughout; `ProjPoint` is
 one point, for scalar evaluation.  The lemma experiments that only the
 check suite runs (power-form rows, joint uniformity, slice moments,
-strong witnesses, two-basis selection) live in acceptance and are not
-exported here.
+greedy and two-basis selection) live in acceptance and are not exported
+here.
 """
 
 from .gf import FieldSpec, field_for_order, make_field

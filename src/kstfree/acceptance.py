@@ -13,10 +13,10 @@ pass condition.
 The lemma experiments that only these checks run live here, each just
 above the check that reads it: power-form rows (check 3), joint
 uniformity of anchored specializations (check 4), slice moments
-(check 5), and strong witnesses with the greedy and two-basis
-selections (check 9).  They call the pipeline's primitives but are not
-part of it, so `graphs`, `variety` and `independence` hold only what
-the construct, verify, sweep and indep commands run.
+(check 5), and the greedy and two-basis selections (check 9).  They
+call the pipeline's primitives but are not part of it, so `graphs`,
+`variety` and `independence` hold only what the construct, verify,
+sweep and indep commands run.
 """
 
 from __future__ import annotations
@@ -462,36 +462,6 @@ def check_zarankiewicz_pipeline(seed: int):
     return _pipeline_passes(plans, seed)
 
 
-KERNEL_CAP = 4     # largest kernel dimension the strong witness searches
-
-
-def strong_dependence_witness(spec: FieldSpec, rows, m: int):
-    """All-nonzero left-kernel vector of the evaluation matrix, or None.
-
-    The first, as a (t,) int64 array, of the basis combinations whose
-    coefficients run over `projective_array(spec, d-1)` in order.  Such a
-    vector certifies a product relation among the attached linear
-    forms in any characteristic; when char > m it is equally a kernel
-    vector of the power matrix (the two differ by nonzero column scalings).
-    Preconditions: the points span the ambient space, and the kernel
-    dimension stays within KERNEL_CAP (the search is projective over F_q;
-    else BudgetExceeded).
-    """
-    ev = evaluation_rows(spec, rows, m)
-    if rank(rows, spec) != np.shape(rows)[1]:
-        raise ValueError("points do not span the ambient space")
-    kern = left_kernel(ev, spec)
-    d = len(kern)
-    if d == 0:
-        return None
-    if d > KERNEL_CAP:
-        raise BudgetExceeded("kernel dimension %d exceeds cap %d" % (d, KERNEL_CAP))
-    lams = spec.dec_array(projective_array(spec, d - 1))
-    cands = spec.enc_array(spec.arr_dot(lams, spec.dec_array(kern)))
-    hits = np.flatnonzero(cands.all(axis=1))
-    return cands[hits[0]] if hits.size else None
-
-
 def independent_set_third(n: int, edges) -> list:
     """Independent set of size >= ceil(n/3) in a graph with <= n edges.
 
@@ -576,27 +546,14 @@ def _bases(spec, n: int, ordered: bool) -> list:
 
 
 def check_constructive_floors(seed: int):
-    """Three constructive floors, each on every case of its size, so the
-    seed draws nothing: no spanning subset of the F_5 projective line with
-    fewer than 4 points has a strong degree-2 dependence witness; the
-    greedy independent set meets ceil(n/3) on every graph of n <= 6
-    vertices and at most n edges; the two-basis span-avoiding subset meets
-    ceil(n/3) and misses every target vector for every ordered basis
-    against every unordered basis with no vector a multiple of one of its
-    vectors, over F_2 at n=3 and F_3 at n=2 (F_2 at n=2 has no such pair).
-    The order of the second basis cannot matter: its edges are sorted."""
-    spec = field_for_order(5)
-    pts = projective_array(spec, 1).tolist()
-    witnesses = 0
-    spanning = 0
-    for size in (2, 3):
-        for sub in itertools.combinations(pts, size):
-            if rank(sub, spec) < 2:
-                continue
-            spanning += 1
-            if strong_dependence_witness(spec, sub, 2) is not None:
-                witnesses += 1
-
+    """Two constructive floors, each on every case of its size, so the
+    seed draws nothing: the greedy independent set meets ceil(n/3) on
+    every graph of n <= 6 vertices and at most n edges; the two-basis
+    span-avoiding subset meets ceil(n/3) and misses every target vector
+    for every ordered basis against every unordered basis with no vector
+    a multiple of one of its vectors, over F_2 at n=3 and F_3 at n=2 (F_2
+    at n=2 has no such pair).  The order of the second basis cannot
+    matter: its edges are sorted."""
     graphs = bad_greedy = 0
     for n in range(7):
         pairs = list(itertools.combinations(range(n), 2))
@@ -627,12 +584,9 @@ def check_constructive_floors(seed: int):
                 if len(chosen) < -(-n // 3) or not misses_all:
                     bad_span += 1
 
-    ok = witnesses == 0 and bad_greedy == 0 and bad_span == 0
-    return ok, ("%d spanning subsets witness-free, greedy bad %d/%d, "
-                "two-basis bad %d/%d" % (spanning, bad_greedy, graphs,
-                                         bad_span, basis_pairs)), {
-        "spanning_checked": spanning,
-        "strong_witnesses": witnesses,
+    ok = bad_greedy == 0 and bad_span == 0
+    return ok, ("greedy bad %d/%d, two-basis bad %d/%d"
+                % (bad_greedy, graphs, bad_span, basis_pairs)), {
         "graphs": graphs,
         "bad_greedy": bad_greedy,
         "basis_pairs": basis_pairs,

@@ -766,6 +766,7 @@ def construct_zar(plan: ConstructionPlan, master_seed: int, *,
         raise ValueError("plan carries no field order")
     spec = field_for_order(plan.q)
     a = plan.a
+    # a hand-edited plan can carry a = 0, which would otherwise pass empty
     if a < 1:
         raise CertificationError("left side is empty at this c and q")
     _refuse_oversized_forms(plan, a, point_cap)

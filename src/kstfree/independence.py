@@ -3,11 +3,12 @@
 A point set is an (n, b+1) int64 array of canonical encodings, one row
 per point, as zero sets, slices and `projgeom.parse_ids` give it.  A set
 of t projective points is m-dependent when the t x C(b+m, m) matrix of
-degree-m monomial values drops rank below t.  Minimality (read off the
-matrix's left kernel) and the s-wise search are built on that one
-matrix, and `swise_theorem` names the sizes at which no search is
-needed; the exact rational bookkeeping (m_cap, phi_upper_bound,
-z_condition) is what the construction plans consume.
+degree-m monomial values drops rank below t.  Minimality is read off
+that matrix's left kernel.  The s-wise check asks `swise_theorem`
+first, the same rule that `plan` and the builder use, and searches
+s-subsets of the matrix's rows only where no theorem covers (q, m, s);
+the exact rational bookkeeping (m_cap, phi_upper_bound, z_condition) is
+what the construction plans consume.
 """
 from __future__ import annotations
 
@@ -127,7 +128,7 @@ class SWiseCheck:
     witness: tuple | None    # indices of a dependent s-subset, if found
     checked: int
     total: int
-    mode: str                # exhaustive | vacuous
+    mode: str                # exhaustive | vacuous | a `swise_theorem` name
 
     @property
     def certified(self) -> bool:
@@ -143,8 +144,10 @@ def s_wise_independent(spec: FieldSpec, rows, s: int, m: int,
                        budget: int = DEFAULT_SUBSET_BUDGET) -> SWiseCheck:
     """No s of the points are m-dependent; repeated rows are refused.
 
-    Searches every s-subset, so a pass is a certificate; when C(n, s)
-    exceeds the budget it raises BudgetExceeded instead of searching.
+    Where `swise_theorem` covers (q, m, s) the theorem is the certificate
+    and nothing is searched.  Elsewhere every s-subset is searched, so a
+    pass is a certificate; when C(n, s) exceeds the budget it raises
+    BudgetExceeded instead of searching.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -153,6 +156,9 @@ def s_wise_independent(spec: FieldSpec, rows, s: int, m: int,
     if n < s:
         return SWiseCheck(None, 0, 0, "vacuous")
     total = comb(n, s)
+    mode = swise_theorem(spec.order, m, s)
+    if mode is not None:
+        return SWiseCheck(None, 0, total, mode)
     if total > budget:
         raise BudgetExceeded("C(%d, %d) = %d subsets exceed budget %d"
                              % (n, s, total, budget))

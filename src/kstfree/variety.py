@@ -222,8 +222,8 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
     exponent count (`FieldSpec.power_matrix`, where `_field_powers` reads
     it), and the powers at xs are its columns, gathered once per call
     unless xs is all of F_q.  Without it (b = 1 on a field too wide for
-    one slab, such as GF(2^16)) the powers at xs are built once per call
-    if they fit one slab, and else each slab builds its own.  A slab's
+    one slab, such as GF(2^16)) each slab builds the powers at its own
+    xs.  A slab's
     product, its zero tests and its cells go into buffers allocated once
     per call, as large as the largest slab needs.
     """
@@ -242,8 +242,6 @@ def _zero_cells(var: VarietySpec, cap: int, xs: np.ndarray):
         outer = inner.reshape(amax * k, k, q)
         if nx != q:
             outer = outer.take(xs, axis=2)
-    elif forms and steps.get(1, 0) >= nx:
-        outer = _power_matrix(spec, amax, xs).reshape(amax * k, k, nx)
     # a slab's cells, alive where every form so far vanishes; the first
     # form writes them
     most = max((min(steps[n], nx) * q ** (n - 1) for n in steps), default=0)

@@ -16,8 +16,7 @@ import numpy as np
 
 from kstfree.gf import FieldSpec
 from kstfree.graphs import KstVerdict, SidedGraph, _common, _side_adj
-from kstfree.independence import evaluation_rows, hilbert_rank
-from kstfree.linalg import left_kernel
+from kstfree.independence import hilbert_rank
 from kstfree.polyrand import BiHomPoly
 from kstfree.projgeom import (ProjPoint, monomial_eval, multiindex_table,
                               projective_array)
@@ -142,26 +141,6 @@ def embed_table_scalar(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
             acc = ext.add(acc, ext.mul(c, z))
         table[e] = acc
     return table
-
-
-def strong_witness_scalar(spec: FieldSpec, rows, m: int):
-    """`acceptance.strong_dependence_witness`'s search, one scalar at a
-    time: each combination of the left-kernel basis of the evaluation
-    rows, its coefficients read from `projective_array(spec, d - 1)` in
-    order, until one has no zero entry; that one as a tuple, else None."""
-    kern = left_kernel(evaluation_rows(spec, rows, m), spec).tolist()
-    if not kern:
-        return None
-    t = len(rows)
-    for combo in projective_array(spec, len(kern) - 1).tolist():
-        cand = [0] * t
-        for lam, kv in zip(combo, kern):
-            if lam:
-                for i in range(t):
-                    cand[i] = spec.add(cand[i], spec.mul(lam, kv[i]))
-        if all(cand):
-            return tuple(cand)
-    return None
 
 
 def minimal_by_subsets(spec: FieldSpec, rows: np.ndarray, m: int) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -618,20 +619,61 @@ def test_indep_reports_rank(tmp_path, capsys):
 
 
 def test_indep_budget_paths(tmp_path, capsys):
+    # five points of a conic in P^2(F_5), no three on a line; no theorem
+    # covers s = m + 2 = 3 over F_5, so the 3-subsets are searched
     pts = tmp_path / "pts.txt"
-    pts.write_text("1:0\n0:1\n1:1\n1:2\n1:3\n")
+    pts.write_text("1:0:0\n1:1:1\n1:2:4\n1:3:4\n1:4:1\n")
     # C(5, 3) = 10 subsets over a budget of 2: refused, nothing printed
-    rc, out, err = run(["indep", "--points", str(pts), "--q", "5", "--m", "2",
+    rc, out, err = run(["indep", "--points", str(pts), "--q", "5", "--m", "1",
                         "--s", "3", "--budget-subsets", "2"], capsys)
     assert (rc, out) == (2, "")
     assert err.startswith("budget exceeded:")
     # within the budget every subset is searched
-    rc, out, _ = run(["indep", "--points", str(pts), "--q", "5", "--m", "2",
+    rc, out, _ = run(["indep", "--points", str(pts), "--q", "5", "--m", "1",
                       "--s", "3", "--budget-subsets", "10"], capsys)
     assert rc == 0
     sw = json.loads(out)["s_wise"]
     assert (sw["mode"], sw["checked"], sw["certified"]) == (
         "exhaustive", 10, True)
+
+
+def test_indep_settles_by_reed_muller_what_it_cannot_search(tmp_path,
+                                                            capsys):
+    # all 31 points of P^4(F_2): any 6 are independent at m = 2, so the
+    # C(31, 6) = 736,281 subsets over the default budget need no search;
+    # no theorem covers 7, and C(31, 7) is refused at the subset budget
+    pts = tmp_path / "pts.txt"
+    pts.write_text("".join("%s\n" % point_to_str(pt) for pt in
+                           enumerate_projective(field_for_order(2), 4)))
+    args = ["indep", "--points", str(pts), "--q", "2", "--m", "2", "--s"]
+    rc, out, _ = run(args + ["6"], capsys)
+    assert rc == 0
+    sw = json.loads(out)["s_wise"]
+    assert {k: sw[k] for k in ("mode", "checked", "total", "certified")} == {
+        "mode": "reed-muller", "checked": 0, "total": 736281,
+        "certified": True}
+    rc, out, err = run(args + ["7"], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("budget exceeded: C(31, 7) = 2629575 subsets")
+
+
+def test_indep_settles_by_interpolation_and_searches_past_it(tmp_path,
+                                                             capsys):
+    # the six points of P^1(F_5) at m = 2: any 3 by interpolation; every
+    # 4 are dependent, found by the search on its first subset
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1:0\n1:1\n1:2\n1:3\n1:4\n0:1\n")
+    args = ["indep", "--points", str(pts), "--q", "5", "--m", "2", "--s"]
+    rc, out, _ = run(args + ["3"], capsys)
+    assert rc == 0
+    sw = json.loads(out)["s_wise"]
+    assert (sw["mode"], sw["checked"], sw["total"]) == ("interpolation", 0,
+                                                        20)
+    rc, out, _ = run(args + ["4"], capsys)
+    assert rc == 2
+    sw = json.loads(out)["s_wise"]
+    assert (sw["mode"], sw["witness"], sw["checked"]) == ("exhaustive",
+                                                          [0, 1, 2, 3], 1)
 
 
 def test_indep_witness_counts_the_subsets_it_searched(tmp_path, capsys):
@@ -800,6 +842,40 @@ def test_selftest_unknown_number(capsys):
     rc, _, err = run(["selftest", "99", "--seed", "3"], capsys)
     assert rc == 1
     assert "unknown check" in err
+
+
+def _readme_cli_lines():
+    """The `kstfree` command lines of the README's CLI block, continuation
+    lines joined."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [line.strip() for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    # every line runs in order in one directory, so `verify` reads the
+    # graph that `construct` wrote; pts.txt holds the six points of
+    # P^1(F_5), any 4 of which are dependent at m = 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pts.txt").write_text("1:0\n1:1\n1:2\n1:3\n1:4\n0:1\n")
+    ran = set()
+    for line in _readme_cli_lines():
+        argv = shlex.split(line)
+        assert argv[0] == "kstfree", line
+        ran.add(argv[1])
+        rc, out, err = run(argv[1:], capsys)
+        if argv[1] == "indep":
+            assert rc == 2, (line, err)
+            assert json.loads(out)["s_wise"]["witness"] == [0, 1, 2, 3]
+        else:
+            assert rc == 0, (line, err)
+    assert ran == {"plan", "construct", "verify", "indep", "sweep",
+                   "selftest"}
 
 
 def test_console_script_installed():

@@ -11,7 +11,6 @@ from kstfree.acceptance import (
     disjoint_span_subset,
     independent_set_third,
     power_rows,
-    strong_dependence_witness,
 )
 from kstfree.gf import field_for_order, make_field
 from kstfree.independence import (
@@ -29,7 +28,8 @@ from kstfree.linalg import rank
 from kstfree.polyrand import SeededRng
 from kstfree.projgeom import projective_array
 from kstfree.util import BudgetExceeded
-from references import minimal_by_subsets, strong_witness_scalar
+from kstfree.variety import BuildConfig, build_independent_variety
+from references import minimal_by_subsets
 
 
 def pts(*coords):
@@ -154,7 +154,7 @@ def test_evaluation_matrix_over_the_point_budget_is_refused(monkeypatch):
                        "matrix holds 13 entries, over the point budget 12"):
         evaluation_rows(F7, pts((1, 0)), 12)  # 1 * C(13, 12) = 13
     with pytest.raises(BudgetExceeded):
-        s_wise_independent(F7, four[:3], 3, 2)  # 3 * C(4, 2) = 18
+        s_wise_independent(F7, four, 4, 2)  # 4 * C(4, 2) = 24
 
 
 def test_elimination_over_the_point_budget_is_refused(monkeypatch):
@@ -243,20 +243,57 @@ def test_s_wise_exhaustive_witness():
     assert res.verdict == "dependent"
 
 
+def _conic(spec, n):
+    """n points (1, t, t^2) of a conic in P^2: no three on a line."""
+    return pts(*((1, t, spec.mul(t, t)) for t in range(n)))
+
+
 def test_s_wise_exhaustive_clean():
-    spec = make_field(7, 1)
-    points = projective_array(spec, 1)[:5]
-    res = s_wise_independent(spec, points, 3, 2)
-    assert res.certified
+    # s = m + 2 = 3 is covered by no theorem over F_7, so every 3-subset of
+    # five conic points is searched, and none is on a line
+    res = s_wise_independent(F7, _conic(F7, 5), 3, 1)
+    assert res.certified and res.mode == "exhaustive"
     assert res.checked == res.total == comb(5, 3)
     assert res.verdict == "independent"
 
 
 def test_s_wise_budget_no_rng_raises():
-    spec = make_field(7, 1)
-    points = projective_array(spec, 1)[:6]
+    points = projective_array(F7, 1)[:6]
     with pytest.raises(BudgetExceeded):
-        s_wise_independent(spec, points, 3, 2, budget=3)
+        s_wise_independent(F7, points, 4, 2, budget=3)  # C(6, 4) = 15
+
+
+def test_s_wise_theorem_searches_nothing_even_over_budget(monkeypatch):
+    # all 31 points of P^4(F_2): any 6 are independent at m = 2
+    # (Reed-Muller), so C(31, 6) subsets are certified with no matrix built
+    monkeypatch.setattr(kstfree.independence, "DEFAULT_POINT_BUDGET", 0)
+    spec = make_field(2, 1)
+    res = s_wise_independent(spec, projective_array(spec, 4), 6, 2)
+    assert (res.mode, res.checked, res.total) == ("reed-muller", 0, 736281)
+    assert res.certified and res.witness is None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_s_wise_rule_for_the_search_and_the_builder(q, m):
+    # where swise_theorem names a mode, s_wise_independent returns it even
+    # at a zero budget, and the builder certifies by it; elsewhere the
+    # search is reached (and refused at that budget) and the builder refuses
+    spec = field_for_order(q)
+    for s in range(1, 2 ** (m + 1) + 1):
+        mode = swise_theorem(q, m, s)
+        rows = projective_array(spec, 4)[:s + 1]
+        cfg = BuildConfig(b=2, num_forms=0, degree=m, s=s)
+        if mode is None:
+            with pytest.raises(BudgetExceeded):
+                s_wise_independent(spec, rows, s, m, budget=0)
+            with pytest.raises(ValueError, match="no theorem certifies"):
+                build_independent_variety(spec, cfg, SeededRng(1))
+        else:
+            res = s_wise_independent(spec, rows, s, m, budget=0)
+            assert (res.mode, res.checked, res.total) == (mode, 0, s + 1)
+            built = build_independent_variety(spec, cfg, SeededRng(1))
+            assert built.certified and built.swise_mode == mode
 
 
 # --- power form cross-check -------------------------------------------------
@@ -300,85 +337,6 @@ def test_power_rows_need_large_characteristic():
         power_rows(spec3, pts((1, 0), (0, 1)), 3)
     # char 3 > m = 2 is fine
     assert rank(power_rows(spec3, pts((1, 0), (0, 1)), 2), spec3) == 2
-
-
-# --- strong witnesses -------------------------------------------------------
-
-
-def test_strong_witness_on_minimal_set():
-    w = strong_dependence_witness(F7, FOUR_PTS, 2)
-    assert w is not None
-    assert all(w)
-    rows = evaluation_rows(F7, FOUR_PTS, 2)
-    for j in range(len(rows[0])):
-        acc = 0
-        for i in range(len(rows)):
-            acc = F7.add(acc, F7.mul(w[i], rows[i][j]))
-        assert acc == 0
-
-
-def test_strong_witness_none_for_independent():
-    spec = make_field(5, 1)
-    sel = pts((1, 0), (0, 1), (1, 1))
-    assert strong_dependence_witness(spec, sel, 2) is None
-
-
-def test_strong_witness_requires_spanning():
-    spec = make_field(5, 1)
-    sel = pts((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0))
-    with pytest.raises(ValueError):
-        strong_dependence_witness(spec, sel, 2)
-
-
-def test_strong_witness_char2():
-    # characteristic 2, all seven points of the plane, m = 2: the
-    # evaluation matrix has 6 columns, kernel dimension 1
-    spec = make_field(2, 1)
-    sel = projective_array(spec, 2)
-    rep = dependence_classify(spec, sel, 2)
-    assert rep.dependent
-    d = len(rep.kernel_basis)
-    assert d >= 1
-    if d <= 4:
-        w = strong_dependence_witness(spec, sel, 2)
-        if w is not None:
-            rows = evaluation_rows(spec, sel, 2)
-            assert all(w)
-            for j in range(len(rows[0])):
-                acc = 0
-                for i in range(len(rows)):
-                    acc = spec.add(acc, spec.mul(w[i], rows[i][j]))
-                assert acc == 0
-
-
-def test_strong_witness_matches_the_scalar_search():
-    # every spanning 2- and 3-subset of P^1(F_5) at m = 2 (none has a
-    # witness), and every dependent set of 4 or more points of P^1(F_4)
-    # and P^1(F_5), whose kernels reach dimension 1 to 3
-    found = 0
-    for q, sizes in ((5, (2, 3, 4, 5, 6)), (4, (4, 5))):
-        spec = field_for_order(q)
-        line = projective_array(spec, 1)
-        for size in sizes:
-            for sub in itertools.combinations(range(len(line)), size):
-                sel = line[list(sub)]
-                if rank(sel, spec) < 2:
-                    continue
-                w = strong_dependence_witness(spec, sel, 2)
-                ref = strong_witness_scalar(spec, sel, 2)
-                if ref is None:
-                    assert w is None
-                else:
-                    assert w.dtype == np.int64 and tuple(w.tolist()) == ref
-                    found += 1
-    assert found > 0
-
-
-def test_strong_witness_kernel_cap():
-    spec = make_field(3, 1)
-    sel = projective_array(spec, 2)  # 13 points, m = 1: kernel dim 10
-    with pytest.raises(BudgetExceeded):
-        strong_dependence_witness(spec, sel, 1)  # above KERNEL_CAP = 4
 
 
 # --- caps, bounds, conditions ----------------------------------------------
